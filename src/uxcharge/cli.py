@@ -16,6 +16,12 @@ own "events" array to override probabilities per ad. Reports are emitted as
 canonical JSON (keys in construction order, numbers at 17 significant
 digits), so identical inputs and seeds produce byte-identical output.
 
+All three subcommands share one pipeline, ``sim.prepare`` (validate, then
+per ad feasibility, charge shift, adjustment), so they exclude the same ads
+with the same two reasons: "expected user-experience charge exceeds expected
+offer value" and "expected adjusted value is negative". ``auction`` also
+reads ``adjust`` output. The reserve must be a finite number >= 0.
+
 Exit codes: 0 success, 1 validation failure, 2 I/O failure. Diagnostics go
 to stderr as one JSON record per failure. Set UXCHARGE_LOG to error, warn,
 info, or debug to adjust logging.
@@ -32,8 +38,7 @@ import os
 import sys
 from typing import Any, Mapping, Sequence
 
-from .adjust import adjust_general
-from .auction import SlotModel, run_first_price, run_second_price
+from .auction import SlotModel
 from .model import (
     AdjustedOffer,
     ChargeSchedule,
@@ -43,14 +48,13 @@ from .model import (
     event_to_dict,
     offer_from_dict,
 )
-from .shift import is_feasible, total_expected_charge
 from .sim import (
     OutcomeModel,
     ScenarioConfig,
     ScenarioError,
-    build_plan,
+    prepare,
+    run_auction,
     run_scenario,
-    validate_scenario,
 )
 
 logger = logging.getLogger("uxcharge")
@@ -209,52 +213,45 @@ def _fail(kind: str, detail: Any, code: int) -> int:
 # --- subcommands -------------------------------------------------------------
 
 
-def _adjust_document(
-    offers: tuple[Offer, ...], charges: ChargeSchedule, strategy: str
-) -> dict:
-    config = ScenarioConfig(offers=offers, charges=charges, strategy=strategy)
-    issues = validate_scenario(config)
-    if issues:
-        raise ScenarioError(issues)
+def _overrides(
+    args: argparse.Namespace, slots: SlotModel | None, reserve: float
+) -> tuple[SlotModel | None, float]:
+    """The slots and reserve an auction runs with, after --slots/--reserve."""
+    if args.slots is not None:
+        slots = SlotModel(k=args.slots, ctr=slots.ctr if slots else {})
+    return slots, reserve if args.reserve is None else args.reserve
 
-    adjusted_records = []
-    excluded_records = []
-    for offer in offers:
-        aligned = ChargeSchedule(charges.for_events(offer.events))
-        if not is_feasible(offer, aligned):
-            excluded_records.append(
-                {
-                    "ad_id": offer.ad_id,
-                    "reason": "expected user-experience charge exceeds expected offer value",
-                }
-            )
-            continue
-        plan = build_plan(strategy, offer, aligned)
-        adjusted = adjust_general(offer, plan)
-        adjusted_records.append(
-            {
-                "ad_id": offer.ad_id,
-                "price_type": offer.price_type.value,
-                "events": [event_to_dict(e) for e in offer.events],
-                "bids": {eid: offer.bids[eid] for eid in offer.event_ids},
-                "total_expected_charge": total_expected_charge(aligned, offer.events),
-                "shift_plan": {eid: plan.shifted[eid] for eid in offer.event_ids},
-                "adjusted_bids": {eid: adjusted.adjusted[eid] for eid in offer.event_ids},
-                "expected_adjusted_value": adjusted.expected_value,
-            }
-        )
 
-    return {
-        "format_version": FORMAT_VERSION,
-        "strategy": strategy,
-        "adjusted": adjusted_records,
-        "excluded": excluded_records,
-    }
+def _excluded(records: list[dict]) -> list[dict]:
+    """The ``excluded`` array of an adjust or auction document."""
+    return [
+        {"ad_id": r["ad_id"], "reason": r["exclusion_reason"]} for r in records if r["excluded"]
+    ]
 
 
 def cmd_adjust(args: argparse.Namespace) -> int:
     offers, charges, _, _ = parse_scenario_doc(_load_scenario(args.input))
-    document = _adjust_document(offers, charges, args.strategy)
+    records, _, _ = prepare(ScenarioConfig(offers=offers, charges=charges, strategy=args.strategy))
+    adjusted = [
+        {
+            "ad_id": offer.ad_id,
+            "price_type": record["price_type"],
+            "events": [event_to_dict(e) for e in offer.events],
+            "bids": {eid: offer.bids[eid] for eid in offer.event_ids},
+            "total_expected_charge": record["total_expected_charge"],
+            "shift_plan": record["shift_plan"],
+            "adjusted_bids": record["adjusted_bids"],
+            "expected_adjusted_value": record["expected_adjusted_value"],
+        }
+        for offer, record in zip(offers, records)
+        if not record["excluded"]
+    ]
+    document = {
+        "format_version": FORMAT_VERSION,
+        "strategy": args.strategy,
+        "adjusted": adjusted,
+        "excluded": _excluded(records),
+    }
     _emit(dumps_canonical(document), args.output)
     return EXIT_OK
 
@@ -278,39 +275,24 @@ def _adjusted_offers_from_document(doc: Mapping) -> tuple[AdjustedOffer, ...]:
 
 def cmd_auction(args: argparse.Namespace) -> int:
     doc = _load_scenario(args.input)
-    excluded: list[dict] = []
     if isinstance(doc, Mapping) and "adjusted" in doc:
         if doc.get("format_version") != FORMAT_VERSION:
             raise ScenarioError(
                 [f"unsupported format_version {doc.get('format_version')!r}"]
             )
-        adjusted_offers = _adjusted_offers_from_document(doc)
+        offers = _adjusted_offers_from_document(doc)
         excluded = [dict(entry) for entry in doc.get("excluded", [])]
-        slots, reserve = None, 0.0
+        slots, reserve = _overrides(args, None, 0.0)
     else:
-        offers, charges, slots, reserve = parse_scenario_doc(doc)
-        adjust_doc = _adjust_document(offers, charges, args.strategy)
-        adjusted_offers = _adjusted_offers_from_document(adjust_doc)
-        excluded = adjust_doc["excluded"]
+        parsed, charges, slots, reserve = parse_scenario_doc(doc)
+        slots, reserve = _overrides(args, slots, reserve)
+        config = ScenarioConfig(
+            offers=parsed, charges=charges, strategy=args.strategy, reserve=reserve
+        )
+        records, offers, _ = prepare(config)
+        excluded = _excluded(records)
 
-    if args.slots is not None:
-        slots = SlotModel(k=args.slots, ctr=slots.ctr if slots else {})
-    if args.reserve is not None:
-        reserve = args.reserve
-
-    if not adjusted_offers:
-        document = {
-            "format_version": FORMAT_VERSION,
-            "pricing_rule": args.pricing,
-            "ranking": [],
-            "winners": [],
-            "excluded": excluded,
-        }
-        _emit(dumps_canonical(document), args.output)
-        return EXIT_OK
-
-    runner = run_first_price if args.pricing == "first" else run_second_price
-    outcome = runner(adjusted_offers, slots, reserve)
+    outcome = run_auction(offers, args.pricing, slots, reserve)
     document = {
         "format_version": FORMAT_VERSION,
         "pricing_rule": outcome.pricing_rule,
@@ -360,10 +342,7 @@ def _write_csv(report: Mapping, path: str) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     offers, charges, slots, reserve = parse_scenario_doc(_load_scenario(args.input))
-    if args.slots is not None:
-        slots = SlotModel(k=args.slots, ctr=slots.ctr if slots else {})
-    if args.reserve is not None:
-        reserve = args.reserve
+    slots, reserve = _overrides(args, slots, reserve)
     config = ScenarioConfig(
         offers=offers,
         charges=charges,
@@ -399,34 +378,32 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="scenario JSON file")
     common.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
-
-    strategy_kw = dict(
+    common.add_argument(
+        "--strategy",
         default="identity",
         help="charge-shift strategy: identity, single:<event_id>, or proportional",
+    )
+
+    market = argparse.ArgumentParser(add_help=False)
+    market.add_argument("--pricing", choices=("first", "second"), default="second")
+    market.add_argument("--slots", type=int, default=None, help="override the slot count")
+    market.add_argument(
+        "--reserve", type=float, default=None, help="expected-value floor, finite and >= 0"
     )
 
     p_adjust = sub.add_parser(
         "adjust", parents=[common], help="compute shift plans and adjusted bids"
     )
-    p_adjust.add_argument("--strategy", **strategy_kw)
     p_adjust.set_defaults(func=cmd_adjust)
 
     p_auction = sub.add_parser(
-        "auction", parents=[common], help="rank adjusted offers and price the slots"
+        "auction", parents=[common, market], help="rank adjusted offers and price the slots"
     )
-    p_auction.add_argument("--pricing", choices=("first", "second"), default="second")
-    p_auction.add_argument("--slots", type=int, default=None, help="override the slot count")
-    p_auction.add_argument("--reserve", type=float, default=None, help="expected-value floor")
-    p_auction.add_argument("--strategy", **strategy_kw)
     p_auction.set_defaults(func=cmd_auction)
 
     p_sim = sub.add_parser(
-        "simulate", parents=[common], help="run the full pipeline with oracles and Monte Carlo"
+        "simulate", parents=[common, market], help="run the full pipeline with oracles and Monte Carlo"
     )
-    p_sim.add_argument("--pricing", choices=("first", "second"), default="second")
-    p_sim.add_argument("--slots", type=int, default=None, help="override the slot count")
-    p_sim.add_argument("--reserve", type=float, default=None, help="expected-value floor")
-    p_sim.add_argument("--strategy", **strategy_kw)
     p_sim.add_argument("--trials", type=int, default=10000, help="Monte Carlo trials per winner")
     p_sim.add_argument("--seed", type=int, default=0, help="root seed for the trial substreams")
     p_sim.add_argument("--model", choices=("independent", "funnel"), default="independent")

@@ -15,9 +15,6 @@ from typing import Mapping
 
 # Tolerance for money/probability identities checked during validation.
 VALIDATION_TOL = 1e-9
-# Tolerance for identities that hold as exact linear algebra; loose enough
-# to absorb double rounding, tight enough to catch a wrong formula.
-EXACT_TOL = 1e-12
 
 
 def approx_eq(x: float, y: float, tol: float = VALIDATION_TOL) -> bool:

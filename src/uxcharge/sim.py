@@ -263,6 +263,12 @@ def _parse_strategy(strategy: str) -> tuple[str, str | None]:
     )
 
 
+def _reserve_issues(reserve: float) -> list[str]:
+    if math.isfinite(reserve) and reserve >= 0.0:
+        return []
+    return [f"reserve must be a finite number >= 0, got {reserve!r}"]
+
+
 def validate_scenario(config: ScenarioConfig) -> list[str]:
     """Itemize every configuration problem; an empty list means runnable."""
     issues: list[str] = []
@@ -273,8 +279,7 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         issues.append(f"trials must be >= 1, got {config.trials}")
     if config.seed < 0:
         issues.append(f"seed must be >= 0, got {config.seed}")
-    if config.reserve < 0.0:
-        issues.append(f"reserve must be >= 0, got {config.reserve}")
+    issues.extend(_reserve_issues(config.reserve))
 
     try:
         kind, target = _parse_strategy(config.strategy)
@@ -342,25 +347,21 @@ def build_plan(strategy: str, offer: Offer, charges: ChargeSchedule) -> ShiftPla
     return shift_proportional(charges, offer, chargeable)
 
 
-def run_scenario(config: ScenarioConfig) -> dict:
-    """Run the whole pipeline and return a JSON-ready report.
+def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer], dict[str, ShiftPlan]]:
+    """Validate, then take each ad through feasibility, charge shift and adjustment.
 
-    Per ad: feasibility verdict, shift plan, adjusted bids, auction result,
-    and for winners the expected payment three ways (closed form, exact
-    enumeration, Monte Carlo). Deterministic for fixed config and seed.
+    Returns one report record per offer, in offer order, with the reason for
+    each exclusion; the adjusted offers that enter the auction; and their
+    shift plans by ad id. Raises ScenarioError on an invalid scenario.
     """
     issues = validate_scenario(config)
     if issues:
         raise ScenarioError(issues)
 
     records: list[dict] = []
-    by_ad: dict[str, dict] = {}
-    plans: dict[str, ShiftPlan] = {}
-    offers_by_ad: dict[str, Offer] = {}
-    substreams: dict[str, int] = {}
     included: list[AdjustedOffer] = []
-
-    for index, offer in enumerate(config.offers):
+    plans: dict[str, ShiftPlan] = {}
+    for offer in config.offers:
         aligned = ChargeSchedule(config.charges.for_events(offer.events))
         record = {
             "ad_id": offer.ad_id,
@@ -381,9 +382,6 @@ def run_scenario(config: ScenarioConfig) -> dict:
             "mc_stderr": None,
         }
         records.append(record)
-        by_ad[offer.ad_id] = record
-        offers_by_ad[offer.ad_id] = offer
-        substreams[offer.ad_id] = index
 
         if not record["feasible"]:
             record["excluded"] = True
@@ -404,15 +402,42 @@ def run_scenario(config: ScenarioConfig) -> dict:
         plans[offer.ad_id] = plan
         included.append(adjusted)
 
-    if included:
-        runner = run_first_price if config.pricing_rule == "first" else run_second_price
-        outcome = runner(included, config.slots, config.reserve)
-    else:
-        outcome = AuctionOutcome(pricing_rule=config.pricing_rule, ranking=(), winners=())
+    return records, included, plans
 
+
+def run_auction(
+    offers: Sequence[AdjustedOffer],
+    pricing_rule: str,
+    slots: SlotModel | None,
+    reserve: float,
+) -> AuctionOutcome:
+    """Run the position auction; with no offers, an outcome with no winners.
+
+    Raises ScenarioError unless the reserve is a finite number >= 0.
+    """
+    issues = _reserve_issues(reserve)
+    if issues:
+        raise ScenarioError(issues)
+    if not offers:
+        return AuctionOutcome(pricing_rule=pricing_rule, ranking=(), winners=())
+    runner = run_first_price if pricing_rule == "first" else run_second_price
+    return runner(offers, slots, reserve)
+
+
+def run_scenario(config: ScenarioConfig) -> dict:
+    """Run the whole pipeline and return a JSON-ready report.
+
+    Per ad: feasibility verdict, shift plan, adjusted bids, auction result,
+    and for winners the expected payment three ways (closed form, exact
+    enumeration, Monte Carlo). Deterministic for fixed config and seed.
+    """
+    records, included, plans = prepare(config)
+    outcome = run_auction(included, config.pricing_rule, config.slots, config.reserve)
+
+    index = {offer.ad_id: i for i, offer in enumerate(config.offers)}
     for award in outcome.winners:
-        record = by_ad[award.ad_id]
-        offer = offers_by_ad[award.ad_id]
+        record = records[index[award.ad_id]]
+        offer = config.offers[index[award.ad_id]]
         plan = plans[award.ad_id]
         prices = {eid: award.prices[eid] for eid in offer.event_ids}
         record["slot"] = award.slot
@@ -431,7 +456,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
             config.model,
             trials=config.trials,
             seed=config.seed,
-            substream=(substreams[award.ad_id],),
+            substream=(index[award.ad_id],),
         )
         record["mc_mean"] = mean
         record["mc_stderr"] = stderr

@@ -252,3 +252,84 @@ def test_per_offer_event_override(tmp_path, capsys):
     record = json.loads(out)["adjusted"][0]
     assert record["shift_plan"]["click"] == exact(0.1)  # 0.05 / 0.5
     assert record["expected_adjusted_value"] == exact(2.0 * 0.5 - 0.05)
+
+
+def _reserve_argv(path, tmp_path):
+    """Arguments for each subcommand path that takes a reserve."""
+    adjusted = tmp_path / "adjusted.json"
+    assert main(["adjust", path, "--strategy", "single:click", "-o", str(adjusted)]) == 0
+    return {
+        "simulate": ["simulate", path, "--trials", "100"],
+        "auction-scenario": ["auction", path],
+        "auction-adjust-file": ["auction", str(adjusted)],
+    }
+
+
+@pytest.mark.parametrize("reserve", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "auction-scenario", "auction-adjust-file"])
+def test_bad_reserve_is_one_validation_diagnostic(command, reserve, tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    argv = _reserve_argv(path, tmp_path)[command]
+    capsys.readouterr()
+    code, out, err = run_cli([*argv, "--reserve", reserve], capsys)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "validation"
+    assert any("reserve" in issue for issue in record["detail"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--trials", "0"], ["auction", "--strategy", "bogus"]],
+    ids=["simulate", "auction"],
+)
+def test_bad_reserve_is_itemized_with_other_scenario_issues(argv, tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    capsys.readouterr()
+    code, out, err = run_cli([argv[0], path, *argv[1:], "--reserve", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    detail = json.loads(lines[0])["detail"]
+    assert len(detail) == 2
+    assert "reserve must be a finite number >= 0, got -1.0" in detail
+
+
+def test_tolerance_band_ad_is_excluded_by_every_subcommand(tmp_path, capsys):
+    # Feasible within VALIDATION_TOL, yet its adjusted value is -5e-10.
+    doc = {
+        "format_version": 1,
+        "events": [{"id": "view", "kind": "view", "prob": 1.0}],
+        "offers": [
+            {"ad_id": "edge", "price_type": "cpm", "bids": {"view": 0.1}},
+            {"ad_id": "rival", "price_type": "cpm", "bids": {"view": 0.3}},
+        ],
+        "charges": {"view": 0.1000000005},
+    }
+    path = write_scenario(tmp_path / "s.json", doc)
+    reason = "expected adjusted value is negative"
+    expected = [{"ad_id": "edge", "reason": reason}]
+
+    code, out, _ = run_cli(["adjust", path], capsys)
+    assert code == 0
+    adjusted = json.loads(out)
+    assert [r["ad_id"] for r in adjusted["adjusted"]] == ["rival"]
+    assert adjusted["excluded"] == expected
+
+    code, out, _ = run_cli(["auction", path], capsys)
+    assert code == 0
+    auction = json.loads(out)
+    assert [ad_id for ad_id, _ in auction["ranking"]] == ["rival"]
+    assert auction["excluded"] == expected
+
+    code, out, _ = run_cli(["simulate", path, "--trials", "100"], capsys)
+    assert code == 0
+    edge = json.loads(out)["ads"][0]
+    assert edge["ad_id"] == "edge"
+    assert edge["feasible"] is True
+    assert edge["excluded"] is True
+    assert edge["exclusion_reason"] == reason
