@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .model import AdjustedOffer, KeyMismatchError, Offer, ShiftPlan, require_same_keys
+from .model import AdjustedOffer, KeyMismatchError, Offer, ShiftPlan, fold_sum, require_same_keys
 
 
 def adjust_cpc_view(b: float, p: float, v: float) -> float:
@@ -47,13 +47,14 @@ def expected_value(bids: Mapping[str, float], probs: Mapping[str, float]) -> flo
     """Sum of bid * probability over events; the offer's value to the auction.
 
     Both mappings must carry exactly the same keys. Summation runs in sorted
-    key order so the result is independent of mapping insertion order.
+    key order, left to right, so the result is independent of mapping
+    insertion order and of the Python version.
     """
     if set(bids) != set(probs):
         raise KeyMismatchError(
             f"bids keyed by {sorted(bids)} but probabilities by {sorted(probs)}"
         )
-    return sum(bids[eid] * probs[eid] for eid in sorted(bids))
+    return fold_sum(bids[eid] * probs[eid] for eid in sorted(bids))
 
 
 def adjust_general(offer: Offer, plan: ShiftPlan) -> AdjustedOffer:

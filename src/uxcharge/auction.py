@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .model import AdjustedOffer, AuctionOutcome, EventKind, SlotAward
+import numpy as np
+
+from .model import AdjustedOffer, AuctionOutcome, EventKind, SlotAward, fold_columns
 
 FIRST_PRICE = "first"
 SECOND_PRICE = "second"
@@ -95,38 +97,85 @@ def run_second_price(
     return _run(offers, slots, reserve, SECOND_PRICE)
 
 
+def _slot_values(offers: Sequence[AdjustedOffer], slots: SlotModel | None, k: int) -> np.ndarray:
+    """``value_at_slot`` for every offer (rows) in every slot (columns).
+
+    Each value is a left-to-right fold over the offer's events in declared
+    order, with every click event's probability replaced by the ad's ctr row
+    when it has one, exactly as ``value_at_slot`` sums.
+    """
+    n = len(offers)
+    width = max((len(o.events) for o in offers), default=0)
+    ctr = slots.ctr if slots else {}
+    no_ctr = (0.0,) * k
+    bids, probs, clicks, rows = [], [], [], []
+    for o in offers:
+        row = ctr.get(o.ad_id)
+        adjusted = o.adjusted
+        for e in o.events:
+            bids.append(adjusted[e.event_id])
+            probs.append(e.probability)
+            clicks.append(row is not None and e.kind is EventKind.CLICK)
+        tail = width - len(o.events)
+        if tail:
+            bids += [0.0] * tail
+            probs += [0.0] * tail
+            clicks += [False] * tail
+        rows += no_ctr if row is None else row
+    A, P = (np.array(x, dtype=float).reshape(n, width, 1) for x in (bids, probs))
+    clicks = np.array(clicks, dtype=bool).reshape(n, width, 1)
+    rows = np.array(rows, dtype=float).reshape(n, 1, k)
+    return fold_columns(A * np.where(clicks, rows, P))  # terms: offer x event x slot
+
+
 def _run(
     offers: Sequence[AdjustedOffer],
     slots: SlotModel | None,
     reserve: float,
     rule: str,
 ) -> AuctionOutcome:
+    """Both pricing rules over one offers x slots value matrix.
+
+    Reproduces the slot-by-slot greedy auction that calls ``value_at_slot``
+    per offer and slot, bit for bit on finite values. Raises ValueError on an
+    empty offer list, a repeated ad_id or a non-finite slot value.
+    """
     if not offers:
         raise ValueError("auction requires at least one offer")
 
     # Offers whose expected impact exceeds their value never enter the ranking.
+    # Rows stay in ad_id order, so the first of equal values is the tie-break.
     remaining = sorted(
         (o for o in offers if o.expected_value >= 0.0), key=lambda o: o.ad_id
     )
+    for a, b in zip(remaining, remaining[1:]):
+        if a.ad_id == b.ad_id:
+            raise ValueError(f"duplicate ad_id '{a.ad_id}'")
+    if not remaining:
+        return AuctionOutcome(pricing_rule=rule, ranking=(), winners=())
     k = slots.k if slots else 1
+    values = _slot_values(remaining, slots, k)
+    if not np.isfinite(values).all():
+        raise ValueError("auction requires finite slot values")
+    alive = np.ones(len(remaining), dtype=bool)
 
     winners: list[SlotAward] = []
     for slot in range(1, k + 1):
-        values = {o.ad_id: value_at_slot(o, slots, slot) for o in remaining}
-        eligible = [o for o in remaining if values[o.ad_id] >= reserve]
-        if not eligible:
+        # Placed offers read -inf; every slot value is finite, so argmax
+        # finds the best offer still unplaced, the first one among ties.
+        live = np.where(alive, values[:, slot - 1], -np.inf)
+        row = int(live.argmax())
+        if live[row] < reserve:
             break
-        winner = min(eligible, key=lambda o: (-values[o.ad_id], o.ad_id))
-        own_value = values[winner.ad_id]
+        winner = remaining[row]
+        own_value = float(live[row])
+        alive[row] = False
 
         if rule == FIRST_PRICE:
             theta = 1.0
         else:
-            next_value = max(
-                (values[o.ad_id] for o in remaining if o.ad_id != winner.ad_id),
-                default=reserve,
-            )
-            next_value = max(next_value, reserve)
+            live[row] = -np.inf  # competitors only; with none left the reserve prices the slot
+            next_value = max(float(live.max()), reserve)
             theta = next_value / own_value if own_value > 0.0 else 0.0
 
         prices = {e.event_id: theta * winner.adjusted[e.event_id] for e in winner.events}
@@ -139,13 +188,13 @@ def _run(
                 price_factor=theta,
             )
         )
-        remaining = [o for o in remaining if o.ad_id != winner.ad_id]
 
     ranking = [(w.ad_id, w.value) for w in winners]
-    leftovers = sorted(
-        ((o.ad_id, value_at_slot(o, slots, k)) for o in remaining),
-        key=lambda pair: (-pair[1], pair[0]),
+    left = np.flatnonzero(alive)
+    left_values = values[left, k - 1]
+    by_value = np.argsort(-left_values, kind="stable")  # ties stay in ad_id order
+    ranking.extend(
+        zip([remaining[i].ad_id for i in left[by_value]], left_values[by_value].tolist())
     )
-    ranking.extend(leftovers)
 
     return AuctionOutcome(pricing_rule=rule, ranking=tuple(ranking), winners=tuple(winners))

@@ -20,7 +20,9 @@ All three subcommands share one pipeline, ``sim.prepare`` (validate, then
 per ad feasibility, charge shift, adjustment), so they exclude the same ads
 with the same two reasons: "expected user-experience charge exceeds expected
 offer value" and "expected adjusted value is negative". ``auction`` also
-reads ``adjust`` output. The reserve must be a finite number >= 0.
+reads ``adjust`` output. The reserve must be a finite number >= 0, and every
+other number read (bids, charges, probabilities, adjusted bids and values)
+must be finite too.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O failure. Diagnostics go
 to stderr as one JSON record per failure. Set UXCHARGE_LOG to error, warn,
@@ -34,6 +36,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 from typing import Any, Mapping, Sequence
@@ -47,6 +50,7 @@ from .model import (
     event_from_dict,
     event_to_dict,
     offer_from_dict,
+    require_same_keys,
 )
 from .sim import (
     OutcomeModel,
@@ -73,7 +77,7 @@ def dumps_canonical(doc: Any) -> str:
     """Serialize a report deterministically: 17-significant-digit numbers,
     keys in construction order, two-space indent, trailing newline."""
     out = io.StringIO()
-    _write_canonical(doc, out, 0)
+    _write_canonical(doc, out, 0, {})
     out.write("\n")
     return out.getvalue()
 
@@ -86,41 +90,88 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _write_canonical(doc: Any, out: io.StringIO, depth: int) -> None:
-    pad = "  " * depth
-    inner = "  " * (depth + 1)
-    if doc is None:
-        out.write("null")
-    elif isinstance(doc, bool):
-        out.write("true" if doc else "false")
-    elif isinstance(doc, int):
-        out.write(str(doc))
-    elif isinstance(doc, float):
-        out.write(_format_float(doc))
-    elif isinstance(doc, str):
-        out.write(json.dumps(doc))
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _write_canonical(doc: Any, out: io.StringIO, depth: int, keys: dict[str, str]) -> None:
+    """Write ``doc`` at nesting ``depth``, one loop per container.
+
+    Scalars of the exact builtin types are formatted inline in their
+    container's loop; anything else (``numpy.float64``, other mappings and
+    sequences, unsupported types) comes back here and is dispatched in the
+    order None, bool, int, float, str, mapping, list/tuple. ``keys``
+    memoizes the encoded form of string keys across the whole document.
+    """
+    kind = type(doc)
+    if kind is dict:
+        is_mapping = True
+    elif kind is list or kind is tuple:
+        is_mapping = False
+    elif doc is None or isinstance(doc, (bool, int, float, str)):
+        out.write(_scalar_text(doc))
+        return
     elif isinstance(doc, Mapping):
-        if not doc:
-            out.write("{}")
-            return
-        out.write("{\n")
-        for i, (key, value) in enumerate(doc.items()):
-            out.write(f"{inner}{json.dumps(str(key))}: ")
-            _write_canonical(value, out, depth + 1)
-            out.write(",\n" if i < len(doc) - 1 else "\n")
-        out.write(f"{pad}}}")
+        is_mapping = True
     elif isinstance(doc, (list, tuple)):
-        if not doc:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, value in enumerate(doc):
-            out.write(inner)
-            _write_canonical(value, out, depth + 1)
-            out.write(",\n" if i < len(doc) - 1 else "\n")
-        out.write(f"{pad}]")
+        is_mapping = False
     else:
-        raise TypeError(f"cannot serialize {type(doc).__name__} canonically")
+        raise TypeError(f"cannot serialize {kind.__name__} canonically")
+
+    write = out.write
+    if not doc:
+        write("{}" if is_mapping else "[]")
+        return
+    pad = "  " * depth
+    inner = pad + "  "
+    write("{" if is_mapping else "[")
+    separator = "\n"
+    for entry in doc.items() if is_mapping else doc:
+        write(separator)
+        separator = ",\n"
+        write(inner)
+        if is_mapping:
+            key, value = entry
+            if type(key) is str:
+                encoded = keys.get(key)
+                if encoded is None:
+                    encoded = keys[key] = _encode(key) + ": "
+            else:
+                encoded = _encode(str(key)) + ": "
+            write(encoded)
+        else:
+            value = entry
+        kind = type(value)
+        if kind is float:
+            if value == 0.0:
+                write("0")  # also -0.0
+            elif math.isfinite(value):
+                write("%.17g" % value)
+            else:
+                raise ValueError(f"cannot serialize non-finite number {value!r}")
+        elif kind is str:
+            write(_encode(value))
+        elif value is None:
+            write("null")
+        elif kind is bool:
+            write("true" if value else "false")
+        elif kind is int:
+            write(str(value))
+        else:
+            _write_canonical(value, out, depth + 1, keys)
+    write("\n" + pad + ("}" if is_mapping else "]"))
+
+
+def _scalar_text(doc: Any) -> str:
+    """JSON text of None, a bool, an int, a float or a str, subclasses included."""
+    if doc is None:
+        return "null"
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return str(doc)
+    if isinstance(doc, float):
+        return _format_float(doc)
+    return _encode(doc)
 
 
 # --- scenario file parsing ---------------------------------------------------
@@ -141,8 +192,12 @@ def parse_scenario_doc(doc: Mapping) -> tuple[tuple[Offer, ...], ChargeSchedule,
             [f"unsupported format_version {version!r}; this build reads version {FORMAT_VERSION}"]
         )
 
+    raw_events = doc.get("events", [])
+    if not isinstance(raw_events, list):
+        issues.append("'events' must be an array")
+        raw_events = []
     shared_events = []
-    for i, entry in enumerate(doc.get("events", [])):
+    for i, entry in enumerate(raw_events):
         try:
             shared_events.append(event_to_dict(event_from_dict(entry)))
         except (KeyError, TypeError, ValueError) as exc:
@@ -161,25 +216,30 @@ def parse_scenario_doc(doc: Mapping) -> tuple[tuple[Offer, ...], ChargeSchedule,
         except (KeyError, TypeError, ValueError) as exc:
             issues.append(f"offers[{i}]: {exc}")
 
-    try:
-        charges = charges_from_dict(doc.get("charges", {}))
-    except (TypeError, ValueError) as exc:
-        issues.append(f"charges: {exc}")
-        charges = ChargeSchedule(charges={})
+    charges = ChargeSchedule(charges={})
+    raw_charges = doc.get("charges", {})
+    if not isinstance(raw_charges, Mapping):
+        issues.append("'charges' must be an object")
+    else:
+        try:
+            charges = charges_from_dict(raw_charges)
+        except (TypeError, ValueError) as exc:
+            issues.append(f"charges: {exc}")
 
     slots = None
     if doc.get("slots") is not None:
         raw_slots = doc["slots"]
-        try:
-            slots = SlotModel(
-                k=int(raw_slots["k"]),
-                ctr={
-                    str(ad): tuple(float(p) for p in row)
-                    for ad, row in raw_slots.get("ctr_matrix", {}).items()
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            issues.append(f"slots: {exc}")
+        raw_ctr = raw_slots.get("ctr_matrix", {}) if isinstance(raw_slots, Mapping) else {}
+        if not isinstance(raw_ctr, Mapping):
+            issues.append("slots: 'ctr_matrix' must be an object")
+        else:
+            try:
+                slots = SlotModel(
+                    k=int(raw_slots["k"]),
+                    ctr={str(ad): tuple(float(p) for p in row) for ad, row in raw_ctr.items()},
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                issues.append(f"slots: {exc}")
 
     try:
         reserve = float(doc.get("reserve", 0.0))
@@ -257,19 +317,45 @@ def cmd_adjust(args: argparse.Namespace) -> int:
 
 
 def _adjusted_offers_from_document(doc: Mapping) -> tuple[AdjustedOffer, ...]:
-    """Rehydrate adjusted offers from a previous ``adjust`` run's output."""
+    """Rehydrate adjusted offers from a previous ``adjust`` run's output.
+
+    Raises ScenarioError itemizing every malformed record: a missing or
+    mistyped field, adjusted bids not keyed to the record's events, or a
+    non-finite probability, adjusted bid or expected adjusted value.
+    """
+    records = doc["adjusted"]
+    if not isinstance(records, list):
+        raise ScenarioError(["'adjusted' must be an array"])
+    issues: list[str] = []
     restored = []
-    for record in doc["adjusted"]:
-        events = tuple(event_from_dict(e) for e in record["events"])
-        adjusted = {str(k): float(v) for k, v in record["adjusted_bids"].items()}
-        restored.append(
-            AdjustedOffer(
-                ad_id=str(record["ad_id"]),
-                events=events,
-                adjusted=adjusted,
-                expected_value=float(record["expected_adjusted_value"]),
-            )
+    for i, record in enumerate(records):
+        try:
+            events = tuple(event_from_dict(e) for e in record["events"])
+            raw_bids = record["adjusted_bids"]
+            if not isinstance(raw_bids, Mapping):
+                raise TypeError("'adjusted_bids' must be an object")
+            adjusted = {str(k): float(v) for k, v in raw_bids.items()}
+            value = float(record["expected_adjusted_value"])
+            offer = AdjustedOffer(str(record["ad_id"]), events, adjusted, value)
+            require_same_keys(tuple(e.event_id for e in events), adjusted, "adjusted_bids")
+        except (KeyError, TypeError, ValueError) as exc:
+            issues.append(f"adjusted[{i}]: {exc}")
+            continue
+        issues.extend(
+            f"adjusted[{i}]: non-finite prob for '{e.event_id}': {e.probability!r}"
+            for e in events
+            if not math.isfinite(e.probability)
         )
+        issues.extend(
+            f"adjusted[{i}]: non-finite adjusted bid on '{eid}': {amount!r}"
+            for eid, amount in adjusted.items()
+            if not math.isfinite(amount)
+        )
+        if not math.isfinite(value):
+            issues.append(f"adjusted[{i}]: non-finite expected_adjusted_value {value!r}")
+        restored.append(offer)
+    if issues:
+        raise ScenarioError(issues)
     return tuple(restored)
 
 
@@ -281,7 +367,10 @@ def cmd_auction(args: argparse.Namespace) -> int:
                 [f"unsupported format_version {doc.get('format_version')!r}"]
             )
         offers = _adjusted_offers_from_document(doc)
-        excluded = [dict(entry) for entry in doc.get("excluded", [])]
+        excluded = doc.get("excluded", [])
+        if not (isinstance(excluded, list) and all(isinstance(e, Mapping) for e in excluded)):
+            raise ScenarioError(["'excluded' must be an array of objects"])
+        excluded = [dict(entry) for entry in excluded]
         slots, reserve = _overrides(args, None, 0.0)
     else:
         parsed, charges, slots, reserve = parse_scenario_doc(doc)

@@ -9,9 +9,12 @@ that guarantee their invariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
+
+import numpy as np
 
 # Tolerance for money/probability identities checked during validation.
 VALIDATION_TOL = 1e-9
@@ -20,6 +23,33 @@ VALIDATION_TOL = 1e-9
 def approx_eq(x: float, y: float, tol: float = VALIDATION_TOL) -> bool:
     """True when x and y agree to ``tol``, relative above unit magnitude."""
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Sum floats strictly left to right.
+
+    Every float sum in the pipeline goes through here or ``fold_columns``,
+    never through builtin ``sum()``, which compensates rounding from Python
+    3.12 on and so gives different bits on different interpreters.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def fold_columns(x: np.ndarray) -> np.ndarray:
+    """Sums over axis 1 of ``x``, each taken left to right like ``fold_sum``.
+
+    For a 2-D array these are the row sums. ``np.sum`` and ``@`` reorder the
+    additions; this column loop keeps the bits of the scalar fold, so array
+    and per-offer paths agree exactly. Zero padding at the end of a row
+    leaves its sum unchanged.
+    """
+    total = np.zeros(x.shape[:1] + x.shape[2:])
+    for i in range(x.shape[1]):
+        total += x[:, i]
+    return total
 
 
 class KeyMismatchError(ValueError):
@@ -182,7 +212,7 @@ def validate_offer(offer: Offer) -> ValidationResult:
     """Check every offer invariant and itemize all violations found.
 
     Checks: unique event ids, probabilities in [0, 1], exactly one view event
-    with probability 1, a bid entry (>= 0) for every event and no stray
+    with probability 1, a finite bid entry (>= 0) for every event and no stray
     entries, and price-type discipline (CPM bids only on the view event,
     CPC only on the click event).
     """
@@ -219,7 +249,9 @@ def validate_offer(offer: Offer) -> ValidationResult:
         if key not in ids:
             violations.append(f"bid keyed to unknown event '{key}'")
     for key, amount in offer.bids.items():
-        if amount < 0.0:
+        if not math.isfinite(amount):
+            violations.append(f"non-finite bid on '{key}': {amount!r}")
+        elif amount < 0.0:
             violations.append(f"negative bid on '{key}': {amount!r}")
 
     kind_by_id = {e.event_id: e.kind for e in offer.events}

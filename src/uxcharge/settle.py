@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Mapping
 
-from .model import Settlement, ShiftPlan, require_same_keys
+from .model import Settlement, ShiftPlan, fold_sum, require_same_keys
 
 
 class ClassicRule(Enum):
@@ -54,7 +54,7 @@ def settle_general(
         ad_id=ad_id,
         realized=dict(realized),
         line_items=line_items,
-        total=sum(line_items[eid] for eid in ids),
+        total=fold_sum(line_items[eid] for eid in ids),
     )
 
 

@@ -31,15 +31,16 @@ from .model import (
     ShiftPlan,
     ValidationResult,
     approx_eq,
+    fold_sum,
     require_same_keys,
 )
 
 
 def total_expected_charge(charges: ChargeSchedule, events: tuple[EventSpec, ...]) -> float:
-    """Expected user-experience charge sum(c_i * p_i) over the event set."""
+    """Expected user-experience charge sum(c_i * p_i), summed in declared event order."""
     ids = tuple(e.event_id for e in events)
     require_same_keys(ids, charges.charges, "charge schedule")
-    return sum(charges.charges[e.event_id] * e.probability for e in events)
+    return fold_sum(charges.charges[e.event_id] * e.probability for e in events)
 
 
 def is_feasible(offer: Offer, charges: ChargeSchedule) -> bool:
@@ -96,7 +97,7 @@ def shift_proportional(
     if unknown:
         raise KeyMismatchError(f"chargeable events {sorted(unknown)} not in the event set")
     probs = offer.probabilities
-    weight = sum(offer.bids[eid] * probs[eid] for eid in sorted(chargeable))
+    weight = fold_sum(offer.bids[eid] * probs[eid] for eid in sorted(chargeable))
     if weight <= 0.0:
         raise ValueError("chargeable set carries zero expected bid; cannot spread charges")
     total = total_expected_charge(charges, offer.events)
@@ -124,7 +125,7 @@ def validate_plan(
     require_same_keys(ids, plan.shifted, "shift plan")
     violations: list[str] = []
 
-    shifted_total = sum(plan.shifted[e.event_id] * e.probability for e in offer.events)
+    shifted_total = fold_sum(plan.shifted[e.event_id] * e.probability for e in offer.events)
     charge_total = total_expected_charge(charges, offer.events)
     if not approx_eq(shifted_total, charge_total):
         violations.append(

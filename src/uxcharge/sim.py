@@ -18,9 +18,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .adjust import adjust_general
 from .auction import SlotModel, run_first_price, run_second_price
 from .model import (
+    VALIDATION_TOL,
     AdjustedOffer,
     AuctionOutcome,
     ChargeSchedule,
@@ -28,16 +28,18 @@ from .model import (
     EventSpec,
     Offer,
     ShiftPlan,
+    fold_columns,
+    fold_sum,
     require_same_keys,
     validate_offer,
 )
-from .shift import (
-    is_feasible,
-    shift_identity,
-    shift_proportional,
-    shift_single_event,
-    total_expected_charge,
-)
+from .shift import shift_identity, shift_proportional, shift_single_event
+
+# The per-offer chain is_feasible -> build_plan -> adjust_general stays
+# importable from here: it is the public per-offer API and the reference that
+# prepare's batch pass reproduces bit for bit.
+from .adjust import adjust_general  # noqa: F401
+from .shift import is_feasible, total_expected_charge  # noqa: F401
 
 #: Enumeration stays exact and fast at desk scale up to this many events.
 ENUMERATION_LIMIT = 20
@@ -69,7 +71,7 @@ def expected_payment(
     ids = tuple(sorted(prices))
     require_same_keys(ids, shifted, "shift amounts")
     require_same_keys(ids, probs, "probabilities")
-    return sum((prices[eid] + shifted[eid]) * probs[eid] for eid in ids)
+    return fold_sum((prices[eid] + shifted[eid]) * probs[eid] for eid in ids)
 
 
 _FUNNEL_ORDER = (EventKind.VIEW, EventKind.CLICK, EventKind.CONVERSION)
@@ -218,7 +220,8 @@ def monte_carlo_payment(
 
     Deterministic for a fixed (seed, substream); the stderr is the sample
     standard deviation over the square root of the trial count (0.0 for a
-    single trial).
+    single trial). Both reductions are sequential prefix sums, so their bits
+    depend on the samples alone, not on numpy's pairwise or SIMD summation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -230,9 +233,12 @@ def monte_carlo_payment(
     rng = _substream_rng(seed, substream)
     e = _sample_outcomes(events, model, trials, rng)
     totals = e @ amounts
-    mean = float(totals.mean())
-    stderr = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean, stderr
+    mean = float(np.add.accumulate(totals)[-1]) / trials
+    if trials == 1:
+        return mean, 0.0
+    deviations = totals - mean
+    squares = float(np.add.accumulate(deviations * deviations)[-1])
+    return mean, math.sqrt(squares / (trials - 1)) / math.sqrt(trials)
 
 
 # --- scenario runner ---------------------------------------------------------
@@ -317,7 +323,9 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
                     issues.append(f"offer '{offer.ad_id}': {exc}")
 
     for eid, amount in config.charges.charges.items():
-        if amount < 0.0:
+        if not math.isfinite(amount):
+            issues.append(f"non-finite charge on '{eid}': {amount!r}")
+        elif amount < 0.0:
             issues.append(f"negative charge on '{eid}': {amount!r}")
     known_ids = {eid for offer in config.offers for eid in offer.event_ids}
     if config.offers:
@@ -347,8 +355,77 @@ def build_plan(strategy: str, offer: Offer, charges: ChargeSchedule) -> ShiftPla
     return shift_proportional(charges, offer, chargeable)
 
 
+def _batch_adjust(
+    offers: Sequence[Offer],
+    event_ids: Sequence[tuple[str, ...]],
+    charges: ChargeSchedule,
+    strategy: str,
+) -> tuple:
+    """Feasibility, shift plan and adjustment for every offer in one array pass.
+
+    Rows are offers, with ``event_ids`` holding each offer's ids; columns are
+    an offer's events in declared order, zero padded to the widest offer.
+    Reproduces ``is_feasible`` -> ``build_plan`` -> ``adjust_general`` bit
+    for bit on a valid scenario: every sum is a left-to-right column fold, in
+    declared order for the expected charge and in sorted event-id order for
+    the offer value, the proportional weight and the expected adjusted value.
+    Returns, as lists, the expected charges, the feasibility verdicts, the
+    shifted charges and adjusted bids (padded rows) and the expected adjusted
+    values.
+    """
+    kind, target = _parse_strategy(strategy)
+    n = len(offers)
+    width = max((len(offer.events) for offer in offers), default=0)
+    pad = [0.0] * width
+    bids, probs, amounts, order, targets = [], [], [], [], []
+    sorted_order: dict[tuple[str, ...], list[int]] = {}
+    for offer, ids in zip(offers, event_ids):
+        tail = pad[len(ids):]
+        bids += [offer.bids[eid] for eid in ids] + tail
+        probs += [e.probability for e in offer.events] + tail
+        amounts += [float(charges.charges.get(eid, 0.0)) for eid in ids] + tail
+        row_order = sorted_order.get(ids)
+        if row_order is None:
+            row_order = sorted(range(len(ids)), key=ids.__getitem__)
+            row_order = sorted_order[ids] = row_order + list(range(len(ids), width))
+        order += row_order
+        if kind == "single":
+            targets.append(ids.index(target))
+
+    B, P, C = (np.array(x, dtype=float).reshape(n, width) for x in (bids, probs, amounts))
+    order = np.array(order, dtype=np.intp).reshape(n, width)
+
+    def in_id_order(x: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(x, order, axis=1)
+
+    with np.errstate(all="ignore"):  # Python floats overflow silently too
+        BP = B * P
+        expected_charge = fold_columns(C * P)
+        feasible = expected_charge <= fold_columns(in_id_order(BP)) + VALIDATION_TOL
+        if kind == "identity":
+            D = C
+        elif kind == "single":
+            rows, cols = np.arange(n), np.array(targets, dtype=np.intp)
+            D = np.zeros((n, width))
+            D[rows, cols] = expected_charge / P[rows, cols]
+        else:
+            chargeable = BP > 0.0
+            weight = fold_columns(in_id_order(np.where(chargeable, BP, 0.0)))
+            share = np.divide(B, weight[:, None], out=np.zeros_like(B), where=chargeable)
+            D = np.where(chargeable, expected_charge[:, None] * share, 0.0)
+        A = B - D
+        adjusted_value = fold_columns(in_id_order(A * P))
+    return (
+        expected_charge.tolist(),
+        feasible.tolist(),
+        D.tolist(),
+        A.tolist(),
+        adjusted_value.tolist(),
+    )
+
+
 def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer], dict[str, ShiftPlan]]:
-    """Validate, then take each ad through feasibility, charge shift and adjustment.
+    """Validate, then take every ad through feasibility, charge shift and adjustment.
 
     Returns one report record per offer, in offer order, with the reason for
     each exclusion; the adjusted offers that enter the auction; and their
@@ -358,16 +435,19 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer], di
     if issues:
         raise ScenarioError(issues)
 
+    event_ids = [offer.event_ids for offer in config.offers]
+    charge, feasible, shifted, adjusted, value = _batch_adjust(
+        config.offers, event_ids, config.charges, config.strategy
+    )
     records: list[dict] = []
     included: list[AdjustedOffer] = []
     plans: dict[str, ShiftPlan] = {}
-    for offer in config.offers:
-        aligned = ChargeSchedule(config.charges.for_events(offer.events))
+    for row, (offer, ids) in enumerate(zip(config.offers, event_ids)):
         record = {
             "ad_id": offer.ad_id,
             "price_type": offer.price_type.value,
-            "total_expected_charge": total_expected_charge(aligned, offer.events),
-            "feasible": is_feasible(offer, aligned),
+            "total_expected_charge": charge[row],
+            "feasible": feasible[row],
             "excluded": False,
             "exclusion_reason": None,
             "shift_plan": None,
@@ -383,24 +463,25 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer], di
         }
         records.append(record)
 
-        if not record["feasible"]:
+        if not feasible[row]:
             record["excluded"] = True
             record["exclusion_reason"] = (
                 "expected user-experience charge exceeds expected offer value"
             )
             continue
 
-        plan = build_plan(config.strategy, offer, aligned)
-        adjusted = adjust_general(offer, plan)
-        record["shift_plan"] = {eid: plan.shifted[eid] for eid in offer.event_ids}
-        record["adjusted_bids"] = {eid: adjusted.adjusted[eid] for eid in offer.event_ids}
-        record["expected_adjusted_value"] = adjusted.expected_value
-        if adjusted.expected_value < 0.0:
+        plan = ShiftPlan(shifted=dict(zip(ids, shifted[row])), strategy=config.strategy)
+        record["shift_plan"] = plan.shifted
+        record["adjusted_bids"] = dict(zip(ids, adjusted[row]))
+        record["expected_adjusted_value"] = value[row]
+        if value[row] < 0.0:
             record["excluded"] = True
             record["exclusion_reason"] = "expected adjusted value is negative"
             continue
         plans[offer.ad_id] = plan
-        included.append(adjusted)
+        included.append(
+            AdjustedOffer(offer.ad_id, offer.events, record["adjusted_bids"], value[row])
+        )
 
     return records, included, plans
 

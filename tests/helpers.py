@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import io
+import json
+from collections.abc import Mapping
+
 from hypothesis import strategies as st
 
 import uxcharge as ux
+from uxcharge.sim import ScenarioError, validate_scenario
 
 # money and probability draws are either exactly zero or comfortably normal;
 # subnormal amounts are not meaningful in this domain
@@ -89,3 +94,158 @@ def offers_with_charges(draw, feasible: bool | None = None) -> tuple[ux.Offer, u
         assume(offer_value > 1e-6)
         factor = draw(st.floats(min_value=1.5, max_value=4.0)) * offer_value / raw_total
     return offer, ux.ChargeSchedule({eid: raw[eid] * factor for eid in raw})
+
+
+# --- reference implementations ----------------------------------------------
+#
+# The per-offer and recursive forms the array paths replaced. They are the
+# oracles for tests/test_equivalence.py: every float the array paths produce
+# must match these bit for bit.
+
+
+def scalar_prepare(config: ux.ScenarioConfig):
+    """``sim.prepare`` as a per-offer chain: is_feasible -> build_plan -> adjust_general."""
+    issues = validate_scenario(config)
+    if issues:
+        raise ScenarioError(issues)
+    records, included, plans = [], [], {}
+    for offer in config.offers:
+        aligned = ux.ChargeSchedule(config.charges.for_events(offer.events))
+        record = {
+            "ad_id": offer.ad_id,
+            "price_type": offer.price_type.value,
+            "total_expected_charge": ux.total_expected_charge(aligned, offer.events),
+            "feasible": ux.is_feasible(offer, aligned),
+            "excluded": False,
+            "exclusion_reason": None,
+            "shift_plan": None,
+            "adjusted_bids": None,
+            "expected_adjusted_value": None,
+            "slot": None,
+            "price_factor": None,
+            "prices": None,
+            "expected_payment": None,
+            "enumerated_payment": None,
+            "mc_mean": None,
+            "mc_stderr": None,
+        }
+        records.append(record)
+        if not record["feasible"]:
+            record["excluded"] = True
+            record["exclusion_reason"] = "expected user-experience charge exceeds expected offer value"
+            continue
+        plan = ux.build_plan(config.strategy, offer, aligned)
+        adjusted = ux.adjust_general(offer, plan)
+        record["shift_plan"] = {eid: plan.shifted[eid] for eid in offer.event_ids}
+        record["adjusted_bids"] = {eid: adjusted.adjusted[eid] for eid in offer.event_ids}
+        record["expected_adjusted_value"] = adjusted.expected_value
+        if adjusted.expected_value < 0.0:
+            record["excluded"] = True
+            record["exclusion_reason"] = "expected adjusted value is negative"
+            continue
+        plans[offer.ad_id] = plan
+        included.append(adjusted)
+    return records, included, plans
+
+
+def loop_auction(offers, slots, reserve: float, rule: str) -> ux.AuctionOutcome:
+    """The greedy slot-by-slot position auction, one ``value_at_slot`` call per offer and slot."""
+    if not offers:
+        raise ValueError("auction requires at least one offer")
+    remaining = sorted((o for o in offers if o.expected_value >= 0.0), key=lambda o: o.ad_id)
+    k = slots.k if slots else 1
+
+    winners = []
+    for slot in range(1, k + 1):
+        values = {o.ad_id: ux.value_at_slot(o, slots, slot) for o in remaining}
+        eligible = [o for o in remaining if values[o.ad_id] >= reserve]
+        if not eligible:
+            break
+        winner = min(eligible, key=lambda o: (-values[o.ad_id], o.ad_id))
+        own_value = values[winner.ad_id]
+        if rule == "first":
+            theta = 1.0
+        else:
+            next_value = max(
+                (values[o.ad_id] for o in remaining if o.ad_id != winner.ad_id),
+                default=reserve,
+            )
+            next_value = max(next_value, reserve)
+            theta = next_value / own_value if own_value > 0.0 else 0.0
+        prices = {e.event_id: theta * winner.adjusted[e.event_id] for e in winner.events}
+        winners.append(ux.SlotAward(winner.ad_id, slot, prices, own_value, theta))
+        remaining = [o for o in remaining if o.ad_id != winner.ad_id]
+
+    ranking = [(w.ad_id, w.value) for w in winners]
+    ranking.extend(
+        sorted(
+            ((o.ad_id, ux.value_at_slot(o, slots, k)) for o in remaining),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+    )
+    return ux.AuctionOutcome(rule, tuple(ranking), tuple(winners))
+
+
+def recursive_dumps(doc) -> str:
+    """The canonical writer as one recursive call per value."""
+    def format_float(x):
+        if x != x or x in (float("inf"), float("-inf")):
+            raise ValueError(f"cannot serialize non-finite number {x!r}")
+        if x == 0.0:
+            x = 0.0  # normalize -0.0
+        return format(x, ".17g")
+
+    def write(doc, out, depth):
+        pad = "  " * depth
+        inner = "  " * (depth + 1)
+        if doc is None:
+            out.write("null")
+        elif isinstance(doc, bool):
+            out.write("true" if doc else "false")
+        elif isinstance(doc, int):
+            out.write(str(doc))
+        elif isinstance(doc, float):
+            out.write(format_float(doc))
+        elif isinstance(doc, str):
+            out.write(json.dumps(doc))
+        elif isinstance(doc, Mapping):
+            if not doc:
+                out.write("{}")
+                return
+            out.write("{\n")
+            for i, (key, value) in enumerate(doc.items()):
+                out.write(f"{inner}{json.dumps(str(key))}: ")
+                write(value, out, depth + 1)
+                out.write(",\n" if i < len(doc) - 1 else "\n")
+            out.write(f"{pad}}}")
+        elif isinstance(doc, (list, tuple)):
+            if not doc:
+                out.write("[]")
+                return
+            out.write("[\n")
+            for i, value in enumerate(doc):
+                out.write(inner)
+                write(value, out, depth + 1)
+                out.write(",\n" if i < len(doc) - 1 else "\n")
+            out.write(f"{pad}]")
+        else:
+            raise TypeError(f"cannot serialize {type(doc).__name__} canonically")
+
+    out = io.StringIO()
+    write(doc, out, 0)
+    out.write("\n")
+    return out.getvalue()
+
+
+def hexed(value):
+    """``value`` with every float replaced by ``float.hex``, so -0.0 and last bits show.
+
+    Dicts become lists of pairs, so key order is compared too.
+    """
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, dict):
+        return [(k, hexed(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value

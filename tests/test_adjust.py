@@ -64,6 +64,13 @@ def test_expected_value_examples():
     assert expected_value({"only": 0.7}, {"only": 1.0}) == 0.7
 
 
+def test_expected_value_sums_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum (builtin sum() from
+    # Python 3.12 on) would keep the 1.0 and return 1.0.
+    bids = {"a": 1e16, "b": 1.0, "c": -1e16}
+    assert expected_value(bids, {"a": 1.0, "b": 1.0, "c": 1.0}) == 0.0
+
+
 def test_expected_value_rejects_key_mismatch():
     with pytest.raises(ux.KeyMismatchError):
         expected_value({"a": 1.0}, {"b": 1.0})

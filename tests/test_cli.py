@@ -333,3 +333,79 @@ def test_tolerance_band_ad_is_excluded_by_every_subcommand(tmp_path, capsys):
     assert edge["feasible"] is True
     assert edge["excluded"] is True
     assert edge["exclusion_reason"] == reason
+
+
+NAN, INF = float("nan"), float("inf")
+
+# Scenario probes: (id, document, a word the diagnostic must contain).
+SCENARIO_PROBES = [
+    ("nan-bid", cpc_scenario(offers=[{"ad_id": "x", "price_type": "cpc", "bids": {"click": NAN}}]), "bid"),
+    ("inf-bid", cpc_scenario(offers=[{"ad_id": "x", "price_type": "hybrid", "bids": {"view": INF}}]), "bid"),
+    ("nan-charge", cpc_scenario(charges={"view": NAN}), "charge"),
+    ("inf-charge", cpc_scenario(charges={"click": INF}), "charge"),
+    ("charges-array", cpc_scenario(charges=[1]), "charges"),
+    ("ctr-matrix-array", cpc_scenario(slots={"k": 1, "ctr_matrix": [1]}), "ctr_matrix"),
+    ("events-number", cpc_scenario(events=5), "events"),
+]
+
+
+def _one_diagnostic(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "validation"
+    return " ".join(record["detail"])
+
+
+@pytest.mark.parametrize("command", ["adjust", "auction", "simulate"])
+@pytest.mark.parametrize("doc, word", [p[1:] for p in SCENARIO_PROBES], ids=[p[0] for p in SCENARIO_PROBES])
+def test_malformed_or_non_finite_scenario_is_one_diagnostic(command, doc, word, tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", doc)
+    extra = ["--trials", "100"] if command == "simulate" else []
+    detail = _one_diagnostic(*run_cli([command, path, *extra], capsys))
+    assert word in detail
+
+
+def _break_prob(doc):
+    doc["adjusted"][0]["events"][1]["prob"] = NAN
+
+
+def _break_bid(doc):
+    doc["adjusted"][0]["adjusted_bids"]["click"] = INF
+
+
+def _break_value(doc):
+    doc["adjusted"][0]["expected_adjusted_value"] = NAN
+
+
+def _break_adjusted(doc):
+    doc["adjusted"] = 5
+
+
+def _break_excluded(doc):
+    doc["excluded"] = [1]
+
+
+@pytest.mark.parametrize(
+    "breaks, word",
+    [
+        (_break_prob, "prob"),
+        (_break_bid, "adjusted bid"),
+        (_break_value, "expected_adjusted_value"),
+        (_break_adjusted, "adjusted"),
+        (_break_excluded, "excluded"),
+    ],
+    ids=["nan-prob", "inf-adjusted-bid", "nan-expected-value", "adjusted-number", "excluded-numbers"],
+)
+def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word, tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    adjusted = tmp_path / "adjusted.json"
+    assert main(["adjust", path, "--strategy", "single:click", "-o", str(adjusted)]) == 0
+    doc = json.loads(adjusted.read_text(encoding="utf-8"))
+    breaks(doc)
+    adjusted.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    detail = _one_diagnostic(*run_cli(["auction", str(adjusted)], capsys))
+    assert word in detail

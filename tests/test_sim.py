@@ -1,5 +1,8 @@
 """Expectation oracles, Monte Carlo behavior, and the scenario runner."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,8 @@ from uxcharge.sim import (
     enumerate_expected_payment,
     expected_payment,
     monte_carlo_payment,
+    _sample_outcomes,
+    _substream_rng,
     run_scenario,
     validate_scenario,
 )
@@ -114,6 +119,38 @@ def test_monte_carlo_single_trial_is_reproducible():
     mean, stderr = monte_carlo_payment(*args, trials=1, seed=123)
     assert stderr == 0.0
     assert mean == monte_carlo_payment(*args, trials=1, seed=123)[0]
+
+
+def _left_to_right_moments(totals: list[float]) -> tuple[float, float]:
+    """Mean and standard error with every sum taken in sample order, in pure Python."""
+    total = 0.0
+    for x in totals:
+        total += x
+    mean = total / len(totals)
+    if len(totals) == 1:
+        return mean, 0.0
+    squares = 0.0
+    for x in totals:
+        squares += (x - mean) * (x - mean)
+    return mean, math.sqrt(squares / (len(totals) - 1)) / math.sqrt(len(totals))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 1000, 20000])
+@pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
+def test_monte_carlo_reductions_are_sequential_sums(model, trials):
+    prices = {"view": 0.1, "click": 0.9, "conv": 2.5}
+    shifted = {"view": 0.05, "click": 0.1, "conv": 0.0}
+    events = (*EVENTS, ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.03))
+    seed, substream = 11, (2,)
+    mean, stderr = monte_carlo_payment(
+        prices, shifted, events, model, trials=trials, seed=seed, substream=substream
+    )
+    e = _sample_outcomes(events, model, trials, _substream_rng(seed, substream))
+    amounts = [prices[ev.event_id] + shifted[ev.event_id] for ev in events]
+    totals = (e @ np.array(amounts)).tolist()
+    assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in _left_to_right_moments(totals))
+    if trials == 1:
+        assert stderr == 0.0
 
 
 def test_monte_carlo_zero_amounts_give_zero():
