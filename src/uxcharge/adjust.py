@@ -46,15 +46,16 @@ def adjust_cpm_both(b: float, p: float, v: float, c: float) -> float:
 def expected_value(bids: Mapping[str, float], probs: Mapping[str, float]) -> float:
     """Sum of bid * probability over events; the offer's value to the auction.
 
-    Both mappings must carry exactly the same keys. Summation runs in sorted
-    key order, left to right, so the result is independent of mapping
-    insertion order and of the Python version.
+    Both mappings must carry exactly the same keys. Summation runs left to
+    right in the key order of ``probs``, which ``Offer.probabilities`` gives
+    in declared event order, so the result equals the slot-1 value
+    ``auction.value_at_slot`` computes for an ad without a ctr row.
     """
     if set(bids) != set(probs):
         raise KeyMismatchError(
             f"bids keyed by {sorted(bids)} but probabilities by {sorted(probs)}"
         )
-    return fold_sum(bids[eid] * probs[eid] for eid in sorted(bids))
+    return fold_sum(bids[eid] * p for eid, p in probs.items())
 
 
 def adjust_general(offer: Offer, plan: ShiftPlan) -> AdjustedOffer:

@@ -97,17 +97,19 @@ def run_second_price(
     return _run(offers, slots, reserve, SECOND_PRICE)
 
 
-def _slot_values(offers: Sequence[AdjustedOffer], slots: SlotModel | None, k: int) -> np.ndarray:
-    """``value_at_slot`` for every offer (rows) in every slot (columns).
+def _slot_values(
+    offers: Sequence[AdjustedOffer], slots: SlotModel | None, columns: Sequence[int]
+) -> np.ndarray:
+    """``value_at_slot`` for every offer (rows) in each 1-based slot of ``columns``.
 
     Each value is a left-to-right fold over the offer's events in declared
     order, with every click event's probability replaced by the ad's ctr row
     when it has one, exactly as ``value_at_slot`` sums.
     """
-    n = len(offers)
+    n, m = len(offers), len(columns)
     width = max((len(o.events) for o in offers), default=0)
     ctr = slots.ctr if slots else {}
-    no_ctr = (0.0,) * k
+    no_ctr = (0.0,) * m
     bids, probs, clicks, rows = [], [], [], []
     for o in offers:
         row = ctr.get(o.ad_id)
@@ -121,10 +123,10 @@ def _slot_values(offers: Sequence[AdjustedOffer], slots: SlotModel | None, k: in
             bids += [0.0] * tail
             probs += [0.0] * tail
             clicks += [False] * tail
-        rows += no_ctr if row is None else row
+        rows += no_ctr if row is None else [row[j - 1] for j in columns]
     A, P = (np.array(x, dtype=float).reshape(n, width, 1) for x in (bids, probs))
     clicks = np.array(clicks, dtype=bool).reshape(n, width, 1)
-    rows = np.array(rows, dtype=float).reshape(n, 1, k)
+    rows = np.array(rows, dtype=float).reshape(n, 1, m)
     return fold_columns(A * np.where(clicks, rows, P))  # terms: offer x event x slot
 
 
@@ -153,14 +155,17 @@ def _run(
             raise ValueError(f"duplicate ad_id '{a.ad_id}'")
     if not remaining:
         return AuctionOutcome(pricing_rule=rule, ranking=(), winners=())
+    # Each offer fills at most one slot, and the leftover ranking reads slot k.
     k = slots.k if slots else 1
-    values = _slot_values(remaining, slots, k)
+    filled = min(k, len(remaining))
+    columns = [*range(1, filled + 1)] + ([k] if filled < k else [])
+    values = _slot_values(remaining, slots, columns)
     if not np.isfinite(values).all():
         raise ValueError("auction requires finite slot values")
     alive = np.ones(len(remaining), dtype=bool)
 
     winners: list[SlotAward] = []
-    for slot in range(1, k + 1):
+    for slot in range(1, filled + 1):
         # Placed offers read -inf; every slot value is finite, so argmax
         # finds the best offer still unplaced, the first one among ties.
         live = np.where(alive, values[:, slot - 1], -np.inf)
@@ -191,7 +196,7 @@ def _run(
 
     ranking = [(w.ad_id, w.value) for w in winners]
     left = np.flatnonzero(alive)
-    left_values = values[left, k - 1]
+    left_values = values[left, -1]
     by_value = np.argsort(-left_values, kind="stable")  # ties stay in ad_id order
     ranking.extend(
         zip([remaining[i].ad_id for i in left[by_value]], left_values[by_value].tolist())

@@ -20,9 +20,9 @@ All three subcommands share one pipeline, ``sim.prepare`` (validate, then
 per ad feasibility, charge shift, adjustment), so they exclude the same ads
 with the same two reasons: "expected user-experience charge exceeds expected
 offer value" and "expected adjusted value is negative". ``auction`` also
-reads ``adjust`` output. The reserve must be a finite number >= 0, and every
+reads ``adjust`` output. The reserve must be a finite number >= 0, every
 other number read (bids, charges, probabilities, adjusted bids and values)
-must be finite too.
+must be finite too, and the slot count ``k`` a JSON integer.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O failure. Diagnostics go
 to stderr as one JSON record per failure. Set UXCHARGE_LOG to error, warn,
@@ -68,6 +68,9 @@ FORMAT_VERSION = 1
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+
+# Missing key, mistyped or unparseable value, or an integer too large for a float.
+_BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
 
 
 # --- canonical JSON ----------------------------------------------------------
@@ -200,7 +203,7 @@ def parse_scenario_doc(doc: Mapping) -> tuple[tuple[Offer, ...], ChargeSchedule,
     for i, entry in enumerate(raw_events):
         try:
             shared_events.append(event_to_dict(event_from_dict(entry)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_FIELD as exc:
             issues.append(f"events[{i}]: {exc}")
 
     offers: list[Offer] = []
@@ -213,7 +216,7 @@ def parse_scenario_doc(doc: Mapping) -> tuple[tuple[Offer, ...], ChargeSchedule,
             resolved = dict(entry)
             resolved.setdefault("events", shared_events)
             offers.append(offer_from_dict(resolved))
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_FIELD as exc:
             issues.append(f"offers[{i}]: {exc}")
 
     charges = ChargeSchedule(charges={})
@@ -223,27 +226,30 @@ def parse_scenario_doc(doc: Mapping) -> tuple[tuple[Offer, ...], ChargeSchedule,
     else:
         try:
             charges = charges_from_dict(raw_charges)
-        except (TypeError, ValueError) as exc:
+        except _BAD_FIELD as exc:
             issues.append(f"charges: {exc}")
 
     slots = None
     if doc.get("slots") is not None:
         raw_slots = doc["slots"]
         raw_ctr = raw_slots.get("ctr_matrix", {}) if isinstance(raw_slots, Mapping) else {}
+        k = raw_slots.get("k") if isinstance(raw_slots, Mapping) else None
         if not isinstance(raw_ctr, Mapping):
             issues.append("slots: 'ctr_matrix' must be an object")
+        elif type(k) is not int:
+            issues.append(f"slots: 'k' must be an integer, got {k!r}")
         else:
             try:
                 slots = SlotModel(
-                    k=int(raw_slots["k"]),
+                    k=k,
                     ctr={str(ad): tuple(float(p) for p in row) for ad, row in raw_ctr.items()},
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except _BAD_FIELD as exc:
                 issues.append(f"slots: {exc}")
 
     try:
         reserve = float(doc.get("reserve", 0.0))
-    except (TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         issues.append(f"reserve: {exc}")
         reserve = 0.0
 
@@ -291,7 +297,7 @@ def _excluded(records: list[dict]) -> list[dict]:
 
 def cmd_adjust(args: argparse.Namespace) -> int:
     offers, charges, _, _ = parse_scenario_doc(_load_scenario(args.input))
-    records, _, _ = prepare(ScenarioConfig(offers=offers, charges=charges, strategy=args.strategy))
+    records, _ = prepare(ScenarioConfig(offers=offers, charges=charges, strategy=args.strategy))
     adjusted = [
         {
             "ad_id": offer.ad_id,
@@ -338,7 +344,7 @@ def _adjusted_offers_from_document(doc: Mapping) -> tuple[AdjustedOffer, ...]:
             value = float(record["expected_adjusted_value"])
             offer = AdjustedOffer(str(record["ad_id"]), events, adjusted, value)
             require_same_keys(tuple(e.event_id for e in events), adjusted, "adjusted_bids")
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_FIELD as exc:
             issues.append(f"adjusted[{i}]: {exc}")
             continue
         issues.extend(
@@ -378,7 +384,7 @@ def cmd_auction(args: argparse.Namespace) -> int:
         config = ScenarioConfig(
             offers=parsed, charges=charges, strategy=args.strategy, reserve=reserve
         )
-        records, offers, _ = prepare(config)
+        records, offers = prepare(config)
         excluded = _excluded(records)
 
     outcome = run_auction(offers, args.pricing, slots, reserve)

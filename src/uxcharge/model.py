@@ -29,8 +29,9 @@ def fold_sum(values: Iterable[float]) -> float:
     """Sum floats strictly left to right.
 
     Every float sum in the pipeline goes through here or ``fold_columns``,
-    never through builtin ``sum()``, which compensates rounding from Python
-    3.12 on and so gives different bits on different interpreters.
+    over an offer's events in declared order. Builtin ``sum()`` compensates
+    rounding from Python 3.12 on, and ``np.sum``, ``@`` and ``dot`` reorder
+    the additions by numpy version and BLAS/SIMD dispatch; none is used.
     """
     total = 0.0
     for x in values:

@@ -38,9 +38,9 @@ def settle_general(
     """Itemize the winner's charge: (price + shifted charge) per realized event.
 
     ``realized`` maps event ids to 0/1 indicators; all three collections must
-    share the same keys.
+    share the same keys. The total is summed in the key order of ``prices``.
     """
-    ids = tuple(sorted(prices))
+    ids = tuple(prices)
     require_same_keys(ids, plan.shifted, "shift plan")
     require_same_keys(ids, realized, "realized events")
     for eid, flag in realized.items():
@@ -54,7 +54,7 @@ def settle_general(
         ad_id=ad_id,
         realized=dict(realized),
         line_items=line_items,
-        total=fold_sum(line_items[eid] for eid in ids),
+        total=fold_sum(line_items.values()),
     )
 
 

@@ -97,7 +97,7 @@ def shift_proportional(
     if unknown:
         raise KeyMismatchError(f"chargeable events {sorted(unknown)} not in the event set")
     probs = offer.probabilities
-    weight = fold_sum(offer.bids[eid] * probs[eid] for eid in sorted(chargeable))
+    weight = fold_sum(offer.bids[eid] * probs[eid] for eid in ids if eid in chargeable)
     if weight <= 0.0:
         raise ValueError("chargeable set carries zero expected bid; cannot spread charges")
     total = total_expected_charge(charges, offer.events)

@@ -7,6 +7,10 @@ model, since the expectation depends on marginals only. Monte Carlo draws
 from counter-based Philox substreams keyed by (seed, substream), so per-ad
 streams are independent and a parallel run partitioned by trial blocks
 reproduces the serial stream exactly.
+
+Every sum runs strictly left to right, over an offer's events in declared
+order and over outcomes or trials in order; never ``@``, ``np.sum`` or
+``np.prod``, whose order follows numpy's and BLAS's run-time dispatch.
 """
 
 from __future__ import annotations
@@ -67,11 +71,11 @@ def expected_payment(
     shifted: Mapping[str, float],
     probs: Mapping[str, float],
 ) -> float:
-    """Winner's expected charge: sum of (price + shifted charge) * probability."""
-    ids = tuple(sorted(prices))
+    """Winner's expected charge: sum((price + shifted) * probability) in ``probs`` order."""
+    ids = tuple(probs)
+    require_same_keys(ids, prices, "prices")
     require_same_keys(ids, shifted, "shift amounts")
-    require_same_keys(ids, probs, "probabilities")
-    return fold_sum((prices[eid] + shifted[eid]) * probs[eid] for eid in ids)
+    return fold_sum((prices[eid] + shifted[eid]) * p for eid, p in probs.items())
 
 
 _FUNNEL_ORDER = (EventKind.VIEW, EventKind.CLICK, EventKind.CONVERSION)
@@ -123,26 +127,13 @@ def _funnel_chain(
     return chain, conditionals, custom
 
 
-def _joint_probability(
-    e: np.ndarray, events: tuple[EventSpec, ...], model: OutcomeModel
-) -> np.ndarray:
-    """Probability of each outcome row in ``e`` under the model."""
-    if model is OutcomeModel.INDEPENDENT:
-        p = np.array([ev.probability for ev in events])
-        return np.prod(e * p + (1.0 - e) * (1.0 - p), axis=1)
-
-    chain, conditionals, custom = _funnel_chain(events)
-    prob = np.ones(e.shape[0])
-    occurred = np.ones(e.shape[0])
-    for idx, q in zip(chain, conditionals):
-        ei = e[:, idx]
-        prob *= occurred * (ei * q + (1.0 - ei) * (1.0 - q)) + (1.0 - occurred) * (1.0 - ei)
-        occurred = occurred * ei
-    for idx in custom:
-        p = events[idx].probability
-        ei = e[:, idx]
-        prob *= ei * p + (1.0 - ei) * (1.0 - p)
-    return prob
+def _model_chain(
+    events: tuple[EventSpec, ...], model: OutcomeModel
+) -> tuple[list[int], list[float], list[int]]:
+    """``_funnel_chain`` under the funnel model; every event independent otherwise."""
+    if model is OutcomeModel.FUNNEL:
+        return _funnel_chain(events)
+    return [], [], list(range(len(events)))
 
 
 def enumerate_expected_payment(
@@ -154,7 +145,9 @@ def enumerate_expected_payment(
     """Exact expected charge by summing probability * charge over all outcomes.
 
     Independent of the closed form on purpose: it averages the realized
-    charge sum((r_i + d_i) * e_i) over the full joint law of e.
+    charge sum((r_i + d_i) * e_i) over the full joint law of e. Each
+    outcome's probability is a product over chain stages, then independent
+    events; its charge and the weighted total are left folds.
     """
     ids = tuple(ev.event_id for ev in events)
     require_same_keys(ids, prices, "prices")
@@ -165,14 +158,25 @@ def enumerate_expected_payment(
             f"enumeration oracle is limited to {ENUMERATION_LIMIT} events, got {n}"
         )
 
-    amounts = np.array([prices[eid] + shifted[eid] for eid in ids])
-    bit_positions = np.arange(n)
+    amounts = [prices[eid] + shifted[eid] for eid in ids]
+    chain, conditionals, custom = _model_chain(events, model)
     count = 1 << n
     total = 0.0
     for start in range(0, count, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
-        e = ((idx[:, None] >> bit_positions) & 1).astype(np.float64)
-        total += float(_joint_probability(e, events, model) @ (e @ amounts))
+        e = [((idx >> bit) & 1).astype(np.float64) for bit in range(n)]
+        charge, prob, occurred = np.zeros(len(idx)), np.ones(len(idx)), np.ones(len(idx))
+        for ei, amount in zip(e, amounts):
+            charge += ei * amount
+        for i, q in zip(chain, conditionals):
+            ei = e[i]
+            prob *= occurred * (ei * q + (1.0 - ei) * (1.0 - q)) + (1.0 - occurred) * (1.0 - ei)
+            occurred = occurred * ei
+        for i in custom:
+            prob *= e[i] * events[i].probability + (1.0 - e[i]) * (1.0 - events[i].probability)
+        weighted = prob * charge
+        weighted[0] += total  # continue the running sum across chunks
+        total = float(np.add.accumulate(weighted)[-1])
     return total
 
 
@@ -181,30 +185,25 @@ def _substream_rng(seed: int, substream: tuple[int, ...]) -> np.random.Generator
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _sample_outcomes(
+def _sample_hits(
     events: tuple[EventSpec, ...],
     model: OutcomeModel,
     trials: int,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample a (trials, n_events) 0/1 matrix from the model's joint law."""
-    n = len(events)
-    u = rng.random((trials, n))
-    e = np.zeros((trials, n))
-    if model is OutcomeModel.INDEPENDENT:
-        for idx, ev in enumerate(events):
-            e[:, idx] = u[:, idx] < ev.probability
-        return e
+) -> list[np.ndarray]:
+    """Sample the model's joint law from one (trials, n_events) block of uniforms.
 
-    chain, conditionals, custom = _funnel_chain(events)
+    Returns one boolean column of hits per event, in declared order.
+    """
+    u = rng.random((trials, len(events)))
+    chain, conditionals, custom = _model_chain(events, model)
+    hits = [None] * len(events)
     occurred = np.ones(trials, dtype=bool)
     for idx, q in zip(chain, conditionals):
-        hit = occurred & (u[:, idx] < q)
-        e[:, idx] = hit
-        occurred = hit
+        occurred = hits[idx] = occurred & (u[:, idx] < q)
     for idx in custom:
-        e[:, idx] = u[:, idx] < events[idx].probability
-    return e
+        hits[idx] = u[:, idx] < events[idx].probability
+    return hits
 
 
 def monte_carlo_payment(
@@ -220,8 +219,9 @@ def monte_carlo_payment(
 
     Deterministic for a fixed (seed, substream); the stderr is the sample
     standard deviation over the square root of the trial count (0.0 for a
-    single trial). Both reductions are sequential prefix sums, so their bits
-    depend on the samples alone, not on numpy's pairwise or SIMD summation.
+    single trial). Each trial's charge is a fold over the events' hit columns
+    in declared order, and both reductions are sequential prefix sums, so the
+    bits depend on the samples alone, not on numpy's or BLAS's summation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -229,10 +229,10 @@ def monte_carlo_payment(
     require_same_keys(ids, prices, "prices")
     require_same_keys(ids, shifted, "shift amounts")
 
-    amounts = np.array([prices[eid] + shifted[eid] for eid in ids])
-    rng = _substream_rng(seed, substream)
-    e = _sample_outcomes(events, model, trials, rng)
-    totals = e @ amounts
+    hits = _sample_hits(events, model, trials, _substream_rng(seed, substream))
+    totals = np.zeros(trials)
+    for hit, eid in zip(hits, ids):
+        totals += hit * (prices[eid] + shifted[eid])
     mean = float(np.add.accumulate(totals)[-1]) / trials
     if trials == 1:
         return mean, 0.0
@@ -366,42 +366,29 @@ def _batch_adjust(
     Rows are offers, with ``event_ids`` holding each offer's ids; columns are
     an offer's events in declared order, zero padded to the widest offer.
     Reproduces ``is_feasible`` -> ``build_plan`` -> ``adjust_general`` bit
-    for bit on a valid scenario: every sum is a left-to-right column fold, in
-    declared order for the expected charge and in sorted event-id order for
-    the offer value, the proportional weight and the expected adjusted value.
-    Returns, as lists, the expected charges, the feasibility verdicts, the
-    shifted charges and adjusted bids (padded rows) and the expected adjusted
-    values.
+    for bit on a valid scenario: every sum is a left-to-right column fold in
+    declared event order. Returns, as lists, the expected charges, the
+    feasibility verdicts, the shifted charges and adjusted bids (padded rows)
+    and the expected adjusted values.
     """
     kind, target = _parse_strategy(strategy)
     n = len(offers)
     width = max((len(offer.events) for offer in offers), default=0)
     pad = [0.0] * width
-    bids, probs, amounts, order, targets = [], [], [], [], []
-    sorted_order: dict[tuple[str, ...], list[int]] = {}
+    bids, probs, amounts, targets = [], [], [], []
     for offer, ids in zip(offers, event_ids):
         tail = pad[len(ids):]
         bids += [offer.bids[eid] for eid in ids] + tail
         probs += [e.probability for e in offer.events] + tail
         amounts += [float(charges.charges.get(eid, 0.0)) for eid in ids] + tail
-        row_order = sorted_order.get(ids)
-        if row_order is None:
-            row_order = sorted(range(len(ids)), key=ids.__getitem__)
-            row_order = sorted_order[ids] = row_order + list(range(len(ids), width))
-        order += row_order
         if kind == "single":
             targets.append(ids.index(target))
 
     B, P, C = (np.array(x, dtype=float).reshape(n, width) for x in (bids, probs, amounts))
-    order = np.array(order, dtype=np.intp).reshape(n, width)
-
-    def in_id_order(x: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(x, order, axis=1)
-
     with np.errstate(all="ignore"):  # Python floats overflow silently too
         BP = B * P
         expected_charge = fold_columns(C * P)
-        feasible = expected_charge <= fold_columns(in_id_order(BP)) + VALIDATION_TOL
+        feasible = expected_charge <= fold_columns(BP) + VALIDATION_TOL
         if kind == "identity":
             D = C
         elif kind == "single":
@@ -410,11 +397,11 @@ def _batch_adjust(
             D[rows, cols] = expected_charge / P[rows, cols]
         else:
             chargeable = BP > 0.0
-            weight = fold_columns(in_id_order(np.where(chargeable, BP, 0.0)))
+            weight = fold_columns(np.where(chargeable, BP, 0.0))
             share = np.divide(B, weight[:, None], out=np.zeros_like(B), where=chargeable)
             D = np.where(chargeable, expected_charge[:, None] * share, 0.0)
         A = B - D
-        adjusted_value = fold_columns(in_id_order(A * P))
+        adjusted_value = fold_columns(A * P)
     return (
         expected_charge.tolist(),
         feasible.tolist(),
@@ -424,12 +411,12 @@ def _batch_adjust(
     )
 
 
-def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer], dict[str, ShiftPlan]]:
+def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer]]:
     """Validate, then take every ad through feasibility, charge shift and adjustment.
 
-    Returns one report record per offer, in offer order, with the reason for
-    each exclusion; the adjusted offers that enter the auction; and their
-    shift plans by ad id. Raises ScenarioError on an invalid scenario.
+    Returns one report record per offer, in offer order, with its shift plan
+    and the reason for each exclusion; and the adjusted offers that enter the
+    auction. Raises ScenarioError on an invalid scenario.
     """
     issues = validate_scenario(config)
     if issues:
@@ -441,7 +428,6 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer], di
     )
     records: list[dict] = []
     included: list[AdjustedOffer] = []
-    plans: dict[str, ShiftPlan] = {}
     for row, (offer, ids) in enumerate(zip(config.offers, event_ids)):
         record = {
             "ad_id": offer.ad_id,
@@ -470,20 +456,18 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer], di
             )
             continue
 
-        plan = ShiftPlan(shifted=dict(zip(ids, shifted[row])), strategy=config.strategy)
-        record["shift_plan"] = plan.shifted
+        record["shift_plan"] = dict(zip(ids, shifted[row]))
         record["adjusted_bids"] = dict(zip(ids, adjusted[row]))
         record["expected_adjusted_value"] = value[row]
         if value[row] < 0.0:
             record["excluded"] = True
             record["exclusion_reason"] = "expected adjusted value is negative"
             continue
-        plans[offer.ad_id] = plan
         included.append(
             AdjustedOffer(offer.ad_id, offer.events, record["adjusted_bids"], value[row])
         )
 
-    return records, included, plans
+    return records, included
 
 
 def run_auction(
@@ -512,32 +496,29 @@ def run_scenario(config: ScenarioConfig) -> dict:
     and for winners the expected payment three ways (closed form, exact
     enumeration, Monte Carlo). Deterministic for fixed config and seed.
     """
-    records, included, plans = prepare(config)
+    records, included = prepare(config)
     outcome = run_auction(included, config.pricing_rule, config.slots, config.reserve)
 
     index = {offer.ad_id: i for i, offer in enumerate(config.offers)}
     for award in outcome.winners:
-        record = records[index[award.ad_id]]
-        offer = config.offers[index[award.ad_id]]
-        plan = plans[award.ad_id]
-        prices = {eid: award.prices[eid] for eid in offer.event_ids}
+        row = index[award.ad_id]
+        record, offer = records[row], config.offers[row]
+        prices, shifted = award.prices, record["shift_plan"]
         record["slot"] = award.slot
         record["price_factor"] = award.price_factor
         record["prices"] = prices
-        record["expected_payment"] = expected_payment(
-            prices, plan.shifted, offer.probabilities
-        )
+        record["expected_payment"] = expected_payment(prices, shifted, offer.probabilities)
         record["enumerated_payment"] = enumerate_expected_payment(
-            prices, plan.shifted, offer.events, config.model
+            prices, shifted, offer.events, config.model
         )
         mean, stderr = monte_carlo_payment(
             prices,
-            plan.shifted,
+            shifted,
             offer.events,
             config.model,
             trials=config.trials,
             seed=config.seed,
-            substream=(index[award.ad_id],),
+            substream=(row,),
         )
         record["mc_mean"] = mean
         record["mc_stderr"] = stderr

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from collections.abc import Mapping
 
 from hypothesis import strategies as st
 
 import uxcharge as ux
-from uxcharge.sim import ScenarioError, validate_scenario
+from uxcharge.sim import OutcomeModel, ScenarioError, _funnel_chain, _substream_rng, validate_scenario
 
 # money and probability draws are either exactly zero or comfortably normal;
 # subnormal amounts are not meaningful in this domain
@@ -108,7 +109,7 @@ def scalar_prepare(config: ux.ScenarioConfig):
     issues = validate_scenario(config)
     if issues:
         raise ScenarioError(issues)
-    records, included, plans = [], [], {}
+    records, included = [], []
     for offer in config.offers:
         aligned = ux.ChargeSchedule(config.charges.for_events(offer.events))
         record = {
@@ -143,9 +144,81 @@ def scalar_prepare(config: ux.ScenarioConfig):
             record["excluded"] = True
             record["exclusion_reason"] = "expected adjusted value is negative"
             continue
-        plans[offer.ad_id] = plan
         included.append(adjusted)
-    return records, included, plans
+    return records, included
+
+
+def _chain(events, model):
+    """Funnel chain, conditionals and independent events, as the outcome model defines them."""
+    if model is OutcomeModel.FUNNEL:
+        return _funnel_chain(events)
+    return [], [], list(range(len(events)))
+
+
+def fold_enumeration(prices, shifted, events, model) -> float:
+    """``enumerate_expected_payment`` in pure Python, one outcome at a time.
+
+    Each outcome's charge is folded over the events in declared order and its
+    probability multiplied up chain stages first, then independent events;
+    the weighted charges are then folded over the outcomes in order.
+    """
+    amounts = [prices[e.event_id] + shifted[e.event_id] for e in events]
+    chain, conditionals, custom = _chain(events, model)
+    total = 0.0
+    for outcome in range(1 << len(events)):
+        e = [float((outcome >> i) & 1) for i in range(len(events))]
+        charge = 0.0
+        for ei, amount in zip(e, amounts):
+            charge += ei * amount
+        prob, occurred = 1.0, 1.0
+        for idx, q in zip(chain, conditionals):
+            ei = e[idx]
+            prob *= occurred * (ei * q + (1.0 - ei) * (1.0 - q)) + (1.0 - occurred) * (1.0 - ei)
+            occurred = occurred * ei
+        for idx in custom:
+            p, ei = events[idx].probability, e[idx]
+            prob *= ei * p + (1.0 - ei) * (1.0 - p)
+        total += prob * charge
+    return total
+
+
+def left_to_right_moments(totals: list[float]) -> tuple[float, float]:
+    """Mean and standard error with every sum taken in sample order, in pure Python."""
+    total = 0.0
+    for x in totals:
+        total += x
+    mean = total / len(totals)
+    if len(totals) == 1:
+        return mean, 0.0
+    squares = 0.0
+    for x in totals:
+        squares += (x - mean) * (x - mean)
+    return mean, math.sqrt(squares / (len(totals) - 1)) / math.sqrt(len(totals))
+
+
+def fold_monte_carlo(prices, shifted, events, model, trials, seed, substream) -> tuple[float, float]:
+    """``monte_carlo_payment`` in pure Python, one trial at a time, from the same uniforms.
+
+    Trial t, event i occurs when its uniform falls below the event's
+    (conditional) probability; each trial's charge is folded over the events
+    in declared order, then the trials in order.
+    """
+    amounts = [prices[e.event_id] + shifted[e.event_id] for e in events]
+    chain, conditionals, custom = _chain(events, model)
+    uniforms = _substream_rng(seed, substream).random((trials, len(events))).tolist()
+    totals = []
+    for u in uniforms:
+        hit = [False] * len(events)
+        occurred = True
+        for idx, q in zip(chain, conditionals):
+            occurred = hit[idx] = occurred and u[idx] < q
+        for idx in custom:
+            hit[idx] = u[idx] < events[idx].probability
+        charge = 0.0
+        for h, amount in zip(hit, amounts):
+            charge += h * amount
+        totals.append(charge)
+    return left_to_right_moments(totals)
 
 
 def loop_auction(offers, slots, reserve: float, rule: str) -> ux.AuctionOutcome:

@@ -1,10 +1,14 @@
 """CLI behavior: documents, determinism, diagnostics, and exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from uxcharge.cli import main
 
@@ -336,6 +340,7 @@ def test_tolerance_band_ad_is_excluded_by_every_subcommand(tmp_path, capsys):
 
 
 NAN, INF = float("nan"), float("inf")
+HUGE = 10**400  # a JSON integer literal no float can hold
 
 # Scenario probes: (id, document, a word the diagnostic must contain).
 SCENARIO_PROBES = [
@@ -346,6 +351,14 @@ SCENARIO_PROBES = [
     ("charges-array", cpc_scenario(charges=[1]), "charges"),
     ("ctr-matrix-array", cpc_scenario(slots={"k": 1, "ctr_matrix": [1]}), "ctr_matrix"),
     ("events-number", cpc_scenario(events=5), "events"),
+    ("huge-int-bid", cpc_scenario(offers=[{"ad_id": "x", "price_type": "cpc", "bids": {"click": HUGE}}]), "offers[0]"),
+    ("huge-int-charge", cpc_scenario(charges={"view": HUGE}), "charges"),
+    ("huge-int-prob", cpc_scenario(events=[{"id": "view", "kind": "view", "prob": HUGE}]), "events[0]"),
+    ("huge-int-reserve", cpc_scenario(reserve=HUGE), "reserve"),
+    ("huge-int-ctr", cpc_scenario(slots={"k": 1, "ctr_matrix": {"x": [HUGE]}}), "slots"),
+    ("k-overflows", cpc_scenario(slots={"k": INF}), "'k'"),
+    ("k-fraction", cpc_scenario(slots={"k": 2.7}), "'k'"),
+    ("k-bool", cpc_scenario(slots={"k": True}), "'k'"),
 ]
 
 
@@ -388,6 +401,18 @@ def _break_excluded(doc):
     doc["excluded"] = [1]
 
 
+def _huge_prob(doc):
+    doc["adjusted"][0]["events"][1]["prob"] = HUGE
+
+
+def _huge_bid(doc):
+    doc["adjusted"][0]["adjusted_bids"]["click"] = HUGE
+
+
+def _huge_value(doc):
+    doc["adjusted"][0]["expected_adjusted_value"] = HUGE
+
+
 @pytest.mark.parametrize(
     "breaks, word",
     [
@@ -396,8 +421,20 @@ def _break_excluded(doc):
         (_break_value, "expected_adjusted_value"),
         (_break_adjusted, "adjusted"),
         (_break_excluded, "excluded"),
+        (_huge_prob, "adjusted[0]"),
+        (_huge_bid, "adjusted[0]"),
+        (_huge_value, "adjusted[0]"),
     ],
-    ids=["nan-prob", "inf-adjusted-bid", "nan-expected-value", "adjusted-number", "excluded-numbers"],
+    ids=[
+        "nan-prob",
+        "inf-adjusted-bid",
+        "nan-expected-value",
+        "adjusted-number",
+        "excluded-numbers",
+        "huge-int-prob",
+        "huge-int-adjusted-bid",
+        "huge-int-expected-value",
+    ],
 )
 def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word, tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
@@ -409,3 +446,125 @@ def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word,
     capsys.readouterr()
     detail = _one_diagnostic(*run_cli(["auction", str(adjusted)], capsys))
     assert word in detail
+
+
+# --- fuzzing: any JSON document gives a report or one diagnostic -------------
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def field(plausible):
+    """A plausible value for a document field, or any JSON value at all."""
+    return st.one_of(plausible, json_values)
+
+
+EVENT_IDS = st.sampled_from(["view", "click", "conv", "extra"])
+numbers = st.one_of(st.floats(0.0, 1.0), st.floats(), st.integers(-2, 3), st.just(HUGE))
+amounts = st.dictionaries(EVENT_IDS, field(numbers), max_size=4)
+events = st.lists(
+    st.fixed_dictionaries(
+        {
+            "id": field(EVENT_IDS),
+            "kind": field(st.sampled_from(["view", "click", "conversion", "custom"])),
+            "prob": field(numbers),
+        }
+    ),
+    max_size=4,
+)
+ad_ids = st.sampled_from(["a", "b", "c"])
+scenario_docs = st.fixed_dictionaries(
+    {"format_version": field(st.just(1))},
+    optional={
+        "events": field(events),
+        "offers": field(
+            st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "ad_id": field(ad_ids),
+                        "price_type": field(st.sampled_from(["cpm", "cpc", "hybrid"])),
+                        "bids": field(amounts),
+                    },
+                    optional={"events": field(events)},
+                ),
+                max_size=4,
+            )
+        ),
+        "charges": field(amounts),
+        "slots": field(
+            st.fixed_dictionaries(
+                {"k": field(st.integers(1, 4))},
+                optional={"ctr_matrix": field(st.dictionaries(ad_ids, field(st.lists(numbers, max_size=4))))},
+            )
+        ),
+        "reserve": field(numbers),
+    },
+)
+adjust_docs = st.fixed_dictionaries(
+    {
+        "format_version": field(st.just(1)),
+        "adjusted": field(
+            st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "ad_id": field(ad_ids),
+                        "events": field(events),
+                        "adjusted_bids": field(amounts),
+                        "expected_adjusted_value": field(numbers),
+                    }
+                ),
+                max_size=4,
+            )
+        ),
+    },
+    optional={"excluded": field(st.lists(json_values, max_size=2))},
+)
+
+
+def _fuzz_example(name):
+    return example(next(doc for probe, doc, _ in SCENARIO_PROBES if probe == name))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(scenario_docs, adjust_docs, json_values))
+@_fuzz_example("huge-int-bid")
+@_fuzz_example("huge-int-charge")
+@_fuzz_example("huge-int-prob")
+@_fuzz_example("huge-int-reserve")
+@_fuzz_example("huge-int-ctr")
+@_fuzz_example("k-overflows")
+@_fuzz_example("k-fraction")
+@_fuzz_example("k-bool")
+@example(
+    {
+        "format_version": 1,
+        "adjusted": [
+            {
+                "ad_id": "x",
+                "events": [{"id": "view", "kind": "view", "prob": 1.0}],
+                "adjusted_bids": {"view": HUGE},
+                "expected_adjusted_value": HUGE,
+            }
+        ],
+    }
+)
+def test_any_json_document_gives_a_document_or_one_diagnostic(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["adjust"], ["auction"], ["simulate", "--trials", "20"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+        if code == 0:
+            assert err.getvalue() == ""
+            json.loads(out.getvalue())
+        else:
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "validation"

@@ -9,6 +9,8 @@ sign of zero or a last-bit difference fails.
 
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +19,12 @@ from hypothesis import strategies as st
 
 import uxcharge as ux
 from uxcharge import sim
-from uxcharge.cli import dumps_canonical, main
+from uxcharge.cli import dumps_canonical, main, parse_scenario_doc
 
 from helpers import hexed, loop_auction, recursive_dumps, scalar_prepare
 
-# Event ids drawn per offer; their sorted order differs from any fixed
-# declaration order, so the declared and sorted-id sums really differ.
+# Event ids drawn per offer, declared in random order: a sum taken in any
+# other order (sorted ids, say) would differ from the declared-order one.
 EVENT_KINDS = {
     "view": ux.EventKind.VIEW,
     "click": ux.EventKind.CLICK,
@@ -88,16 +90,21 @@ def adjusted_view(offer: ux.AdjustedOffer):
 @given(data=st.data())
 def test_batch_prepare_equals_the_scalar_chain(strategy, data):
     config = data.draw(scenarios(strategy))
-    records, included, plans = sim.prepare(config)
-    ref_records, ref_included, ref_plans = scalar_prepare(config)
+    records, included = sim.prepare(config)
+    ref_records, ref_included = scalar_prepare(config)
     assert hexed(records) == hexed(ref_records)
     assert [adjusted_view(o) for o in included] == [adjusted_view(o) for o in ref_included]
-    assert list(plans) == list(ref_plans)
-    for ad_id, plan in plans.items():
-        assert (hexed(plan.shifted), plan.strategy) == (
-            hexed(ref_plans[ad_id].shifted),
-            ref_plans[ad_id].strategy,
-        )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_expected_adjusted_value_is_the_slot_one_value(strategy, data):
+    config = data.draw(scenarios(strategy))
+    _, included = sim.prepare(config)
+    _, ref_included = scalar_prepare(config)
+    for offer in [*included, *ref_included]:
+        assert offer.expected_value.hex() == ux.value_at_slot(offer, None, 1).hex()
 
 
 # --- auction -----------------------------------------------------------------
@@ -158,6 +165,30 @@ def test_auction_rejects_duplicate_ad_ids_and_non_finite_values():
     broken = ux.AdjustedOffer("y", events, {"view": math.inf}, 1.0)
     with pytest.raises(ValueError, match="finite"):
         ux.run_second_price([offer, broken])
+
+
+def test_slot_count_far_beyond_the_offers_costs_no_memory(tmp_path, capsys):
+    # Two offers fill at most two slots; only those and slot k are evaluated.
+    scenario = Path(__file__).resolve().parent / "golden" / "cpc_view_charge.json"
+    out = tmp_path / "auction.json"
+    tracemalloc.start()
+    try:
+        code = main(["auction", str(scenario), "--slots", "1000000", "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 2 * 2**20
+
+    offers, charges, _, reserve = parse_scenario_doc(json.loads(scenario.read_text(encoding="utf-8")))
+    _, included = sim.prepare(sim.ScenarioConfig(offers=offers, charges=charges, reserve=reserve))
+    expected = loop_auction(included, ux.SlotModel(10**6), reserve, "second")
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["ranking"] == [list(pair) for pair in expected.ranking]
+    assert [(w["ad_id"], w["slot"], w["price_factor"], w["value"], w["prices"]) for w in doc["winners"]] == [
+        (w.ad_id, w.slot, w.price_factor, w.value, dict(w.prices)) for w in expected.winners
+    ]
 
 
 def test_adjust_document_missing_an_adjusted_bid_exits_1(tmp_path, capsys):

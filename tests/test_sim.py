@@ -1,8 +1,5 @@
 """Expectation oracles, Monte Carlo behavior, and the scenario runner."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +12,20 @@ from uxcharge.sim import (
     enumerate_expected_payment,
     expected_payment,
     monte_carlo_payment,
-    _sample_outcomes,
-    _substream_rng,
     run_scenario,
     validate_scenario,
 )
 
-from helpers import close12, cpc_offer, cpm_offer, event_sets, money, two_events
+from helpers import (
+    close12,
+    cpc_offer,
+    cpm_offer,
+    event_sets,
+    fold_enumeration,
+    fold_monte_carlo,
+    money,
+    two_events,
+)
 
 exact = lambda x: pytest.approx(x, rel=1e-12, abs=1e-12)
 
@@ -121,20 +125,6 @@ def test_monte_carlo_single_trial_is_reproducible():
     assert mean == monte_carlo_payment(*args, trials=1, seed=123)[0]
 
 
-def _left_to_right_moments(totals: list[float]) -> tuple[float, float]:
-    """Mean and standard error with every sum taken in sample order, in pure Python."""
-    total = 0.0
-    for x in totals:
-        total += x
-    mean = total / len(totals)
-    if len(totals) == 1:
-        return mean, 0.0
-    squares = 0.0
-    for x in totals:
-        squares += (x - mean) * (x - mean)
-    return mean, math.sqrt(squares / (len(totals) - 1)) / math.sqrt(len(totals))
-
-
 @pytest.mark.parametrize("trials", [1, 2, 1000, 20000])
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
 def test_monte_carlo_reductions_are_sequential_sums(model, trials):
@@ -145,12 +135,45 @@ def test_monte_carlo_reductions_are_sequential_sums(model, trials):
     mean, stderr = monte_carlo_payment(
         prices, shifted, events, model, trials=trials, seed=seed, substream=substream
     )
-    e = _sample_outcomes(events, model, trials, _substream_rng(seed, substream))
-    amounts = [prices[ev.event_id] + shifted[ev.event_id] for ev in events]
-    totals = (e @ np.array(amounts)).tolist()
-    assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in _left_to_right_moments(totals))
+    reference = fold_monte_carlo(prices, shifted, events, model, trials, seed, substream)
+    assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
     if trials == 1:
         assert stderr == 0.0
+
+
+def mixed_event_set(n: int):
+    """``n`` events in a declared order unlike the funnel's, with amounts of mixed magnitude.
+
+    Funnel events keep nonincreasing probabilities, so the set is valid
+    under both outcome models.
+    """
+    funnel = [
+        ux.EventSpec("view", ux.EventKind.VIEW, 1.0),
+        ux.EventSpec("click", ux.EventKind.CLICK, 0.3),
+        ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.07),
+    ]
+    custom = [
+        ux.EventSpec(f"c{i}", ux.EventKind.CUSTOM, 0.05 + 0.9 * ((i * 0.618) % 1.0))
+        for i in range(n - len(funnel))
+    ]
+    events = (*custom[:1], funnel[1], *custom[1:3], funnel[0], *custom[3:], funnel[2])
+    prices = {e.event_id: 10.0 ** (i % 9 - 4) * (1.0 + i / 7.0) for i, e in enumerate(events)}
+    shifted = {e.event_id: 10.0 ** -(i % 4) / 3.0 for i, e in enumerate(events)}
+    return events, prices, shifted
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
+def test_oracles_equal_pure_python_folds_in_declared_order(model, n):
+    events, prices, shifted = mixed_event_set(n)
+    enumerated = enumerate_expected_payment(prices, shifted, events, model)
+    assert enumerated.hex() == fold_enumeration(prices, shifted, events, model).hex()
+    for trials in (1, 3000):
+        mean, stderr = monte_carlo_payment(
+            prices, shifted, events, model, trials=trials, seed=5, substream=(n,)
+        )
+        reference = fold_monte_carlo(prices, shifted, events, model, trials, 5, (n,))
+        assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
 
 
 def test_monte_carlo_zero_amounts_give_zero():
