@@ -27,7 +27,6 @@ from .model import (
     Settlement,
     ShiftPlan,
     SlotAward,
-    ValidationResult,
     validate_offer,
 )
 from .settle import ClassicRule, settle_classic, settle_general
@@ -69,7 +68,6 @@ __all__ = [
     "ShiftPlan",
     "SlotAward",
     "SlotModel",
-    "ValidationResult",
     "adjust_cpc_both",
     "adjust_cpc_view",
     "adjust_cpm_both",

@@ -20,9 +20,14 @@ All three subcommands share one pipeline, ``sim.prepare`` (validate, then
 per ad feasibility, charge shift, adjustment), so they exclude the same ads
 with the same two reasons: "expected user-experience charge exceeds expected
 offer value" and "expected adjusted value is negative". ``auction`` also
-reads ``adjust`` output. The reserve must be a finite number >= 0, every
-other number read (bids, charges, probabilities, adjusted bids and values)
-must be finite too, and the slot count ``k`` a JSON integer.
+reads ``adjust`` output.
+
+Input is read strictly. A scenario and an ``adjust`` document pass one
+header check: a JSON object whose ``format_version`` is the integer 1, with
+one message for both. Every number is a finite JSON number within float
+range (not a bool, string or null), every ``ad_id`` and event ``id`` a
+string, ``slots.k`` an integer, and each ``ctr_matrix`` row an array keyed
+to an ad that an offer declares. The reserve must also be >= 0.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O failure. Diagnostics go
 to stderr as one JSON record per failure. Set UXCHARGE_LOG to error, warn,
@@ -39,18 +44,22 @@ import logging
 import math
 import os
 import sys
-from typing import Any, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any
 
 from .auction import SlotModel
 from .model import (
     AdjustedOffer,
     ChargeSchedule,
     Offer,
+    brief,
     charges_from_dict,
     event_from_dict,
     event_to_dict,
+    number,
     offer_from_dict,
     require_same_keys,
+    text,
 )
 from .sim import (
     OutcomeModel,
@@ -83,14 +92,6 @@ def dumps_canonical(doc: Any) -> str:
     _write_canonical(doc, out, 0, {})
     out.write("\n")
     return out.getvalue()
-
-
-def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"cannot serialize non-finite number {x!r}")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
 
 
 _encode = json.encoder.encode_basestring_ascii
@@ -172,86 +173,90 @@ def _scalar_text(doc: Any) -> str:
         return "true" if doc else "false"
     if isinstance(doc, int):
         return str(doc)
-    if isinstance(doc, float):
-        return _format_float(doc)
-    return _encode(doc)
+    if not isinstance(doc, float):
+        return _encode(doc)
+    if not math.isfinite(doc):
+        raise ValueError(f"cannot serialize non-finite number {doc!r}")
+    return "0" if doc == 0.0 else "%.17g" % doc  # "0" for -0.0 too
 
 
 # --- scenario file parsing ---------------------------------------------------
 
 
-def parse_scenario_doc(doc: Mapping) -> tuple[tuple[Offer, ...], ChargeSchedule, SlotModel | None, float]:
+def _header_issues(doc: Any) -> list[str]:
+    """The header check of scenario and ``adjust`` documents alike."""
+    if not isinstance(doc, Mapping):
+        return ["document must be a JSON object"]
+    version = doc.get("format_version")
+    if type(version) is int and version == FORMAT_VERSION:
+        return []
+    return [f"unsupported format_version {brief(version)}; this build reads version {FORMAT_VERSION}"]
+
+
+def _read_each(doc: Mapping, key: str, read: Callable[[Any], Any], issues: list[str]) -> list:
+    """``read`` of each entry of the array ``doc[key]``; problems go to ``issues``."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        issues.append(f"{key!r} must be an array")
+        return []
+    values = []
+    for i, entry in enumerate(entries):
+        try:
+            values.append(read(entry))
+        except _BAD_FIELD as exc:
+            issues.append(f"{key}[{i}]: {exc}")
+    return values
+
+
+def _ctr_row(row: Any, ad_id: str) -> tuple[float, ...]:
+    if type(row) is not list:
+        raise TypeError(f"ctr row for {ad_id!r} must be an array, got {brief(row)}")
+    return tuple(number(p, "ctr entry for", ad_id) for p in row)
+
+
+def parse_scenario_doc(doc: Any) -> tuple[tuple[Offer, ...], ChargeSchedule, SlotModel | None, float]:
     """Turn a scenario JSON document into domain values.
 
     Raises ScenarioError with itemized issues on any structural problem.
     """
-    issues: list[str] = []
-    if not isinstance(doc, Mapping):
-        raise ScenarioError(["scenario document must be a JSON object"])
+    issues = _header_issues(doc)
+    if issues:
+        doc = {}  # nothing else can be read
 
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ScenarioError(
-            [f"unsupported format_version {version!r}; this build reads version {FORMAT_VERSION}"]
-        )
-
-    raw_events = doc.get("events", [])
-    if not isinstance(raw_events, list):
-        issues.append("'events' must be an array")
-        raw_events = []
-    shared_events = []
-    for i, entry in enumerate(raw_events):
-        try:
-            shared_events.append(event_to_dict(event_from_dict(entry)))
-        except _BAD_FIELD as exc:
-            issues.append(f"events[{i}]: {exc}")
-
-    offers: list[Offer] = []
-    raw_offers = doc.get("offers", [])
-    if not isinstance(raw_offers, list):
-        issues.append("'offers' must be an array")
-        raw_offers = []
-    for i, entry in enumerate(raw_offers):
-        try:
-            resolved = dict(entry)
-            resolved.setdefault("events", shared_events)
-            offers.append(offer_from_dict(resolved))
-        except _BAD_FIELD as exc:
-            issues.append(f"offers[{i}]: {exc}")
+    shared = tuple(_read_each(doc, "events", event_from_dict, issues))
+    offers = _read_each(doc, "offers", lambda entry: offer_from_dict(entry, shared), issues)
 
     charges = ChargeSchedule(charges={})
-    raw_charges = doc.get("charges", {})
-    if not isinstance(raw_charges, Mapping):
-        issues.append("'charges' must be an object")
-    else:
-        try:
-            charges = charges_from_dict(raw_charges)
-        except _BAD_FIELD as exc:
-            issues.append(f"charges: {exc}")
+    try:
+        charges = charges_from_dict(doc.get("charges", {}))
+    except _BAD_FIELD as exc:
+        issues.append(f"charges: {exc}")
 
     slots = None
-    if doc.get("slots") is not None:
-        raw_slots = doc["slots"]
-        raw_ctr = raw_slots.get("ctr_matrix", {}) if isinstance(raw_slots, Mapping) else {}
-        k = raw_slots.get("k") if isinstance(raw_slots, Mapping) else None
+    raw_slots = doc.get("slots")
+    if raw_slots is not None and not isinstance(raw_slots, Mapping):
+        issues.append("'slots' must be an object")
+    elif raw_slots is not None:
+        raw_ctr, k = raw_slots.get("ctr_matrix", {}), raw_slots.get("k")
         if not isinstance(raw_ctr, Mapping):
             issues.append("slots: 'ctr_matrix' must be an object")
         elif type(k) is not int:
-            issues.append(f"slots: 'k' must be an integer, got {k!r}")
+            issues.append(f"slots: 'k' must be an integer, got {brief(k)}")
         else:
             try:
-                slots = SlotModel(
-                    k=k,
-                    ctr={str(ad): tuple(float(p) for p in row) for ad, row in raw_ctr.items()},
-                )
+                slots = SlotModel(k, {ad: _ctr_row(row, ad) for ad, row in raw_ctr.items()})
             except _BAD_FIELD as exc:
                 issues.append(f"slots: {exc}")
+    if slots is not None and offers and not issues:
+        declared = {offer.ad_id for offer in offers}
+        undeclared = [ad for ad in slots.ctr if ad not in declared]
+        issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
 
+    reserve = 0.0
     try:
-        reserve = float(doc.get("reserve", 0.0))
+        reserve = number(doc.get("reserve", 0.0), "'reserve'")
     except _BAD_FIELD as exc:
-        issues.append(f"reserve: {exc}")
-        reserve = 0.0
+        issues.append(str(exc))
 
     if issues:
         raise ScenarioError(issues)
@@ -322,61 +327,39 @@ def cmd_adjust(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _adjusted_offers_from_document(doc: Mapping) -> tuple[AdjustedOffer, ...]:
-    """Rehydrate adjusted offers from a previous ``adjust`` run's output.
+def _adjusted_offer(record: Mapping) -> AdjustedOffer:
+    events = tuple(event_from_dict(e) for e in record["events"])
+    raw_bids = record["adjusted_bids"]
+    if not isinstance(raw_bids, Mapping):
+        raise TypeError("'adjusted_bids' must be an object")
+    adjusted = {k: number(v, "adjusted bid on", k) for k, v in raw_bids.items()}
+    require_same_keys(tuple(e.event_id for e in events), adjusted, "adjusted_bids")
+    value = number(record["expected_adjusted_value"], "'expected_adjusted_value'")
+    return AdjustedOffer(text(record["ad_id"], "'ad_id'"), events, adjusted, value)
 
-    Raises ScenarioError itemizing every malformed record: a missing or
-    mistyped field, adjusted bids not keyed to the record's events, or a
-    non-finite probability, adjusted bid or expected adjusted value.
+
+def _read_adjust_document(doc: Mapping) -> tuple[tuple[AdjustedOffer, ...], list[dict]]:
+    """The adjusted offers and the ``excluded`` array of an ``adjust`` document.
+
+    Raises ScenarioError itemizing the header's, each record's and
+    ``excluded``'s problems.
     """
-    records = doc["adjusted"]
-    if not isinstance(records, list):
-        raise ScenarioError(["'adjusted' must be an array"])
-    issues: list[str] = []
-    restored = []
-    for i, record in enumerate(records):
-        try:
-            events = tuple(event_from_dict(e) for e in record["events"])
-            raw_bids = record["adjusted_bids"]
-            if not isinstance(raw_bids, Mapping):
-                raise TypeError("'adjusted_bids' must be an object")
-            adjusted = {str(k): float(v) for k, v in raw_bids.items()}
-            value = float(record["expected_adjusted_value"])
-            offer = AdjustedOffer(str(record["ad_id"]), events, adjusted, value)
-            require_same_keys(tuple(e.event_id for e in events), adjusted, "adjusted_bids")
-        except _BAD_FIELD as exc:
-            issues.append(f"adjusted[{i}]: {exc}")
-            continue
-        issues.extend(
-            f"adjusted[{i}]: non-finite prob for '{e.event_id}': {e.probability!r}"
-            for e in events
-            if not math.isfinite(e.probability)
-        )
-        issues.extend(
-            f"adjusted[{i}]: non-finite adjusted bid on '{eid}': {amount!r}"
-            for eid, amount in adjusted.items()
-            if not math.isfinite(amount)
-        )
-        if not math.isfinite(value):
-            issues.append(f"adjusted[{i}]: non-finite expected_adjusted_value {value!r}")
-        restored.append(offer)
+    issues = _header_issues(doc)
+    if issues:
+        doc = {}  # nothing else can be read
+    offers = _read_each(doc, "adjusted", _adjusted_offer, issues)
+    excluded = doc.get("excluded", [])
+    if not (isinstance(excluded, list) and all(isinstance(e, Mapping) for e in excluded)):
+        issues.append("'excluded' must be an array of objects")
     if issues:
         raise ScenarioError(issues)
-    return tuple(restored)
+    return tuple(offers), [dict(entry) for entry in excluded]
 
 
 def cmd_auction(args: argparse.Namespace) -> int:
     doc = _load_scenario(args.input)
     if isinstance(doc, Mapping) and "adjusted" in doc:
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise ScenarioError(
-                [f"unsupported format_version {doc.get('format_version')!r}"]
-            )
-        offers = _adjusted_offers_from_document(doc)
-        excluded = doc.get("excluded", [])
-        if not (isinstance(excluded, list) and all(isinstance(e, Mapping) for e in excluded)):
-            raise ScenarioError(["'excluded' must be an array of objects"])
-        excluded = [dict(entry) for entry in excluded]
+        offers, excluded = _read_adjust_document(doc)
         slots, reserve = _overrides(args, None, 0.0)
     else:
         parsed, charges, slots, reserve = parse_scenario_doc(doc)
@@ -423,16 +406,11 @@ def _write_csv(report: Mapping, path: str) -> None:
         writer = csv.writer(handle)
         writer.writerow(_CSV_COLUMNS)
         for record in report["ads"]:
-            row = []
-            for column in _CSV_COLUMNS:
-                value = record[column]
-                if value is None:
-                    row.append("")
-                elif isinstance(value, float):
-                    row.append(_format_float(value))
-                else:
-                    row.append(str(value))
-            writer.writerow(row)
+            values = [record[column] for column in _CSV_COLUMNS]
+            writer.writerow(
+                "" if v is None else _scalar_text(v) if isinstance(v, float) else str(v)
+                for v in values
+            )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

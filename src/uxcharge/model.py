@@ -2,17 +2,19 @@
 
 All value objects are frozen dataclasses; nothing mutates after construction,
 so instances are safe to share across threads. Construction is permissive
-(invalid offers can be built and then itemized by ``validate_offer``), while
-derived objects such as ``AdjustedOffer`` are produced only by the operations
-that guarantee their invariants.
+(invalid offers can be built, and ``validate_offer`` lists their violations,
+an empty list when valid), while derived objects such as ``AdjustedOffer``
+are produced only by the operations that guarantee their invariants. The
+``*_from_dict`` readers take every JSON number through ``number`` and every
+id through ``text``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -182,20 +184,6 @@ class Settlement:
     total: float
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of a validation pass; empty ``violations`` means acceptance."""
-
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def require_same_keys(reference: tuple[str, ...], mapping: Mapping[str, float], what: str) -> None:
     """Raise KeyMismatchError unless ``mapping`` is keyed exactly by ``reference``."""
     missing = [k for k in reference if k not in mapping]
@@ -209,8 +197,8 @@ def require_same_keys(reference: tuple[str, ...], mapping: Mapping[str, float], 
         raise KeyMismatchError(f"{what} not keyed to the event set: {', '.join(parts)}")
 
 
-def validate_offer(offer: Offer) -> ValidationResult:
-    """Check every offer invariant and itemize all violations found.
+def validate_offer(offer: Offer) -> list[str]:
+    """Check every offer invariant; the list of violations is empty when valid.
 
     Checks: unique event ids, probabilities in [0, 1], exactly one view event
     with probability 1, a finite bid entry (>= 0) for every event and no stray
@@ -269,7 +257,7 @@ def validate_offer(offer: Offer) -> ValidationResult:
                     f"{offer.price_type.value} offer bids on non-{allowed.value} event '{key}'"
                 )
 
-    return ValidationResult(tuple(violations))
+    return violations
 
 
 # --- serialization -----------------------------------------------------------
@@ -278,16 +266,42 @@ def validate_offer(offer: Offer) -> ValidationResult:
 # value reproduces an equal value. The CLI layers JSON on top of these.
 
 
+def brief(value: object) -> str:
+    """``repr`` of a rejected value, cut to 40 characters (huge integers too)."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:37] + "..."
+
+
+def number(value: object, what: str, key: str | None = None) -> float:
+    """A JSON int or float as a finite float; else ValueError naming ``what`` and ``key``."""
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return value
+    elif kind is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    # a bool, string, null, non-finite value or int beyond float range; format only now
+    name = what if key is None else f"{what} {key!r}"
+    raise ValueError(f"{name} must be a finite number, got {brief(value)}")
+
+
+def text(value: object, what: str) -> str:
+    """A JSON string; ValueError naming ``what`` otherwise."""
+    if type(value) is str:
+        return value
+    raise ValueError(f"{what} must be a string, got {brief(value)}")
+
+
 def event_to_dict(event: EventSpec) -> dict:
     return {"id": event.event_id, "kind": event.kind.value, "prob": event.probability}
 
 
 def event_from_dict(doc: Mapping) -> EventSpec:
-    return EventSpec(
-        event_id=str(doc["id"]),
-        kind=EventKind(doc["kind"]),
-        probability=float(doc["prob"]),
-    )
+    event_id = text(doc["id"], "event 'id'")
+    return EventSpec(event_id, EventKind(doc["kind"]), number(doc["prob"], "'prob' of", event_id))
 
 
 def offer_to_dict(offer: Offer) -> dict:
@@ -299,14 +313,20 @@ def offer_to_dict(offer: Offer) -> dict:
     }
 
 
-def offer_from_dict(doc: Mapping) -> Offer:
-    """Parse an offer; bid entries absent for declared events default to 0."""
-    events = tuple(event_from_dict(e) for e in doc["events"])
-    raw = dict(doc.get("bids", {}))
-    bids = {e.event_id: float(raw.pop(e.event_id, 0.0)) for e in events}
-    bids.update({k: float(v) for k, v in raw.items()})  # stray keys kept for validation
+def offer_from_dict(doc: Mapping, events: tuple[EventSpec, ...] = ()) -> Offer:
+    """Parse an offer over its own "events", else ``events``; absent bids default to 0."""
+    if not isinstance(doc, Mapping):
+        raise TypeError(f"offer must be an object, got {brief(doc)}")
+    if "events" in doc:
+        events = tuple(event_from_dict(e) for e in doc["events"])
+    raw = doc.get("bids", {})
+    if not isinstance(raw, Mapping):
+        raise TypeError("'bids' must be an object")
+    bids = {e.event_id: number(raw.get(e.event_id, 0.0), "bid on", e.event_id) for e in events}
+    # stray keys stay, for validate_offer to itemize
+    bids.update({k: number(v, "bid on", k) for k, v in raw.items() if k not in bids})
     return Offer(
-        ad_id=str(doc["ad_id"]),
+        ad_id=text(doc["ad_id"], "'ad_id'"),
         price_type=PriceType(doc["price_type"]),
         events=events,
         bids=bids,
@@ -318,4 +338,6 @@ def charges_to_dict(schedule: ChargeSchedule) -> dict:
 
 
 def charges_from_dict(doc: Mapping) -> ChargeSchedule:
-    return ChargeSchedule(charges={str(k): float(v) for k, v in doc.items()})
+    if not isinstance(doc, Mapping):
+        raise TypeError(f"charge schedule must be an object, got {brief(doc)}")
+    return ChargeSchedule(charges={k: number(v, "charge on", k) for k, v in doc.items()})

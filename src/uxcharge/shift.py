@@ -29,7 +29,6 @@ from .model import (
     KeyMismatchError,
     Offer,
     ShiftPlan,
-    ValidationResult,
     approx_eq,
     fold_sum,
     require_same_keys,
@@ -114,12 +113,13 @@ def validate_plan(
     charges: ChargeSchedule,
     offer: Offer,
     nonnegative_bids: bool = False,
-) -> ValidationResult:
+) -> list[str]:
     """Check the expected-charge identity and, optionally, the per-event cap.
 
     The identity sum(d_i * p_i) == sum(c_i * p_i) is checked to the standard
     validation tolerance. With ``nonnegative_bids`` on, additionally require
-    d_i <= b_i per event so every adjusted bid stays nonnegative.
+    d_i <= b_i per event so every adjusted bid stays nonnegative. Returns the
+    violations, an empty list when the plan passes.
     """
     ids = offer.event_ids
     require_same_keys(ids, plan.shifted, "shift plan")
@@ -141,4 +141,4 @@ def validate_plan(
                     f"({offer.bids[eid]!r})"
                 )
 
-    return ValidationResult(tuple(violations))
+    return violations

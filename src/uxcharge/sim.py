@@ -59,7 +59,11 @@ class OutcomeModel(Enum):
 
 
 class ScenarioError(ValueError):
-    """Invalid scenario configuration, with itemized issues."""
+    """Invalid input; ``issues`` itemizes every problem found, one string each.
+
+    Raised once per input boundary: ``cli.parse_scenario_doc``, the CLI's
+    ``adjust``-document reader, ``prepare`` and ``run_auction``.
+    """
 
     def __init__(self, issues: Sequence[str]):
         super().__init__("; ".join(issues))
@@ -299,13 +303,11 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
             issues.append(f"duplicate ad_id '{offer.ad_id}'")
         seen_ads.add(offer.ad_id)
 
-        result = validate_offer(offer)
-        issues.extend(f"offer '{offer.ad_id}': {v}" for v in result.violations)
+        violations = validate_offer(offer)
+        issues.extend(f"offer '{offer.ad_id}': {v}" for v in violations)
         if len(offer.events) > ENUMERATION_LIMIT:
-            issues.append(
-                f"offer '{offer.ad_id}': more than {ENUMERATION_LIMIT} events"
-            )
-        if result.ok:
+            issues.append(f"offer '{offer.ad_id}': more than {ENUMERATION_LIMIT} events")
+        if not violations:
             if kind == "single":
                 probs = offer.probabilities
                 if target not in probs:
@@ -322,16 +324,14 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
                 except ValueError as exc:
                     issues.append(f"offer '{offer.ad_id}': {exc}")
 
+    known_ids = {eid for offer in config.offers for eid in offer.event_ids}
     for eid, amount in config.charges.charges.items():
+        if config.offers and eid not in known_ids:
+            issues.append(f"charge keyed to event '{eid}' declared by no offer")
         if not math.isfinite(amount):
             issues.append(f"non-finite charge on '{eid}': {amount!r}")
         elif amount < 0.0:
             issues.append(f"negative charge on '{eid}': {amount!r}")
-    known_ids = {eid for offer in config.offers for eid in offer.event_ids}
-    if config.offers:
-        for eid in config.charges.charges:
-            if eid not in known_ids:
-                issues.append(f"charge keyed to event '{eid}' declared by no offer")
 
     return issues
 

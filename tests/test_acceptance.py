@@ -269,14 +269,12 @@ def test_criterion_4_feasibility_theorem():
         plans = strategy_plans(offer, charges)
         if expected_feasible:
             checked_feasible += 1
-            result = validate_plan(plans["proportional"], charges, offer, nonnegative_bids=True)
-            if not result.ok:
+            if validate_plan(plans["proportional"], charges, offer, nonnegative_bids=True):
                 failures.append((instance, "capped plan missing"))
         else:
             checked_infeasible += 1
             for name, plan in plans.items():
-                result = validate_plan(plan, charges, offer, nonnegative_bids=True)
-                if result.ok:
+                if not validate_plan(plan, charges, offer, nonnegative_bids=True):
                     failures.append((instance, f"cap accepted for {name}"))
 
     ok = not failures and checked_feasible > 300 and checked_infeasible > 300

@@ -359,6 +359,21 @@ SCENARIO_PROBES = [
     ("k-overflows", cpc_scenario(slots={"k": INF}), "'k'"),
     ("k-fraction", cpc_scenario(slots={"k": 2.7}), "'k'"),
     ("k-bool", cpc_scenario(slots={"k": True}), "'k'"),
+    ("bool-bid", cpc_scenario(offers=[{"ad_id": "x", "price_type": "cpc", "bids": {"click": True}}]), "bid on 'click'"),
+    ("string-prob", cpc_scenario(events=[{"id": "view", "kind": "view", "prob": 1.0}, {"id": "click", "kind": "click", "prob": "0.1"}]), "'prob' of 'click'"),
+    ("nan-prob", cpc_scenario(events=[{"id": "view", "kind": "view", "prob": 1.0}, {"id": "click", "kind": "click", "prob": NAN}]), "'prob' of 'click'"),
+    ("null-charge", cpc_scenario(charges={"view": None}), "charge on 'view'"),
+    ("bool-reserve", cpc_scenario(reserve=False), "'reserve'"),
+    ("string-ctr", cpc_scenario(slots={"k": 1, "ctr_matrix": {"x": ["0.1"]}}), "ctr entry for 'x'"),
+    ("nan-ctr", cpc_scenario(slots={"k": 1, "ctr_matrix": {"x": [NAN]}}), "ctr entry for 'x'"),
+    ("null-ad-id", cpc_scenario(offers=[{"ad_id": None, "price_type": "cpc", "bids": {"click": 2.0}}]), "'ad_id'"),
+    ("number-event-id", cpc_scenario(events=cpc_scenario()["events"] + [{"id": 5, "kind": "custom", "prob": 0.5}]), "event 'id'"),
+    ("version-true", cpc_scenario(format_version=True), "format_version"),
+    ("version-float", cpc_scenario(format_version=1.0), "format_version"),
+    ("slots-number", cpc_scenario(slots=5), "'slots' must be an object"),
+    ("ctr-row-number", cpc_scenario(slots={"k": 1, "ctr_matrix": {"x": 5}}), "ctr row for 'x'"),
+    ("ctr-row-string", cpc_scenario(slots={"k": 2, "ctr_matrix": {"x": "ab"}}), "ctr row for 'x'"),
+    ("ctr-undeclared-ad", cpc_scenario(slots={"k": 1, "ctr_matrix": {"z": [0.1]}}), "ad 'z' declared by no offer"),
 ]
 
 
@@ -369,7 +384,8 @@ def _one_diagnostic(code, out, err):
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["error"] == "validation"
-    return " ".join(record["detail"])
+    assert len(record["detail"]) == 1  # one itemized issue
+    return record["detail"][0]
 
 
 @pytest.mark.parametrize("command", ["adjust", "auction", "simulate"])
@@ -413,6 +429,30 @@ def _huge_value(doc):
     doc["adjusted"][0]["expected_adjusted_value"] = HUGE
 
 
+def _bool_bid(doc):
+    doc["adjusted"][0]["adjusted_bids"]["click"] = True
+
+
+def _string_value(doc):
+    doc["adjusted"][0]["expected_adjusted_value"] = "0.1"
+
+
+def _string_prob(doc):
+    doc["adjusted"][0]["events"][1]["prob"] = "0.1"
+
+
+def _null_ad_id(doc):
+    doc["adjusted"][0]["ad_id"] = None
+
+
+def _version_true(doc):
+    doc["format_version"] = True
+
+
+def _version_float(doc):
+    doc["format_version"] = 1.0
+
+
 @pytest.mark.parametrize(
     "breaks, word",
     [
@@ -424,6 +464,12 @@ def _huge_value(doc):
         (_huge_prob, "adjusted[0]"),
         (_huge_bid, "adjusted[0]"),
         (_huge_value, "adjusted[0]"),
+        (_bool_bid, "adjusted bid on 'click'"),
+        (_string_value, "'expected_adjusted_value'"),
+        (_string_prob, "'prob' of 'click'"),
+        (_null_ad_id, "'ad_id'"),
+        (_version_true, "format_version"),
+        (_version_float, "format_version"),
     ],
     ids=[
         "nan-prob",
@@ -434,6 +480,12 @@ def _huge_value(doc):
         "huge-int-prob",
         "huge-int-adjusted-bid",
         "huge-int-expected-value",
+        "bool-adjusted-bid",
+        "string-expected-value",
+        "string-prob",
+        "null-ad-id",
+        "version-true",
+        "version-float",
     ],
 )
 def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word, tmp_path, capsys):
@@ -446,6 +498,22 @@ def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word,
     capsys.readouterr()
     detail = _one_diagnostic(*run_cli(["auction", str(adjusted)], capsys))
     assert word in detail
+
+
+@pytest.mark.parametrize("version", [99, True, 1.0], ids=["99", "true", "1.0"])
+def test_scenario_and_adjust_document_share_one_header_diagnostic(version, tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    adjusted = tmp_path / "adjusted.json"
+    assert main(["adjust", path, "-o", str(adjusted)]) == 0
+    doc = json.loads(adjusted.read_text(encoding="utf-8"))
+    doc["format_version"] = version
+    adjusted.write_text(json.dumps(doc), encoding="utf-8")
+    write_scenario(tmp_path / "s.json", cpc_scenario(format_version=version))
+    capsys.readouterr()
+    via_simulate = _one_diagnostic(*run_cli(["simulate", path, "--trials", "100"], capsys))
+    via_auction = _one_diagnostic(*run_cli(["auction", str(adjusted)], capsys))
+    assert via_simulate == via_auction
+    assert f"unsupported format_version {version!r}" in via_simulate
 
 
 # --- fuzzing: any JSON document gives a report or one diagnostic -------------
@@ -540,6 +608,10 @@ def _fuzz_example(name):
 @_fuzz_example("k-overflows")
 @_fuzz_example("k-fraction")
 @_fuzz_example("k-bool")
+@_fuzz_example("bool-bid")
+@_fuzz_example("slots-number")
+@_fuzz_example("ctr-row-string")
+@_fuzz_example("ctr-undeclared-ad")
 @example(
     {
         "format_version": 1,

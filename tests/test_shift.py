@@ -125,34 +125,34 @@ def test_validate_plan_accepts_constructed_plans():
     offer = cpc_offer("x", 2.0, 0.1)
     charges = ux.ChargeSchedule({"view": 0.05, "click": 0.0})
     plan = shift_single_event(charges, offer.events, "click")
-    assert validate_plan(plan, charges, offer).ok
+    assert validate_plan(plan, charges, offer) == []
 
 
 def test_validate_plan_flags_broken_identity():
     offer = cpc_offer("x", 2.0, 0.1)
     charges = ux.ChargeSchedule({"view": 0.05, "click": 0.0})
     bad = ux.ShiftPlan({"view": 0.0, "click": 0.4}, "single:click")
-    result = validate_plan(bad, charges, offer)
-    assert not result.ok
-    assert any("expected shifted charge" in v for v in result.violations)
+    violations = validate_plan(bad, charges, offer)
+    assert len(violations) == 1
+    assert "expected shifted charge" in violations[0]
 
 
 def test_validate_plan_identity_always_satisfies_charge_identity():
     offer = cpc_offer("x", 2.0, 0.1)
     charges = ux.ChargeSchedule({"view": 0.05, "click": 0.02})
-    assert validate_plan(shift_identity(charges), charges, offer).ok
+    assert validate_plan(shift_identity(charges), charges, offer) == []
 
 
 def test_validate_plan_enforces_bid_cap_when_asked():
     offer = cpc_offer("x", 1.0, 0.1)
     charges = ux.ChargeSchedule({"view": 0.05, "click": 0.0})
     plan = shift_single_event(charges, offer.events, "click")  # d_click = 0.5 <= 1.0
-    assert validate_plan(plan, charges, offer, nonnegative_bids=True).ok
+    assert validate_plan(plan, charges, offer, nonnegative_bids=True) == []
 
     heavy = ux.ChargeSchedule({"view": 0.11, "click": 0.0})  # infeasible: 0.11 > 0.10
     plan = shift_single_event(heavy, offer.events, "click")  # d_click = 1.1 > 1.0
-    result = validate_plan(plan, heavy, offer, nonnegative_bids=True)
-    assert any("exceeds bid" in v for v in result.violations)
+    violations = validate_plan(plan, heavy, offer, nonnegative_bids=True)
+    assert any("exceeds bid" in v for v in violations)
 
 
 @given(offers_with_charges())
@@ -182,10 +182,10 @@ def test_feasible_instances_admit_capped_plans(offer_charges):
     if not chargeable:
         # zero expected value forces zero expected charge; the zero plan works
         zero = ux.ShiftPlan({eid: 0.0 for eid in offer.event_ids}, "proportional")
-        assert validate_plan(zero, charges, offer, nonnegative_bids=True).ok
+        assert validate_plan(zero, charges, offer, nonnegative_bids=True) == []
         return
     plan = shift_proportional(charges, offer, chargeable)
-    assert validate_plan(plan, charges, offer, nonnegative_bids=True).ok
+    assert validate_plan(plan, charges, offer, nonnegative_bids=True) == []
 
 
 @given(offers_with_charges(feasible=False))
@@ -203,5 +203,4 @@ def test_infeasible_instances_reject_every_strategy(offer_charges):
         plans.append(shift_proportional(charges, offer, chargeable))
 
     for plan in plans:
-        result = validate_plan(plan, charges, offer, nonnegative_bids=True)
-        assert not result.ok
+        assert validate_plan(plan, charges, offer, nonnegative_bids=True) != []
