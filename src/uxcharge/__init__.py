@@ -24,6 +24,7 @@ from .model import (
     KeyMismatchError,
     Offer,
     PriceType,
+    ScenarioError,
     Settlement,
     ShiftPlan,
     SlotAward,
@@ -41,7 +42,6 @@ from .shift import (
 from .sim import (
     OutcomeModel,
     ScenarioConfig,
-    ScenarioError,
     build_plan,
     enumerate_expected_payment,
     expected_payment,

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import AdjustedOffer, AuctionOutcome, EventKind, SlotAward, fold_columns
+from .model import AdjustedOffer, AuctionOutcome, EventKind, ScenarioError, SlotAward, fold_columns
 
 FIRST_PRICE = "first"
 SECOND_PRICE = "second"
@@ -35,6 +35,7 @@ class SlotModel:
     ``ctr[ad_id][j]`` is the click probability for that ad when shown in slot
     j+1. Ads absent from ``ctr`` keep their declared click probability in
     every slot. Rows must be nonincreasing: lower slots never click better.
+    Raises ScenarioError on the first rule broken.
     """
 
     k: int
@@ -42,19 +43,19 @@ class SlotModel:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError(f"slot count must be >= 1, got {self.k}")
+            raise ScenarioError([f"slot count must be >= 1, got {self.k}"])
         for ad_id, row in self.ctr.items():
             if len(row) != self.k:
-                raise ValueError(
-                    f"ctr row for '{ad_id}' has {len(row)} entries, expected {self.k}"
+                raise ScenarioError(
+                    [f"ctr row for '{ad_id}' has {len(row)} entries, expected {self.k}"]
                 )
             for p in row:
                 if not (0.0 <= p <= 1.0):
-                    raise ValueError(f"ctr out of range for '{ad_id}': {p!r}")
+                    raise ScenarioError([f"ctr out of range for '{ad_id}': {p!r}"])
             for a, b in zip(row, row[1:]):
                 if b > a:
-                    raise ValueError(
-                        f"ctr row for '{ad_id}' must be nonincreasing across slots"
+                    raise ScenarioError(
+                        [f"ctr row for '{ad_id}' must be nonincreasing across slots"]
                     )
 
     def click_probability(self, ad_id: str, slot: int) -> float | None:
@@ -97,6 +98,7 @@ def run_second_price(
     return _run(offers, slots, reserve, SECOND_PRICE)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _run rejects non-finite values
 def _slot_values(
     offers: Sequence[AdjustedOffer], slots: SlotModel | None, columns: Sequence[int]
 ) -> np.ndarray:
@@ -139,8 +141,8 @@ def _run(
     """Both pricing rules over one offers x slots value matrix.
 
     Reproduces the slot-by-slot greedy auction that calls ``value_at_slot``
-    per offer and slot, bit for bit on finite values. Raises ValueError on an
-    empty offer list, a repeated ad_id or a non-finite slot value.
+    per offer and slot, bit for bit on finite values. Raises ValueError on no
+    offers, ScenarioError naming each repeated ad_id or non-finite slot value.
     """
     if not offers:
         raise ValueError("auction requires at least one offer")
@@ -150,9 +152,9 @@ def _run(
     remaining = sorted(
         (o for o in offers if o.expected_value >= 0.0), key=lambda o: o.ad_id
     )
-    for a, b in zip(remaining, remaining[1:]):
-        if a.ad_id == b.ad_id:
-            raise ValueError(f"duplicate ad_id '{a.ad_id}'")
+    repeated = {a.ad_id for a, b in zip(remaining, remaining[1:]) if a.ad_id == b.ad_id}
+    if repeated:
+        raise ScenarioError([f"duplicate ad_id '{ad_id}'" for ad_id in sorted(repeated)])
     if not remaining:
         return AuctionOutcome(pricing_rule=rule, ranking=(), winners=())
     # Each offer fills at most one slot, and the leftover ranking reads slot k.
@@ -160,8 +162,9 @@ def _run(
     filled = min(k, len(remaining))
     columns = [*range(1, filled + 1)] + ([k] if filled < k else [])
     values = _slot_values(remaining, slots, columns)
-    if not np.isfinite(values).all():
-        raise ValueError("auction requires finite slot values")
+    broken = [remaining[i].ad_id for i in np.flatnonzero(~np.isfinite(values).all(axis=1))]
+    if broken:
+        raise ScenarioError([f"offer '{ad_id}': value in a slot is not finite" for ad_id in broken])
     alive = np.ones(len(remaining), dtype=bool)
 
     winners: list[SlotAward] = []

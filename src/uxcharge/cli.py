@@ -1,37 +1,28 @@
-"""Command-line front end: ingest scenario files, run the pipeline, emit reports.
+"""Command-line front end: read a scenario, run the pipeline, write a report.
 
-Scenario files are single JSON documents::
+A scenario is one JSON document (README, "Scenario files"): ``format_version``
+1, shared ``events``, ``offers`` (each may carry its own ``events``),
+``charges``, and optional ``slots`` and ``reserve``. All three subcommands
+share one pipeline, ``sim.prepare`` (validate, then per ad feasibility,
+charge shift, adjustment), so they exclude the same ads for the same two
+reasons. ``auction`` also reads ``adjust`` output. Reports are canonical JSON
+(keys in construction order, numbers at 17 significant digits), so identical
+inputs and seeds give byte-identical output.
 
-    {
-      "format_version": 1,
-      "events": [{"id": "view", "kind": "view", "prob": 1.0}, ...],
-      "offers": [{"ad_id": "x", "price_type": "cpc", "bids": {"click": 2.0}}, ...],
-      "charges": {"view": 0.05},
-      "slots": {"k": 2, "ctr_matrix": {"x": [0.1, 0.05]}},
-      "reserve": 0.0
-    }
+Input is read strictly. Scenario and ``adjust`` documents pass one header
+check (a JSON object whose ``format_version`` is the integer 1). Every entry
+is an object with its required fields, every number a finite JSON number
+within float range, every ``ad_id`` and event ``id`` a string, ``slots.k`` an
+integer, and each ``ctr_matrix`` row an array keyed to a declared ad. The
+slot count (``--slots`` too) must be >= 1 and match the ctr rows, the trials
+at most ``sim.TRIALS_LIMIT``, the reserve finite and >= 0, and the ads of an
+``adjust`` document distinct. An expected charge, adjusted value, slot value
+or payment that overflows float range is rejected, naming the ad.
 
-The top-level "events" array is the shared event set; an offer may carry its
-own "events" array to override probabilities per ad. Reports are emitted as
-canonical JSON (keys in construction order, numbers at 17 significant
-digits), so identical inputs and seeds produce byte-identical output.
-
-All three subcommands share one pipeline, ``sim.prepare`` (validate, then
-per ad feasibility, charge shift, adjustment), so they exclude the same ads
-with the same two reasons: "expected user-experience charge exceeds expected
-offer value" and "expected adjusted value is negative". ``auction`` also
-reads ``adjust`` output.
-
-Input is read strictly. A scenario and an ``adjust`` document pass one
-header check: a JSON object whose ``format_version`` is the integer 1, with
-one message for both. Every number is a finite JSON number within float
-range (not a bool, string or null), every ``ad_id`` and event ``id`` a
-string, ``slots.k`` an integer, and each ``ctr_matrix`` row an array keyed
-to an ad that an offer declares. The reserve must also be >= 0.
-
-Exit codes: 0 success, 1 validation failure, 2 I/O failure. Diagnostics go
-to stderr as one JSON record per failure. Set UXCHARGE_LOG to error, warn,
-info, or debug to adjust logging.
+Exit codes: 0 success; 1 any input problem, the command line included, as
+one JSON record on stderr itemizing each issue; 2 I/O failure. Anything else
+is a bug and shows a traceback. Set UXCHARGE_LOG to error, warn, info, or
+debug to adjust logging.
 """
 
 from __future__ import annotations
@@ -44,31 +35,28 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Callable, Mapping, Sequence
-from typing import Any
+from collections.abc import Mapping, Sequence
+from typing import Any, NoReturn
 
 from .auction import SlotModel
 from .model import (
     AdjustedOffer,
     ChargeSchedule,
     Offer,
+    ScenarioError,
     brief,
     charges_from_dict,
+    entry_problem,
     event_from_dict,
     event_to_dict,
     number,
     offer_from_dict,
+    read_each,
+    read_events,
     require_same_keys,
     text,
 )
-from .sim import (
-    OutcomeModel,
-    ScenarioConfig,
-    ScenarioError,
-    prepare,
-    run_auction,
-    run_scenario,
-)
+from .sim import OutcomeModel, ScenarioConfig, prepare, run_auction, run_scenario
 
 logger = logging.getLogger("uxcharge")
 
@@ -77,9 +65,6 @@ FORMAT_VERSION = 1
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
-
-# Missing key, mistyped or unparseable value, or an integer too large for a float.
-_BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
 
 
 # --- canonical JSON ----------------------------------------------------------
@@ -193,24 +178,9 @@ def _header_issues(doc: Any) -> list[str]:
     return [f"unsupported format_version {brief(version)}; this build reads version {FORMAT_VERSION}"]
 
 
-def _read_each(doc: Mapping, key: str, read: Callable[[Any], Any], issues: list[str]) -> list:
-    """``read`` of each entry of the array ``doc[key]``; problems go to ``issues``."""
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        issues.append(f"{key!r} must be an array")
-        return []
-    values = []
-    for i, entry in enumerate(entries):
-        try:
-            values.append(read(entry))
-        except _BAD_FIELD as exc:
-            issues.append(f"{key}[{i}]: {exc}")
-    return values
-
-
 def _ctr_row(row: Any, ad_id: str) -> tuple[float, ...]:
     if type(row) is not list:
-        raise TypeError(f"ctr row for {ad_id!r} must be an array, got {brief(row)}")
+        raise ValueError(f"ctr row for {ad_id!r} must be an array, got {brief(row)}")
     return tuple(number(p, "ctr entry for", ad_id) for p in row)
 
 
@@ -223,13 +193,13 @@ def parse_scenario_doc(doc: Any) -> tuple[tuple[Offer, ...], ChargeSchedule, Slo
     if issues:
         doc = {}  # nothing else can be read
 
-    shared = tuple(_read_each(doc, "events", event_from_dict, issues))
-    offers = _read_each(doc, "offers", lambda entry: offer_from_dict(entry, shared), issues)
+    shared = tuple(read_each(doc, "events", event_from_dict, issues))
+    offers = read_each(doc, "offers", lambda entry: offer_from_dict(entry, shared), issues)
 
     charges = ChargeSchedule(charges={})
     try:
         charges = charges_from_dict(doc.get("charges", {}))
-    except _BAD_FIELD as exc:
+    except ValueError as exc:
         issues.append(f"charges: {exc}")
 
     slots = None
@@ -245,7 +215,7 @@ def parse_scenario_doc(doc: Any) -> tuple[tuple[Offer, ...], ChargeSchedule, Slo
         else:
             try:
                 slots = SlotModel(k, {ad: _ctr_row(row, ad) for ad, row in raw_ctr.items()})
-            except _BAD_FIELD as exc:
+            except ValueError as exc:
                 issues.append(f"slots: {exc}")
     if slots is not None and offers and not issues:
         declared = {offer.ad_id for offer in offers}
@@ -255,7 +225,7 @@ def parse_scenario_doc(doc: Any) -> tuple[tuple[Offer, ...], ChargeSchedule, Slo
     reserve = 0.0
     try:
         reserve = number(doc.get("reserve", 0.0), "'reserve'")
-    except _BAD_FIELD as exc:
+    except ValueError as exc:
         issues.append(str(exc))
 
     if issues:
@@ -328,10 +298,13 @@ def cmd_adjust(args: argparse.Namespace) -> int:
 
 
 def _adjusted_offer(record: Mapping) -> AdjustedOffer:
-    events = tuple(event_from_dict(e) for e in record["events"])
+    fields = ("ad_id", "events", "adjusted_bids", "expected_adjusted_value")
+    if not isinstance(record, Mapping) or any(f not in record for f in fields):
+        raise ValueError(entry_problem(record, fields))
+    events = read_events(record)
     raw_bids = record["adjusted_bids"]
     if not isinstance(raw_bids, Mapping):
-        raise TypeError("'adjusted_bids' must be an object")
+        raise ValueError(f"'adjusted_bids' must be an object, got {brief(raw_bids)}")
     adjusted = {k: number(v, "adjusted bid on", k) for k, v in raw_bids.items()}
     require_same_keys(tuple(e.event_id for e in events), adjusted, "adjusted_bids")
     value = number(record["expected_adjusted_value"], "'expected_adjusted_value'")
@@ -347,7 +320,7 @@ def _read_adjust_document(doc: Mapping) -> tuple[tuple[AdjustedOffer, ...], list
     issues = _header_issues(doc)
     if issues:
         doc = {}  # nothing else can be read
-    offers = _read_each(doc, "adjusted", _adjusted_offer, issues)
+    offers = read_each(doc, "adjusted", _adjusted_offer, issues)
     excluded = doc.get("excluded", [])
     if not (isinstance(excluded, list) and all(isinstance(e, Mapping) for e in excluded)):
         issues.append("'excluded' must be an array of objects")
@@ -440,8 +413,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # --- entry point -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command-line usage error is an input problem like any other."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ScenarioError([message])
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uxcharge",
         description="Collect user-experience charges in ad auctions: adjust bids, "
         "run auctions, settle and simulate payments.",
@@ -498,16 +478,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     level = _LOG_LEVELS.get(os.environ.get("UXCHARGE_LOG", "warn").lower(), logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ScenarioError as exc:
         return _fail("validation", list(exc.issues), EXIT_VALIDATION)
     except json.JSONDecodeError as exc:
         return _fail("validation", [f"malformed JSON: {exc}"], EXIT_VALIDATION)
-    except (ValueError, KeyError) as exc:
-        return _fail("validation", [str(exc)], EXIT_VALIDATION)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
 

@@ -6,15 +6,16 @@ so instances are safe to share across threads. Construction is permissive
 an empty list when valid), while derived objects such as ``AdjustedOffer``
 are produced only by the operations that guarantee their invariants. The
 ``*_from_dict`` readers take every JSON number through ``number`` and every
-id through ``text``.
+id through ``text``, and raise ValueError only.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 import numpy as np
 
@@ -57,6 +58,19 @@ def fold_columns(x: np.ndarray) -> np.ndarray:
 
 class KeyMismatchError(ValueError):
     """Per-event collections are not keyed to the same event ids."""
+
+
+class ScenarioError(ValueError):
+    """Invalid input; ``issues`` itemizes every problem found, one string each.
+
+    Raised where each rule is checked: the CLI's command-line and document
+    readers, ``sim.prepare``, ``sim.run_auction``, ``auction.SlotModel``, the
+    auctions (repeated ad_id, non-finite slot value) and ``sim.run_scenario``.
+    """
+
+    def __init__(self, issues: Sequence[str]):
+        super().__init__("; ".join(issues))
+        self.issues = tuple(issues)
 
 
 class EventKind(str, Enum):
@@ -299,9 +313,44 @@ def event_to_dict(event: EventSpec) -> dict:
     return {"id": event.event_id, "kind": event.kind.value, "prob": event.probability}
 
 
+def entry_problem(doc: object, fields: tuple[str, ...]) -> str:
+    """Why ``doc`` is not a JSON object holding every one of ``fields``."""
+    if not isinstance(doc, Mapping):
+        return f"must be an object, got {brief(doc)}"
+    return "missing field " + ", ".join(repr(f) for f in fields if f not in doc)
+
+
 def event_from_dict(doc: Mapping) -> EventSpec:
+    if (type(doc) is not dict and not isinstance(doc, Mapping)) or not (
+        "id" in doc and "kind" in doc and "prob" in doc
+    ):
+        raise ValueError(entry_problem(doc, ("id", "kind", "prob")))
     event_id = text(doc["id"], "event 'id'")
     return EventSpec(event_id, EventKind(doc["kind"]), number(doc["prob"], "'prob' of", event_id))
+
+
+def read_each(doc: Mapping, key: str, read: Callable[[Any], Any], issues: list[str]) -> list:
+    """``read`` of each entry of the array ``doc[key]``; problems go to ``issues``."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        issues.append(f"{key!r} must be an array")
+        return []
+    values = []
+    for i, entry in enumerate(entries):
+        try:
+            values.append(read(entry))
+        except ValueError as exc:
+            issues.append(f"{key}[{i}]: {exc}")
+    return values
+
+
+def read_events(doc: Mapping) -> tuple[EventSpec, ...]:
+    """The events of ``doc["events"]``; ValueError itemizes every bad entry."""
+    issues: list[str] = []
+    events = read_each(doc, "events", event_from_dict, issues)
+    if issues:
+        raise ValueError("; ".join(issues))
+    return tuple(events)
 
 
 def offer_to_dict(offer: Offer) -> dict:
@@ -315,13 +364,13 @@ def offer_to_dict(offer: Offer) -> dict:
 
 def offer_from_dict(doc: Mapping, events: tuple[EventSpec, ...] = ()) -> Offer:
     """Parse an offer over its own "events", else ``events``; absent bids default to 0."""
-    if not isinstance(doc, Mapping):
-        raise TypeError(f"offer must be an object, got {brief(doc)}")
+    if not isinstance(doc, Mapping) or "ad_id" not in doc or "price_type" not in doc:
+        raise ValueError(entry_problem(doc, ("ad_id", "price_type")))
     if "events" in doc:
-        events = tuple(event_from_dict(e) for e in doc["events"])
+        events = read_events(doc)
     raw = doc.get("bids", {})
     if not isinstance(raw, Mapping):
-        raise TypeError("'bids' must be an object")
+        raise ValueError(f"'bids' must be an object, got {brief(raw)}")
     bids = {e.event_id: number(raw.get(e.event_id, 0.0), "bid on", e.event_id) for e in events}
     # stray keys stay, for validate_offer to itemize
     bids.update({k: number(v, "bid on", k) for k, v in raw.items() if k not in bids})
@@ -339,5 +388,5 @@ def charges_to_dict(schedule: ChargeSchedule) -> dict:
 
 def charges_from_dict(doc: Mapping) -> ChargeSchedule:
     if not isinstance(doc, Mapping):
-        raise TypeError(f"charge schedule must be an object, got {brief(doc)}")
+        raise ValueError(f"charge schedule must be an object, got {brief(doc)}")
     return ChargeSchedule(charges={k: number(v, "charge on", k) for k, v in doc.items()})

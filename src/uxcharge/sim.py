@@ -31,6 +31,7 @@ from .model import (
     EventKind,
     EventSpec,
     Offer,
+    ScenarioError,
     ShiftPlan,
     fold_columns,
     fold_sum,
@@ -48,6 +49,10 @@ from .shift import is_feasible, total_expected_charge  # noqa: F401
 #: Enumeration stays exact and fast at desk scale up to this many events.
 ENUMERATION_LIMIT = 20
 
+#: Monte Carlo draws a winner's trials in one block; at this many, one 20-event
+#: funnel call peaks near 172 MiB (tracemalloc).
+TRIALS_LIMIT = 1_000_000
+
 _CHUNK = 1 << 16
 
 
@@ -56,18 +61,6 @@ class OutcomeModel(Enum):
 
     INDEPENDENT = "independent"
     FUNNEL = "funnel"
-
-
-class ScenarioError(ValueError):
-    """Invalid input; ``issues`` itemizes every problem found, one string each.
-
-    Raised once per input boundary: ``cli.parse_scenario_doc``, the CLI's
-    ``adjust``-document reader, ``prepare`` and ``run_auction``.
-    """
-
-    def __init__(self, issues: Sequence[str]):
-        super().__init__("; ".join(issues))
-        self.issues = tuple(issues)
 
 
 def expected_payment(
@@ -287,6 +280,8 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         issues.append(f"unknown pricing rule {config.pricing_rule!r}")
     if config.trials < 1:
         issues.append(f"trials must be >= 1, got {config.trials}")
+    elif config.trials > TRIALS_LIMIT:
+        issues.append(f"trials must be <= {TRIALS_LIMIT}, got {config.trials}")
     if config.seed < 0:
         issues.append(f"seed must be >= 0, got {config.seed}")
     issues.extend(_reserve_issues(config.reserve))
@@ -416,7 +411,7 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer]]:
 
     Returns one report record per offer, in offer order, with its shift plan
     and the reason for each exclusion; and the adjusted offers that enter the
-    auction. Raises ScenarioError on an invalid scenario.
+    auction. Raises ScenarioError on an invalid scenario or overflowing offers.
     """
     issues = validate_scenario(config)
     if issues:
@@ -426,6 +421,17 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer]]:
     charge, feasible, shifted, adjusted, value = _batch_adjust(
         config.offers, event_ids, config.charges, config.strategy
     )
+    # Every offer reports its expected charge, a feasible one its plan, bids and
+    # value. Bids are finite, so a non-finite shifted charge or adjusted bid
+    # makes the adjusted value non-finite too.
+    overflow = [
+        f"offer '{offer.ad_id}': expected charge, shift plan or adjusted value"
+        " overflows float range"
+        for offer, c, ok, v in zip(config.offers, charge, feasible, value)
+        if not math.isfinite(c) or (ok and not math.isfinite(v))
+    ]
+    if overflow:
+        raise ScenarioError(overflow)
     records: list[dict] = []
     included: list[AdjustedOffer] = []
     for row, (offer, ids) in enumerate(zip(config.offers, event_ids)):
@@ -489,17 +495,20 @@ def run_auction(
     return runner(offers, slots, reserve)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing oracles are itemized
 def run_scenario(config: ScenarioConfig) -> dict:
     """Run the whole pipeline and return a JSON-ready report.
 
     Per ad: feasibility verdict, shift plan, adjusted bids, auction result,
     and for winners the expected payment three ways (closed form, exact
     enumeration, Monte Carlo). Deterministic for fixed config and seed.
+    Raises ScenarioError naming each winner whose oracles overflow float range.
     """
     records, included = prepare(config)
     outcome = run_auction(included, config.pricing_rule, config.slots, config.reserve)
 
     index = {offer.ad_id: i for i, offer in enumerate(config.offers)}
+    issues = []
     for award in outcome.winners:
         row = index[award.ad_id]
         record, offer = records[row], config.offers[row]
@@ -522,6 +531,11 @@ def run_scenario(config: ScenarioConfig) -> dict:
         )
         record["mc_mean"] = mean
         record["mc_stderr"] = stderr
+        oracles = (record["expected_payment"], record["enumerated_payment"], mean, stderr)
+        if not all(map(math.isfinite, oracles)):
+            issues.append(f"offer '{award.ad_id}': expected payment oracles overflow float range")
+    if issues:
+        raise ScenarioError(issues)
 
     report = {
         "format_version": 1,

@@ -374,6 +374,45 @@ SCENARIO_PROBES = [
     ("ctr-row-number", cpc_scenario(slots={"k": 1, "ctr_matrix": {"x": 5}}), "ctr row for 'x'"),
     ("ctr-row-string", cpc_scenario(slots={"k": 2, "ctr_matrix": {"x": "ab"}}), "ctr row for 'x'"),
     ("ctr-undeclared-ad", cpc_scenario(slots={"k": 1, "ctr_matrix": {"z": [0.1]}}), "ad 'z' declared by no offer"),
+    ("event-number", cpc_scenario(events=[5, *cpc_scenario()["events"]]), "events[0]: must be an object, got 5"),
+    ("event-missing-prob", cpc_scenario(events=[{"id": "view", "kind": "view"}]), "events[0]: missing field 'prob'"),
+    ("offer-number", cpc_scenario(offers=[5]), "offers[0]: must be an object, got 5"),
+    ("offer-missing-ad-id", cpc_scenario(offers=[{"price_type": "cpm"}]), "offers[0]: missing field 'ad_id'"),
+    ("offer-events-number", cpc_scenario(offers=[{"ad_id": "x", "price_type": "cpm", "events": 5}]), "offers[0]: 'events' must be an array"),
+    ("offer-event-missing-kind", cpc_scenario(offers=[{"ad_id": "x", "price_type": "cpm", "events": [{"id": "view", "prob": 1.0}]}]), "offers[0]: events[0]: missing field 'kind'"),
+]
+
+# Finite documents whose numbers overflow float range inside the pipeline.
+VIEW, SURE = {"id": "view", "kind": "view", "prob": 1.0}, {"id": "sure", "kind": "custom", "prob": 1.0}
+VALUE_OVERFLOW = cpc_scenario(  # two bids of 1e308 that both pay
+    events=[VIEW, SURE],
+    offers=[{"ad_id": "x", "price_type": "hybrid", "bids": {"view": 1e308, "sure": 1e308}}],
+    charges={},
+)
+CHARGE_OVERFLOW = cpc_scenario(
+    events=[VIEW, SURE],
+    offers=[{"ad_id": "x", "price_type": "hybrid", "bids": {"view": 1.0}}],
+    charges={"view": 1e308, "sure": 1e308},
+)
+TINY_CLICK = cpc_scenario(  # under single:click, y's 0.05 view charge / 1e-310
+    events=[VIEW, {"id": "click", "kind": "click", "prob": 1e-310}]
+)
+SLOT_OVERFLOW = cpc_scenario(  # finite at the declared 0.01, not at the ctr's 1.0
+    events=[VIEW, {"id": "click", "kind": "click", "prob": 0.01}],
+    offers=[{"ad_id": "x", "price_type": "hybrid", "bids": {"view": 1e308, "click": 1e308}}],
+    charges={},
+    slots={"k": 1, "ctr_matrix": {"x": [1.0]}},
+)
+TWINS = [{"ad_id": ad, "price_type": "hybrid", "bids": {"view": 1.5e308, "sure": 1.5e308}} for ad in "xy"]
+PAYMENT_OVERFLOW = cpc_scenario(events=[VIEW, SURE], offers=TWINS, charges={"view": 1.5e308})
+STDERR_OVERFLOW = cpc_scenario(  # (1e200 - 5e199)**2 overflows the Monte Carlo variance
+    events=[VIEW, {"id": "click", "kind": "click", "prob": 0.5}],
+    offers=[{"ad_id": ad, "price_type": "cpc", "bids": {"click": 1e200}} for ad in "xy"],
+    charges={},
+)
+SCENARIO_PROBES += [
+    ("value-overflow", VALUE_OVERFLOW, "offer 'x'"),
+    ("charge-overflow", CHARGE_OVERFLOW, "offer 'x'"),
 ]
 
 
@@ -395,6 +434,54 @@ def test_malformed_or_non_finite_scenario_is_one_diagnostic(command, doc, word, 
     extra = ["--trials", "100"] if command == "simulate" else []
     detail = _one_diagnostic(*run_cli([command, path, *extra], capsys))
     assert word in detail
+
+
+ALL = ("adjust", "auction", "simulate")
+MARKETS = ("auction", "simulate")
+
+# Probes of one rule each on the subcommands it applies to:
+# (id, document, subcommands, extra arguments, a word the diagnostic must contain).
+RULE_PROBES = [
+    ("slots-zero", cpc_scenario(), MARKETS, ["--slots", "0"], "slot count"),
+    ("slots-negative", cpc_scenario(), MARKETS, ["--slots", "-3"], "slot count"),
+    ("slots-beyond-ctr-row", cpc_scenario(slots={"k": 2, "ctr_matrix": {"x": [0.1, 0.05]}}), MARKETS, ["--slots", "3"], "ctr row for 'x'"),
+    ("slots-not-an-integer", cpc_scenario(), MARKETS, ["--slots", "abc"], "--slots"),
+    ("unknown-option", cpc_scenario(), ALL, ["--bogus"], "--bogus"),
+    ("tiny-target-probability", TINY_CLICK, ALL, ["--strategy", "single:click"], "offer 'y'"),
+    ("slot-value-overflow", SLOT_OVERFLOW, MARKETS, [], "offer 'x'"),
+    ("payment-overflow", PAYMENT_OVERFLOW, ("simulate",), ["--pricing", "first"], "offer 'x'"),
+    ("payment-overflow-second-price", PAYMENT_OVERFLOW, ("simulate",), [], "offer 'x'"),
+    ("stderr-overflow", STDERR_OVERFLOW, ("simulate",), [], "offer 'x'"),
+    ("trials-beyond-limit", cpc_scenario(), ("simulate",), ["--trials", "1000001"], "trials must be <= 1000000"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, word",
+    [(c, doc, extra, word) for _, doc, commands, extra, word in RULE_PROBES for c in commands],
+    ids=[f"{probe}-{c}" for probe, _, commands, _, _ in RULE_PROBES for c in commands],
+)
+def test_each_rule_is_one_diagnostic_naming_the_ad_or_flag(command, doc, extra, word, tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", doc)
+    trials = ["--trials", "100"] if command == "simulate" else []
+    detail = _one_diagnostic(*run_cli([command, path, *trials, *extra], capsys))
+    assert word in detail
+
+
+@pytest.mark.parametrize("command", ALL)
+def test_missing_input_argument_is_one_diagnostic(command, capsys):
+    detail = _one_diagnostic(*run_cli([command], capsys))
+    assert "input" in detail
+
+
+@pytest.mark.parametrize("slots", ["0", "-3", "abc"])
+def test_bad_slots_on_adjust_document_is_one_diagnostic(slots, tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    adjusted = tmp_path / "adjusted.json"
+    assert main(["adjust", path, "-o", str(adjusted)]) == 0
+    capsys.readouterr()
+    detail = _one_diagnostic(*run_cli(["auction", str(adjusted), "--slots", slots], capsys))
+    assert "slot" in detail
 
 
 def _break_prob(doc):
@@ -453,6 +540,32 @@ def _version_float(doc):
     doc["format_version"] = 1.0
 
 
+def _repeat_ad(doc):
+    doc["adjusted"].append(dict(doc["adjusted"][0]))
+
+
+def _record_number(doc):
+    doc["adjusted"][0] = 5
+
+
+def _missing_bids(doc):
+    del doc["adjusted"][0]["adjusted_bids"]
+
+
+def _events_number(doc):
+    doc["adjusted"][0]["events"] = 5
+
+
+def _missing_prob(doc):
+    del doc["adjusted"][0]["events"][1]["prob"]
+
+
+def _slot_overflow(doc):
+    record = doc["adjusted"][0]
+    record["events"] = [VIEW, SURE]
+    record["adjusted_bids"] = {"view": 1e308, "sure": 1e308}
+
+
 @pytest.mark.parametrize(
     "breaks, word",
     [
@@ -470,6 +583,12 @@ def _version_float(doc):
         (_null_ad_id, "'ad_id'"),
         (_version_true, "format_version"),
         (_version_float, "format_version"),
+        (_repeat_ad, "duplicate ad_id 'x'"),
+        (_record_number, "adjusted[0]: must be an object, got 5"),
+        (_missing_bids, "adjusted[0]: missing field 'adjusted_bids'"),
+        (_events_number, "adjusted[0]: 'events' must be an array"),
+        (_missing_prob, "adjusted[0]: events[1]: missing field 'prob'"),
+        (_slot_overflow, "offer 'x'"),
     ],
     ids=[
         "nan-prob",
@@ -486,6 +605,12 @@ def _version_float(doc):
         "null-ad-id",
         "version-true",
         "version-float",
+        "repeated-ad-id",
+        "record-number",
+        "missing-adjusted-bids",
+        "events-number",
+        "event-missing-prob",
+        "slot-value-overflow",
     ],
 )
 def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word, tmp_path, capsys):
@@ -595,11 +720,15 @@ adjust_docs = st.fixed_dictionaries(
 
 
 def _fuzz_example(name):
-    return example(next(doc for probe, doc, _ in SCENARIO_PROBES if probe == name))
+    return example(next(doc for probe, doc, _ in SCENARIO_PROBES if probe == name), None, "identity")
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(scenario_docs, adjust_docs, json_values))
+@given(
+    st.one_of(scenario_docs, adjust_docs, json_values),
+    st.one_of(st.none(), st.integers(-1, 5)),
+    st.sampled_from(["identity", "single:click", "proportional"]),
+)
 @_fuzz_example("huge-int-bid")
 @_fuzz_example("huge-int-charge")
 @_fuzz_example("huge-int-prob")
@@ -612,6 +741,12 @@ def _fuzz_example(name):
 @_fuzz_example("slots-number")
 @_fuzz_example("ctr-row-string")
 @_fuzz_example("ctr-undeclared-ad")
+@_fuzz_example("value-overflow")
+@_fuzz_example("charge-overflow")
+@example(TINY_CLICK, None, "single:click")
+@example(SLOT_OVERFLOW, None, "identity")
+@example(PAYMENT_OVERFLOW, None, "identity")
+@example(STDERR_OVERFLOW, None, "identity")
 @example(
     {
         "format_version": 1,
@@ -623,15 +758,18 @@ def _fuzz_example(name):
                 "expected_adjusted_value": HUGE,
             }
         ],
-    }
+    },
+    None,
+    "identity",
 )
-def test_any_json_document_gives_a_document_or_one_diagnostic(tmp_path_factory, doc):
+def test_any_json_document_gives_a_document_or_one_diagnostic(tmp_path_factory, doc, slots, strategy):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    for argv in (["adjust"], ["auction"], ["simulate", "--trials", "20"]):
+    market = [] if slots is None else ["--slots", str(slots)]
+    for argv in (["adjust"], ["auction", *market], ["simulate", "--trials", "20", *market]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([argv[0], str(path), *argv[1:]])
+            code = main([argv[0], str(path), "--strategy", strategy, *argv[1:]])
         if code == 0:
             assert err.getvalue() == ""
             json.loads(out.getvalue())
