@@ -9,13 +9,14 @@ reasons. ``auction`` also reads ``adjust`` output. Reports are canonical JSON
 (keys in construction order, numbers at 17 significant digits), so identical
 inputs and seeds give byte-identical output.
 
-Input is read strictly. Scenario and ``adjust`` documents pass one header
-check (a JSON object whose ``format_version`` is the integer 1). Every entry
-is an object with its required fields, every number a finite JSON number
-within float range, every ``ad_id`` and event ``id`` a string, ``slots.k`` an
-integer, and each ``ctr_matrix`` row an array keyed to a declared ad. The
-slot count (``--slots`` too) must be >= 1 and match the ctr rows, the trials
-at most ``sim.TRIALS_LIMIT``, the reserve finite and >= 0, and the ads of an
+Input is read strictly. A file must be UTF-8 text. Scenario and ``adjust``
+documents pass one header check (a JSON object whose ``format_version`` is
+the integer 1). Every entry, ``excluded`` ones too, is an object with its
+required fields, every number a finite JSON number within float range, every
+``ad_id`` and event ``id`` a string of Unicode text, ``slots.k`` an integer,
+and each ``ctr_matrix`` row an array keyed to a declared ad. The slot count
+(``--slots`` too) must be >= 1 and match the ctr rows, the trials at most
+``sim.TRIALS_LIMIT``, the reserve finite and >= 0, and the ads of an
 ``adjust`` document distinct. An expected charge, adjusted value, slot value
 or payment that overflows float range is rejected, naming the ad.
 
@@ -28,6 +29,7 @@ debug to adjust logging.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import json
@@ -46,13 +48,13 @@ from .model import (
     ScenarioError,
     brief,
     charges_from_dict,
-    entry_problem,
     event_from_dict,
     event_to_dict,
     number,
     offer_from_dict,
     read_each,
     read_events,
+    require_fields,
     require_same_keys,
     text,
 )
@@ -233,9 +235,17 @@ def parse_scenario_doc(doc: Any) -> tuple[tuple[Offer, ...], ChargeSchedule, Slo
     return tuple(offers), charges, slots, reserve
 
 
-def _load_scenario(path: str) -> Mapping:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+def _not_utf8(exc: UnicodeError) -> NoReturn:
+    raise ScenarioError([f"input is not UTF-8 text: {exc}"])
+
+
+codecs.register_error("uxcharge.not-utf8", _not_utf8)
+
+
+def _load_scenario(path: str) -> Any:
+    """The JSON document at ``path``; bytes that are not UTF-8 are an input problem."""
+    with open(path, "rb") as handle:
+        return json.loads(handle.read().decode("utf-8", "uxcharge.not-utf8"))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -298,9 +308,7 @@ def cmd_adjust(args: argparse.Namespace) -> int:
 
 
 def _adjusted_offer(record: Mapping) -> AdjustedOffer:
-    fields = ("ad_id", "events", "adjusted_bids", "expected_adjusted_value")
-    if not isinstance(record, Mapping) or any(f not in record for f in fields):
-        raise ValueError(entry_problem(record, fields))
+    require_fields(record, ("ad_id", "events", "adjusted_bids", "expected_adjusted_value"))
     events = read_events(record)
     raw_bids = record["adjusted_bids"]
     if not isinstance(raw_bids, Mapping):
@@ -309,6 +317,12 @@ def _adjusted_offer(record: Mapping) -> AdjustedOffer:
     require_same_keys(tuple(e.event_id for e in events), adjusted, "adjusted_bids")
     value = number(record["expected_adjusted_value"], "'expected_adjusted_value'")
     return AdjustedOffer(text(record["ad_id"], "'ad_id'"), events, adjusted, value)
+
+
+def _excluded_entry(entry: Any) -> dict:
+    """One ``excluded`` entry as ``_excluded`` writes it."""
+    require_fields(entry, ("ad_id", "reason"))
+    return {"ad_id": text(entry["ad_id"], "'ad_id'"), "reason": text(entry["reason"], "'reason'")}
 
 
 def _read_adjust_document(doc: Mapping) -> tuple[tuple[AdjustedOffer, ...], list[dict]]:
@@ -321,12 +335,10 @@ def _read_adjust_document(doc: Mapping) -> tuple[tuple[AdjustedOffer, ...], list
     if issues:
         doc = {}  # nothing else can be read
     offers = read_each(doc, "adjusted", _adjusted_offer, issues)
-    excluded = doc.get("excluded", [])
-    if not (isinstance(excluded, list) and all(isinstance(e, Mapping) for e in excluded)):
-        issues.append("'excluded' must be an array of objects")
+    excluded = read_each(doc, "excluded", _excluded_entry, issues)
     if issues:
         raise ScenarioError(issues)
-    return tuple(offers), [dict(entry) for entry in excluded]
+    return tuple(offers), excluded
 
 
 def cmd_auction(args: argparse.Namespace) -> int:

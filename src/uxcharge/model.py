@@ -12,6 +12,7 @@ id through ``text``, and raise ValueError only.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -302,29 +303,35 @@ def number(value: object, what: str, key: str | None = None) -> float:
     raise ValueError(f"{name} must be a finite number, got {brief(value)}")
 
 
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
 def text(value: object, what: str) -> str:
-    """A JSON string; ValueError naming ``what`` otherwise."""
-    if type(value) is str:
+    """A JSON string of Unicode text; ValueError naming ``what`` otherwise.
+
+    An unpaired ``\\ud800``-style escape reads as a lone surrogate, which no
+    UTF-8 output (the CSV summary) can encode.
+    """
+    if type(value) is str and (value.isascii() or not _SURROGATE.search(value)):
         return value
-    raise ValueError(f"{what} must be a string, got {brief(value)}")
+    raise ValueError(f"{what} must be a string of Unicode text, got {brief(value)}")
 
 
 def event_to_dict(event: EventSpec) -> dict:
     return {"id": event.event_id, "kind": event.kind.value, "prob": event.probability}
 
 
-def entry_problem(doc: object, fields: tuple[str, ...]) -> str:
-    """Why ``doc`` is not a JSON object holding every one of ``fields``."""
+def require_fields(doc: object, fields: tuple[str, ...]) -> None:
+    """ValueError unless ``doc`` is a JSON object holding every one of ``fields``."""
     if not isinstance(doc, Mapping):
-        return f"must be an object, got {brief(doc)}"
-    return "missing field " + ", ".join(repr(f) for f in fields if f not in doc)
+        raise ValueError(f"must be an object, got {brief(doc)}")
+    for field in fields:
+        if field not in doc:
+            raise ValueError("missing field " + ", ".join(repr(f) for f in fields if f not in doc))
 
 
 def event_from_dict(doc: Mapping) -> EventSpec:
-    if (type(doc) is not dict and not isinstance(doc, Mapping)) or not (
-        "id" in doc and "kind" in doc and "prob" in doc
-    ):
-        raise ValueError(entry_problem(doc, ("id", "kind", "prob")))
+    require_fields(doc, ("id", "kind", "prob"))
     event_id = text(doc["id"], "event 'id'")
     return EventSpec(event_id, EventKind(doc["kind"]), number(doc["prob"], "'prob' of", event_id))
 
@@ -364,8 +371,7 @@ def offer_to_dict(offer: Offer) -> dict:
 
 def offer_from_dict(doc: Mapping, events: tuple[EventSpec, ...] = ()) -> Offer:
     """Parse an offer over its own "events", else ``events``; absent bids default to 0."""
-    if not isinstance(doc, Mapping) or "ad_id" not in doc or "price_type" not in doc:
-        raise ValueError(entry_problem(doc, ("ad_id", "price_type")))
+    require_fields(doc, ("ad_id", "price_type"))
     if "events" in doc:
         events = read_events(doc)
     raw = doc.get("bids", {})

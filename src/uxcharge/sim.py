@@ -495,7 +495,6 @@ def run_auction(
     return runner(offers, slots, reserve)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflowing oracles are itemized
 def run_scenario(config: ScenarioConfig) -> dict:
     """Run the whole pipeline and return a JSON-ready report.
 
@@ -516,19 +515,20 @@ def run_scenario(config: ScenarioConfig) -> dict:
         record["slot"] = award.slot
         record["price_factor"] = award.price_factor
         record["prices"] = prices
-        record["expected_payment"] = expected_payment(prices, shifted, offer.probabilities)
-        record["enumerated_payment"] = enumerate_expected_payment(
-            prices, shifted, offer.events, config.model
-        )
-        mean, stderr = monte_carlo_payment(
-            prices,
-            shifted,
-            offer.events,
-            config.model,
-            trials=config.trials,
-            seed=config.seed,
-            substream=(row,),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is itemized below
+            record["expected_payment"] = expected_payment(prices, shifted, offer.probabilities)
+            record["enumerated_payment"] = enumerate_expected_payment(
+                prices, shifted, offer.events, config.model
+            )
+            mean, stderr = monte_carlo_payment(
+                prices,
+                shifted,
+                offer.events,
+                config.model,
+                trials=config.trials,
+                seed=config.seed,
+                substream=(row,),
+            )
         record["mc_mean"] = mean
         record["mc_stderr"] = stderr
         oracles = (record["expected_payment"], record["enumerated_payment"], mean, stderr)

@@ -380,6 +380,7 @@ SCENARIO_PROBES = [
     ("offer-missing-ad-id", cpc_scenario(offers=[{"price_type": "cpm"}]), "offers[0]: missing field 'ad_id'"),
     ("offer-events-number", cpc_scenario(offers=[{"ad_id": "x", "price_type": "cpm", "events": 5}]), "offers[0]: 'events' must be an array"),
     ("offer-event-missing-kind", cpc_scenario(offers=[{"ad_id": "x", "price_type": "cpm", "events": [{"id": "view", "prob": 1.0}]}]), "offers[0]: events[0]: missing field 'kind'"),
+    ("lone-surrogate-ad-id", cpc_scenario(offers=[{"ad_id": "\ud800", "price_type": "cpm", "bids": {"view": 1.0}}]), "offers[0]: 'ad_id'"),
 ]
 
 # Finite documents whose numbers overflow float range inside the pipeline.
@@ -560,6 +561,14 @@ def _missing_prob(doc):
     del doc["adjusted"][0]["events"][1]["prob"]
 
 
+def _excluded_nan(doc):
+    doc["excluded"] = [{"r": NAN}]
+
+
+def _excluded_nan_reason(doc):
+    doc["excluded"] = [{"ad_id": "y", "reason": NAN}]
+
+
 def _slot_overflow(doc):
     record = doc["adjusted"][0]
     record["events"] = [VIEW, SURE]
@@ -589,6 +598,8 @@ def _slot_overflow(doc):
         (_events_number, "adjusted[0]: 'events' must be an array"),
         (_missing_prob, "adjusted[0]: events[1]: missing field 'prob'"),
         (_slot_overflow, "offer 'x'"),
+        (_excluded_nan, "excluded[0]: missing field 'ad_id', 'reason'"),
+        (_excluded_nan_reason, "excluded[0]: 'reason'"),
     ],
     ids=[
         "nan-prob",
@@ -611,6 +622,8 @@ def _slot_overflow(doc):
         "events-number",
         "event-missing-prob",
         "slot-value-overflow",
+        "excluded-entry-nan",
+        "excluded-reason-nan",
     ],
 )
 def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word, tmp_path, capsys):
@@ -623,6 +636,22 @@ def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word,
     capsys.readouterr()
     detail = _one_diagnostic(*run_cli(["auction", str(adjusted)], capsys))
     assert word in detail
+
+
+LATIN_1 = json.dumps(cpc_scenario(offers=[{"ad_id": "caf\u00e9", "price_type": "cpm", "bids": {"view": 1.0}}]), ensure_ascii=False)
+
+
+@pytest.mark.parametrize("command", ALL)
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff", json.dumps(cpc_scenario()).encode("utf-16"), LATIN_1.encode("latin-1")],
+    ids=["byte-ff", "utf-16", "latin-1"],
+)
+def test_input_that_is_not_utf8_is_one_diagnostic(command, raw, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_bytes(raw)
+    detail = _one_diagnostic(*run_cli([command, str(path)], capsys))
+    assert "input is not UTF-8" in detail
 
 
 @pytest.mark.parametrize("version", [99, True, 1.0], ids=["99", "true", "1.0"])
@@ -641,7 +670,7 @@ def test_scenario_and_adjust_document_share_one_header_diagnostic(version, tmp_p
     assert f"unsupported format_version {version!r}" in via_simulate
 
 
-# --- fuzzing: any JSON document gives a report or one diagnostic -------------
+# --- fuzzing: any JSON document or bytes give a report or one diagnostic ------
 
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
@@ -725,7 +754,7 @@ def _fuzz_example(name):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    st.one_of(scenario_docs, adjust_docs, json_values),
+    st.one_of(scenario_docs, adjust_docs, json_values, st.binary(max_size=8)),
     st.one_of(st.none(), st.integers(-1, 5)),
     st.sampled_from(["identity", "single:click", "proportional"]),
 )
@@ -747,6 +776,8 @@ def _fuzz_example(name):
 @example(SLOT_OVERFLOW, None, "identity")
 @example(PAYMENT_OVERFLOW, None, "identity")
 @example(STDERR_OVERFLOW, None, "identity")
+@example({"format_version": 1, "adjusted": [], "excluded": [{"r": NAN}]}, None, "identity")
+@example(b"\xff", None, "identity")
 @example(
     {
         "format_version": 1,
@@ -764,7 +795,7 @@ def _fuzz_example(name):
 )
 def test_any_json_document_gives_a_document_or_one_diagnostic(tmp_path_factory, doc, slots, strategy):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
     market = [] if slots is None else ["--slots", str(slots)]
     for argv in (["adjust"], ["auction", *market], ["simulate", "--trials", "20", *market]):
         out, err = io.StringIO(), io.StringIO()
