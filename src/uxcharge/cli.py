@@ -9,9 +9,10 @@ reasons. ``auction`` also reads ``adjust`` output. Reports are canonical JSON
 (keys in construction order, numbers at 17 significant digits), so identical
 inputs and seeds give byte-identical output.
 
-Input is read strictly. A file must be UTF-8 text. Scenario and ``adjust``
-documents pass one header check (a JSON object whose ``format_version`` is
-the integer 1). Every entry, ``excluded`` ones too, is an object with its
+Input is read strictly. A file must be UTF-8 text, nested no deeper than
+the JSON parser's recursion allows. Scenario and ``adjust`` documents pass
+one header check (a JSON object whose ``format_version`` is the integer 1).
+Every entry, ``excluded`` ones too, is an object with its
 required fields, every number a finite JSON number within float range, every
 ``ad_id`` and event ``id`` a string of Unicode text, ``slots.k`` an integer,
 and each ``ctr_matrix`` row an array keyed to a declared ad. The slot count
@@ -243,9 +244,13 @@ codecs.register_error("uxcharge.not-utf8", _not_utf8)
 
 
 def _load_scenario(path: str) -> Any:
-    """The JSON document at ``path``; bytes that are not UTF-8 are an input problem."""
+    """The JSON document at ``path``; non-UTF-8 bytes and too-deep nesting are input problems."""
     with open(path, "rb") as handle:
-        return json.loads(handle.read().decode("utf-8", "uxcharge.not-utf8"))
+        source = handle.read().decode("utf-8", "uxcharge.not-utf8")
+    try:
+        return json.loads(source)
+    except RecursionError:
+        raise ScenarioError(["input nests too deeply to parse"]) from None
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -5,8 +5,10 @@ enumeration oracle recomputes it by brute force over every joint event
 outcome and must agree to working precision under any supported outcome
 model, since the expectation depends on marginals only. Monte Carlo draws
 from counter-based Philox substreams keyed by (seed, substream), so per-ad
-streams are independent and a parallel run partitioned by trial blocks
-reproduces the serial stream exactly.
+streams are independent. It draws and folds ``_MC_BLOCK`` trial rows at a
+time: the generator fills rows in order, so block-wise draws reproduce the
+one-shot (trials, events) stream exactly, and a call needs a few float64 per
+trial plus one block rather than trials x events uniforms.
 
 Every sum runs strictly left to right, over an offer's events in declared
 order and over outcomes or trials in order; never ``@``, ``np.sum`` or
@@ -49,11 +51,14 @@ from .shift import is_feasible, total_expected_charge  # noqa: F401
 #: Enumeration stays exact and fast at desk scale up to this many events.
 ENUMERATION_LIMIT = 20
 
-#: Monte Carlo draws a winner's trials in one block; at this many, one 20-event
-#: funnel call peaks near 172 MiB (tracemalloc).
+#: Monte Carlo keeps a few float64 per trial; at this many, one 20-event funnel
+#: call peaks near 31 MiB (tracemalloc).
 TRIALS_LIMIT = 1_000_000
 
 _CHUNK = 1 << 16
+
+#: Trial rows per Monte Carlo block.
+_MC_BLOCK = 8192
 
 
 class OutcomeModel(Enum):
@@ -144,7 +149,9 @@ def enumerate_expected_payment(
     Independent of the closed form on purpose: it averages the realized
     charge sum((r_i + d_i) * e_i) over the full joint law of e. Each
     outcome's probability is a product over chain stages, then independent
-    events; its charge and the weighted total are left folds.
+    events; its charge and the weighted total are left folds. Factors and
+    charge terms are selected on boolean event columns, which for finite
+    inputs equals the arithmetic e_i * q + (1 - e_i) * (1 - q) and e_i * amount.
     """
     ids = tuple(ev.event_id for ev in events)
     require_same_keys(ids, prices, "prices")
@@ -161,16 +168,17 @@ def enumerate_expected_payment(
     total = 0.0
     for start in range(0, count, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
-        e = [((idx >> bit) & 1).astype(np.float64) for bit in range(n)]
-        charge, prob, occurred = np.zeros(len(idx)), np.ones(len(idx)), np.ones(len(idx))
+        e = [(idx >> bit) & 1 == 1 for bit in range(n)]
+        charge, prob, occurred = np.zeros(len(idx)), np.ones(len(idx)), True
         for ei, amount in zip(e, amounts):
-            charge += ei * amount
+            charge += np.where(ei, amount, 0.0)
         for i, q in zip(chain, conditionals):
             ei = e[i]
-            prob *= occurred * (ei * q + (1.0 - ei) * (1.0 - q)) + (1.0 - occurred) * (1.0 - ei)
-            occurred = occurred * ei
+            prob *= np.where(occurred, np.where(ei, q, 1.0 - q), np.where(ei, 0.0, 1.0))
+            occurred = occurred & ei
         for i in custom:
-            prob *= e[i] * events[i].probability + (1.0 - e[i]) * (1.0 - events[i].probability)
+            p = events[i].probability
+            prob *= np.where(e[i], p, 1.0 - p)
         weighted = prob * charge
         weighted[0] += total  # continue the running sum across chunks
         total = float(np.add.accumulate(weighted)[-1])
@@ -180,27 +188,6 @@ def enumerate_expected_payment(
 def _substream_rng(seed: int, substream: tuple[int, ...]) -> np.random.Generator:
     entropy = [int(seed), *(int(s) for s in substream)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-def _sample_hits(
-    events: tuple[EventSpec, ...],
-    model: OutcomeModel,
-    trials: int,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Sample the model's joint law from one (trials, n_events) block of uniforms.
-
-    Returns one boolean column of hits per event, in declared order.
-    """
-    u = rng.random((trials, len(events)))
-    chain, conditionals, custom = _model_chain(events, model)
-    hits = [None] * len(events)
-    occurred = np.ones(trials, dtype=bool)
-    for idx, q in zip(chain, conditionals):
-        occurred = hits[idx] = occurred & (u[:, idx] < q)
-    for idx in custom:
-        hits[idx] = u[:, idx] < events[idx].probability
-    return hits
 
 
 def monte_carlo_payment(
@@ -216,9 +203,11 @@ def monte_carlo_payment(
 
     Deterministic for a fixed (seed, substream); the stderr is the sample
     standard deviation over the square root of the trial count (0.0 for a
-    single trial). Each trial's charge is a fold over the events' hit columns
-    in declared order, and both reductions are sequential prefix sums, so the
-    bits depend on the samples alone, not on numpy's or BLAS's summation.
+    single trial). Trials are drawn ``_MC_BLOCK`` rows at a time; each
+    trial's charge is a fold over the events' hit columns in declared order,
+    and both reductions over all trials are sequential prefix sums, so the
+    bits depend on the samples alone, not on the block size or on numpy's or
+    BLAS's summation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -226,16 +215,38 @@ def monte_carlo_payment(
     require_same_keys(ids, prices, "prices")
     require_same_keys(ids, shifted, "shift amounts")
 
-    hits = _sample_hits(events, model, trials, _substream_rng(seed, substream))
-    totals = np.zeros(trials)
-    for hit, eid in zip(hits, ids):
-        totals += hit * (prices[eid] + shifted[eid])
+    chain, conditionals, custom = _model_chain(events, model)
+    amounts = [prices[eid] + shifted[eid] for eid in ids]
+    rng = _substream_rng(seed, substream)
+    totals = np.empty(trials)
+    for start in range(0, trials, _MC_BLOCK):
+        block = totals[start:start + _MC_BLOCK]
+        # One row of uniforms per trial, transposed into contiguous event columns.
+        u = rng.random((len(block), len(events))).T.copy()
+        hits = [None] * len(events)
+        occurred = True
+        for idx, q in zip(chain, conditionals):
+            occurred = hits[idx] = occurred & (u[idx] < q)
+        for idx in custom:
+            hits[idx] = u[idx] < events[idx].probability
+        block[:] = 0.0
+        for hit, amount in zip(hits, amounts):
+            block += hit * amount
     mean = float(np.add.accumulate(totals)[-1]) / trials
     if trials == 1:
         return mean, 0.0
     deviations = totals - mean
-    squares = float(np.add.accumulate(deviations * deviations)[-1])
-    return mean, math.sqrt(squares / (trials - 1)) / math.sqrt(trials)
+    with np.errstate(over="ignore"):  # an overflow is summed again below
+        squares = float(np.add.accumulate(deviations * deviations)[-1])
+    scale = 0
+    if math.isinf(squares) and math.isfinite(mean):
+        # Every total is finite but the squares overflow: sum them again in
+        # units of 2**scale, which is exact. Scaled totals stay below 2**256,
+        # so a million squared deviations sum far inside the float range.
+        scale = math.frexp(float(np.max(np.abs(totals))))[1] - 256
+        deviations = np.ldexp(totals, -scale) - math.ldexp(mean, -scale)
+        squares = float(np.add.accumulate(deviations * deviations)[-1])
+    return mean, math.sqrt(squares / (trials - 1)) / math.sqrt(trials) * 2.0**scale
 
 
 # --- scenario runner ---------------------------------------------------------

@@ -406,7 +406,7 @@ SLOT_OVERFLOW = cpc_scenario(  # finite at the declared 0.01, not at the ctr's 1
 )
 TWINS = [{"ad_id": ad, "price_type": "hybrid", "bids": {"view": 1.5e308, "sure": 1.5e308}} for ad in "xy"]
 PAYMENT_OVERFLOW = cpc_scenario(events=[VIEW, SURE], offers=TWINS, charges={"view": 1.5e308})
-STDERR_OVERFLOW = cpc_scenario(  # (1e200 - 5e199)**2 overflows the Monte Carlo variance
+STDERR_OVERFLOW = cpc_scenario(  # (1e200 - 5e199)**2 overflows unless the variance is rescaled
     events=[VIEW, {"id": "click", "kind": "click", "prob": 0.5}],
     offers=[{"ad_id": ad, "price_type": "cpc", "bids": {"click": 1e200}} for ad in "xy"],
     charges={},
@@ -452,7 +452,6 @@ RULE_PROBES = [
     ("slot-value-overflow", SLOT_OVERFLOW, MARKETS, [], "offer 'x'"),
     ("payment-overflow", PAYMENT_OVERFLOW, ("simulate",), ["--pricing", "first"], "offer 'x'"),
     ("payment-overflow-second-price", PAYMENT_OVERFLOW, ("simulate",), [], "offer 'x'"),
-    ("stderr-overflow", STDERR_OVERFLOW, ("simulate",), [], "offer 'x'"),
     ("trials-beyond-limit", cpc_scenario(), ("simulate",), ["--trials", "1000001"], "trials must be <= 1000000"),
 ]
 
@@ -467,6 +466,17 @@ def test_each_rule_is_one_diagnostic_naming_the_ad_or_flag(command, doc, extra, 
     trials = ["--trials", "100"] if command == "simulate" else []
     detail = _one_diagnostic(*run_cli([command, path, *trials, *extra], capsys))
     assert word in detail
+
+
+def test_squared_deviations_beyond_float_range_give_a_finite_stderr(tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", STDERR_OVERFLOW)
+    code, out, err = run_cli(["simulate", path, "--trials", "100"], capsys)
+    assert (code, err) == (0, "")
+    winner = json.loads(out)["ads"][0]
+    assert winner["ad_id"] == "x"
+    assert winner["expected_payment"] == 5e199
+    assert 0.0 < winner["mc_stderr"] < 1e200
+    assert abs(winner["mc_mean"] - winner["expected_payment"]) <= 5.0 * winner["mc_stderr"]
 
 
 @pytest.mark.parametrize("command", ALL)
@@ -652,6 +662,15 @@ def test_input_that_is_not_utf8_is_one_diagnostic(command, raw, tmp_path, capsys
     path.write_bytes(raw)
     detail = _one_diagnostic(*run_cli([command, str(path)], capsys))
     assert "input is not UTF-8" in detail
+
+
+@pytest.mark.parametrize("command", ALL)
+@pytest.mark.parametrize("raw", ["[" * 100_000, '{"a": ' * 100_000], ids=["arrays", "objects"])
+def test_input_nested_too_deeply_is_one_diagnostic(command, raw, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(raw, encoding="utf-8")
+    detail = _one_diagnostic(*run_cli([command, str(path)], capsys))
+    assert detail == "input nests too deeply to parse"
 
 
 @pytest.mark.parametrize("version", [99, True, 1.0], ids=["99", "true", "1.0"])

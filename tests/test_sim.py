@@ -1,11 +1,16 @@
 """Expectation oracles, Monte Carlo behavior, and the scenario runner."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uxcharge as ux
 from uxcharge.sim import (
+    _MC_BLOCK,
+    _substream_rng,
     OutcomeModel,
     ScenarioConfig,
     ScenarioError,
@@ -125,7 +130,9 @@ def test_monte_carlo_single_trial_is_reproducible():
     assert mean == monte_carlo_payment(*args, trials=1, seed=123)[0]
 
 
-@pytest.mark.parametrize("trials", [1, 2, 1000, 20000])
+@pytest.mark.parametrize(
+    "trials", [1, 2, 1000, 20000, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 2 * _MC_BLOCK + 3]
+)
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
 def test_monte_carlo_reductions_are_sequential_sums(model, trials):
     prices = {"view": 0.1, "click": 0.9, "conv": 2.5}
@@ -139,6 +146,55 @@ def test_monte_carlo_reductions_are_sequential_sums(model, trials):
     assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
     if trials == 1:
         assert stderr == 0.0
+
+
+def test_uniforms_are_the_top_53_bits_of_the_raw_philox_stream():
+    # NEP 19 pins the raw stream only; this pins the float stream on every numpy.
+    uniforms = _substream_rng(9, (1,)).random(1000)
+    raw = _substream_rng(9, (1,)).bit_generator.random_raw(1000)
+    assert uniforms.tolist() == ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+
+
+@pytest.mark.parametrize("rows", [(1, 1), (3, 4), (_MC_BLOCK, 5)])
+@pytest.mark.parametrize("n_events", [1, 3, 16])
+def test_blockwise_draws_reproduce_the_one_shot_stream(rows, n_events):
+    rng = _substream_rng(4, (2,))
+    blocks = [rng.random((b, n_events)) for b in rows]
+    whole = _substream_rng(4, (2,)).random((sum(rows), n_events))
+    assert np.concatenate(blocks).tolist() == whole.tolist()
+
+
+def test_squared_deviations_beyond_float_range_are_summed_rescaled():
+    # Scaling an amount by a power of two scales the stderr by it exactly,
+    # even where the squared deviations no longer fit in a float.
+    zeros = {"view": 0.0, "click": 0.0}
+    unit = monte_carlo_payment(zeros, {"view": 0.0, "click": 1.0}, EVENTS, trials=1000, seed=3)
+    huge = monte_carlo_payment(zeros, {"view": 0.0, "click": 2.0**600}, EVENTS, trials=1000, seed=3)
+    assert huge == (unit[0] * 2.0**600, unit[1] * 2.0**600)
+
+
+def funnel_events(n: int) -> tuple[ux.EventSpec, ...]:
+    custom = [ux.EventSpec(f"c{i}", ux.EventKind.CUSTOM, 0.5) for i in range(n - 3)]
+    return (*two_events(0.3), ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.05), *custom)
+
+
+def monte_carlo_peak_mib(n_events: int, trials: int) -> float:
+    events = funnel_events(n_events)
+    amounts = {e.event_id: 0.5 for e in events}
+    args = (amounts, amounts, events, OutcomeModel.FUNNEL)
+    monte_carlo_payment(*args, trials=10)  # first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        monte_carlo_payment(*args, trials=trials, seed=1)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_is_per_trial_plus_one_block():
+    sixteen = monte_carlo_peak_mib(16, 200_000)
+    assert sixteen < 10.0
+    assert sixteen - monte_carlo_peak_mib(8, 200_000) < 1.0
 
 
 def mixed_event_set(n: int):
