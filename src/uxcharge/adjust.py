@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .model import AdjustedOffer, KeyMismatchError, Offer, ShiftPlan, fold_sum, require_same_keys
+from .model import AdjustedOffer, Offer, ShiftPlan, fold_sum, require_same_keys
 
 
 def adjust_cpc_view(b: float, p: float, v: float) -> float:
@@ -51,10 +51,7 @@ def expected_value(bids: Mapping[str, float], probs: Mapping[str, float]) -> flo
     in declared event order, so the result equals the slot-1 value
     ``auction.value_at_slot`` computes for an ad without a ctr row.
     """
-    if set(bids) != set(probs):
-        raise KeyMismatchError(
-            f"bids keyed by {sorted(bids)} but probabilities by {sorted(probs)}"
-        )
+    require_same_keys(tuple(probs), bids, "bids")
     return fold_sum(bids[eid] * p for eid, p in probs.items())
 
 

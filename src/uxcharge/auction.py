@@ -11,12 +11,13 @@ adjusted bids by a factor theta:
   standard second-price property, and no per-event price exceeds the
   corresponding nonnegative adjusted bid.
 
-The reserve is an expected-value floor: offers below it cannot win, and it
-stands in for the next value when competition runs out.
+The reserve is a finite expected-value floor >= 0: offers below it cannot
+win, and it stands in for the next value when competition runs out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -62,6 +63,13 @@ class SlotModel:
         """Click probability override for ``ad_id`` in 1-based ``slot``, if any."""
         row = self.ctr.get(ad_id)
         return None if row is None else row[slot - 1]
+
+
+def reserve_issues(reserve: float) -> list[str]:
+    """The reserve rule: a finite expected-value floor >= 0; an empty list when it holds."""
+    if math.isfinite(reserve) and reserve >= 0.0:
+        return []
+    return [f"reserve must be a finite number >= 0, got {reserve!r}"]
 
 
 def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> float:
@@ -141,11 +149,12 @@ def _run(
     """Both pricing rules over one offers x slots value matrix.
 
     Reproduces the slot-by-slot greedy auction that calls ``value_at_slot``
-    per offer and slot, bit for bit on finite values. Raises ValueError on no
-    offers, ScenarioError naming each repeated ad_id or non-finite slot value.
+    per offer and slot, bit for bit on finite values; no offers give no winners.
+    Raises ScenarioError on a bad reserve, each repeated ad_id or non-finite slot value.
     """
-    if not offers:
-        raise ValueError("auction requires at least one offer")
+    issues = reserve_issues(reserve)
+    if issues:
+        raise ScenarioError(issues)
 
     # Offers whose expected impact exceeds their value never enter the ranking.
     # Rows stay in ad_id order, so the first of equal values is the tie-break.

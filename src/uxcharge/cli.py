@@ -30,7 +30,6 @@ debug to adjust logging.
 from __future__ import annotations
 
 import argparse
-import codecs
 import csv
 import io
 import json
@@ -41,8 +40,9 @@ import sys
 from collections.abc import Mapping, Sequence
 from typing import Any, NoReturn
 
-from .auction import SlotModel
+from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel
 from .model import (
+    FORMAT_VERSION,
     AdjustedOffer,
     ChargeSchedule,
     Offer,
@@ -50,9 +50,9 @@ from .model import (
     brief,
     charges_from_dict,
     event_from_dict,
-    event_to_dict,
     number,
     offer_from_dict,
+    offer_to_dict,
     read_each,
     read_events,
     require_fields,
@@ -62,8 +62,6 @@ from .model import (
 from .sim import OutcomeModel, ScenarioConfig, prepare, run_auction, run_scenario
 
 logger = logging.getLogger("uxcharge")
-
-FORMAT_VERSION = 1
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -236,19 +234,13 @@ def parse_scenario_doc(doc: Any) -> tuple[tuple[Offer, ...], ChargeSchedule, Slo
     return tuple(offers), charges, slots, reserve
 
 
-def _not_utf8(exc: UnicodeError) -> NoReturn:
-    raise ScenarioError([f"input is not UTF-8 text: {exc}"])
-
-
-codecs.register_error("uxcharge.not-utf8", _not_utf8)
-
-
 def _load_scenario(path: str) -> Any:
     """The JSON document at ``path``; non-UTF-8 bytes and too-deep nesting are input problems."""
-    with open(path, "rb") as handle:
-        source = handle.read().decode("utf-8", "uxcharge.not-utf8")
     try:
-        return json.loads(source)
+        with open(path, "rb") as handle:
+            return json.loads(handle.read().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"input is not UTF-8 text: {exc}"]) from None
     except RecursionError:
         raise ScenarioError(["input nests too deeply to parse"]) from None
 
@@ -290,10 +282,7 @@ def cmd_adjust(args: argparse.Namespace) -> int:
     records, _ = prepare(ScenarioConfig(offers=offers, charges=charges, strategy=args.strategy))
     adjusted = [
         {
-            "ad_id": offer.ad_id,
-            "price_type": record["price_type"],
-            "events": [event_to_dict(e) for e in offer.events],
-            "bids": {eid: offer.bids[eid] for eid in offer.event_ids},
+            **offer_to_dict(offer),
             "total_expected_charge": record["total_expected_charge"],
             "shift_plan": record["shift_plan"],
             "adjusted_bids": record["adjusted_bids"],
@@ -455,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     market = argparse.ArgumentParser(add_help=False)
-    market.add_argument("--pricing", choices=("first", "second"), default="second")
+    market.add_argument("--pricing", choices=(FIRST_PRICE, SECOND_PRICE), default=SECOND_PRICE)
     market.add_argument("--slots", type=int, default=None, help="override the slot count")
     market.add_argument(
         "--reserve", type=float, default=None, help="expected-value floor, finite and >= 0"

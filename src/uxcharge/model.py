@@ -23,6 +23,9 @@ import numpy as np
 # Tolerance for money/probability identities checked during validation.
 VALIDATION_TOL = 1e-9
 
+#: The one version of the scenario, ``adjust`` and report documents.
+FORMAT_VERSION = 1
+
 
 def approx_eq(x: float, y: float, tol: float = VALIDATION_TOL) -> bool:
     """True when x and y agree to ``tol``, relative above unit magnitude."""
@@ -65,8 +68,8 @@ class ScenarioError(ValueError):
     """Invalid input; ``issues`` itemizes every problem found, one string each.
 
     Raised where each rule is checked: the CLI's command-line and document
-    readers, ``sim.prepare``, ``sim.run_auction``, ``auction.SlotModel``, the
-    auctions (repeated ad_id, non-finite slot value) and ``sim.run_scenario``.
+    readers, ``sim.prepare``, ``auction.SlotModel``, the auctions (bad
+    reserve, repeated ad_id, non-finite slot value) and ``sim.run_scenario``.
     """
 
     def __init__(self, issues: Sequence[str]):
@@ -201,15 +204,16 @@ class Settlement:
 
 def require_same_keys(reference: tuple[str, ...], mapping: Mapping[str, float], what: str) -> None:
     """Raise KeyMismatchError unless ``mapping`` is keyed exactly by ``reference``."""
+    if mapping.keys() == set(reference):
+        return
     missing = [k for k in reference if k not in mapping]
     extra = [k for k in mapping if k not in reference]
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing {sorted(missing)}")
-        if extra:
-            parts.append(f"unknown {sorted(extra)}")
-        raise KeyMismatchError(f"{what} not keyed to the event set: {', '.join(parts)}")
+    parts = []
+    if missing:
+        parts.append(f"missing {sorted(missing)}")
+    if extra:
+        parts.append(f"unknown {sorted(extra)}")
+    raise KeyMismatchError(f"{what} not keyed to the event set: {', '.join(parts)}")
 
 
 def validate_offer(offer: Offer) -> list[str]:

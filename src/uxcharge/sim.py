@@ -5,10 +5,10 @@ enumeration oracle recomputes it by brute force over every joint event
 outcome and must agree to working precision under any supported outcome
 model, since the expectation depends on marginals only. Monte Carlo draws
 from counter-based Philox substreams keyed by (seed, substream), so per-ad
-streams are independent. It draws and folds ``_MC_BLOCK`` trial rows at a
-time: the generator fills rows in order, so block-wise draws reproduce the
-one-shot (trials, events) stream exactly, and a call needs a few float64 per
-trial plus one block rather than trials x events uniforms.
+streams are independent. Both oracles walk ``_BLOCK`` rows of outcomes or
+trials at a time: the generator fills rows in order, so block-wise draws
+reproduce the one-shot (trials, events) stream exactly, and a Monte Carlo
+call needs two float64 per trial plus one block, not trials x events uniforms.
 
 Every sum runs strictly left to right, over an offer's events in declared
 order and over outcomes or trials in order; never ``@``, ``np.sum`` or
@@ -24,8 +24,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .auction import SlotModel, run_first_price, run_second_price
+from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, reserve_issues
+from .auction import run_first_price, run_second_price
 from .model import (
+    FORMAT_VERSION,
     VALIDATION_TOL,
     AdjustedOffer,
     AuctionOutcome,
@@ -51,14 +53,12 @@ from .shift import is_feasible, total_expected_charge  # noqa: F401
 #: Enumeration stays exact and fast at desk scale up to this many events.
 ENUMERATION_LIMIT = 20
 
-#: Monte Carlo keeps a few float64 per trial; at this many, one 20-event funnel
-#: call peaks near 31 MiB (tracemalloc).
+#: Monte Carlo keeps two float64 per trial; at this many, one 20-event funnel
+#: call peaks near 15 MiB (tracemalloc).
 TRIALS_LIMIT = 1_000_000
 
-_CHUNK = 1 << 16
-
-#: Trial rows per Monte Carlo block.
-_MC_BLOCK = 8192
+#: Rows per block: outcomes for enumeration, trials for Monte Carlo.
+_BLOCK = 8192
 
 
 class OutcomeModel(Enum):
@@ -84,16 +84,19 @@ _FUNNEL_ORDER = (EventKind.VIEW, EventKind.CLICK, EventKind.CONVERSION)
 
 
 def _funnel_chain(
-    events: tuple[EventSpec, ...],
+    events: tuple[EventSpec, ...], model: OutcomeModel
 ) -> tuple[list[int], list[float], list[int]]:
-    """Decompose events into the funnel chain and independent leftovers.
+    """Decompose events into the outcome model's chain and independent leftovers.
 
-    Funnel-kind events form a chain in view -> click -> conversion order;
-    each stage occurs only if the previous one did, with conditional
+    Under the independent model every event is a leftover. Under the funnel
+    model, funnel-kind events form a chain in view -> click -> conversion
+    order; each stage occurs only if the previous one did, with conditional
     probability chosen to reproduce the declared marginal. Custom events stay
     independent. Raises if marginals cannot be reproduced (increasing along
     the chain, or positive below a zero stage) or a funnel kind repeats.
     """
+    if model is not OutcomeModel.FUNNEL:
+        return [], [], list(range(len(events)))
     by_kind: dict[EventKind, int] = {}
     for idx, ev in enumerate(events):
         if ev.kind in _FUNNEL_ORDER:
@@ -129,15 +132,6 @@ def _funnel_chain(
     return chain, conditionals, custom
 
 
-def _model_chain(
-    events: tuple[EventSpec, ...], model: OutcomeModel
-) -> tuple[list[int], list[float], list[int]]:
-    """``_funnel_chain`` under the funnel model; every event independent otherwise."""
-    if model is OutcomeModel.FUNNEL:
-        return _funnel_chain(events)
-    return [], [], list(range(len(events)))
-
-
 def enumerate_expected_payment(
     prices: Mapping[str, float],
     shifted: Mapping[str, float],
@@ -163,11 +157,11 @@ def enumerate_expected_payment(
         )
 
     amounts = [prices[eid] + shifted[eid] for eid in ids]
-    chain, conditionals, custom = _model_chain(events, model)
+    chain, conditionals, custom = _funnel_chain(events, model)
     count = 1 << n
     total = 0.0
-    for start in range(0, count, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
+    for start in range(0, count, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
         e = [(idx >> bit) & 1 == 1 for bit in range(n)]
         charge, prob, occurred = np.zeros(len(idx)), np.ones(len(idx)), True
         for ei, amount in zip(e, amounts):
@@ -180,7 +174,7 @@ def enumerate_expected_payment(
             p = events[i].probability
             prob *= np.where(e[i], p, 1.0 - p)
         weighted = prob * charge
-        weighted[0] += total  # continue the running sum across chunks
+        weighted[0] += total  # continue the running sum across blocks
         total = float(np.add.accumulate(weighted)[-1])
     return total
 
@@ -203,7 +197,7 @@ def monte_carlo_payment(
 
     Deterministic for a fixed (seed, substream); the stderr is the sample
     standard deviation over the square root of the trial count (0.0 for a
-    single trial). Trials are drawn ``_MC_BLOCK`` rows at a time; each
+    single trial). Trials are drawn ``_BLOCK`` rows at a time; each
     trial's charge is a fold over the events' hit columns in declared order,
     and both reductions over all trials are sequential prefix sums, so the
     bits depend on the samples alone, not on the block size or on numpy's or
@@ -215,14 +209,13 @@ def monte_carlo_payment(
     require_same_keys(ids, prices, "prices")
     require_same_keys(ids, shifted, "shift amounts")
 
-    chain, conditionals, custom = _model_chain(events, model)
+    chain, conditionals, custom = _funnel_chain(events, model)
     amounts = [prices[eid] + shifted[eid] for eid in ids]
     rng = _substream_rng(seed, substream)
     totals = np.empty(trials)
-    for start in range(0, trials, _MC_BLOCK):
-        block = totals[start:start + _MC_BLOCK]
-        # One row of uniforms per trial, transposed into contiguous event columns.
-        u = rng.random((len(block), len(events))).T.copy()
+    for start in range(0, trials, _BLOCK):
+        block = totals[start:start + _BLOCK]
+        u = rng.random((len(block), len(events))).T  # one row of uniforms per trial
         hits = [None] * len(events)
         occurred = True
         for idx, q in zip(chain, conditionals):
@@ -232,21 +225,27 @@ def monte_carlo_payment(
         block[:] = 0.0
         for hit, amount in zip(hits, amounts):
             block += hit * amount
-    mean = float(np.add.accumulate(totals)[-1]) / trials
     if trials == 1:
-        return mean, 0.0
-    deviations = totals - mean
+        return float(totals[0]), 0.0
+    spare = np.empty(trials)
     with np.errstate(over="ignore"):  # an overflow is summed again below
-        squares = float(np.add.accumulate(deviations * deviations)[-1])
+        mean, squares = _moments(totals, spare)
     scale = 0
-    if math.isinf(squares) and math.isfinite(mean):
-        # Every total is finite but the squares overflow: sum them again in
-        # units of 2**scale, which is exact. Scaled totals stay below 2**256,
-        # so a million squared deviations sum far inside the float range.
-        scale = math.frexp(float(np.max(np.abs(totals))))[1] - 256
-        deviations = np.ldexp(totals, -scale) - math.ldexp(mean, -scale)
-        squares = float(np.add.accumulate(deviations * deviations)[-1])
-    return mean, math.sqrt(squares / (trials - 1)) / math.sqrt(trials) * 2.0**scale
+    if math.isinf(squares):
+        # Squares are inf, not nan, only if every total is finite but a sum
+        # overflowed: redo both in units of 2**scale, which is exact. Scaled
+        # totals stay below 2**256, so even a million squares sum in range.
+        scale = math.frexp(float(np.abs(totals, out=spare).max()))[1] - 256
+        mean, squares = _moments(np.ldexp(totals, -scale, out=totals), spare)
+    return mean * 2.0**scale, math.sqrt(squares / (trials - 1)) / math.sqrt(trials) * 2.0**scale
+
+
+def _moments(totals: np.ndarray, spare: np.ndarray) -> tuple[float, float]:
+    """Mean and summed squared deviations of ``totals``, as sequential prefix sums in ``spare``."""
+    mean = float(np.add.accumulate(totals, out=spare)[-1]) / len(totals)
+    np.subtract(totals, mean, out=spare)
+    np.multiply(spare, spare, out=spare)
+    return mean, float(np.add.accumulate(spare, out=spare)[-1])
 
 
 # --- scenario runner ---------------------------------------------------------
@@ -258,7 +257,7 @@ class ScenarioConfig:
 
     offers: tuple[Offer, ...]
     charges: ChargeSchedule
-    pricing_rule: str = "second"
+    pricing_rule: str = SECOND_PRICE
     strategy: str = "identity"
     slots: SlotModel | None = None
     reserve: float = 0.0
@@ -277,17 +276,11 @@ def _parse_strategy(strategy: str) -> tuple[str, str | None]:
     )
 
 
-def _reserve_issues(reserve: float) -> list[str]:
-    if math.isfinite(reserve) and reserve >= 0.0:
-        return []
-    return [f"reserve must be a finite number >= 0, got {reserve!r}"]
-
-
 def validate_scenario(config: ScenarioConfig) -> list[str]:
     """Itemize every configuration problem; an empty list means runnable."""
     issues: list[str] = []
 
-    if config.pricing_rule not in ("first", "second"):
+    if config.pricing_rule not in (FIRST_PRICE, SECOND_PRICE):
         issues.append(f"unknown pricing rule {config.pricing_rule!r}")
     if config.trials < 1:
         issues.append(f"trials must be >= 1, got {config.trials}")
@@ -295,7 +288,7 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         issues.append(f"trials must be <= {TRIALS_LIMIT}, got {config.trials}")
     if config.seed < 0:
         issues.append(f"seed must be >= 0, got {config.seed}")
-    issues.extend(_reserve_issues(config.reserve))
+    issues.extend(reserve_issues(config.reserve))
 
     try:
         kind, target = _parse_strategy(config.strategy)
@@ -324,11 +317,10 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
                     issues.append(
                         f"offer '{offer.ad_id}': strategy target event '{target}' has zero probability"
                     )
-            if config.model is OutcomeModel.FUNNEL:
-                try:
-                    _funnel_chain(offer.events)
-                except ValueError as exc:
-                    issues.append(f"offer '{offer.ad_id}': {exc}")
+            try:
+                _funnel_chain(offer.events, config.model)
+            except ValueError as exc:
+                issues.append(f"offer '{offer.ad_id}': {exc}")
 
     known_ids = {eid for offer in config.offers for eid in offer.event_ids}
     for eid, amount in config.charges.charges.items():
@@ -493,16 +485,8 @@ def run_auction(
     slots: SlotModel | None,
     reserve: float,
 ) -> AuctionOutcome:
-    """Run the position auction; with no offers, an outcome with no winners.
-
-    Raises ScenarioError unless the reserve is a finite number >= 0.
-    """
-    issues = _reserve_issues(reserve)
-    if issues:
-        raise ScenarioError(issues)
-    if not offers:
-        return AuctionOutcome(pricing_rule=pricing_rule, ranking=(), winners=())
-    runner = run_first_price if pricing_rule == "first" else run_second_price
+    """Run the position auction under ``pricing_rule``; the auction checks the reserve."""
+    runner = run_first_price if pricing_rule == FIRST_PRICE else run_second_price
     return runner(offers, slots, reserve)
 
 
@@ -549,7 +533,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         raise ScenarioError(issues)
 
     report = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "pricing_rule": config.pricing_rule,
         "strategy": config.strategy,
         "model": config.model.value,

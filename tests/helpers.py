@@ -10,7 +10,7 @@ from collections.abc import Mapping
 from hypothesis import strategies as st
 
 import uxcharge as ux
-from uxcharge.sim import OutcomeModel, ScenarioError, _funnel_chain, _substream_rng, validate_scenario
+from uxcharge.sim import ScenarioError, _funnel_chain, _substream_rng, validate_scenario
 
 # money and probability draws are either exactly zero or comfortably normal;
 # subnormal amounts are not meaningful in this domain
@@ -148,13 +148,6 @@ def scalar_prepare(config: ux.ScenarioConfig):
     return records, included
 
 
-def _chain(events, model):
-    """Funnel chain, conditionals and independent events, as the outcome model defines them."""
-    if model is OutcomeModel.FUNNEL:
-        return _funnel_chain(events)
-    return [], [], list(range(len(events)))
-
-
 def fold_enumeration(prices, shifted, events, model) -> float:
     """``enumerate_expected_payment`` in pure Python, one outcome at a time.
 
@@ -163,7 +156,7 @@ def fold_enumeration(prices, shifted, events, model) -> float:
     the weighted charges are then folded over the outcomes in order.
     """
     amounts = [prices[e.event_id] + shifted[e.event_id] for e in events]
-    chain, conditionals, custom = _chain(events, model)
+    chain, conditionals, custom = _funnel_chain(events, model)
     total = 0.0
     for outcome in range(1 << len(events)):
         e = [float((outcome >> i) & 1) for i in range(len(events))]
@@ -204,7 +197,7 @@ def fold_monte_carlo(prices, shifted, events, model, trials, seed, substream) ->
     in declared order, then the trials in order.
     """
     amounts = [prices[e.event_id] + shifted[e.event_id] for e in events]
-    chain, conditionals, custom = _chain(events, model)
+    chain, conditionals, custom = _funnel_chain(events, model)
     uniforms = _substream_rng(seed, substream).random((trials, len(events))).tolist()
     totals = []
     for u in uniforms:
@@ -223,8 +216,6 @@ def fold_monte_carlo(prices, shifted, events, model, trials, seed, substream) ->
 
 def loop_auction(offers, slots, reserve: float, rule: str) -> ux.AuctionOutcome:
     """The greedy slot-by-slot position auction, one ``value_at_slot`` call per offer and slot."""
-    if not offers:
-        raise ValueError("auction requires at least one offer")
     remaining = sorted((o for o in offers if o.expected_value >= 0.0), key=lambda o: o.ad_id)
     k = slots.k if slots else 1
 

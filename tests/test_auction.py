@@ -109,9 +109,17 @@ def test_negative_value_offers_never_rank():
     assert all(ad != "y" for ad, _ in outcome.ranking)
 
 
-def test_empty_auction_raises():
-    with pytest.raises(ValueError, match="at least one offer"):
-        run_second_price([])
+def test_empty_auction_has_no_winners():
+    outcome = run_second_price([])
+    assert (outcome.ranking, outcome.winners) == ((), ())
+
+
+@pytest.mark.parametrize("runner", [run_first_price, run_second_price])
+@pytest.mark.parametrize("reserve", [-1.0, float("nan"), float("inf")])
+def test_bad_reserve_is_rejected_by_the_auction(runner, reserve):
+    with pytest.raises(ux.ScenarioError) as caught:
+        runner([view_only("x", 0.5)], None, reserve)
+    assert caught.value.issues == (f"reserve must be a finite number >= 0, got {reserve!r}",)
 
 
 def test_multislot_gsp_prices_cascade():

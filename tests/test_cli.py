@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -262,15 +263,19 @@ def _reserve_argv(path, tmp_path):
     """Arguments for each subcommand path that takes a reserve."""
     adjusted = tmp_path / "adjusted.json"
     assert main(["adjust", path, "--strategy", "single:click", "-o", str(adjusted)]) == 0
+    empty = write_scenario(tmp_path / "empty.json", {"format_version": 1, "adjusted": []})
     return {
         "simulate": ["simulate", path, "--trials", "100"],
         "auction-scenario": ["auction", path],
         "auction-adjust-file": ["auction", str(adjusted)],
+        "auction-empty-adjust-file": ["auction", empty],
     }
 
 
 @pytest.mark.parametrize("reserve", ["-1", "nan", "inf"])
-@pytest.mark.parametrize("command", ["simulate", "auction-scenario", "auction-adjust-file"])
+@pytest.mark.parametrize(
+    "command", ["simulate", "auction-scenario", "auction-adjust-file", "auction-empty-adjust-file"]
+)
 def test_bad_reserve_is_one_validation_diagnostic(command, reserve, tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
     argv = _reserve_argv(path, tmp_path)[command]
@@ -411,6 +416,11 @@ STDERR_OVERFLOW = cpc_scenario(  # (1e200 - 5e199)**2 overflows unless the varia
     offers=[{"ad_id": ad, "price_type": "cpc", "bids": {"click": 1e200}} for ad in "xy"],
     charges={},
 )
+MEAN_OVERFLOW = cpc_scenario(  # ten trials of 1e308 sum beyond float range unless rescaled
+    events=[VIEW],
+    offers=[{"ad_id": "x", "price_type": "cpm", "bids": {"view": 1e308}}],
+    charges={},
+)
 SCENARIO_PROBES += [
     ("value-overflow", VALUE_OVERFLOW, "offer 'x'"),
     ("charge-overflow", CHARGE_OVERFLOW, "offer 'x'"),
@@ -477,6 +487,15 @@ def test_squared_deviations_beyond_float_range_give_a_finite_stderr(tmp_path, ca
     assert winner["expected_payment"] == 5e199
     assert 0.0 < winner["mc_stderr"] < 1e200
     assert abs(winner["mc_mean"] - winner["expected_payment"]) <= 5.0 * winner["mc_stderr"]
+
+
+def test_trial_totals_summing_beyond_float_range_give_a_finite_mean(tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", MEAN_OVERFLOW)
+    code, out, err = run_cli(["simulate", path, "--pricing", "first", "--trials", "10"], capsys)
+    assert (code, err) == (0, "")
+    winner = json.loads(out)["ads"][0]
+    assert winner["expected_payment"] == winner["enumerated_payment"] == 1e308
+    assert math.isfinite(winner["mc_mean"])
 
 
 @pytest.mark.parametrize("command", ALL)

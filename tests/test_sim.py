@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import uxcharge as ux
 from uxcharge.sim import (
-    _MC_BLOCK,
+    _BLOCK,
     _substream_rng,
     OutcomeModel,
     ScenarioConfig,
@@ -131,7 +131,7 @@ def test_monte_carlo_single_trial_is_reproducible():
 
 
 @pytest.mark.parametrize(
-    "trials", [1, 2, 1000, 20000, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 2 * _MC_BLOCK + 3]
+    "trials", [1, 2, 1000, 20000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
 )
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
 def test_monte_carlo_reductions_are_sequential_sums(model, trials):
@@ -155,7 +155,7 @@ def test_uniforms_are_the_top_53_bits_of_the_raw_philox_stream():
     assert uniforms.tolist() == ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
 
 
-@pytest.mark.parametrize("rows", [(1, 1), (3, 4), (_MC_BLOCK, 5)])
+@pytest.mark.parametrize("rows", [(1, 1), (3, 4), (_BLOCK, 5)])
 @pytest.mark.parametrize("n_events", [1, 3, 16])
 def test_blockwise_draws_reproduce_the_one_shot_stream(rows, n_events):
     rng = _substream_rng(4, (2,))
@@ -171,6 +171,15 @@ def test_squared_deviations_beyond_float_range_are_summed_rescaled():
     unit = monte_carlo_payment(zeros, {"view": 0.0, "click": 1.0}, EVENTS, trials=1000, seed=3)
     huge = monte_carlo_payment(zeros, {"view": 0.0, "click": 2.0**600}, EVENTS, trials=1000, seed=3)
     assert huge == (unit[0] * 2.0**600, unit[1] * 2.0**600)
+
+
+def test_trial_totals_beyond_float_range_are_summed_rescaled():
+    # Here the sum of the trial totals overflows too, not only their squares.
+    zeros = {"view": 0.0, "click": 0.0}
+    events = two_events(0.5)
+    unit = monte_carlo_payment(zeros, {"view": 0.0, "click": 1.0}, events, trials=1000, seed=3)
+    huge = monte_carlo_payment(zeros, {"view": 0.0, "click": 2.0**1020}, events, trials=1000, seed=3)
+    assert huge == (unit[0] * 2.0**1020, unit[1] * 2.0**1020)
 
 
 def funnel_events(n: int) -> tuple[ux.EventSpec, ...]:
@@ -193,7 +202,7 @@ def monte_carlo_peak_mib(n_events: int, trials: int) -> float:
 
 def test_monte_carlo_memory_is_per_trial_plus_one_block():
     sixteen = monte_carlo_peak_mib(16, 200_000)
-    assert sixteen < 10.0
+    assert sixteen < 5.0
     assert sixteen - monte_carlo_peak_mib(8, 200_000) < 1.0
 
 
