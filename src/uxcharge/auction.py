@@ -65,6 +65,13 @@ class SlotModel:
         return None if row is None else row[slot - 1]
 
 
+def pricing_rule_issues(rule: str) -> list[str]:
+    """The pricing rule is first or second; an empty list when it is."""
+    if rule in (FIRST_PRICE, SECOND_PRICE):
+        return []
+    return [f"unknown pricing rule {rule!r}"]
+
+
 def reserve_issues(reserve: float) -> list[str]:
     """The reserve rule: a finite expected-value floor >= 0; an empty list when it holds."""
     if math.isfinite(reserve) and reserve >= 0.0:

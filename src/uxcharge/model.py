@@ -69,7 +69,8 @@ class ScenarioError(ValueError):
 
     Raised where each rule is checked: the CLI's command-line and document
     readers, ``sim.prepare``, ``auction.SlotModel``, the auctions (bad
-    reserve, repeated ad_id, non-finite slot value) and ``sim.run_scenario``.
+    reserve, repeated ad_id, non-finite slot value), ``sim.run_auction``
+    (unknown pricing rule) and ``sim.run_scenario``.
     """
 
     def __init__(self, issues: Sequence[str]):

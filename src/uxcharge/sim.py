@@ -5,10 +5,17 @@ enumeration oracle recomputes it by brute force over every joint event
 outcome and must agree to working precision under any supported outcome
 model, since the expectation depends on marginals only. Monte Carlo draws
 from counter-based Philox substreams keyed by (seed, substream), so per-ad
-streams are independent. Both oracles walk ``_BLOCK`` rows of outcomes or
-trials at a time: the generator fills rows in order, so block-wise draws
-reproduce the one-shot (trials, events) stream exactly, and a Monte Carlo
-call needs two float64 per trial plus one block, not trials x events uniforms.
+streams are independent. Enumeration walks ``_BLOCK`` outcomes at a time.
+Monte Carlo fills its trials in units on up to ``_BLOCK // 2048`` threads
+(one below ``_THREADED_UNIFORMS`` uniforms a call), sized so that the units
+in flight hold one ``_BLOCK`` of uniforms between them; the threads draw at
+the same time and fold one unit at a time. Philox
+is counter-based, so each thread's generator is advanced to the rows of its
+units and draws exactly their slices of the one-shot (trials, events)
+stream; a call needs two float64 per trial plus one block, not trials x
+events uniforms.
+Both oracles return a non-finite result quietly, in any thread: each sets
+its own numpy error state, which is per thread.
 
 Every sum runs strictly left to right, over an offer's events in declared
 order and over outcomes or trials in order; never ``@``, ``np.sum`` or
@@ -18,13 +25,16 @@ order and over outcomes or trials in order; never ``@``, ``np.sum`` or
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, reserve_issues
+from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, pricing_rule_issues, reserve_issues
 from .auction import run_first_price, run_second_price
 from .model import (
     FORMAT_VERSION,
@@ -57,8 +67,20 @@ ENUMERATION_LIMIT = 20
 #: call peaks near 15 MiB (tracemalloc).
 TRIALS_LIMIT = 1_000_000
 
-#: Rows per block: outcomes for enumeration, trials for Monte Carlo.
+#: Rows per block: outcomes for enumeration; trials for Monte Carlo's units together.
 _BLOCK = 8192
+
+#: Threads that fill Monte Carlo units: the CPUs this process may run on, at
+#: most one per 2,048 rows of a block.
+_WORKERS = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+    _BLOCK // 2048,
+)
+
+#: A Monte Carlo call that draws fewer uniforms than this (trials x events)
+#: runs on one thread: starting and feeding threads costs a call about 2 ms,
+#: more than they save on it.
+_THREADED_UNIFORMS = 1 << 20
 
 
 class OutcomeModel(Enum):
@@ -146,6 +168,8 @@ def enumerate_expected_payment(
     events; its charge and the weighted total are left folds. Factors and
     charge terms are selected on boolean event columns, which for finite
     inputs equals the arithmetic e_i * q + (1 - e_i) * (1 - q) and e_i * amount.
+    An infinite amount, or a charge beyond float range, gives a non-finite
+    result without a warning.
     """
     ids = tuple(ev.event_id for ev in events)
     require_same_keys(ids, prices, "prices")
@@ -160,28 +184,38 @@ def enumerate_expected_payment(
     chain, conditionals, custom = _funnel_chain(events, model)
     count = 1 << n
     total = 0.0
-    for start in range(0, count, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
-        e = [(idx >> bit) & 1 == 1 for bit in range(n)]
-        charge, prob, occurred = np.zeros(len(idx)), np.ones(len(idx)), True
-        for ei, amount in zip(e, amounts):
-            charge += np.where(ei, amount, 0.0)
-        for i, q in zip(chain, conditionals):
-            ei = e[i]
-            prob *= np.where(occurred, np.where(ei, q, 1.0 - q), np.where(ei, 0.0, 1.0))
-            occurred = occurred & ei
-        for i in custom:
-            p = events[i].probability
-            prob *= np.where(e[i], p, 1.0 - p)
-        weighted = prob * charge
-        weighted[0] += total  # continue the running sum across blocks
-        total = float(np.add.accumulate(weighted)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is returned
+        for start in range(0, count, _BLOCK):
+            idx = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
+            e = [(idx >> bit) & 1 == 1 for bit in range(n)]
+            charge, prob, occurred = np.zeros(len(idx)), np.ones(len(idx)), True
+            for ei, amount in zip(e, amounts):
+                charge += np.where(ei, amount, 0.0)
+            for i, q in zip(chain, conditionals):
+                ei = e[i]
+                prob *= np.where(occurred, np.where(ei, q, 1.0 - q), np.where(ei, 0.0, 1.0))
+                occurred = occurred & ei
+            for i in custom:
+                p = events[i].probability
+                prob *= np.where(e[i], p, 1.0 - p)
+            weighted = prob * charge
+            weighted[0] += total  # continue the running sum across blocks
+            total = float(np.add.accumulate(weighted)[-1])
     return total
 
 
-def _substream_rng(seed: int, substream: tuple[int, ...]) -> np.random.Generator:
+def _substream_rng(seed: int, substream: tuple[int, ...], skip: int = 0) -> np.random.Generator:
+    """The (seed, substream) Philox stream, from its raw word ``skip`` on.
+
+    Philox makes four raw words per counter step, and ``advance`` steps the
+    counter, so ``skip`` must be a multiple of 4.
+    """
+    if skip % 4:
+        raise ValueError(f"skip must be a multiple of 4, got {skip}")
     entropy = [int(seed), *(int(s) for s in substream)]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    bits = np.random.Philox(np.random.SeedSequence(entropy))
+    bits.advance(skip // 4)
+    return np.random.Generator(bits)
 
 
 def monte_carlo_payment(
@@ -197,11 +231,13 @@ def monte_carlo_payment(
 
     Deterministic for a fixed (seed, substream); the stderr is the sample
     standard deviation over the square root of the trial count (0.0 for a
-    single trial). Trials are drawn ``_BLOCK`` rows at a time; each
-    trial's charge is a fold over the events' hit columns in declared order,
-    and both reductions over all trials are sequential prefix sums, so the
-    bits depend on the samples alone, not on the block size or on numpy's or
-    BLAS's summation.
+    single trial), and non-finite if an amount or a trial's charge is. Each
+    unit of trials is filled from its own slice of the stream, on up to
+    ``_WORKERS`` threads when the call draws at least ``_THREADED_UNIFORMS``
+    uniforms; each trial's charge is a fold over the events' hit
+    columns in declared order, and both reductions over all trials are
+    sequential prefix sums, so the bits depend on the samples alone, not on
+    the unit size, the thread count or numpy's or BLAS's summation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -211,32 +247,62 @@ def monte_carlo_payment(
 
     chain, conditionals, custom = _funnel_chain(events, model)
     amounts = [prices[eid] + shifted[eid] for eid in ids]
-    rng = _substream_rng(seed, substream)
+    n = len(events)
     totals = np.empty(trials)
-    for start in range(0, trials, _BLOCK):
-        block = totals[start:start + _BLOCK]
-        u = rng.random((len(block), len(events))).T  # one row of uniforms per trial
-        hits = [None] * len(events)
-        occurred = True
-        for idx, q in zip(chain, conditionals):
-            occurred = hits[idx] = occurred & (u[idx] < q)
-        for idx in custom:
-            hits[idx] = u[idx] < events[idx].probability
-        block[:] = 0.0
-        for hit, amount in zip(hits, amounts):
-            block += hit * amount
+    workers = _WORKERS if trials * n >= _THREADED_UNIFORMS else 1
+    unit = _BLOCK // (4 * workers) * 4  # a multiple of 4: skips are whole Philox steps
+    starts = range(0, trials, unit)
+    # Threads overlap their draws, which run without the GIL, but fold one
+    # unit at a time: two folds at once trade the GIL on each small ufunc and
+    # run slower than one.
+    fold_lock = threading.Lock()
+
+    def fill(rng: np.random.Generator, start: int) -> None:
+        """Trial totals of the unit from row ``start``, drawn from ``rng``."""
+        block = totals[start:start + unit]
+        u = rng.random((len(block), n)).T  # one row of uniforms per trial
+        # numpy's error state is per thread; a non-finite total is returned
+        with fold_lock, np.errstate(over="ignore", invalid="ignore"):
+            hits = [None] * n
+            occurred = True
+            for idx, q in zip(chain, conditionals):
+                occurred = hits[idx] = occurred & (u[idx] < q)
+            for idx in custom:
+                hits[idx] = u[idx] < events[idx].probability
+            block[:] = 0.0
+            for hit, amount in zip(hits, amounts):
+                block += hit * amount
+
+    def fill_every(first: int) -> None:
+        """Units ``first``, ``first + workers``, ...: one task and one generator per thread.
+
+        After a whole unit the generator stands at the next thread's rows, so
+        it is advanced past the rows of the other ``workers - 1`` units.
+        """
+        rng = _substream_rng(seed, substream, skip=starts[first] * n)
+        for start in starts[first::workers]:
+            fill(rng, start)
+            rng.bit_generator.advance((workers - 1) * unit * n // 4)
+
+    if workers == 1 or len(starts) == 1:
+        fill_every(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            # re-raises a unit's exception here
+            list(pool.map(fill_every, range(min(workers, len(starts)))))
     if trials == 1:
         return float(totals[0]), 0.0
     spare = np.empty(trials)
-    with np.errstate(over="ignore"):  # an overflow is summed again below
+    # An overflow is summed again below; a non-finite total gives a non-finite result.
+    with np.errstate(over="ignore", invalid="ignore"):
         mean, squares = _moments(totals, spare)
-    scale = 0
-    if math.isinf(squares):
-        # Squares are inf, not nan, only if every total is finite but a sum
-        # overflowed: redo both in units of 2**scale, which is exact. Scaled
-        # totals stay below 2**256, so even a million squares sum in range.
-        scale = math.frexp(float(np.abs(totals, out=spare).max()))[1] - 256
-        mean, squares = _moments(np.ldexp(totals, -scale, out=totals), spare)
+        scale = 0
+        if math.isinf(squares):
+            # Squares are inf, not nan, only if every total is finite but a sum
+            # overflowed: redo both in units of 2**scale, which is exact. Scaled
+            # totals stay below 2**256, so even a million squares sum in range.
+            scale = math.frexp(float(np.abs(totals, out=spare).max()))[1] - 256
+            mean, squares = _moments(np.ldexp(totals, -scale, out=totals), spare)
     return mean * 2.0**scale, math.sqrt(squares / (trials - 1)) / math.sqrt(trials) * 2.0**scale
 
 
@@ -280,8 +346,7 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     """Itemize every configuration problem; an empty list means runnable."""
     issues: list[str] = []
 
-    if config.pricing_rule not in (FIRST_PRICE, SECOND_PRICE):
-        issues.append(f"unknown pricing rule {config.pricing_rule!r}")
+    issues.extend(pricing_rule_issues(config.pricing_rule))
     if config.trials < 1:
         issues.append(f"trials must be >= 1, got {config.trials}")
     elif config.trials > TRIALS_LIMIT:
@@ -485,7 +550,13 @@ def run_auction(
     slots: SlotModel | None,
     reserve: float,
 ) -> AuctionOutcome:
-    """Run the position auction under ``pricing_rule``; the auction checks the reserve."""
+    """Run the position auction under ``pricing_rule``; the auction checks the reserve.
+
+    Raises ScenarioError on an unknown pricing rule.
+    """
+    issues = pricing_rule_issues(pricing_rule)
+    if issues:
+        raise ScenarioError(issues)
     runner = run_first_price if pricing_rule == FIRST_PRICE else run_second_price
     return runner(offers, slots, reserve)
 
@@ -510,20 +581,19 @@ def run_scenario(config: ScenarioConfig) -> dict:
         record["slot"] = award.slot
         record["price_factor"] = award.price_factor
         record["prices"] = prices
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is itemized below
-            record["expected_payment"] = expected_payment(prices, shifted, offer.probabilities)
-            record["enumerated_payment"] = enumerate_expected_payment(
-                prices, shifted, offer.events, config.model
-            )
-            mean, stderr = monte_carlo_payment(
-                prices,
-                shifted,
-                offer.events,
-                config.model,
-                trials=config.trials,
-                seed=config.seed,
-                substream=(row,),
-            )
+        record["expected_payment"] = expected_payment(prices, shifted, offer.probabilities)
+        record["enumerated_payment"] = enumerate_expected_payment(
+            prices, shifted, offer.events, config.model
+        )
+        mean, stderr = monte_carlo_payment(
+            prices,
+            shifted,
+            offer.events,
+            config.model,
+            trials=config.trials,
+            seed=config.seed,
+            substream=(row,),
+        )
         record["mc_mean"] = mean
         record["mc_stderr"] = stderr
         oracles = (record["expected_payment"], record["enumerated_payment"], mean, stderr)

@@ -462,6 +462,8 @@ RULE_PROBES = [
     ("slot-value-overflow", SLOT_OVERFLOW, MARKETS, [], "offer 'x'"),
     ("payment-overflow", PAYMENT_OVERFLOW, ("simulate",), ["--pricing", "first"], "offer 'x'"),
     ("payment-overflow-second-price", PAYMENT_OVERFLOW, ("simulate",), [], "offer 'x'"),
+    # 2 events x 600,000 trials is past sim._THREADED_UNIFORMS: Monte Carlo units run on threads
+    ("payment-overflow-many-trials", PAYMENT_OVERFLOW, ("simulate",), ["--pricing", "first", "--trials", "600000"], "offer 'x'"),
     ("trials-beyond-limit", cpc_scenario(), ("simulate",), ["--trials", "1000001"], "trials must be <= 1000000"),
 ]
 

@@ -1,6 +1,10 @@
 """Expectation oracles, Monte Carlo behavior, and the scenario runner."""
 
+import math
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uxcharge as ux
+from uxcharge import sim
 from uxcharge.sim import (
     _BLOCK,
     _substream_rng,
@@ -17,6 +22,7 @@ from uxcharge.sim import (
     enumerate_expected_payment,
     expected_payment,
     monte_carlo_payment,
+    run_auction,
     run_scenario,
     validate_scenario,
 )
@@ -148,6 +154,82 @@ def test_monte_carlo_reductions_are_sequential_sums(model, trials):
         assert stderr == 0.0
 
 
+def unit_rows(workers: int) -> int:
+    return _BLOCK // (4 * workers) * 4
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Sets the Monte Carlo thread count, with threads used however few the uniforms."""
+    monkeypatch.setattr(sim, "_THREADED_UNIFORMS", 0)
+    return lambda workers: monkeypatch.setattr(sim, "_WORKERS", workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
+def test_monte_carlo_bits_do_not_depend_on_the_thread_count(model, workers, threads):
+    threads(workers)
+    unit = unit_rows(workers)
+    prices = {"view": 0.1, "click": 0.9, "conv": 2.5}
+    shifted = {"view": 0.05, "click": 0.1, "conv": 0.0}
+    events = (*EVENTS, ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.03))
+    for trials in (1, unit - 1, unit, unit + 1, _BLOCK + 3, 20000):
+        mean, stderr = monte_carlo_payment(
+            prices, shifted, events, model, trials=trials, seed=11, substream=(2,)
+        )
+        reference = fold_monte_carlo(prices, shifted, events, model, trials, 11, (2,))
+        assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference), trials
+
+
+def test_more_threads_than_cores_switching_often_fill_every_trial(threads):
+    # Units write disjoint slices of one totals array; a row left unfilled or
+    # filled from the wrong slice of the stream would change the bits.
+    threads(8)
+    prices = {"view": 0.1, "click": 0.9}
+    shifted = {"view": 0.05, "click": 0.1}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        mean, stderr = monte_carlo_payment(prices, shifted, EVENTS, trials=50_000, seed=8)
+    finally:
+        sys.setswitchinterval(interval)
+    reference = fold_monte_carlo(prices, shifted, EVENTS, OutcomeModel.INDEPENDENT, 50_000, 8, ())
+    assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
+
+
+def test_threads_start_only_for_a_call_of_many_uniforms(monkeypatch):
+    monkeypatch.setattr(sim, "_WORKERS", 2)
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", CountingPool)
+    amounts = {"view": 0.1, "click": 0.9}
+    least = sim._THREADED_UNIFORMS // len(EVENTS)  # trials
+    monte_carlo_payment(amounts, amounts, EVENTS, trials=least - 1)
+    assert pools == []
+    monte_carlo_payment(amounts, amounts, EVENTS, trials=least)
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3, 250])
+def test_philox_advance_skips_four_raw_words_per_step(steps):
+    raw = _substream_rng(9, (1,)).bit_generator.random_raw(4 * steps + 40)
+    bits = _substream_rng(9, (1,)).bit_generator
+    bits.advance(steps)
+    assert bits.random_raw(40).tolist() == raw[4 * steps:].tolist()
+    skipped = _substream_rng(9, (1,), skip=4 * steps).bit_generator
+    assert skipped.random_raw(40).tolist() == raw[4 * steps:].tolist()
+
+
+def test_a_skip_off_the_four_word_grid_is_rejected():
+    with pytest.raises(ValueError, match="multiple of 4"):
+        _substream_rng(9, (1,), skip=6)
+
+
 def test_uniforms_are_the_top_53_bits_of_the_raw_philox_stream():
     # NEP 19 pins the raw stream only; this pins the float stream on every numpy.
     uniforms = _substream_rng(9, (1,)).random(1000)
@@ -200,10 +282,20 @@ def monte_carlo_peak_mib(n_events: int, trials: int) -> float:
         tracemalloc.stop()
 
 
-def test_monte_carlo_memory_is_per_trial_plus_one_block():
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_monte_carlo_memory_is_per_trial_plus_one_block(workers, threads):
+    threads(workers)
     sixteen = monte_carlo_peak_mib(16, 200_000)
     assert sixteen < 5.0
     assert sixteen - monte_carlo_peak_mib(8, 200_000) < 1.0
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_running_units_hold_one_block_of_uniforms_between_them(workers, threads):
+    threads(1)
+    serial = monte_carlo_peak_mib(16, 200_000)
+    threads(workers)
+    assert monte_carlo_peak_mib(16, 200_000) < serial + 0.1
 
 
 def mixed_event_set(n: int):
@@ -246,6 +338,25 @@ def test_monte_carlo_zero_amounts_give_zero():
     mean, stderr = monte_carlo_payment(zeros, zeros, EVENTS, trials=1000, seed=5)
     assert mean == 0.0
     assert stderr == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "events, amounts",
+    [
+        ((two_events(0.5)[0],), {"view": math.inf}),  # inf - inf in the moments
+        (two_events(0.5), {"view": 0.0, "click": math.inf}),  # 0 * inf in a trial's fold
+        (two_events(0.5), {"view": 1e308, "click": 1e308}),  # a trial's fold overflows
+    ],
+)
+def test_oracles_return_a_non_finite_payment_without_a_warning(events, amounts, workers, threads):
+    threads(workers)
+    zeros = {eid: 0.0 for eid in amounts}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        enumerated = enumerate_expected_payment(amounts, zeros, events)
+        mean, stderr = monte_carlo_payment(amounts, zeros, events, trials=20000, seed=1)
+    assert not any(map(math.isfinite, (enumerated, mean, stderr)))
 
 
 def test_monte_carlo_rejects_nonpositive_trials():
@@ -355,6 +466,14 @@ def test_validate_scenario_itemizes_issues():
     assert "negative bid" in text
     assert "negative charge on 'view'" in text
     assert "declared by no offer" in text
+
+
+def test_run_auction_rejects_an_unknown_pricing_rule():
+    offer = ux.AdjustedOffer("x", EVENTS, {"view": 0.0, "click": 1.0}, 0.1)
+    with pytest.raises(ScenarioError) as excinfo:
+        run_auction([offer], "third", None, 0.0)
+    assert excinfo.value.issues == ("unknown pricing rule 'third'",)
+    assert excinfo.value.issues[0] in validate_scenario(scenario_config(pricing_rule="third"))
 
 
 def test_run_scenario_raises_scenario_error_with_issues():
