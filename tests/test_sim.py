@@ -154,10 +154,6 @@ def test_monte_carlo_reductions_are_sequential_sums(model, trials):
         assert stderr == 0.0
 
 
-def unit_rows(workers: int) -> int:
-    return _BLOCK // (4 * workers) * 4
-
-
 @pytest.fixture
 def threads(monkeypatch):
     """Sets the Monte Carlo thread count, with threads used however few the uniforms."""
@@ -169,7 +165,7 @@ def threads(monkeypatch):
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
 def test_monte_carlo_bits_do_not_depend_on_the_thread_count(model, workers, threads):
     threads(workers)
-    unit = unit_rows(workers)
+    unit = _BLOCK // (4 * workers) * 4  # rows per unit
     prices = {"view": 0.1, "click": 0.9, "conv": 2.5}
     shifted = {"view": 0.05, "click": 0.1, "conv": 0.0}
     events = (*EVENTS, ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.03))
