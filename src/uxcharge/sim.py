@@ -6,8 +6,8 @@ outcome and must agree to working precision under any supported outcome
 model, since the expectation depends on marginals only. Monte Carlo draws
 from counter-based Philox substreams keyed by (seed, substream), so per-ad
 streams are independent. Enumeration walks ``_BLOCK`` outcomes at a time.
-Monte Carlo fills its trials in units on up to ``_BLOCK // 2048`` threads
-(one below ``_THREADED_UNIFORMS`` uniforms a call), sized so that the units
+Monte Carlo fills its trials in units on up to ``_BLOCK // 4096`` threads
+(one for a call of few events or few uniforms), sized so that the units
 in flight hold one ``_BLOCK`` of uniforms between them; the threads draw at
 the same time and fold one unit at a time. Philox
 is counter-based, so each thread's generator is advanced to the rows of its
@@ -71,15 +71,22 @@ TRIALS_LIMIT = 1_000_000
 _BLOCK = 8192
 
 #: Threads that fill Monte Carlo units: the CPUs this process may run on, at
-#: most one per 2,048 rows of a block.
+#: most one per 4,096 rows of a block. Only two threads of 4,096-row units
+#: have been timed (2-vCPU host); smaller units ran slower there, since each
+#: unit's fold is a run of small ufunc calls. CPU quotas are not read: two
+#: threads pinned to one CPU took about as long as one thread.
 _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-    _BLOCK // 2048,
+    _BLOCK // 4096,
 )
 
-#: A Monte Carlo call that draws fewer uniforms than this (trials x events)
-#: runs on one thread: starting and feeding threads costs a call about 2 ms,
-#: more than they save on it.
+#: A Monte Carlo call runs on one thread unless a trial draws at least
+#: ``_THREADED_EVENTS`` uniforms and the call at least ``_THREADED_UNIFORMS``.
+#: Timed on two threads against one (2-vCPU host, funnel events): at 3 events
+#: threads lost at every size from 2^15 to 3.2M uniforms, at 6 they were even,
+#: and at 16 they lost at 2^17 uniforms, were even at 2^18 and won from 2^19,
+#: as they did at 8-20 events in most runs.
+_THREADED_EVENTS = 8
 _THREADED_UNIFORMS = 1 << 20
 
 
@@ -233,8 +240,8 @@ def monte_carlo_payment(
     standard deviation over the square root of the trial count (0.0 for a
     single trial), and non-finite if an amount or a trial's charge is. Each
     unit of trials is filled from its own slice of the stream, on up to
-    ``_WORKERS`` threads when the call draws at least ``_THREADED_UNIFORMS``
-    uniforms; each trial's charge is a fold over the events' hit
+    ``_WORKERS`` threads when the call draws enough uniforms (see
+    ``_THREADED_EVENTS``); each trial's charge is a fold over the events' hit
     columns in declared order, and both reductions over all trials are
     sequential prefix sums, so the bits depend on the samples alone, not on
     the unit size, the thread count or numpy's or BLAS's summation.
@@ -249,7 +256,7 @@ def monte_carlo_payment(
     amounts = [prices[eid] + shifted[eid] for eid in ids]
     n = len(events)
     totals = np.empty(trials)
-    workers = _WORKERS if trials * n >= _THREADED_UNIFORMS else 1
+    workers = _WORKERS if n >= _THREADED_EVENTS and trials * n >= _THREADED_UNIFORMS else 1
     unit = _BLOCK // (4 * workers) * 4  # a multiple of 4: skips are whole Philox steps
     starts = range(0, trials, unit)
     # Threads overlap their draws, which run without the GIL, but fold one

@@ -411,6 +411,11 @@ SLOT_OVERFLOW = cpc_scenario(  # finite at the declared 0.01, not at the ctr's 1
 )
 TWINS = [{"ad_id": ad, "price_type": "hybrid", "bids": {"view": 1.5e308, "sure": 1.5e308}} for ad in "xy"]
 PAYMENT_OVERFLOW = cpc_scenario(events=[VIEW, SURE], offers=TWINS, charges={"view": 1.5e308})
+PAYMENT_OVERFLOW_8 = cpc_scenario(
+    events=[VIEW, SURE, *({"id": f"c{i}", "kind": "custom", "prob": 0.5} for i in range(6))],
+    offers=TWINS,
+    charges={"view": 1.5e308},
+)
 STDERR_OVERFLOW = cpc_scenario(  # (1e200 - 5e199)**2 overflows unless the variance is rescaled
     events=[VIEW, {"id": "click", "kind": "click", "prob": 0.5}],
     offers=[{"ad_id": ad, "price_type": "cpc", "bids": {"click": 1e200}} for ad in "xy"],
@@ -462,8 +467,8 @@ RULE_PROBES = [
     ("slot-value-overflow", SLOT_OVERFLOW, MARKETS, [], "offer 'x'"),
     ("payment-overflow", PAYMENT_OVERFLOW, ("simulate",), ["--pricing", "first"], "offer 'x'"),
     ("payment-overflow-second-price", PAYMENT_OVERFLOW, ("simulate",), [], "offer 'x'"),
-    # 2 events x 600,000 trials is past sim._THREADED_UNIFORMS: Monte Carlo units run on threads
-    ("payment-overflow-many-trials", PAYMENT_OVERFLOW, ("simulate",), ["--pricing", "first", "--trials", "600000"], "offer 'x'"),
+    # 8 events x 200,000 trials is past sim._THREADED_EVENTS and _THREADED_UNIFORMS: Monte Carlo units run on threads
+    ("payment-overflow-many-trials", PAYMENT_OVERFLOW_8, ("simulate",), ["--pricing", "first", "--trials", "200000"], "offer 'x'"),
     ("trials-beyond-limit", cpc_scenario(), ("simulate",), ["--trials", "1000001"], "trials must be <= 1000000"),
 ]
 

@@ -156,7 +156,8 @@ def test_monte_carlo_reductions_are_sequential_sums(model, trials):
 
 @pytest.fixture
 def threads(monkeypatch):
-    """Sets the Monte Carlo thread count, with threads used however few the uniforms."""
+    """Sets the Monte Carlo thread count, with threads used however few the events and uniforms."""
+    monkeypatch.setattr(sim, "_THREADED_EVENTS", 0)
     monkeypatch.setattr(sim, "_THREADED_UNIFORMS", 0)
     return lambda workers: monkeypatch.setattr(sim, "_WORKERS", workers)
 
@@ -193,7 +194,7 @@ def test_more_threads_than_cores_switching_often_fill_every_trial(threads):
     assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
 
 
-def test_threads_start_only_for_a_call_of_many_uniforms(monkeypatch):
+def test_threads_start_only_for_a_call_of_many_events_and_uniforms(monkeypatch):
     monkeypatch.setattr(sim, "_WORKERS", 2)
     pools = []
 
@@ -203,11 +204,15 @@ def test_threads_start_only_for_a_call_of_many_uniforms(monkeypatch):
             super().__init__(workers)
 
     monkeypatch.setattr(sim, "ThreadPoolExecutor", CountingPool)
-    amounts = {"view": 0.1, "click": 0.9}
-    least = sim._THREADED_UNIFORMS // len(EVENTS)  # trials
-    monte_carlo_payment(amounts, amounts, EVENTS, trials=least - 1)
+    n = sim._THREADED_EVENTS
+    few, enough = funnel_events(n - 1), funnel_events(n)
+    least = sim._THREADED_UNIFORMS // n  # trials
+    for events, trials in ((enough, least - 1), (few, least * n // (n - 1) + 1)):
+        amounts = {e.event_id: 0.5 for e in events}
+        monte_carlo_payment(amounts, amounts, events, trials=trials)
     assert pools == []
-    monte_carlo_payment(amounts, amounts, EVENTS, trials=least)
+    amounts = {e.event_id: 0.5 for e in enough}
+    monte_carlo_payment(amounts, amounts, enough, trials=least)
     assert pools == [2]
 
 
