@@ -14,11 +14,13 @@ the JSON parser's recursion allows. Scenario and ``adjust`` documents pass
 one header check (a JSON object whose ``format_version`` is the integer 1).
 Every entry, ``excluded`` ones too, is an object with its
 required fields, every number a finite JSON number within float range, every
-``ad_id`` and event ``id`` a string of Unicode text, ``slots.k`` an integer,
+``ad_id`` and event ``id`` a string of Unicode text, every event ``kind`` and
+``price_type`` one of its names, ``slots.k`` an integer,
 and each ``ctr_matrix`` row an array keyed to a declared ad. The slot count
 (``--slots`` too) must be >= 1 and match the ctr rows, the trials at most
 ``sim.TRIALS_LIMIT``, the reserve finite and >= 0, and the ads of an
-``adjust`` document distinct. An expected charge, adjusted value, slot value
+``adjust`` document distinct, each over an event set a scenario would pass
+(``model.event_set_issues``). An expected charge, adjusted value, slot value
 or payment that overflows float range is rejected, naming the ad.
 
 Exit codes: 0 success; 1 any input problem, the command line included, as
@@ -50,6 +52,7 @@ from .model import (
     brief,
     charges_from_dict,
     event_from_dict,
+    event_set_issues,
     number,
     offer_from_dict,
     offer_to_dict,
@@ -304,6 +307,9 @@ def cmd_adjust(args: argparse.Namespace) -> int:
 def _adjusted_offer(record: Mapping) -> AdjustedOffer:
     require_fields(record, ("ad_id", "events", "adjusted_bids", "expected_adjusted_value"))
     events = read_events(record)
+    violations = event_set_issues(events)
+    if violations:
+        raise ValueError("; ".join(violations))
     raw_bids = record["adjusted_bids"]
     if not isinstance(raw_bids, Mapping):
         raise ValueError(f"'adjusted_bids' must be an object, got {brief(raw_bids)}")

@@ -5,8 +5,9 @@ so instances are safe to share across threads. Construction is permissive
 (invalid offers can be built, and ``validate_offer`` lists their violations,
 an empty list when valid), while derived objects such as ``AdjustedOffer``
 are produced only by the operations that guarantee their invariants. The
-``*_from_dict`` readers take every JSON number through ``number`` and every
-id through ``text``, and raise ValueError only.
+``*_from_dict`` readers take every JSON number through ``number``, every
+id through ``text`` and every kind and price type through ``member``, and
+raise ValueError only.
 """
 
 from __future__ import annotations
@@ -217,29 +218,27 @@ def require_same_keys(reference: tuple[str, ...], mapping: Mapping[str, float], 
     raise KeyMismatchError(f"{what} not keyed to the event set: {', '.join(parts)}")
 
 
-def validate_offer(offer: Offer) -> list[str]:
-    """Check every offer invariant; the list of violations is empty when valid.
+def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
+    """Check an event set's invariants; the list of violations is empty when valid.
 
-    Checks: unique event ids, probabilities in [0, 1], exactly one view event
-    with probability 1, a finite bid entry (>= 0) for every event and no stray
-    entries, and price-type discipline (CPM bids only on the view event,
-    CPC only on the click event).
+    Checks: unique event ids, probabilities in [0, 1], and exactly one view
+    event, with probability 1. Scenario offers and ``adjust`` records share it.
     """
     violations: list[str] = []
 
     seen: set[str] = set()
-    for ev in offer.events:
+    for ev in events:
         if ev.event_id in seen:
             violations.append(f"duplicate event id '{ev.event_id}'")
         seen.add(ev.event_id)
 
-    for ev in offer.events:
+    for ev in events:
         if not (0.0 <= ev.probability <= 1.0):
             violations.append(
                 f"probability out of range for '{ev.event_id}': {ev.probability!r}"
             )
 
-    views = [e for e in offer.events if e.kind is EventKind.VIEW]
+    views = [e for e in events if e.kind is EventKind.VIEW]
     if not views:
         violations.append("missing view event")
     elif len(views) > 1:
@@ -249,6 +248,17 @@ def validate_offer(offer: Offer) -> list[str]:
             violations.append(
                 f"view event must have probability 1, got {views[0].probability!r}"
             )
+    return violations
+
+
+def validate_offer(offer: Offer) -> list[str]:
+    """Check every offer invariant; the list of violations is empty when valid.
+
+    Checks: the event set (``event_set_issues``), a finite bid entry (>= 0)
+    for every event and no stray entries, and price-type discipline (CPM
+    bids only on the view event, CPC only on the click event).
+    """
+    violations = event_set_issues(offer.events)
 
     ids = offer.event_ids
     for eid in ids:
@@ -322,6 +332,15 @@ def text(value: object, what: str) -> str:
     raise ValueError(f"{what} must be a string of Unicode text, got {brief(value)}")
 
 
+def member(value: object, kind: type[Enum], what: str) -> Any:
+    """The member of the enum ``kind`` with this value; else ValueError naming ``what``."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(m.value for m in kind)
+        raise ValueError(f"{what} must be one of {allowed}, got {brief(value)}") from None
+
+
 def event_to_dict(event: EventSpec) -> dict:
     return {"id": event.event_id, "kind": event.kind.value, "prob": event.probability}
 
@@ -338,7 +357,8 @@ def require_fields(doc: object, fields: tuple[str, ...]) -> None:
 def event_from_dict(doc: Mapping) -> EventSpec:
     require_fields(doc, ("id", "kind", "prob"))
     event_id = text(doc["id"], "event 'id'")
-    return EventSpec(event_id, EventKind(doc["kind"]), number(doc["prob"], "'prob' of", event_id))
+    kind = member(doc["kind"], EventKind, "'kind'")
+    return EventSpec(event_id, kind, number(doc["prob"], "'prob' of", event_id))
 
 
 def read_each(doc: Mapping, key: str, read: Callable[[Any], Any], issues: list[str]) -> list:
@@ -387,7 +407,7 @@ def offer_from_dict(doc: Mapping, events: tuple[EventSpec, ...] = ()) -> Offer:
     bids.update({k: number(v, "bid on", k) for k, v in raw.items() if k not in bids})
     return Offer(
         ad_id=text(doc["ad_id"], "'ad_id'"),
-        price_type=PriceType(doc["price_type"]),
+        price_type=member(doc["price_type"], PriceType, "'price_type'"),
         events=events,
         bids=bids,
     )

@@ -5,11 +5,11 @@ enumeration oracle recomputes it by brute force over every joint event
 outcome and must agree to working precision under any supported outcome
 model, since the expectation depends on marginals only. Monte Carlo draws
 from counter-based Philox substreams keyed by (seed, substream), so per-ad
-streams are independent. Enumeration walks ``_BLOCK`` outcomes at a time.
-Monte Carlo fills its trials in units on up to ``_BLOCK // 4096`` threads
-(one for a call of few events or few uniforms), sized so that the units
-in flight hold one ``_BLOCK`` of uniforms between them; the threads draw at
-the same time and fold one unit at a time. Philox
+streams are independent. Enumeration broadcasts one axis per event over all
+2^n outcomes at once. Monte Carlo fills its trials in units on up to
+``_BLOCK // 4096`` threads (one for a call of few events or few uniforms),
+sized so that the units in flight hold one ``_BLOCK`` of uniforms between
+them; the threads draw at the same time and fold one unit at a time. Philox
 is counter-based, so each thread's generator is advanced to the rows of its
 units and draws exactly their slices of the one-shot (trials, events)
 stream; a call needs two float64 per trial plus one block, not trials x
@@ -60,14 +60,15 @@ from .shift import shift_identity, shift_proportional, shift_single_event
 from .adjust import adjust_general  # noqa: F401
 from .shift import is_feasible, total_expected_charge  # noqa: F401
 
-#: Enumeration stays exact and fast at desk scale up to this many events.
+#: Enumeration stays exact and fast at desk scale up to this many events; it keeps
+#: 2.5 float64 arrays of 2^n outcomes, so a call at the limit peaks near 20 MiB.
 ENUMERATION_LIMIT = 20
 
 #: Monte Carlo keeps two float64 per trial; at this many, one 20-event funnel
 #: call peaks near 15 MiB (tracemalloc).
 TRIALS_LIMIT = 1_000_000
 
-#: Rows per block: outcomes for enumeration; trials for Monte Carlo's units together.
+#: Trials in Monte Carlo's units in flight, together.
 _BLOCK = 8192
 
 #: Threads that fill Monte Carlo units: the CPUs this process may run on, at
@@ -170,11 +171,12 @@ def enumerate_expected_payment(
     """Exact expected charge by summing probability * charge over all outcomes.
 
     Independent of the closed form on purpose: it averages the realized
-    charge sum((r_i + d_i) * e_i) over the full joint law of e. Each
-    outcome's probability is a product over chain stages, then independent
-    events; its charge and the weighted total are left folds. Factors and
-    charge terms are selected on boolean event columns, which for finite
-    inputs equals the arithmetic e_i * q + (1 - e_i) * (1 - q) and e_i * amount.
+    charge sum((r_i + d_i) * e_i) over the full joint law of e, broadcast
+    over one boolean axis per event. Each outcome's probability is a product
+    over chain stages, then independent events; its charge and the weighted
+    total, over outcomes in index order, are left folds. Factors and charge
+    terms are selected on the boolean axes, which for finite inputs equals
+    the arithmetic e_i * q + (1 - e_i) * (1 - q) and e_i * amount.
     An infinite amount, or a charge beyond float range, gives a non-finite
     result without a warning.
     """
@@ -189,26 +191,22 @@ def enumerate_expected_payment(
 
     amounts = [prices[eid] + shifted[eid] for eid in ids]
     chain, conditionals, custom = _funnel_chain(events, model)
-    count = 1 << n
-    total = 0.0
+    # Event i is axis n - 1 - i, so outcome k ravels to index k with bit i set
+    # when event i occurred.
+    e = [np.array([False, True]).reshape((2,) + (1,) * i) for i in range(n)]
+    charge, prob, occurred = np.zeros(()), np.ones(()), True
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is returned
-        for start in range(0, count, _BLOCK):
-            idx = np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
-            e = [(idx >> bit) & 1 == 1 for bit in range(n)]
-            charge, prob, occurred = np.zeros(len(idx)), np.ones(len(idx)), True
-            for ei, amount in zip(e, amounts):
-                charge += np.where(ei, amount, 0.0)
-            for i, q in zip(chain, conditionals):
-                ei = e[i]
-                prob *= np.where(occurred, np.where(ei, q, 1.0 - q), np.where(ei, 0.0, 1.0))
-                occurred = occurred & ei
-            for i in custom:
-                p = events[i].probability
-                prob *= np.where(e[i], p, 1.0 - p)
-            weighted = prob * charge
-            weighted[0] += total  # continue the running sum across blocks
-            total = float(np.add.accumulate(weighted)[-1])
-    return total
+        for ei, amount in zip(e, amounts):
+            charge = charge + np.where(ei, amount, 0.0)
+        for i, q in zip(chain, conditionals):
+            ei = e[i]
+            prob = prob * np.where(occurred, np.where(ei, q, 1.0 - q), np.where(ei, 0.0, 1.0))
+            occurred = occurred & ei
+        for i in custom:
+            p = events[i].probability
+            prob = prob * np.where(e[i], p, 1.0 - p)
+        weighted = np.multiply(prob, charge, out=prob).ravel()
+        return float(np.add.accumulate(weighted, out=weighted)[-1])
 
 
 def _substream_rng(seed: int, substream: tuple[int, ...], skip: int = 0) -> np.random.Generator:

@@ -386,6 +386,8 @@ SCENARIO_PROBES = [
     ("offer-events-number", cpc_scenario(offers=[{"ad_id": "x", "price_type": "cpm", "events": 5}]), "offers[0]: 'events' must be an array"),
     ("offer-event-missing-kind", cpc_scenario(offers=[{"ad_id": "x", "price_type": "cpm", "events": [{"id": "view", "prob": 1.0}]}]), "offers[0]: events[0]: missing field 'kind'"),
     ("lone-surrogate-ad-id", cpc_scenario(offers=[{"ad_id": "\ud800", "price_type": "cpm", "bids": {"view": 1.0}}]), "offers[0]: 'ad_id'"),
+    ("long-kind", cpc_scenario(events=[{"id": "view", "kind": "x" * 300, "prob": 1.0}]), "events[0]: 'kind' must be one of view, click"),
+    ("object-price-type", cpc_scenario(offers=[{"ad_id": "x", "price_type": {"cpc": 1}, "bids": {}}]), "offers[0]: 'price_type' must be one of cpm, cpc, hybrid"),
 ]
 
 # Finite documents whose numbers overflow float range inside the pipeline.
@@ -450,6 +452,7 @@ def test_malformed_or_non_finite_scenario_is_one_diagnostic(command, doc, word, 
     extra = ["--trials", "100"] if command == "simulate" else []
     detail = _one_diagnostic(*run_cli([command, path, *extra], capsys))
     assert word in detail
+    assert len(detail) < 120
 
 
 ALL = ("adjust", "auction", "simulate")
@@ -605,6 +608,25 @@ def _excluded_nan_reason(doc):
     doc["excluded"] = [{"ad_id": "y", "reason": NAN}]
 
 
+def _impossible_prob(doc):
+    doc["adjusted"][0]["events"][1]["prob"] = 7.5
+
+
+def _negative_prob(doc):
+    doc["adjusted"][0]["events"][1]["prob"] = -3.0
+
+
+def _repeat_event(doc):
+    events = doc["adjusted"][0]["events"]
+    events.append({**events[0], "prob": -3.0})
+
+
+def _missing_view(doc):
+    record = doc["adjusted"][0]
+    del record["events"][0]
+    del record["adjusted_bids"]["view"]
+
+
 def _slot_overflow(doc):
     record = doc["adjusted"][0]
     record["events"] = [VIEW, SURE]
@@ -633,6 +655,10 @@ def _slot_overflow(doc):
         (_missing_bids, "adjusted[0]: missing field 'adjusted_bids'"),
         (_events_number, "adjusted[0]: 'events' must be an array"),
         (_missing_prob, "adjusted[0]: events[1]: missing field 'prob'"),
+        (_impossible_prob, "adjusted[0]: probability out of range for 'click': 7.5"),
+        (_negative_prob, "adjusted[0]: probability out of range for 'click': -3.0"),
+        (_repeat_event, "adjusted[0]: duplicate event id 'view'"),
+        (_missing_view, "adjusted[0]: missing view event"),
         (_slot_overflow, "offer 'x'"),
         (_excluded_nan, "excluded[0]: missing field 'ad_id', 'reason'"),
         (_excluded_nan_reason, "excluded[0]: 'reason'"),
@@ -657,6 +683,10 @@ def _slot_overflow(doc):
         "missing-adjusted-bids",
         "events-number",
         "event-missing-prob",
+        "impossible-prob",
+        "negative-prob",
+        "repeated-event-id",
+        "missing-view-event",
         "slot-value-overflow",
         "excluded-entry-nan",
         "excluded-reason-nan",

@@ -15,6 +15,7 @@ import uxcharge as ux
 from uxcharge import sim
 from uxcharge.sim import (
     _BLOCK,
+    ENUMERATION_LIMIT,
     _substream_rng,
     OutcomeModel,
     ScenarioConfig,
@@ -320,7 +321,8 @@ def mixed_event_set(n: int):
     return events, prices, shifted
 
 
-@pytest.mark.parametrize("n", [4, 8, 16])
+# 13 and 14 events sit either side of 2^13 outcomes, a former block edge.
+@pytest.mark.parametrize("n", [3, 4, 8, 13, 14, 16])
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
 def test_oracles_equal_pure_python_folds_in_declared_order(model, n):
     events, prices, shifted = mixed_event_set(n)
@@ -332,6 +334,33 @@ def test_oracles_equal_pure_python_folds_in_declared_order(model, n):
         )
         reference = fold_monte_carlo(prices, shifted, events, model, trials, 5, (n,))
         assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
+
+
+def enumeration_peak_mib(n_events: int) -> float:
+    events, prices, shifted = mixed_event_set(n_events)
+    tracemalloc.start()
+    try:
+        enumerate_expected_payment(prices, shifted, events, OutcomeModel.FUNNEL)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumeration_memory_is_two_and_a_half_outcome_arrays():
+    assert enumeration_peak_mib(16) < 2.0
+    assert enumeration_peak_mib(20) < 24.0
+
+
+@pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
+def test_enumeration_at_the_limit_agrees_with_the_closed_form(model):
+    events, prices, shifted = mixed_event_set(ENUMERATION_LIMIT)
+    closed = expected_payment(prices, shifted, {e.event_id: e.probability for e in events})
+    enumerated = enumerate_expected_payment(prices, shifted, events, model)
+    assert abs(enumerated - closed) <= 1e-9 * abs(closed)
+
+
+def test_enumeration_of_no_events_is_zero():
+    assert enumerate_expected_payment({}, {}, ()) == 0.0
 
 
 def test_monte_carlo_zero_amounts_give_zero():
