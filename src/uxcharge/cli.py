@@ -2,10 +2,12 @@
 
 A scenario is one JSON document (README, "Scenario files"): ``format_version``
 1, shared ``events``, ``offers`` (each may carry its own ``events``),
-``charges``, and optional ``slots`` and ``reserve``. All three subcommands
-share one pipeline, ``sim.prepare`` (validate, then per ad feasibility,
-charge shift, adjustment), so they exclude the same ads for the same two
-reasons. ``auction`` also reads ``adjust`` output. Reports are canonical JSON
+``charges``, and optional ``slots`` and ``reserve``. Every subcommand reads
+it into one ``sim.ScenarioConfig``, which flags only override, and runs one
+pipeline, ``sim.prepare`` (validate, then per ad feasibility, charge shift,
+adjustment), so all three reject the same scenarios and exclude the same ads
+for the same two reasons. ``auction`` also reads ``adjust`` output, checking
+each record's value against its bids. Reports are canonical JSON
 (keys in construction order, numbers at 17 significant digits), so identical
 inputs and seeds give byte-identical output.
 
@@ -19,8 +21,9 @@ required fields, every number a finite JSON number within float range, every
 and each ``ctr_matrix`` row an array keyed to a declared ad. The slot count
 (``--slots`` too) must be >= 1 and match the ctr rows, the trials at most
 ``sim.TRIALS_LIMIT``, the reserve finite and >= 0, and the ads of an
-``adjust`` document distinct, each over an event set a scenario would pass
-(``model.event_set_issues``). An expected charge, adjusted value, slot value
+``adjust`` document distinct and not also ``excluded``, each over an event
+set a scenario would pass (``model.event_set_issues``) with the value its
+bids give. An expected charge, adjusted value, slot value
 or payment that overflows float range is rejected, naming the ad.
 
 Exit codes: 0 success; 1 any input problem, the command line included, as
@@ -40,15 +43,17 @@ import math
 import os
 import sys
 from collections.abc import Mapping, Sequence
+from dataclasses import replace
 from typing import Any, NoReturn
 
+from .adjust import expected_value
 from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel
 from .model import (
     FORMAT_VERSION,
     AdjustedOffer,
     ChargeSchedule,
-    Offer,
     ScenarioError,
+    approx_eq,
     brief,
     charges_from_dict,
     event_from_dict,
@@ -62,7 +67,7 @@ from .model import (
     require_same_keys,
     text,
 )
-from .sim import OutcomeModel, ScenarioConfig, prepare, run_auction, run_scenario
+from .sim import OutcomeModel, ScenarioConfig, prepare, run_auction, run_scenario, validate_scenario
 
 logger = logging.getLogger("uxcharge")
 
@@ -188,10 +193,11 @@ def _ctr_row(row: Any, ad_id: str) -> tuple[float, ...]:
     return tuple(number(p, "ctr entry for", ad_id) for p in row)
 
 
-def parse_scenario_doc(doc: Any) -> tuple[tuple[Offer, ...], ChargeSchedule, SlotModel | None, float]:
-    """Turn a scenario JSON document into domain values.
+def parse_scenario_doc(doc: Any) -> ScenarioConfig:
+    """The ScenarioConfig a scenario JSON document describes, with default run flags.
 
-    Raises ScenarioError with itemized issues on any structural problem.
+    Raises ScenarioError with itemized issues on any structural problem;
+    ``sim.validate_scenario`` checks the rules across fields.
     """
     issues = _header_issues(doc)
     if issues:
@@ -221,10 +227,6 @@ def parse_scenario_doc(doc: Any) -> tuple[tuple[Offer, ...], ChargeSchedule, Slo
                 slots = SlotModel(k, {ad: _ctr_row(row, ad) for ad, row in raw_ctr.items()})
             except ValueError as exc:
                 issues.append(f"slots: {exc}")
-    if slots is not None and offers and not issues:
-        declared = {offer.ad_id for offer in offers}
-        undeclared = [ad for ad in slots.ctr if ad not in declared]
-        issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
 
     reserve = 0.0
     try:
@@ -234,7 +236,7 @@ def parse_scenario_doc(doc: Any) -> tuple[tuple[Offer, ...], ChargeSchedule, Slo
 
     if issues:
         raise ScenarioError(issues)
-    return tuple(offers), charges, slots, reserve
+    return ScenarioConfig(offers=tuple(offers), charges=charges, slots=slots, reserve=reserve)
 
 
 def _load_scenario(path: str) -> Any:
@@ -264,13 +266,12 @@ def _fail(kind: str, detail: Any, code: int) -> int:
 # --- subcommands -------------------------------------------------------------
 
 
-def _overrides(
-    args: argparse.Namespace, slots: SlotModel | None, reserve: float
-) -> tuple[SlotModel | None, float]:
-    """The slots and reserve an auction runs with, after --slots/--reserve."""
+def _market(args: argparse.Namespace, config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` after --strategy, --pricing, --slots and --reserve."""
     if args.slots is not None:
-        slots = SlotModel(k=args.slots, ctr=slots.ctr if slots else {})
-    return slots, reserve if args.reserve is None else args.reserve
+        config = replace(config, slots=SlotModel(args.slots, config.slots.ctr if config.slots else {}))
+    reserve = config.reserve if args.reserve is None else args.reserve
+    return replace(config, strategy=args.strategy, pricing_rule=args.pricing, reserve=reserve)
 
 
 def _excluded(records: list[dict]) -> list[dict]:
@@ -281,8 +282,8 @@ def _excluded(records: list[dict]) -> list[dict]:
 
 
 def cmd_adjust(args: argparse.Namespace) -> int:
-    offers, charges, _, _ = parse_scenario_doc(_load_scenario(args.input))
-    records, _ = prepare(ScenarioConfig(offers=offers, charges=charges, strategy=args.strategy))
+    config = replace(parse_scenario_doc(_load_scenario(args.input)), strategy=args.strategy)
+    records, _ = prepare(config)
     adjusted = [
         {
             **offer_to_dict(offer),
@@ -291,7 +292,7 @@ def cmd_adjust(args: argparse.Namespace) -> int:
             "adjusted_bids": record["adjusted_bids"],
             "expected_adjusted_value": record["expected_adjusted_value"],
         }
-        for offer, record in zip(offers, records)
+        for offer, record in zip(config.offers, records)
         if not record["excluded"]
     ]
     document = {
@@ -315,7 +316,10 @@ def _adjusted_offer(record: Mapping) -> AdjustedOffer:
         raise ValueError(f"'adjusted_bids' must be an object, got {brief(raw_bids)}")
     adjusted = {k: number(v, "adjusted bid on", k) for k, v in raw_bids.items()}
     require_same_keys(tuple(e.event_id for e in events), adjusted, "adjusted_bids")
-    value = number(record["expected_adjusted_value"], "'expected_adjusted_value'")
+    claimed = number(record["expected_adjusted_value"], "'expected_adjusted_value'")
+    value = expected_value(adjusted, {e.event_id: e.probability for e in events})
+    if not approx_eq(claimed, value):
+        raise ValueError(f"'expected_adjusted_value' {claimed!r} differs from its bids' value {value!r}")
     return AdjustedOffer(text(record["ad_id"], "'ad_id'"), events, adjusted, value)
 
 
@@ -336,6 +340,9 @@ def _read_adjust_document(doc: Mapping) -> tuple[tuple[AdjustedOffer, ...], list
         doc = {}  # nothing else can be read
     offers = read_each(doc, "adjusted", _adjusted_offer, issues)
     excluded = read_each(doc, "excluded", _excluded_entry, issues)
+    listed = {offer.ad_id for offer in offers}
+    both = [entry["ad_id"] for entry in excluded if entry["ad_id"] in listed]
+    issues.extend(f"ad {ad!r} is listed under both 'adjusted' and 'excluded'" for ad in both)
     if issues:
         raise ScenarioError(issues)
     return tuple(offers), excluded
@@ -345,17 +352,16 @@ def cmd_auction(args: argparse.Namespace) -> int:
     doc = _load_scenario(args.input)
     if isinstance(doc, Mapping) and "adjusted" in doc:
         offers, excluded = _read_adjust_document(doc)
-        slots, reserve = _overrides(args, None, 0.0)
+        config = _market(args, ScenarioConfig(offers=(), charges=ChargeSchedule({})))
+        issues = validate_scenario(config)
+        if issues:
+            raise ScenarioError(issues)
     else:
-        parsed, charges, slots, reserve = parse_scenario_doc(doc)
-        slots, reserve = _overrides(args, slots, reserve)
-        config = ScenarioConfig(
-            offers=parsed, charges=charges, strategy=args.strategy, reserve=reserve
-        )
+        config = _market(args, parse_scenario_doc(doc))
         records, offers = prepare(config)
         excluded = _excluded(records)
 
-    outcome = run_auction(offers, args.pricing, slots, reserve)
+    outcome = run_auction(offers, config.pricing_rule, config.slots, config.reserve)
     document = {
         "format_version": FORMAT_VERSION,
         "pricing_rule": outcome.pricing_rule,
@@ -399,22 +405,13 @@ def _write_csv(report: Mapping, path: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    offers, charges, slots, reserve = parse_scenario_doc(_load_scenario(args.input))
-    slots, reserve = _overrides(args, slots, reserve)
-    config = ScenarioConfig(
-        offers=offers,
-        charges=charges,
-        pricing_rule=args.pricing,
-        strategy=args.strategy,
-        slots=slots,
-        reserve=reserve,
+    config = replace(
+        _market(args, parse_scenario_doc(_load_scenario(args.input))),
         model=OutcomeModel(args.model),
         trials=args.trials,
         seed=args.seed,
     )
-    logger.info(
-        "simulating %d offers, %d trials, seed %d", len(offers), args.trials, args.seed
-    )
+    logger.info("simulating %d offers, %d trials, seed %d", len(config.offers), args.trials, args.seed)
     report = run_scenario(config)
     _emit(dumps_canonical(report), args.output)
     if args.csv:

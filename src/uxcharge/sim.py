@@ -6,14 +6,14 @@ outcome and must agree to working precision under any supported outcome
 model, since the expectation depends on marginals only. Monte Carlo draws
 from counter-based Philox substreams keyed by (seed, substream), so per-ad
 streams are independent. Enumeration broadcasts one axis per event over all
-2^n outcomes at once. Monte Carlo fills its trials in units on up to
-``_BLOCK // 4096`` threads (one for a call of few events or few uniforms),
-sized so that the units in flight hold one ``_BLOCK`` of uniforms between
-them; the threads draw at the same time and fold one unit at a time. Philox
-is counter-based, so each thread's generator is advanced to the rows of its
-units and draws exactly their slices of the one-shot (trials, events)
-stream; a call needs two float64 per trial plus one block, not trials x
-events uniforms.
+2^n outcomes at once. Monte Carlo gives each of up to ``_BLOCK // 4096``
+threads (one for a call of few events or few uniforms) a contiguous range of
+trial rows, drawn in units of ``_BLOCK // threads`` rows, so the units in
+flight hold one ``_BLOCK`` of uniforms; the threads draw at the same time and
+fold one unit at a time. Philox is counter-based, so each thread's generator
+starts at the first row of its range and draws exactly that slice of the
+one-shot (trials, events) stream; a call needs two float64 per trial plus
+one block, not trials x events uniforms.
 Both oracles return a non-finite result quietly, in any thread: each sets
 its own numpy error state, which is per thread.
 
@@ -71,7 +71,7 @@ TRIALS_LIMIT = 1_000_000
 #: Trials in Monte Carlo's units in flight, together.
 _BLOCK = 8192
 
-#: Threads that fill Monte Carlo units: the CPUs this process may run on, at
+#: Threads that fill Monte Carlo trials: the CPUs this process may run on, at
 #: most one per 4,096 rows of a block. Only two threads of 4,096-row units
 #: have been timed (2-vCPU host); smaller units ran slower there, since each
 #: unit's fold is a run of small ufunc calls. CPU quotas are not read: two
@@ -237,10 +237,10 @@ def monte_carlo_payment(
     Deterministic for a fixed (seed, substream); the stderr is the sample
     standard deviation over the square root of the trial count (0.0 for a
     single trial), and non-finite if an amount or a trial's charge is. Each
-    unit of trials is filled from its own slice of the stream, on up to
-    ``_WORKERS`` threads when the call draws enough uniforms (see
-    ``_THREADED_EVENTS``); each trial's charge is a fold over the events' hit
-    columns in declared order, and both reductions over all trials are
+    thread fills one contiguous range of trials from its own slice of the
+    stream, on up to ``_WORKERS`` threads when the call draws enough uniforms
+    (see ``_THREADED_EVENTS``); each trial's charge is a fold over the events'
+    hit columns in declared order, and both reductions over all trials are
     sequential prefix sums, so the bits depend on the samples alone, not on
     the unit size, the thread count or numpy's or BLAS's summation.
     """
@@ -255,46 +255,39 @@ def monte_carlo_payment(
     n = len(events)
     totals = np.empty(trials)
     workers = _WORKERS if n >= _THREADED_EVENTS and trials * n >= _THREADED_UNIFORMS else 1
-    unit = _BLOCK // (4 * workers) * 4  # a multiple of 4: skips are whole Philox steps
-    starts = range(0, trials, unit)
+    unit = _BLOCK // workers  # rows a thread draws at a time
+    # Thread k fills rows bounds[k]:bounds[k + 1]. Each bound is a multiple of
+    # 4 rows, so the skip to it is whole Philox steps for any event count.
+    bounds = [trials * k // workers // 4 * 4 for k in range(workers)] + [trials]
     # Threads overlap their draws, which run without the GIL, but fold one
     # unit at a time: two folds at once trade the GIL on each small ufunc and
     # run slower than one.
     fold_lock = threading.Lock()
 
-    def fill(rng: np.random.Generator, start: int) -> None:
-        """Trial totals of the unit from row ``start``, drawn from ``rng``."""
-        block = totals[start:start + unit]
-        u = rng.random((len(block), n)).T  # one row of uniforms per trial
-        # numpy's error state is per thread; a non-finite total is returned
-        with fold_lock, np.errstate(over="ignore", invalid="ignore"):
-            hits = [None] * n
-            occurred = True
-            for idx, q in zip(chain, conditionals):
-                occurred = hits[idx] = occurred & (u[idx] < q)
-            for idx in custom:
-                hits[idx] = u[idx] < events[idx].probability
-            block[:] = 0.0
-            for hit, amount in zip(hits, amounts):
-                block += hit * amount
+    def fill(k: int) -> None:
+        """Trial totals of thread ``k``'s rows, drawn ``unit`` rows at a time from one generator."""
+        lo, hi = bounds[k], bounds[k + 1]
+        rng = _substream_rng(seed, substream, skip=lo * n)
+        for start in range(lo, hi, unit):
+            block = totals[start:min(start + unit, hi)]
+            u = rng.random((len(block), n)).T  # one row of uniforms per trial
+            # numpy's error state is per thread; a non-finite total is returned
+            with fold_lock, np.errstate(over="ignore", invalid="ignore"):
+                hits = [None] * n
+                occurred = True
+                for idx, q in zip(chain, conditionals):
+                    occurred = hits[idx] = occurred & (u[idx] < q)
+                for idx in custom:
+                    hits[idx] = u[idx] < events[idx].probability
+                block[:] = 0.0
+                for hit, amount in zip(hits, amounts):
+                    block += hit * amount
 
-    def fill_every(first: int) -> None:
-        """Units ``first``, ``first + workers``, ...: one task and one generator per thread.
-
-        After a whole unit the generator stands at the next thread's rows, so
-        it is advanced past the rows of the other ``workers - 1`` units.
-        """
-        rng = _substream_rng(seed, substream, skip=starts[first] * n)
-        for start in starts[first::workers]:
-            fill(rng, start)
-            rng.bit_generator.advance((workers - 1) * unit * n // 4)
-
-    if workers == 1 or len(starts) == 1:
-        fill_every(0)
+    if workers == 1:
+        fill(0)
     else:
         with ThreadPoolExecutor(workers) as pool:
-            # re-raises a unit's exception here
-            list(pool.map(fill_every, range(min(workers, len(starts)))))
+            list(pool.map(fill, range(workers)))  # re-raises a thread's exception here
     if trials == 1:
         return float(totals[0]), 0.0
     spare = np.empty(trials)
@@ -391,6 +384,10 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
                 _funnel_chain(offer.events, config.model)
             except ValueError as exc:
                 issues.append(f"offer '{offer.ad_id}': {exc}")
+
+    if config.slots is not None and config.offers:
+        undeclared = [ad for ad in config.slots.ctr if ad not in seen_ads]
+        issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
 
     known_ids = {eid for offer in config.offers for eid in offer.event_ids}
     for eid, amount in config.charges.charges.items():

@@ -290,15 +290,29 @@ def test_bad_reserve_is_one_validation_diagnostic(command, reserve, tmp_path, ca
     assert any("reserve" in issue for issue in record["detail"])
 
 
+@pytest.mark.parametrize("command", ["adjust", "auction", "simulate"])
+def test_bad_reserve_in_the_scenario_is_one_validation_diagnostic(command, tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", cpc_scenario(reserve=-1))
+    extra = ["--trials", "100"] if command == "simulate" else []
+    detail = _one_diagnostic(*run_cli([command, path, *extra], capsys))
+    assert detail == "reserve must be a finite number >= 0, got -1.0"
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["simulate", "--trials", "0"], ["auction", "--strategy", "bogus"]],
-    ids=["simulate", "auction"],
+    "command, flags",
+    [
+        ("simulate", ["--trials", "0"]),
+        ("auction-scenario", ["--strategy", "bogus"]),
+        ("auction-adjust-file", ["--strategy", "bogus"]),
+    ],
+    ids=["simulate", "auction", "auction-adjust-file"],
 )
-def test_bad_reserve_is_itemized_with_other_scenario_issues(argv, tmp_path, capsys):
+def test_bad_reserve_is_itemized_with_other_scenario_issues(command, flags, tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    argv = [*_reserve_argv(path, tmp_path)[command], *flags]
     capsys.readouterr()
-    code, out, err = run_cli([argv[0], path, *argv[1:], "--reserve", "-1"], capsys)
+    _one_diagnostic(*run_cli(argv, capsys))  # the other issue alone
+    code, out, err = run_cli([*argv, "--reserve", "-1"], capsys)
     assert code == 1
     assert out == ""
     lines = err.splitlines()
@@ -627,6 +641,18 @@ def _missing_view(doc):
     del record["adjusted_bids"]["view"]
 
 
+def _negative_value(doc):
+    doc["adjusted"][1]["expected_adjusted_value"] = -5.0
+
+
+def _inflated_value(doc):
+    doc["adjusted"][1]["expected_adjusted_value"] = 1000.0
+
+
+def _adjusted_and_excluded(doc):
+    doc["excluded"] = [{"ad_id": "y", "reason": "expected adjusted value is negative"}]
+
+
 def _slot_overflow(doc):
     record = doc["adjusted"][0]
     record["events"] = [VIEW, SURE]
@@ -660,6 +686,9 @@ def _slot_overflow(doc):
         (_repeat_event, "adjusted[0]: duplicate event id 'view'"),
         (_missing_view, "adjusted[0]: missing view event"),
         (_slot_overflow, "offer 'x'"),
+        (_negative_value, "adjusted[1]: 'expected_adjusted_value' -5.0 differs from its bids' value 0.09"),
+        (_inflated_value, "adjusted[1]: 'expected_adjusted_value' 1000.0 differs from its bids' value 0.09"),
+        (_adjusted_and_excluded, "ad 'y' is listed under both 'adjusted' and 'excluded'"),
         (_excluded_nan, "excluded[0]: missing field 'ad_id', 'reason'"),
         (_excluded_nan_reason, "excluded[0]: 'reason'"),
     ],
@@ -688,6 +717,9 @@ def _slot_overflow(doc):
         "repeated-event-id",
         "missing-view-event",
         "slot-value-overflow",
+        "negative-expected-value",
+        "inflated-expected-value",
+        "adjusted-and-excluded",
         "excluded-entry-nan",
         "excluded-reason-nan",
     ],
@@ -702,6 +734,7 @@ def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word,
     capsys.readouterr()
     detail = _one_diagnostic(*run_cli(["auction", str(adjusted)], capsys))
     assert word in detail
+    assert len(detail) < 120
 
 
 LATIN_1 = json.dumps(cpc_scenario(offers=[{"ad_id": "caf\u00e9", "price_type": "cpm", "bids": {"view": 1.0}}]), ensure_ascii=False)

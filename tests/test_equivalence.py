@@ -181,9 +181,9 @@ def test_slot_count_far_beyond_the_offers_costs_no_memory(tmp_path, capsys):
     assert code == 0
     assert peak < 2 * 2**20
 
-    offers, charges, _, reserve = parse_scenario_doc(json.loads(scenario.read_text(encoding="utf-8")))
-    _, included = sim.prepare(sim.ScenarioConfig(offers=offers, charges=charges, reserve=reserve))
-    expected = loop_auction(included, ux.SlotModel(10**6), reserve, "second")
+    config = parse_scenario_doc(json.loads(scenario.read_text(encoding="utf-8")))
+    _, included = sim.prepare(config)
+    expected = loop_auction(included, ux.SlotModel(10**6), config.reserve, "second")
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["ranking"] == [list(pair) for pair in expected.ranking]
     assert [(w["ad_id"], w["slot"], w["price_factor"], w["value"], w["prices"]) for w in doc["winners"]] == [

@@ -167,11 +167,12 @@ def threads(monkeypatch):
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
 def test_monte_carlo_bits_do_not_depend_on_the_thread_count(model, workers, threads):
     threads(workers)
-    unit = _BLOCK // (4 * workers) * 4  # rows per unit
+    unit = _BLOCK // workers  # rows a thread draws at a time
     prices = {"view": 0.1, "click": 0.9, "conv": 2.5}
     shifted = {"view": 0.05, "click": 0.1, "conv": 0.0}
     events = (*EVENTS, ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.03))
-    for trials in (1, unit - 1, unit, unit + 1, _BLOCK + 3, 20000):
+    # 4 * workers +- 1 trials give empty and few-row ranges; 10001 puts range edges inside units.
+    for trials in (1, 4 * workers - 1, 4 * workers + 1, unit - 1, unit, unit + 1, _BLOCK + 3, 10001, 20000):
         mean, stderr = monte_carlo_payment(
             prices, shifted, events, model, trials=trials, seed=11, substream=(2,)
         )
@@ -496,6 +497,13 @@ def test_validate_scenario_itemizes_issues():
     assert "negative bid" in text
     assert "negative charge on 'view'" in text
     assert "declared by no offer" in text
+
+
+def test_prepare_rejects_a_ctr_row_for_an_undeclared_ad():
+    config = scenario_config(slots=ux.SlotModel(1, {"ghost": (0.5,)}))
+    with pytest.raises(ScenarioError) as excinfo:
+        sim.prepare(config)
+    assert excinfo.value.issues == ("slots: ctr row keyed to ad 'ghost' declared by no offer",)
 
 
 def test_run_auction_rejects_an_unknown_pricing_rule():
