@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import chain, repeat
+from operator import ge, le
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +47,9 @@ class SlotModel:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ScenarioError([f"slot count must be >= 1, got {self.k}"])
+        if _rows_hold(self.k, self.ctr.values()):
+            return
+        # some rule is broken, or the rows are not all tuples of floats: word the first
         for ad_id, row in self.ctr.items():
             if len(row) != self.k:
                 raise ScenarioError(
@@ -63,6 +68,27 @@ class SlotModel:
         """Click probability override for ``ad_id`` in 1-based ``slot``, if any."""
         row = self.ctr.get(ad_id)
         return None if row is None else row[slot - 1]
+
+
+def _rows_hold(k: int, rows: Collection) -> bool:
+    """True when ``rows`` are tuples of k floats in [0, 1], each nonincreasing.
+
+    Checked over the slot columns with C builtins: the first column is at
+    most 1, each next one at or below the one before, and the last at least
+    0. A nan fails the comparison it is in. False when in doubt.
+    """
+    if not rows:
+        return True
+    if set(map(type, rows)) != {tuple} or set(map(len, rows)) != {k}:
+        return False
+    columns = list(zip(*rows))
+    if not set(map(type, chain.from_iterable(columns))) <= {float}:
+        return False
+    return (
+        all(map(le, columns[0], repeat(1.0)))
+        and all(all(map(ge, left, right)) for left, right in zip(columns, columns[1:]))
+        and all(map(ge, columns[-1], repeat(0.0)))
+    )
 
 
 def pricing_rule_issues(rule: str) -> list[str]:

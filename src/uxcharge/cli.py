@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import logging
@@ -44,6 +45,7 @@ import os
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import replace
+from itertools import chain
 from typing import Any, NoReturn
 
 from .adjust import expected_value
@@ -52,6 +54,10 @@ from .model import (
     FORMAT_VERSION,
     AdjustedOffer,
     ChargeSchedule,
+    EventKind,
+    EventSpec,
+    Offer,
+    PriceType,
     ScenarioError,
     approx_eq,
     brief,
@@ -67,7 +73,15 @@ from .model import (
     require_same_keys,
     text,
 )
-from .sim import OutcomeModel, ScenarioConfig, prepare, run_auction, run_scenario, validate_scenario
+from .sim import (
+    OutcomeModel,
+    ScenarioConfig,
+    prepare,
+    run_auction,
+    run_scenario,
+    target_issues,
+    validate_scenario,
+)
 
 logger = logging.getLogger("uxcharge")
 
@@ -187,10 +201,79 @@ def _header_issues(doc: Any) -> list[str]:
     return [f"unsupported format_version {brief(version)}; this build reads version {FORMAT_VERSION}"]
 
 
+_KINDS = {kind.value: kind for kind in EventKind}
+_PRICE_TYPES = {price_type.value: price_type for price_type in PriceType}
+
+
+def _plain_offer(entry: Any, shared: tuple[EventSpec, ...]) -> Offer | None:
+    """``offer_from_dict(entry, shared)`` for a plain entry, read inline; else None.
+
+    A plain entry is an object whose ``ad_id`` and event ids are ASCII
+    strings, whose kinds and price type are names, and whose probabilities
+    and bids are finite floats, every bid keyed to one of its events. Any
+    other entry, one with an integer or a missing field included, is left to
+    ``offer_from_dict``, the reference, so every message comes from there.
+    """
+    if type(entry) is not dict:
+        return None
+    ad_id, price_type = entry.get("ad_id"), entry.get("price_type")
+    price_type = _PRICE_TYPES.get(price_type) if type(price_type) is str else None
+    if type(ad_id) is not str or not ad_id.isascii() or price_type is None:
+        return None
+    events = shared
+    if "events" in entry:
+        raw_events = entry["events"]
+        if type(raw_events) is not list:
+            return None
+        specs = []
+        for raw in raw_events:
+            if type(raw) is not dict:
+                return None
+            event_id, kind, prob = raw.get("id"), raw.get("kind"), raw.get("prob")
+            if (
+                type(event_id) is not str
+                or not event_id.isascii()
+                or type(kind) is not str
+                or kind not in _KINDS
+                or type(prob) is not float
+                or prob - prob != 0.0  # nan or an infinity
+            ):
+                return None
+            specs.append(EventSpec(event_id, _KINDS[kind], prob))
+        events = tuple(specs)
+    raw_bids = entry.get("bids", {})
+    if type(raw_bids) is not dict:
+        return None
+    bids = {}
+    for event in events:
+        amount = raw_bids.get(event.event_id, 0.0)
+        if type(amount) is not float or amount - amount != 0.0:
+            return None
+        bids[event.event_id] = amount
+    if not raw_bids.keys() <= bids.keys():  # a stray key, for validate_offer to itemize
+        return None
+    return Offer(ad_id, price_type, events, bids)
+
+
 def _ctr_row(row: Any, ad_id: str) -> tuple[float, ...]:
     if type(row) is not list:
         raise ValueError(f"ctr row for {ad_id!r} must be an array, got {brief(row)}")
     return tuple(number(p, "ctr entry for", ad_id) for p in row)
+
+
+def _ctr_rows(raw_ctr: Mapping) -> dict[str, tuple[float, ...]]:
+    """Each ctr row as a tuple of floats; ValueError names the first bad row.
+
+    Arrays of finite floats are checked over all entries at once, with C
+    builtins; only other input goes through ``_ctr_row`` row by row, to
+    word the first problem.
+    """
+    rows = list(raw_ctr.values())
+    if set(map(type, rows)) <= {list}:
+        entries = list(chain.from_iterable(rows))
+        if set(map(type, entries)) <= {float} and all(map(math.isfinite, entries)):
+            return dict(zip(raw_ctr, map(tuple, rows)))
+    return {ad: _ctr_row(row, ad) for ad, row in raw_ctr.items()}
 
 
 def parse_scenario_doc(doc: Any) -> ScenarioConfig:
@@ -204,7 +287,9 @@ def parse_scenario_doc(doc: Any) -> ScenarioConfig:
         doc = {}  # nothing else can be read
 
     shared = tuple(read_each(doc, "events", event_from_dict, issues))
-    offers = read_each(doc, "offers", lambda entry: offer_from_dict(entry, shared), issues)
+    offers = read_each(
+        doc, "offers", lambda entry: _plain_offer(entry, shared) or offer_from_dict(entry, shared), issues
+    )
 
     charges = ChargeSchedule(charges={})
     try:
@@ -224,7 +309,7 @@ def parse_scenario_doc(doc: Any) -> ScenarioConfig:
             issues.append(f"slots: 'k' must be an integer, got {brief(k)}")
         else:
             try:
-                slots = SlotModel(k, {ad: _ctr_row(row, ad) for ad, row in raw_ctr.items()})
+                slots = SlotModel(k, _ctr_rows(raw_ctr))
             except ValueError as exc:
                 issues.append(f"slots: {exc}")
 
@@ -318,6 +403,9 @@ def _adjusted_offer(record: Mapping) -> AdjustedOffer:
     require_same_keys(tuple(e.event_id for e in events), adjusted, "adjusted_bids")
     claimed = number(record["expected_adjusted_value"], "'expected_adjusted_value'")
     value = expected_value(adjusted, {e.event_id: e.probability for e in events})
+    if not math.isfinite(value):  # the bids are finite, so their value overflowed
+        ad_id = text(record["ad_id"], "'ad_id'")
+        raise ValueError(f"offer '{ad_id}': adjusted value overflows float range")
     if not approx_eq(claimed, value):
         raise ValueError(f"'expected_adjusted_value' {claimed!r} differs from its bids' value {value!r}")
     return AdjustedOffer(text(record["ad_id"], "'ad_id'"), events, adjusted, value)
@@ -329,16 +417,20 @@ def _excluded_entry(entry: Any) -> dict:
     return {"ad_id": text(entry["ad_id"], "'ad_id'"), "reason": text(entry["reason"], "'reason'")}
 
 
-def _read_adjust_document(doc: Mapping) -> tuple[tuple[AdjustedOffer, ...], list[dict]]:
+def _read_adjust_document(doc: Mapping, strategy: str) -> tuple[tuple[AdjustedOffer, ...], list[dict]]:
     """The adjusted offers and the ``excluded`` array of an ``adjust`` document.
 
     Raises ScenarioError itemizing the header's, each record's and
-    ``excluded``'s problems.
+    ``excluded``'s problems, and each ad that a ``single:<event>``
+    ``strategy`` does not fit, worded as for a scenario's offers.
     """
     issues = _header_issues(doc)
     if issues:
         doc = {}  # nothing else can be read
     offers = read_each(doc, "adjusted", _adjusted_offer, issues)
+    issues.extend(
+        f"offer '{offer.ad_id}': {v}" for offer in offers for v in target_issues(strategy, offer.events)
+    )
     excluded = read_each(doc, "excluded", _excluded_entry, issues)
     listed = {offer.ad_id for offer in offers}
     both = [entry["ad_id"] for entry in excluded if entry["ad_id"] in listed]
@@ -351,7 +443,7 @@ def _read_adjust_document(doc: Mapping) -> tuple[tuple[AdjustedOffer, ...], list
 def cmd_auction(args: argparse.Namespace) -> int:
     doc = _load_scenario(args.input)
     if isinstance(doc, Mapping) and "adjusted" in doc:
-        offers, excluded = _read_adjust_document(doc)
+        offers, excluded = _read_adjust_document(doc, args.strategy)
         config = _market(args, ScenarioConfig(offers=(), charges=ChargeSchedule({})))
         issues = validate_scenario(config)
         if issues:
@@ -487,6 +579,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     level = _LOG_LEVELS.get(os.environ.get("UXCHARGE_LOG", "warn").lower(), logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
+    # A run builds up to about a million containers (the parsed JSON, offers,
+    # records) and no reference cycles, so cyclic collector passes over them
+    # only cost time. The collector is paused for the run, then left as found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
@@ -496,6 +593,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail("validation", [f"malformed JSON: {exc}"], EXIT_VALIDATION)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -29,8 +29,11 @@ FORMAT_VERSION = 1
 
 
 def approx_eq(x: float, y: float, tol: float = VALIDATION_TOL) -> bool:
-    """True when x and y agree to ``tol``, relative above unit magnitude."""
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+    """True when x and y agree to ``tol``, relative above unit magnitude.
+
+    An infinity agrees only with itself: its bound would be infinite too.
+    """
+    return x == y or abs(x - y) <= tol * max(1.0, abs(x), abs(y)) < math.inf
 
 
 def fold_sum(values: Iterable[float]) -> float:

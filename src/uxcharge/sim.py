@@ -30,7 +30,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from itertools import chain, repeat
+from operator import attrgetter, eq, is_, methodcaller
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .model import (
     EventKind,
     EventSpec,
     Offer,
+    PriceType,
     ScenarioError,
     ShiftPlan,
     fold_columns,
@@ -340,8 +343,157 @@ def _parse_strategy(strategy: str) -> tuple[str, str | None]:
     )
 
 
+def target_issues(strategy: str, events: Sequence[EventSpec]) -> list[str]:
+    """The rule of a ``single:<event>`` strategy for one ad's events, which
+    have unique ids: its target is one of them, with probability above zero.
+
+    Empty for any other strategy; ``validate_scenario`` words an unknown one.
+    Scenario offers and the records of an ``adjust`` document share it.
+    """
+    try:
+        kind, target = _parse_strategy(strategy)
+    except ValueError:
+        return []
+    if kind != "single":
+        return []
+    for event in events:
+        if event.event_id == target:
+            if event.probability <= 0.0:
+                return [f"strategy target event '{target}' has zero probability"]
+            return []
+    return [f"strategy target event '{target}' not declared"]
+
+
+_AD_ID = attrgetter("ad_id")
+_EVENTS = attrgetter("events")
+_BIDS = attrgetter("bids")
+_PRICE_TYPE = attrgetter("price_type")
+_EVENT_ID = attrgetter("event_id")
+_KIND = attrgetter("kind")
+_PROBABILITY = attrgetter("probability")
+_VALUES = methodcaller("values")
+
+
+def _flat_events(offers: Sequence[Offer]) -> tuple[list[EventSpec], list[int]]:
+    """Every offer's events in one list, offer after offer, and each offer's count."""
+    events = list(map(_EVENTS, offers))
+    return list(chain.from_iterable(events)), list(map(len, events))
+
+
+def _event_bids(offers: Sequence[Offer], ids: list, widths: list[int]) -> tuple[list, list[bool]]:
+    """Each offer's bids in its events' order, in one list like ``ids``, and
+    whether the offer's event ids are unique and its bids keyed to exactly
+    them. An offer whose bids are not holds zeros."""
+    bid_maps = list(map(_BIDS, offers))
+    if list(map(len, bid_maps)) == widths and list(chain.from_iterable(bid_maps)) == ids:
+        # every offer's bid keys are its event ids in order, so those are unique
+        return list(chain.from_iterable(map(_VALUES, bid_maps))), [True] * len(offers)
+    bids: list = []
+    keyed: list[bool] = []
+    start = 0
+    for bid_map, width in zip(bid_maps, widths):
+        row = ids[start:start + width]
+        start += width
+        unique = set(row)
+        keyed.append(len(unique) == width and bid_map.keys() == unique)
+        bids += [bid_map[eid] for eid in row] if keyed[-1] else [0.0] * width
+    return bids, keyed
+
+
+def _padded(flat: np.ndarray, widths: list[int]) -> np.ndarray:
+    """The offers x events matrix of a flat column: row i holds offer i's
+    ``widths[i]`` entries, then zeros up to the widest offer."""
+    n, width = len(widths), max(widths, default=0)
+    if len(flat) == n * width:
+        return flat.reshape(n, width)
+    matrix = np.zeros((n, width), dtype=flat.dtype)
+    matrix[np.arange(width) < np.array(widths)[:, None]] = flat
+    return matrix
+
+
+def _floats(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as a float array, each non-float as 0.0, and which were floats."""
+    if set(map(type, values)) <= {float}:
+        return np.array(values, dtype=float), np.ones(len(values), dtype=bool)
+    is_float = [type(v) is float for v in values]
+    array = np.array([v if ok else 0.0 for v, ok in zip(values, is_float)], dtype=float)
+    return array, np.array(is_float, dtype=bool)
+
+
+def _is(values: Iterable, member: Enum) -> np.ndarray:
+    """Which of ``values`` are ``member`` itself, as ``validate_offer`` tests it."""
+    return np.fromiter(map(is_, values, repeat(member)), dtype=bool)
+
+
+def _clean_offers(offers: Sequence[Offer]) -> list[bool]:
+    """Whether ``validate_offer`` passes each offer, decided over arrays.
+
+    False means only "not shown clean": ``validate_scenario`` then asks
+    ``validate_offer``, the reference, to word each violation. An offer is
+    clean when its event ids are unique and its bids keyed to exactly them
+    (``_event_bids``), it has exactly one view event, and every one of its
+    entries passes the predicates over the flat bid, probability and kind
+    columns: float bids and probabilities, finite bids >= 0, probabilities
+    in [0, 1], a view probability within ``approx_eq`` of 1, and a bid
+    above 0 only on the view of a CPM offer or the click of a CPC offer.
+    """
+    events, widths = _flat_events(offers)
+    bids, keyed = _event_bids(offers, list(map(_EVENT_ID, events)), widths)
+    rows = np.repeat(np.arange(len(offers)), widths)  # the offer of each entry
+    B, bid_is_float = _floats(bids)
+    P, prob_is_float = _floats(list(map(_PROBABILITY, events)))
+    kinds = list(map(_KIND, events))
+    view, click = _is(kinds, EventKind.VIEW), _is(kinds, EventKind.CLICK)
+    price_types = list(map(_PRICE_TYPE, offers))
+    cpm, cpc = _is(price_types, PriceType.CPM)[rows], _is(price_types, PriceType.CPC)[rows]
+    with np.errstate(invalid="ignore"):  # a nan fails every comparison, quietly
+        bad = (
+            ~(bid_is_float & prob_is_float)
+            | ~((B >= 0.0) & (B < math.inf))
+            | ~((P >= 0.0) & (P <= 1.0))
+            | (view & ~(np.abs(P - 1.0) <= VALIDATION_TOL))
+            | (((cpm & ~view) | (cpc & ~click)) & (B > 0.0))
+        )
+    clean = np.array(keyed, dtype=bool) & (np.bincount(rows[view], minlength=len(offers)) == 1)
+    clean[rows[bad]] = False
+    return clean.tolist()
+
+
+def _offer_issues(config: ScenarioConfig, clean: list[bool]) -> list[str]:
+    """Each offer's issues, in offer order: a repeated ad_id, the violations
+    ``validate_offer`` finds in an offer not shown clean, too many events,
+    and for a valid offer the strategy target and the outcome model."""
+    issues: list[str] = []
+    seen_ads: set[str] = set()
+    for offer, shown_clean in zip(config.offers, clean):
+        if offer.ad_id in seen_ads:
+            issues.append(f"duplicate ad_id '{offer.ad_id}'")
+        seen_ads.add(offer.ad_id)
+
+        violations = [] if shown_clean else validate_offer(offer)
+        issues.extend(f"offer '{offer.ad_id}': {v}" for v in violations)
+        if len(offer.events) > ENUMERATION_LIMIT:
+            issues.append(f"offer '{offer.ad_id}': more than {ENUMERATION_LIMIT} events")
+        if not violations:
+            issues.extend(
+                f"offer '{offer.ad_id}': {v}" for v in target_issues(config.strategy, offer.events)
+            )
+            try:
+                _funnel_chain(offer.events, config.model)
+            except ValueError as exc:
+                issues.append(f"offer '{offer.ad_id}': {exc}")
+    return issues
+
+
 def validate_scenario(config: ScenarioConfig) -> list[str]:
-    """Itemize every configuration problem; an empty list means runnable."""
+    """Itemize every configuration problem; an empty list means runnable.
+
+    Only offers that ``_clean_offers`` cannot show clean go to
+    ``validate_offer``, and the offers are walked one by one only when some
+    offer has something to itemize, or a ``single:<event>`` strategy or the
+    funnel model has a rule for each; the issues and their order are the
+    same either way.
+    """
     issues: list[str] = []
 
     issues.extend(pricing_rule_issues(config.pricing_rule))
@@ -354,42 +506,28 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     issues.extend(reserve_issues(config.reserve))
 
     try:
-        kind, target = _parse_strategy(config.strategy)
+        kind, _ = _parse_strategy(config.strategy)
     except ValueError as exc:
         issues.append(str(exc))
-        kind, target = "identity", None
+        kind = "identity"
 
-    seen_ads: set[str] = set()
-    for offer in config.offers:
-        if offer.ad_id in seen_ads:
-            issues.append(f"duplicate ad_id '{offer.ad_id}'")
-        seen_ads.add(offer.ad_id)
-
-        violations = validate_offer(offer)
-        issues.extend(f"offer '{offer.ad_id}': {v}" for v in violations)
-        if len(offer.events) > ENUMERATION_LIMIT:
-            issues.append(f"offer '{offer.ad_id}': more than {ENUMERATION_LIMIT} events")
-        if not violations:
-            if kind == "single":
-                probs = offer.probabilities
-                if target not in probs:
-                    issues.append(
-                        f"offer '{offer.ad_id}': strategy target event '{target}' not declared"
-                    )
-                elif probs[target] <= 0.0:
-                    issues.append(
-                        f"offer '{offer.ad_id}': strategy target event '{target}' has zero probability"
-                    )
-            try:
-                _funnel_chain(offer.events, config.model)
-            except ValueError as exc:
-                issues.append(f"offer '{offer.ad_id}': {exc}")
+    clean = _clean_offers(config.offers)
+    ad_ids = list(map(_AD_ID, config.offers))
+    seen_ads = set(ad_ids)
+    if (
+        not all(clean)
+        or len(seen_ads) < len(ad_ids)
+        or max(map(len, map(_EVENTS, config.offers)), default=0) > ENUMERATION_LIMIT
+        or kind == "single"
+        or config.model is OutcomeModel.FUNNEL
+    ):
+        issues.extend(_offer_issues(config, clean))
 
     if config.slots is not None and config.offers:
         undeclared = [ad for ad in config.slots.ctr if ad not in seen_ads]
         issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
 
-    known_ids = {eid for offer in config.offers for eid in offer.event_ids}
+    known_ids = set(map(_EVENT_ID, _flat_events(config.offers)[0]))
     for eid, amount in config.charges.charges.items():
         if config.offers and eid not in known_ids:
             issues.append(f"charge keyed to event '{eid}' declared by no offer")
@@ -421,35 +559,27 @@ def build_plan(strategy: str, offer: Offer, charges: ChargeSchedule) -> ShiftPla
 
 
 def _batch_adjust(
-    offers: Sequence[Offer],
-    event_ids: Sequence[tuple[str, ...]],
-    charges: ChargeSchedule,
-    strategy: str,
+    offers: Sequence[Offer], charges: ChargeSchedule, strategy: str
 ) -> tuple:
     """Feasibility, shift plan and adjustment for every offer in one array pass.
 
-    Rows are offers, with ``event_ids`` holding each offer's ids; columns are
-    an offer's events in declared order, zero padded to the widest offer.
-    Reproduces ``is_feasible`` -> ``build_plan`` -> ``adjust_general`` bit
-    for bit on a valid scenario: every sum is a left-to-right column fold in
-    declared event order. Returns, as lists, the expected charges, the
-    feasibility verdicts, the shifted charges and adjusted bids (padded rows)
-    and the expected adjusted values.
+    Rows are offers; columns are an offer's events in declared order, zero
+    padded to the widest offer (``_padded``). Reproduces ``is_feasible`` ->
+    ``build_plan`` -> ``adjust_general`` bit for bit on a valid scenario:
+    every sum is a left-to-right column fold in declared event order.
+    Returns, as lists, the expected charges, the feasibility verdicts, the
+    shifted charges and adjusted bids (padded rows) and the expected
+    adjusted values.
     """
     kind, target = _parse_strategy(strategy)
-    n = len(offers)
-    width = max((len(offer.events) for offer in offers), default=0)
-    pad = [0.0] * width
-    bids, probs, amounts, targets = [], [], [], []
-    for offer, ids in zip(offers, event_ids):
-        tail = pad[len(ids):]
-        bids += [offer.bids[eid] for eid in ids] + tail
-        probs += [e.probability for e in offer.events] + tail
-        amounts += [float(charges.charges.get(eid, 0.0)) for eid in ids] + tail
-        if kind == "single":
-            targets.append(ids.index(target))
-
-    B, P, C = (np.array(x, dtype=float).reshape(n, width) for x in (bids, probs, amounts))
+    events, widths = _flat_events(offers)
+    ids = list(map(_EVENT_ID, events))
+    bids, _ = _event_bids(offers, ids, widths)
+    amounts = list(map(charges.charges.get, ids, repeat(0.0)))
+    B, P, C = (
+        _padded(np.array(x, dtype=float), widths)
+        for x in (bids, list(map(_PROBABILITY, events)), amounts)
+    )
     with np.errstate(all="ignore"):  # Python floats overflow silently too
         BP = B * P
         expected_charge = fold_columns(C * P)
@@ -457,9 +587,10 @@ def _batch_adjust(
         if kind == "identity":
             D = C
         elif kind == "single":
-            rows, cols = np.arange(n), np.array(targets, dtype=np.intp)
-            D = np.zeros((n, width))
-            D[rows, cols] = expected_charge / P[rows, cols]
+            # one target event per offer (validate_scenario), so one per row in row order
+            is_target = _padded(np.fromiter(map(eq, ids, repeat(target)), dtype=bool), widths)
+            D = np.zeros_like(B)
+            D[is_target] = expected_charge / P[is_target]
         else:
             chargeable = BP > 0.0
             weight = fold_columns(np.where(chargeable, BP, 0.0))
@@ -487,9 +618,8 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer]]:
     if issues:
         raise ScenarioError(issues)
 
-    event_ids = [offer.event_ids for offer in config.offers]
     charge, feasible, shifted, adjusted, value = _batch_adjust(
-        config.offers, event_ids, config.charges, config.strategy
+        config.offers, config.charges, config.strategy
     )
     # Every offer reports its expected charge, a feasible one its plan, bids and
     # value. Bids are finite, so a non-finite shifted charge or adjusted bid
@@ -504,7 +634,8 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer]]:
         raise ScenarioError(overflow)
     records: list[dict] = []
     included: list[AdjustedOffer] = []
-    for row, (offer, ids) in enumerate(zip(config.offers, event_ids)):
+    for row, offer in enumerate(config.offers):
+        ids = offer.event_ids
         record = {
             "ad_id": offer.ad_id,
             "price_type": offer.price_type.value,

@@ -6,11 +6,31 @@ import io
 import json
 import math
 from collections.abc import Mapping
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
 import uxcharge as ux
-from uxcharge.sim import ScenarioError, _funnel_chain, _substream_rng, validate_scenario
+from uxcharge.auction import pricing_rule_issues, reserve_issues
+from uxcharge.cli import _header_issues, parse_scenario_doc
+from uxcharge.model import (
+    brief,
+    charges_from_dict,
+    event_from_dict,
+    number,
+    offer_from_dict,
+    read_each,
+    validate_offer,
+)
+from uxcharge.sim import (
+    ENUMERATION_LIMIT,
+    TRIALS_LIMIT,
+    ScenarioError,
+    _funnel_chain,
+    _parse_strategy,
+    _substream_rng,
+    validate_scenario,
+)
 
 # money and probability draws are either exactly zero or comfortably normal;
 # subnormal amounts are not meaningful in this domain
@@ -146,6 +166,139 @@ def scalar_prepare(config: ux.ScenarioConfig):
             continue
         included.append(adjusted)
     return records, included
+
+
+def reference_parse(doc) -> ux.ScenarioConfig:
+    """``cli.parse_scenario_doc`` with no inline path: ``offer_from_dict`` for
+    every offer and ``model.number`` for every ctr entry."""
+    issues = _header_issues(doc)
+    if issues:
+        doc = {}
+
+    shared = tuple(read_each(doc, "events", event_from_dict, issues))
+    offers = read_each(doc, "offers", lambda entry: offer_from_dict(entry, shared), issues)
+
+    charges = ux.ChargeSchedule(charges={})
+    try:
+        charges = charges_from_dict(doc.get("charges", {}))
+    except ValueError as exc:
+        issues.append(f"charges: {exc}")
+
+    def ctr_row(row, ad_id):
+        if type(row) is not list:
+            raise ValueError(f"ctr row for {ad_id!r} must be an array, got {brief(row)}")
+        return tuple(number(p, "ctr entry for", ad_id) for p in row)
+
+    slots = None
+    raw_slots = doc.get("slots")
+    if raw_slots is not None and not isinstance(raw_slots, Mapping):
+        issues.append("'slots' must be an object")
+    elif raw_slots is not None:
+        raw_ctr, k = raw_slots.get("ctr_matrix", {}), raw_slots.get("k")
+        if not isinstance(raw_ctr, Mapping):
+            issues.append("slots: 'ctr_matrix' must be an object")
+        elif type(k) is not int:
+            issues.append(f"slots: 'k' must be an integer, got {brief(k)}")
+        else:
+            try:
+                slots = ux.SlotModel(k, {ad: ctr_row(row, ad) for ad, row in raw_ctr.items()})
+            except ValueError as exc:
+                issues.append(f"slots: {exc}")
+
+    reserve = 0.0
+    try:
+        reserve = number(doc.get("reserve", 0.0), "'reserve'")
+    except ValueError as exc:
+        issues.append(str(exc))
+
+    if issues:
+        raise ScenarioError(issues)
+    return ux.ScenarioConfig(offers=tuple(offers), charges=charges, slots=slots, reserve=reserve)
+
+
+def reference_validate(config: ux.ScenarioConfig) -> list[str]:
+    """``sim.validate_scenario`` with ``validate_offer`` called for every offer."""
+    issues: list[str] = []
+
+    issues.extend(pricing_rule_issues(config.pricing_rule))
+    if config.trials < 1:
+        issues.append(f"trials must be >= 1, got {config.trials}")
+    elif config.trials > TRIALS_LIMIT:
+        issues.append(f"trials must be <= {TRIALS_LIMIT}, got {config.trials}")
+    if config.seed < 0:
+        issues.append(f"seed must be >= 0, got {config.seed}")
+    issues.extend(reserve_issues(config.reserve))
+
+    try:
+        kind, target = _parse_strategy(config.strategy)
+    except ValueError as exc:
+        issues.append(str(exc))
+        kind, target = "identity", None
+
+    seen_ads: set[str] = set()
+    for offer in config.offers:
+        if offer.ad_id in seen_ads:
+            issues.append(f"duplicate ad_id '{offer.ad_id}'")
+        seen_ads.add(offer.ad_id)
+
+        violations = validate_offer(offer)
+        issues.extend(f"offer '{offer.ad_id}': {v}" for v in violations)
+        if len(offer.events) > ENUMERATION_LIMIT:
+            issues.append(f"offer '{offer.ad_id}': more than {ENUMERATION_LIMIT} events")
+        if not violations:
+            if kind == "single":
+                probs = offer.probabilities
+                if target not in probs:
+                    issues.append(
+                        f"offer '{offer.ad_id}': strategy target event '{target}' not declared"
+                    )
+                elif probs[target] <= 0.0:
+                    issues.append(
+                        f"offer '{offer.ad_id}': strategy target event '{target}' has zero probability"
+                    )
+            try:
+                _funnel_chain(offer.events, config.model)
+            except ValueError as exc:
+                issues.append(f"offer '{offer.ad_id}': {exc}")
+
+    if config.slots is not None and config.offers:
+        undeclared = [ad for ad in config.slots.ctr if ad not in seen_ads]
+        issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
+
+    known_ids = {eid for offer in config.offers for eid in offer.event_ids}
+    for eid, amount in config.charges.charges.items():
+        if config.offers and eid not in known_ids:
+            issues.append(f"charge keyed to event '{eid}' declared by no offer")
+        if not math.isfinite(amount):
+            issues.append(f"non-finite charge on '{eid}': {amount!r}")
+        elif amount < 0.0:
+            issues.append(f"negative charge on '{eid}': {amount!r}")
+
+    return issues
+
+
+def reading(read, doc):
+    """``read(doc)``'s config, or the issues of the ScenarioError it raises."""
+    try:
+        return read(doc)
+    except ScenarioError as exc:
+        return list(exc.issues)
+
+
+def assert_reads_like_reference(doc, strategies=("identity",), models=(ux.OutcomeModel.INDEPENDENT,)):
+    """``parse_scenario_doc`` and ``validate_scenario`` agree with the references on ``doc``.
+
+    Configs must be equal down to each float's repr (so -0.0 and last bits
+    count), issue lists equal in full, order included.
+    """
+    config, expected = reading(parse_scenario_doc, doc), reading(reference_parse, doc)
+    assert repr(config) == repr(expected)
+    if isinstance(config, list):
+        return
+    for strategy in strategies:
+        for model in models:
+            variant = replace(config, strategy=strategy, model=model)
+            assert validate_scenario(variant) == reference_validate(variant)
 
 
 def fold_enumeration(prices, shifted, events, model) -> float:

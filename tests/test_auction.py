@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -165,6 +166,33 @@ def test_slot_model_validates_shape_and_ranges():
         SlotModel(k=1, ctr={"x": (1.5,)})
     with pytest.raises(ValueError, match="nonincreasing"):
         SlotModel(k=2, ctr={"x": (0.1, 0.2)})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "k, ctr, issue",
+    [
+        (2, {"a": (0.5, 0.4), "x": (0.5, NAN)}, "ctr out of range for 'x': nan"),
+        (2, {"x": (NAN, 0.1)}, "ctr out of range for 'x': nan"),
+        (3, {"x": (0.5, NAN, 0.1)}, "ctr out of range for 'x': nan"),
+        (2, {"x": (0.5, -0.1)}, "ctr out of range for 'x': -0.1"),
+        (1, {"x": (INF,)}, "ctr out of range for 'x': inf"),
+        (3, {"x": (0.5, 0.6, 0.1)}, "ctr row for 'x' must be nonincreasing across slots"),
+        (2, {"x": (0.1, 0.2), "y": (0.3,)}, "ctr row for 'x' must be nonincreasing across slots"),
+        (2, {"x": (0.5, 0.4), "y": (0.3,)}, "ctr row for 'y' has 1 entries, expected 2"),
+        (2, {"x": (1, 0)}, None),
+        (2, {"x": [0.5, np.float64(0.25)], "y": (0.0, 0.0)}, None),
+    ],
+)
+def test_slot_model_words_the_first_broken_rule_of_library_built_rows(k, ctr, issue):
+    if issue is None:
+        assert SlotModel(k, ctr).ctr == ctr
+    else:
+        with pytest.raises(ux.ScenarioError) as excinfo:
+            SlotModel(k, ctr)
+        assert excinfo.value.issues == (issue,)
 
 
 def test_winner_and_price_invariance_under_charge_shifting():

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_reads_like_reference
 from uxcharge.cli import main
+from uxcharge.sim import OutcomeModel
 
 exact = lambda x: pytest.approx(x, rel=1e-12, abs=1e-12)
 
@@ -737,6 +739,56 @@ def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word,
     assert len(detail) < 120
 
 
+def test_adjust_record_whose_bids_value_overflows_names_the_ad(tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    adjusted = tmp_path / "adjusted.json"
+    assert main(["adjust", path, "-o", str(adjusted)]) == 0
+    doc = json.loads(adjusted.read_text(encoding="utf-8"))
+    _slot_overflow(doc)  # finite bids of 1e308 on two sure events: their value is inf
+    adjusted.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    detail = _one_diagnostic(*run_cli(["auction", str(adjusted)], capsys))
+    assert detail == "adjusted[0]: offer 'x': adjusted value overflows float range"
+
+
+def test_single_strategy_target_is_checked_on_a_scenario_and_on_its_adjust_document(tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    adjusted = tmp_path / "adjusted.json"
+    assert main(["adjust", path, "-o", str(adjusted)]) == 0
+    capsys.readouterr()
+    expected = [f"offer '{ad}': strategy target event 'ghost' not declared" for ad in "xy"]
+    for source in (path, str(adjusted)):
+        code, out, err = run_cli(["auction", source, "--strategy", "single:ghost"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "validation", "detail": expected}
+        code, _, err = run_cli(["auction", source, "--strategy", "single:click"], capsys)
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("exit_code", [0, 1, 2])
+def test_main_pauses_the_cyclic_collector_and_leaves_it_as_found(collecting, exit_code, tmp_path, capsys, monkeypatch):
+    import gc
+
+    import uxcharge.cli as cli
+
+    doc = {0: cpc_scenario(), 1: cpc_scenario(format_version=2)}.get(exit_code)
+    path = write_scenario(tmp_path / "s.json", doc) if doc else str(tmp_path / "missing.json")
+    during = []
+    original = cli.parse_scenario_doc
+    monkeypatch.setattr(cli, "parse_scenario_doc", lambda d: during.append(gc.isenabled()) or original(d))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        code, _, _ = run_cli(["adjust", path], capsys)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == exit_code
+    assert after is collecting
+    assert during == ([] if exit_code == 2 else [False])
+
+
 LATIN_1 = json.dumps(cpc_scenario(offers=[{"ad_id": "caf\u00e9", "price_type": "cpm", "bids": {"view": 1.0}}]), ensure_ascii=False)
 
 
@@ -904,6 +956,8 @@ def _fuzz_example(name):
 def test_any_json_document_gives_a_document_or_one_diagnostic(tmp_path_factory, doc, slots, strategy):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
+    if not isinstance(doc, bytes):
+        assert_reads_like_reference(json.loads(path.read_bytes()), (strategy,), (OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL))
     market = [] if slots is None else ["--slots", str(slots)]
     for argv in (["adjust"], ["auction", *market], ["simulate", "--trials", "20", *market]):
         out, err = io.StringIO(), io.StringIO()

@@ -1,9 +1,12 @@
 """Core type validation and serialization round-trips."""
 
+import math
+
+import pytest
 from hypothesis import given
 
 import uxcharge as ux
-from uxcharge.model import charges_from_dict, charges_to_dict, offer_from_dict, offer_to_dict
+from uxcharge.model import approx_eq, charges_from_dict, charges_to_dict, offer_from_dict, offer_to_dict
 
 from helpers import cpc_offer, offers, two_events
 
@@ -122,3 +125,22 @@ def test_charge_schedule_aligns_to_event_set():
     schedule = ux.ChargeSchedule({"view": 0.05, "other": 1.0})
     aligned = schedule.for_events(two_events(0.1))
     assert aligned == {"view": 0.05, "click": 0.0}
+
+
+@pytest.mark.parametrize(
+    "x, y, expected",
+    [
+        (0.1, math.inf, False),
+        (math.inf, 0.1, False),
+        (-math.inf, math.inf, False),
+        (math.inf, math.inf, True),
+        (-math.inf, -math.inf, True),
+        (math.nan, math.nan, False),
+        (1.0, 1.0 + 1e-10, True),
+        (1.0, 1.0 + 1e-8, False),
+        (1e300, 1e300 * (1 + 1e-10), True),
+        (0.0, -0.0, True),
+    ],
+)
+def test_approx_eq_lets_an_infinity_agree_only_with_itself(x, y, expected):
+    assert approx_eq(x, y) is expected

@@ -1,0 +1,175 @@
+"""The scenario reader and validator against their references.
+
+``cli.parse_scenario_doc`` reads plain offers inline and ``sim.validate_scenario``
+decides clean offers over arrays; ``helpers.reference_parse`` and
+``helpers.reference_validate`` read and check every offer through
+``offer_from_dict`` and ``validate_offer``. Both must give equal configs and
+the same full issue lists, in the same order.
+"""
+
+import copy
+import json
+import random
+
+import numpy as np
+import pytest
+
+import uxcharge as ux
+from helpers import assert_reads_like_reference, reference_validate
+from test_cli import SCENARIO_PROBES
+from uxcharge.sim import validate_scenario
+
+STRATEGIES = ("identity", "proportional", "single:click", "single:ghost", "bogus")
+MODELS = (ux.OutcomeModel.INDEPENDENT, ux.OutcomeModel.FUNNEL)
+
+
+@pytest.mark.parametrize("doc", [p[1] for p in SCENARIO_PROBES], ids=[p[0] for p in SCENARIO_PROBES])
+def test_every_scenario_probe_reads_like_the_reference(doc):
+    assert_reads_like_reference(json.loads(json.dumps(doc)), STRATEGIES, MODELS)
+
+
+def _bulk_document(offers=10_000, k=10):
+    """A bulk-simulate-shaped document: hybrid offers over view, click and
+    conversion with their own probabilities, bids on every event, ctr rows."""
+    rng = random.Random("reader-reference")
+    doc = {"format_version": 1, "offers": [], "charges": {"view": 0.02, "click": 0.15, "conversion": 0.4}}
+    ctr = {}
+    for i in range(offers):
+        p_click = rng.uniform(0.02, 0.3)
+        probs = {"view": 1.0, "click": p_click, "conversion": p_click * rng.uniform(0.05, 0.5)}
+        doc["offers"].append({
+            "ad_id": f"ad{i:04d}",
+            "price_type": "hybrid",
+            "events": [{"id": eid, "kind": eid, "prob": p} for eid, p in probs.items()],
+            "bids": {eid: rng.uniform(0.1, 1.0) / max(p, 0.05) for eid, p in probs.items()},
+        })
+        row, p = [], min(1.0, p_click * rng.uniform(0.8, 1.5))
+        for _ in range(k):
+            row.append(p)
+            p *= rng.uniform(0.6, 0.95)
+        ctr[doc["offers"][-1]["ad_id"]] = row
+    doc["slots"] = {"k": k, "ctr_matrix": ctr}
+    return json.loads(json.dumps(doc))
+
+
+BULK = _bulk_document()
+BAD_OFFER = 7_777
+
+
+def _bid(field, value):
+    return lambda offer: offer["bids"].__setitem__(field, value)
+
+
+def _event(index, field, value):
+    return lambda offer: offer["events"][index].__setitem__(field, value)
+
+
+def _rename_conversion(event_id):
+    def rename(offer):
+        offer["events"][2]["id"] = event_id
+        offer["bids"][event_id] = offer["bids"].pop("conversion")
+    return rename
+
+
+@pytest.mark.parametrize(
+    "breaks",
+    [
+        _bid("click", True),
+        _event(1, "prob", "0.1"),
+        _event(0, "prob", 1),
+        _bid("view", float("inf")),
+        _bid("click", 10**400),
+        _event(2, "id", "\ud800"),
+        _rename_conversion("\ud800"),
+        _rename_conversion("caf\u00e9"),
+        _event(1, "kind", "hover"),
+        _bid("ghost", 0.5),
+        _event(1, "prob", 1.5),
+        _bid("conversion", -1.0),
+    ],
+    ids=[
+        "bool-bid",
+        "string-prob",
+        "int-prob",
+        "infinite-bid",
+        "huge-int-bid",
+        "lone-surrogate-id",
+        "lone-surrogate-id-with-its-bid",
+        "non-ascii-id-with-its-bid",
+        "unknown-kind",
+        "stray-bid-key",
+        "prob-out-of-range",
+        "negative-bid",
+    ],
+)
+def test_one_bad_field_among_ten_thousand_offers_reads_like_the_reference(breaks):
+    doc = dict(BULK, offers=list(BULK["offers"]))
+    doc["offers"][BAD_OFFER] = bad = copy.deepcopy(doc["offers"][BAD_OFFER])
+    breaks(bad)
+    assert_reads_like_reference(doc, ("proportional", "single:click"))
+
+
+def test_the_clean_bulk_document_reads_like_the_reference():
+    assert_reads_like_reference(BULK, ("proportional",))
+
+
+def _offer(ad_id, price_type="hybrid", events=None, bids=None):
+    if events is None:
+        events = (ux.EventSpec("view", ux.EventKind.VIEW, 1.0), ux.EventSpec("click", ux.EventKind.CLICK, 0.1))
+    if bids is None:
+        bids = {"view": 0.5, "click": 2.0}
+    return ux.Offer(ad_id, ux.PriceType(price_type), tuple(events), bids)
+
+
+VIEW, CLICK = ux.EventKind.VIEW, ux.EventKind.CLICK
+LIBRARY_OFFERS = {
+    "nan-bid": _offer("nan", bids={"view": float("nan"), "click": 1.0}),
+    "numpy-bid": _offer("np", bids={"view": np.float64(0.5), "click": 1.0}),
+    "bool-bid": _offer("bool", bids={"view": True, "click": 1.0}),
+    "two-views": _offer("views", events=[ux.EventSpec("view", VIEW, 1.0), ux.EventSpec("v2", VIEW, 1.0)], bids={"view": 1.0, "v2": 0.0}),
+    "duplicate-event-id": _offer("dup", events=[ux.EventSpec("view", VIEW, 1.0), ux.EventSpec("view", CLICK, 0.1)], bids={"view": 1.0}),
+    "view-probability-0.999": _offer("near", events=[ux.EventSpec("view", VIEW, 0.999), ux.EventSpec("click", CLICK, 0.1)]),
+    "cpm-bids-on-click": _offer("cpm", "cpm"),
+    "cpc-bids-on-view": _offer("cpc", "cpc"),
+    "missing-bid": _offer("missing", bids={"view": 1.0}),
+    "bids-out-of-order": _offer("order", bids={"click": 2.0, "view": 0.5}),
+    "string-kind": _offer("kind", events=[ux.EventSpec("view", "view", 1.0), ux.EventSpec("click", CLICK, 0.1)]),
+    "no-events": _offer("none", events=(), bids={}),
+    "negative-zero-bid": _offer("zero", bids={"view": -0.0, "click": 2.0}),
+    "infinite-bid": _offer("inf", bids={"view": float("inf"), "click": 1.0}),
+    "negative-int-bid": _offer("int", bids={"view": -1, "click": 1.0}),
+    "numpy-nan-bid": _offer("npnan", bids={"view": np.float64("nan"), "click": 1.0}),
+    "int-probability": _offer("intp", events=[ux.EventSpec("view", VIEW, 1.0), ux.EventSpec("click", CLICK, 2)]),
+}
+
+# Together these two chain to the same bid keys as event ids, [view, click, view],
+# though each offer's keys differ from its own ids.
+SHIFTED_KEYS = (
+    _offer("short", bids={"view": 1.0}),
+    _offer("long", events=[ux.EventSpec("view", VIEW, 1.0)], bids={"click": 1.0, "view": 1.0}),
+)
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_OFFERS))
+def test_library_built_offers_validate_like_the_reference(name):
+    offers = (_offer("clean-a"), LIBRARY_OFFERS[name], _offer("clean-b", "cpc", bids={"view": 0.0, "click": 1.0}))
+    for strategy in STRATEGIES:
+        for model in MODELS:
+            config = ux.ScenarioConfig(offers, ux.ChargeSchedule({"view": 0.01}), strategy=strategy, model=model)
+            assert validate_scenario(config) == reference_validate(config)
+
+
+def test_offers_whose_bid_keys_line_up_only_across_offers_validate_like_the_reference():
+    config = ux.ScenarioConfig(SHIFTED_KEYS, ux.ChargeSchedule({}))
+    assert validate_scenario(config) == reference_validate(config)
+
+
+def test_all_library_built_offers_together_validate_like_the_reference():
+    offers = tuple(LIBRARY_OFFERS.values())
+    for width in (None, 3):
+        if width:  # give the first offer a third event, so the rows are padded
+            first = offers[0]
+            events = first.events + (ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.01),)
+            offers = (ux.Offer(first.ad_id, first.price_type, events, {**first.bids, "conv": 4.0}),) + offers[1:]
+        config = ux.ScenarioConfig(offers, ux.ChargeSchedule({}), strategy="single:click")
+        assert validate_scenario(config) == reference_validate(config)

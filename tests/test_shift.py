@@ -1,5 +1,7 @@
 """Charge-shift construction, validation, and the feasibility condition."""
 
+import math
+
 import pytest
 from hypothesis import given
 
@@ -135,6 +137,14 @@ def test_validate_plan_flags_broken_identity():
     violations = validate_plan(bad, charges, offer)
     assert len(violations) == 1
     assert "expected shifted charge" in violations[0]
+
+
+def test_validate_plan_flags_an_infinite_shift():
+    offer = cpc_offer("x", 2.0, 0.1)
+    charges = ux.ChargeSchedule({"view": 0.1, "click": 0.0})
+    plan = ux.ShiftPlan({"view": 0.0, "click": math.inf}, "x")
+    violations = validate_plan(plan, charges, offer)
+    assert violations == ["expected shifted charge inf != expected charge 0.1"]
 
 
 def test_validate_plan_identity_always_satisfies_charge_identity():
