@@ -19,16 +19,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import ge, le
-from typing import Collection, Mapping, Sequence
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_, not_
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import AdjustedOffer, AuctionOutcome, EventKind, ScenarioError, SlotAward, fold_columns
+from .model import (
+    AdjustedOffer,
+    AuctionOutcome,
+    EventKind,
+    ScenarioError,
+    SlotAward,
+    event_bids,
+    flat_events,
+    fold_columns,
+    padded,
+    require_same_keys,
+)
 
 FIRST_PRICE = "first"
 SECOND_PRICE = "second"
+
+_AD_ID = attrgetter("ad_id")
+_ADJUSTED = attrgetter("adjusted")
+_KIND = attrgetter("kind")
+_PROBABILITY = attrgetter("probability")
 
 
 @dataclass(frozen=True)
@@ -47,9 +63,6 @@ class SlotModel:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ScenarioError([f"slot count must be >= 1, got {self.k}"])
-        if _rows_hold(self.k, self.ctr.values()):
-            return
-        # some rule is broken, or the rows are not all tuples of floats: word the first
         for ad_id, row in self.ctr.items():
             if len(row) != self.k:
                 raise ScenarioError(
@@ -68,27 +81,6 @@ class SlotModel:
         """Click probability override for ``ad_id`` in 1-based ``slot``, if any."""
         row = self.ctr.get(ad_id)
         return None if row is None else row[slot - 1]
-
-
-def _rows_hold(k: int, rows: Collection) -> bool:
-    """True when ``rows`` are tuples of k floats in [0, 1], each nonincreasing.
-
-    Checked over the slot columns with C builtins: the first column is at
-    most 1, each next one at or below the one before, and the last at least
-    0. A nan fails the comparison it is in. False when in doubt.
-    """
-    if not rows:
-        return True
-    if set(map(type, rows)) != {tuple} or set(map(len, rows)) != {k}:
-        return False
-    columns = list(zip(*rows))
-    if not set(map(type, chain.from_iterable(columns))) <= {float}:
-        return False
-    return (
-        all(map(le, columns[0], repeat(1.0)))
-        and all(all(map(ge, left, right)) for left, right in zip(columns, columns[1:]))
-        and all(map(ge, columns[-1], repeat(0.0)))
-    )
 
 
 def pricing_rule_issues(rule: str) -> list[str]:
@@ -143,34 +135,29 @@ def run_second_price(
 def _slot_values(
     offers: Sequence[AdjustedOffer], slots: SlotModel | None, columns: Sequence[int]
 ) -> np.ndarray:
-    """``value_at_slot`` for every offer (rows) in each 1-based slot of ``columns``.
+    """``value_at_slot`` of every offer in each 1-based slot of ``columns``: a row per slot.
 
     Each value is a left-to-right fold over the offer's events in declared
     order, with every click event's probability replaced by the ad's ctr row
-    when it has one, exactly as ``value_at_slot`` sums.
+    when it has one, exactly as ``value_at_slot`` sums. Raises
+    KeyMismatchError, naming the ad, for adjusted bids not keyed to their events.
     """
-    n, m = len(offers), len(columns)
-    width = max((len(o.events) for o in offers), default=0)
+    events, ids, widths = flat_events(offers)
+    bids, keyed = event_bids(list(map(_ADJUSTED, offers)), ids, widths)
+    for offer in compress(offers, map(not_, keyed)):
+        event_ids = tuple(e.event_id for e in offer.events)
+        require_same_keys(event_ids, offer.adjusted, f"offer '{offer.ad_id}': adjusted bids")
     ctr = slots.ctr if slots else {}
-    no_ctr = (0.0,) * m
-    bids, probs, clicks, rows = [], [], [], []
-    for o in offers:
-        row = ctr.get(o.ad_id)
-        adjusted = o.adjusted
-        for e in o.events:
-            bids.append(adjusted[e.event_id])
-            probs.append(e.probability)
-            clicks.append(row is not None and e.kind is EventKind.CLICK)
-        tail = width - len(o.events)
-        if tail:
-            bids += [0.0] * tail
-            probs += [0.0] * tail
-            clicks += [False] * tail
-        rows += no_ctr if row is None else [row[j - 1] for j in columns]
-    A, P = (np.array(x, dtype=float).reshape(n, width, 1) for x in (bids, probs))
-    clicks = np.array(clicks, dtype=bool).reshape(n, width, 1)
-    rows = np.array(rows, dtype=float).reshape(n, 1, m)
-    return fold_columns(A * np.where(clicks, rows, P))  # terms: offer x event x slot
+    rows = list(map(ctr.get, map(_AD_ID, offers)))
+    # the kind whose probability an ad's ctr row replaces: none without a row
+    replaced = [None if row is None else EventKind.CLICK for row in rows]
+    clicks = map(is_, map(_KIND, events), chain.from_iterable(map(repeat, replaced, widths)))
+    B = padded(np.array(bids, dtype=float), widths)
+    P = padded(np.fromiter(map(_PROBABILITY, events), dtype=float, count=len(events)), widths)
+    C = padded(np.fromiter(clicks, dtype=bool, count=len(events)), widths)
+    R = np.array([0.0 if row is None else row[j - 1] for j in columns for row in rows], dtype=float)
+    terms = B * np.where(C, R.reshape(len(columns), len(offers), 1), P)  # slot x offer x event
+    return fold_columns(terms)
 
 
 def _run(
@@ -179,7 +166,7 @@ def _run(
     reserve: float,
     rule: str,
 ) -> AuctionOutcome:
-    """Both pricing rules over one offers x slots value matrix.
+    """Both pricing rules over one slots x offers value matrix.
 
     Reproduces the slot-by-slot greedy auction that calls ``value_at_slot``
     per offer and slot, bit for bit on finite values; no offers give no winners.
@@ -190,11 +177,10 @@ def _run(
         raise ScenarioError(issues)
 
     # Offers whose expected impact exceeds their value never enter the ranking.
-    # Rows stay in ad_id order, so the first of equal values is the tie-break.
-    remaining = sorted(
-        (o for o in offers if o.expected_value >= 0.0), key=lambda o: o.ad_id
-    )
-    repeated = {a.ad_id for a, b in zip(remaining, remaining[1:]) if a.ad_id == b.ad_id}
+    # Offers stay in ad_id order, so the first of equal values is the tie-break.
+    remaining = sorted((o for o in offers if o.expected_value >= 0.0), key=_AD_ID)
+    ad_ids = list(map(_AD_ID, remaining))
+    repeated = {a for a, b in zip(ad_ids, ad_ids[1:]) if a == b}
     if repeated:
         raise ScenarioError([f"duplicate ad_id '{ad_id}'" for ad_id in sorted(repeated)])
     if not remaining:
@@ -204,27 +190,26 @@ def _run(
     filled = min(k, len(remaining))
     columns = [*range(1, filled + 1)] + ([k] if filled < k else [])
     values = _slot_values(remaining, slots, columns)
-    broken = [remaining[i].ad_id for i in np.flatnonzero(~np.isfinite(values).all(axis=1))]
+    broken = [ad_ids[i] for i in np.flatnonzero(~np.isfinite(values).all(axis=0))]
     if broken:
         raise ScenarioError([f"offer '{ad_id}': value in a slot is not finite" for ad_id in broken])
-    alive = np.ones(len(remaining), dtype=bool)
 
     winners: list[SlotAward] = []
     for slot in range(1, filled + 1):
         # Placed offers read -inf; every slot value is finite, so argmax
         # finds the best offer still unplaced, the first one among ties.
-        live = np.where(alive, values[:, slot - 1], -np.inf)
+        live = values[slot - 1]
         row = int(live.argmax())
-        if live[row] < reserve:
+        own_value = float(live[row])
+        if own_value < reserve:
             break
         winner = remaining[row]
-        own_value = float(live[row])
-        alive[row] = False
+        values[:, row] = -np.inf
 
         if rule == FIRST_PRICE:
             theta = 1.0
         else:
-            live[row] = -np.inf  # competitors only; with none left the reserve prices the slot
+            # competitors only; with none left the reserve prices the slot
             next_value = max(float(live.max()), reserve)
             theta = next_value / own_value if own_value > 0.0 else 0.0
 
@@ -240,11 +225,8 @@ def _run(
         )
 
     ranking = [(w.ad_id, w.value) for w in winners]
-    left = np.flatnonzero(alive)
-    left_values = values[left, -1]
-    by_value = np.argsort(-left_values, kind="stable")  # ties stay in ad_id order
-    ranking.extend(
-        zip([remaining[i].ad_id for i in left[by_value]], left_values[by_value].tolist())
-    )
+    # Placed offers sort last; ties stay in ad_id order.
+    left = np.argsort(-values[-1], kind="stable")[: len(remaining) - len(winners)]
+    ranking.extend(zip([ad_ids[i] for i in left.tolist()], values[-1, left].tolist()))
 
     return AuctionOutcome(pricing_rule=rule, ranking=tuple(ranking), winners=tuple(winners))

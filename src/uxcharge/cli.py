@@ -28,8 +28,7 @@ or payment that overflows float range is rejected, naming the ad.
 
 Exit codes: 0 success; 1 any input problem, the command line included, as
 one JSON record on stderr itemizing each issue; 2 I/O failure. Anything else
-is a bug and shows a traceback. Set UXCHARGE_LOG to error, warn, info, or
-debug to adjust logging.
+is a bug and shows a traceback.
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ import csv
 import gc
 import io
 import json
-import logging
 import math
-import os
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import replace
@@ -82,8 +79,6 @@ from .sim import (
     target_issues,
     validate_scenario,
 )
-
-logger = logging.getLogger("uxcharge")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -503,7 +498,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    logger.info("simulating %d offers, %d trials, seed %d", len(config.offers), args.trials, args.seed)
     report = run_scenario(config)
     _emit(dumps_canonical(report), args.output)
     if args.csv:
@@ -567,18 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    level = _LOG_LEVELS.get(os.environ.get("UXCHARGE_LOG", "warn").lower(), logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
     # A run builds up to about a million containers (the parsed JSON, offers,
     # records) and no reference cycles, so cyclic collector passes over them
     # only cost time. The collector is paused for the run, then left as found.

@@ -17,6 +17,8 @@ import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import attrgetter, methodcaller
 from typing import Any
 
 import numpy as np
@@ -51,17 +53,69 @@ def fold_sum(values: Iterable[float]) -> float:
 
 
 def fold_columns(x: np.ndarray) -> np.ndarray:
-    """Sums over axis 1 of ``x``, each taken left to right like ``fold_sum``.
+    """Sums over the last axis of ``x``, each taken left to right like ``fold_sum``.
 
     For a 2-D array these are the row sums. ``np.sum`` and ``@`` reorder the
     additions; this column loop keeps the bits of the scalar fold, so array
     and per-offer paths agree exactly. Zero padding at the end of a row
     leaves its sum unchanged.
     """
-    total = np.zeros(x.shape[:1] + x.shape[2:])
-    for i in range(x.shape[1]):
-        total += x[:, i]
+    total = np.zeros(x.shape[:-1])
+    for i in range(x.shape[-1]):
+        total += x[..., i]
     return total
+
+
+# The array passes (validation, adjustment, the auction) share one layout, the
+# offers x events matrix: row i holds offer i's entries in declared event order,
+# then zeros up to the widest offer, which leave ``fold_columns`` unchanged.
+
+_EVENTS = attrgetter("events")
+_EVENT_ID = attrgetter("event_id")
+_VALUES = methodcaller("values")
+
+
+def flat_events(offers: Sequence[Offer | AdjustedOffer]) -> tuple[list[EventSpec], list[str], list[int]]:
+    """Every offer's events in one list, offer after offer, their ids, and each offer's count."""
+    per_offer = list(map(_EVENTS, offers))
+    events = list(chain.from_iterable(per_offer))
+    return events, list(map(_EVENT_ID, events)), list(map(len, per_offer))
+
+
+def event_bids(
+    bid_maps: Sequence[Mapping[str, float]], ids: list[str], widths: list[int]
+) -> tuple[list, list[bool]]:
+    """The amounts of each mapping (``Offer.bids``, ``AdjustedOffer.adjusted``)
+    in its offer's event order, in one list like ``ids``, and whether each
+    offer's event ids are unique and its mapping keyed to exactly them.
+
+    A mapping keyed to another set of ids gives zeros.
+    """
+    if list(map(len, bid_maps)) == widths and list(chain.from_iterable(bid_maps)) == ids:
+        # every mapping's keys are its offer's event ids in order, so those are unique
+        return list(chain.from_iterable(map(_VALUES, bid_maps))), [True] * len(bid_maps)
+    amounts: list = []
+    keyed: list[bool] = []
+    start = 0
+    for bid_map, width in zip(bid_maps, widths):
+        row = ids[start:start + width]
+        start += width
+        unique = set(row)
+        found = bid_map.keys() == unique
+        keyed.append(found and len(unique) == width)
+        amounts += [bid_map[eid] for eid in row] if found else [0.0] * width
+    return amounts, keyed
+
+
+def padded(flat: np.ndarray, widths: list[int]) -> np.ndarray:
+    """The offers x events matrix of a flat column: row i holds offer i's
+    ``widths[i]`` entries, then zeros up to the widest offer."""
+    n, width = len(widths), max(widths, default=0)
+    if len(flat) == n * width:
+        return flat.reshape(n, width)
+    matrix = np.zeros((n, width), dtype=flat.dtype)
+    matrix[np.arange(width) < np.array(widths)[:, None]] = flat
+    return matrix
 
 
 class KeyMismatchError(ValueError):

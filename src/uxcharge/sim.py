@@ -30,8 +30,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
-from operator import attrgetter, eq, is_, methodcaller
+from itertools import repeat
+from operator import attrgetter, eq, is_
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,8 +50,11 @@ from .model import (
     PriceType,
     ScenarioError,
     ShiftPlan,
+    event_bids,
+    flat_events,
     fold_columns,
     fold_sum,
+    padded,
     require_same_keys,
     validate_offer,
 )
@@ -365,50 +368,10 @@ def target_issues(strategy: str, events: Sequence[EventSpec]) -> list[str]:
 
 
 _AD_ID = attrgetter("ad_id")
-_EVENTS = attrgetter("events")
 _BIDS = attrgetter("bids")
 _PRICE_TYPE = attrgetter("price_type")
-_EVENT_ID = attrgetter("event_id")
 _KIND = attrgetter("kind")
 _PROBABILITY = attrgetter("probability")
-_VALUES = methodcaller("values")
-
-
-def _flat_events(offers: Sequence[Offer]) -> tuple[list[EventSpec], list[int]]:
-    """Every offer's events in one list, offer after offer, and each offer's count."""
-    events = list(map(_EVENTS, offers))
-    return list(chain.from_iterable(events)), list(map(len, events))
-
-
-def _event_bids(offers: Sequence[Offer], ids: list, widths: list[int]) -> tuple[list, list[bool]]:
-    """Each offer's bids in its events' order, in one list like ``ids``, and
-    whether the offer's event ids are unique and its bids keyed to exactly
-    them. An offer whose bids are not holds zeros."""
-    bid_maps = list(map(_BIDS, offers))
-    if list(map(len, bid_maps)) == widths and list(chain.from_iterable(bid_maps)) == ids:
-        # every offer's bid keys are its event ids in order, so those are unique
-        return list(chain.from_iterable(map(_VALUES, bid_maps))), [True] * len(offers)
-    bids: list = []
-    keyed: list[bool] = []
-    start = 0
-    for bid_map, width in zip(bid_maps, widths):
-        row = ids[start:start + width]
-        start += width
-        unique = set(row)
-        keyed.append(len(unique) == width and bid_map.keys() == unique)
-        bids += [bid_map[eid] for eid in row] if keyed[-1] else [0.0] * width
-    return bids, keyed
-
-
-def _padded(flat: np.ndarray, widths: list[int]) -> np.ndarray:
-    """The offers x events matrix of a flat column: row i holds offer i's
-    ``widths[i]`` entries, then zeros up to the widest offer."""
-    n, width = len(widths), max(widths, default=0)
-    if len(flat) == n * width:
-        return flat.reshape(n, width)
-    matrix = np.zeros((n, width), dtype=flat.dtype)
-    matrix[np.arange(width) < np.array(widths)[:, None]] = flat
-    return matrix
 
 
 def _floats(values: list) -> tuple[np.ndarray, np.ndarray]:
@@ -425,20 +388,22 @@ def _is(values: Iterable, member: Enum) -> np.ndarray:
     return np.fromiter(map(is_, values, repeat(member)), dtype=bool)
 
 
-def _clean_offers(offers: Sequence[Offer]) -> list[bool]:
-    """Whether ``validate_offer`` passes each offer, decided over arrays.
+def _clean_offers(
+    offers: Sequence[Offer], events: list[EventSpec], ids: list[str], widths: list[int]
+) -> list[bool]:
+    """Whether ``validate_offer`` passes each offer, decided over arrays of
+    the offers' flattening (``flat_events``).
 
     False means only "not shown clean": ``validate_scenario`` then asks
     ``validate_offer``, the reference, to word each violation. An offer is
     clean when its event ids are unique and its bids keyed to exactly them
-    (``_event_bids``), it has exactly one view event, and every one of its
+    (``event_bids``), it has exactly one view event, and every one of its
     entries passes the predicates over the flat bid, probability and kind
     columns: float bids and probabilities, finite bids >= 0, probabilities
     in [0, 1], a view probability within ``approx_eq`` of 1, and a bid
     above 0 only on the view of a CPM offer or the click of a CPC offer.
     """
-    events, widths = _flat_events(offers)
-    bids, keyed = _event_bids(offers, list(map(_EVENT_ID, events)), widths)
+    bids, keyed = event_bids(list(map(_BIDS, offers)), ids, widths)
     rows = np.repeat(np.arange(len(offers)), widths)  # the offer of each entry
     B, bid_is_float = _floats(bids)
     P, prob_is_float = _floats(list(map(_PROBABILITY, events)))
@@ -511,13 +476,14 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         issues.append(str(exc))
         kind = "identity"
 
-    clean = _clean_offers(config.offers)
+    events, ids, widths = flat_events(config.offers)
+    clean = _clean_offers(config.offers, events, ids, widths)
     ad_ids = list(map(_AD_ID, config.offers))
     seen_ads = set(ad_ids)
     if (
         not all(clean)
         or len(seen_ads) < len(ad_ids)
-        or max(map(len, map(_EVENTS, config.offers)), default=0) > ENUMERATION_LIMIT
+        or max(widths, default=0) > ENUMERATION_LIMIT
         or kind == "single"
         or config.model is OutcomeModel.FUNNEL
     ):
@@ -527,7 +493,7 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         undeclared = [ad for ad in config.slots.ctr if ad not in seen_ads]
         issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
 
-    known_ids = set(map(_EVENT_ID, _flat_events(config.offers)[0]))
+    known_ids = set(ids)
     for eid, amount in config.charges.charges.items():
         if config.offers and eid not in known_ids:
             issues.append(f"charge keyed to event '{eid}' declared by no offer")
@@ -564,20 +530,20 @@ def _batch_adjust(
     """Feasibility, shift plan and adjustment for every offer in one array pass.
 
     Rows are offers; columns are an offer's events in declared order, zero
-    padded to the widest offer (``_padded``). Reproduces ``is_feasible`` ->
+    padded to the widest offer (``model.padded``). Reproduces ``is_feasible`` ->
     ``build_plan`` -> ``adjust_general`` bit for bit on a valid scenario:
     every sum is a left-to-right column fold in declared event order.
-    Returns, as lists, the expected charges, the feasibility verdicts, the
+    Returns, as lists, the flat event ids and each offer's count
+    (``flat_events``), the expected charges, the feasibility verdicts, the
     shifted charges and adjusted bids (padded rows) and the expected
     adjusted values.
     """
     kind, target = _parse_strategy(strategy)
-    events, widths = _flat_events(offers)
-    ids = list(map(_EVENT_ID, events))
-    bids, _ = _event_bids(offers, ids, widths)
+    events, ids, widths = flat_events(offers)
+    bids, _ = event_bids(list(map(_BIDS, offers)), ids, widths)
     amounts = list(map(charges.charges.get, ids, repeat(0.0)))
     B, P, C = (
-        _padded(np.array(x, dtype=float), widths)
+        padded(np.array(x, dtype=float), widths)
         for x in (bids, list(map(_PROBABILITY, events)), amounts)
     )
     with np.errstate(all="ignore"):  # Python floats overflow silently too
@@ -588,7 +554,7 @@ def _batch_adjust(
             D = C
         elif kind == "single":
             # one target event per offer (validate_scenario), so one per row in row order
-            is_target = _padded(np.fromiter(map(eq, ids, repeat(target)), dtype=bool), widths)
+            is_target = padded(np.fromiter(map(eq, ids, repeat(target)), dtype=bool), widths)
             D = np.zeros_like(B)
             D[is_target] = expected_charge / P[is_target]
         else:
@@ -599,6 +565,8 @@ def _batch_adjust(
         A = B - D
         adjusted_value = fold_columns(A * P)
     return (
+        ids,
+        widths,
         expected_charge.tolist(),
         feasible.tolist(),
         D.tolist(),
@@ -618,7 +586,7 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer]]:
     if issues:
         raise ScenarioError(issues)
 
-    charge, feasible, shifted, adjusted, value = _batch_adjust(
+    flat_ids, widths, charge, feasible, shifted, adjusted, value = _batch_adjust(
         config.offers, config.charges, config.strategy
     )
     # Every offer reports its expected charge, a feasible one its plan, bids and
@@ -634,8 +602,10 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer]]:
         raise ScenarioError(overflow)
     records: list[dict] = []
     included: list[AdjustedOffer] = []
-    for row, offer in enumerate(config.offers):
-        ids = offer.event_ids
+    start = 0
+    for row, (offer, width) in enumerate(zip(config.offers, widths)):
+        ids = flat_ids[start:start + width]
+        start += width
         record = {
             "ad_id": offer.ad_id,
             "price_type": offer.price_type.value,

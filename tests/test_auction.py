@@ -157,6 +157,22 @@ def test_value_at_slot_overrides_click_probability_only():
     assert value_at_slot(x, None, 2) == exact(0.4)
 
 
+@pytest.mark.parametrize(
+    "adjusted, wording",
+    [
+        ({"view": 0.0}, "missing ['click']"),
+        ({"view": 0.0, "click": 2.0, "ghost": 1.0}, "unknown ['ghost']"),
+    ],
+)
+def test_auction_rejects_adjusted_bids_not_keyed_to_the_events(adjusted, wording):
+    broken = ux.AdjustedOffer("x", two_events(0.1), adjusted, 0.2)
+    message = "offer 'x': adjusted bids not keyed to the event set: " + wording
+    for run in (run_first_price, run_second_price):
+        with pytest.raises(ux.KeyMismatchError) as excinfo:
+            run([with_click("a", 1.0, 0.1), broken], SlotModel(k=2, ctr={"x": (0.1, 0.05)}))
+        assert str(excinfo.value) == message
+
+
 def test_slot_model_validates_shape_and_ranges():
     with pytest.raises(ValueError, match="slot count"):
         SlotModel(k=0)

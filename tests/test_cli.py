@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -135,6 +136,20 @@ def test_auction_accepts_adjust_output(tmp_path, capsys):
     assert parsed["winners"][0]["prices"]["click"] == exact(1.0)
 
 
+def test_auction_on_reordered_adjusted_bids_writes_the_same_bytes(tmp_path, capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "hybrid_three_event.adjust.json"
+    doc = json.loads(golden.read_text(encoding="utf-8"))
+    for record in doc["adjusted"]:
+        record["adjusted_bids"] = dict(reversed(record["adjusted_bids"].items()))
+    reordered = write_scenario(tmp_path / "reordered.json", doc)
+    outputs = []
+    for path in (str(golden), reordered):
+        code, out, _ = run_cli(["auction", path, "--slots", "2"], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_is_byte_identical_across_runs(tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
     out_a = tmp_path / "a.json"
@@ -237,14 +252,25 @@ def test_help_is_available_per_subcommand(capsys):
         assert "usage" in capsys.readouterr().out
 
 
-def test_log_level_env_var(tmp_path, capsys, monkeypatch, caplog):
-    monkeypatch.setenv("UXCHARGE_LOG", "info")
+def test_main_leaves_the_root_logger_as_found(tmp_path):
+    # A fresh interpreter: pytest's own root handlers would hide a handler added by main.
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
-    with caplog.at_level("INFO", logger="uxcharge"):
-        code = main(["simulate", path, "--trials", "100", "--seed", "0"])
-    capsys.readouterr()
-    assert code == 0
-    assert any("simulating" in message for message in caplog.messages)
+    script = (
+        "import logging, sys\n"
+        "from uxcharge.cli import main\n"
+        "root = logging.getLogger()\n"
+        "found = (list(root.handlers), root.level)\n"
+        "for _ in range(2):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "assert (list(root.handlers), root.level) == found, (root.handlers, root.level)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "simulate", path, "--trials", "100", "-o", str(tmp_path / "r.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_per_offer_event_override(tmp_path, capsys):
