@@ -14,7 +14,7 @@ from .adjust import (
     adjust_general,
     expected_value,
 )
-from .auction import SlotModel, rank, run_first_price, run_second_price, value_at_slot
+from .auction import SlotModel, run_first_price, run_second_price, value_at_slot
 from .model import (
     AdjustedOffer,
     AuctionOutcome,
@@ -80,7 +80,6 @@ __all__ = [
     "expected_value",
     "is_feasible",
     "monte_carlo_payment",
-    "rank",
     "run_first_price",
     "run_scenario",
     "run_second_price",

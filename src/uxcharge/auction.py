@@ -31,6 +31,7 @@ from .model import (
     EventKind,
     ScenarioError,
     SlotAward,
+    brief,
     event_bids,
     flat_events,
     fold_columns,
@@ -53,8 +54,9 @@ class SlotModel:
 
     ``ctr[ad_id][j]`` is the click probability for that ad when shown in slot
     j+1. Ads absent from ``ctr`` keep their declared click probability in
-    every slot. Rows must be nonincreasing: lower slots never click better.
-    Raises ScenarioError on the first rule broken.
+    every slot. Each row is a list or tuple of k int or float entries in
+    [0, 1], nonincreasing: lower slots never click better. Raises
+    ScenarioError on the first rule broken.
     """
 
     k: int
@@ -64,11 +66,17 @@ class SlotModel:
         if self.k < 1:
             raise ScenarioError([f"slot count must be >= 1, got {self.k}"])
         for ad_id, row in self.ctr.items():
+            if not isinstance(row, (list, tuple)):
+                raise ScenarioError([f"ctr row for '{ad_id}' must be an array, got {brief(row)}"])
             if len(row) != self.k:
                 raise ScenarioError(
                     [f"ctr row for '{ad_id}' has {len(row)} entries, expected {self.k}"]
                 )
             for p in row:
+                if type(p) is not float and (type(p) is bool or not isinstance(p, (int, float))):
+                    raise ScenarioError(
+                        [f"ctr entry for '{ad_id}' must be a number, got {brief(p)}"]
+                    )
                 if not (0.0 <= p <= 1.0):
                     raise ScenarioError([f"ctr out of range for '{ad_id}': {p!r}"])
             for a, b in zip(row, row[1:]):
@@ -98,19 +106,16 @@ def reserve_issues(reserve: float) -> list[str]:
 
 
 def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> float:
-    """Expected adjusted value with click probabilities taken from the slot model."""
+    """Expected adjusted value with click probabilities taken from the slot model.
+    Raises KeyMismatchError, naming the ad, for adjusted bids not keyed to their events."""
+    ids = [e.event_id for e in offer.events]
+    require_same_keys(ids, offer.adjusted, f"offer '{offer.ad_id}': adjusted bids")
     override = slots.click_probability(offer.ad_id, slot) if slots else None
     total = 0.0
     for ev in offer.events:
         p = override if (override is not None and ev.kind is EventKind.CLICK) else ev.probability
         total += offer.adjusted[ev.event_id] * p
     return total
-
-
-def rank(offers: Sequence[AdjustedOffer]) -> tuple[tuple[str, float], ...]:
-    """Order offers by expected adjusted value, best first, ties by ad_id."""
-    ordered = sorted(offers, key=lambda o: (-o.expected_value, o.ad_id))
-    return tuple((o.ad_id, o.expected_value) for o in ordered)
 
 
 def run_first_price(
@@ -145,8 +150,7 @@ def _slot_values(
     events, ids, widths = flat_events(offers)
     bids, keyed = event_bids(list(map(_ADJUSTED, offers)), ids, widths)
     for offer in compress(offers, map(not_, keyed)):
-        event_ids = tuple(e.event_id for e in offer.events)
-        require_same_keys(event_ids, offer.adjusted, f"offer '{offer.ad_id}': adjusted bids")
+        value_at_slot(offer, None, 1)  # raises KeyMismatchError, naming the ad
     ctr = slots.ctr if slots else {}
     rows = list(map(ctr.get, map(_AD_ID, offers)))
     # the kind whose probability an ad's ctr row replaces: none without a row

@@ -518,8 +518,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="uxcharge",
-        description="Collect user-experience charges in ad auctions: adjust bids, "
-        "run auctions, settle and simulate payments.",
+        description="Collect user-experience charges in ad auctions: shift charges and adjust "
+        "bids (adjust), price the slots (auction), check expected payments (simulate).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

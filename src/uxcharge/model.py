@@ -87,24 +87,22 @@ def event_bids(
 ) -> tuple[list, list[bool]]:
     """The amounts of each mapping (``Offer.bids``, ``AdjustedOffer.adjusted``)
     in its offer's event order, in one list like ``ids``, and whether each
-    offer's event ids are unique and its mapping keyed to exactly them.
+    mapping is ``keyed`` to its offer's event ids.
 
-    A mapping keyed to another set of ids gives zeros.
+    A mapping that is not keyed, a repeated event id included, gives zeros.
     """
     if list(map(len, bid_maps)) == widths and list(chain.from_iterable(bid_maps)) == ids:
         # every mapping's keys are its offer's event ids in order, so those are unique
         return list(chain.from_iterable(map(_VALUES, bid_maps))), [True] * len(bid_maps)
     amounts: list = []
-    keyed: list[bool] = []
+    found: list[bool] = []
     start = 0
     for bid_map, width in zip(bid_maps, widths):
         row = ids[start:start + width]
         start += width
-        unique = set(row)
-        found = bid_map.keys() == unique
-        keyed.append(found and len(unique) == width)
-        amounts += [bid_map[eid] for eid in row] if found else [0.0] * width
-    return amounts, keyed
+        found.append(keyed(row, bid_map))
+        amounts += [bid_map[eid] for eid in row] if found[-1] else [0.0] * width
+    return amounts, found
 
 
 def padded(flat: np.ndarray, widths: list[int]) -> np.ndarray:
@@ -119,7 +117,8 @@ def padded(flat: np.ndarray, widths: list[int]) -> np.ndarray:
 
 
 class KeyMismatchError(ValueError):
-    """Per-event collections are not keyed to the same event ids."""
+    """A per-event mapping is not ``keyed`` to its event set (a missing or unknown
+    key, or a repeated event id); raised wherever an offer enters the library."""
 
 
 class ScenarioError(ValueError):
@@ -187,10 +186,6 @@ class ChargeSchedule:
 
     charges: Mapping[str, float]
 
-    def for_events(self, events: tuple[EventSpec, ...]) -> dict[str, float]:
-        """Restrict to one ad's event set, defaulting absent events to zero."""
-        return {e.event_id: float(self.charges.get(e.event_id, 0.0)) for e in events}
-
 
 @dataclass(frozen=True)
 class ShiftPlan:
@@ -216,10 +211,6 @@ class AdjustedOffer:
     adjusted: Mapping[str, float]
     expected_value: float
 
-    @property
-    def probabilities(self) -> dict[str, float]:
-        return {e.event_id: e.probability for e in self.events}
-
 
 @dataclass(frozen=True)
 class SlotAward:
@@ -244,12 +235,6 @@ class AuctionOutcome:
     ranking: tuple[tuple[str, float], ...]
     winners: tuple[SlotAward, ...]
 
-    def award_for(self, ad_id: str) -> SlotAward | None:
-        for award in self.winners:
-            if award.ad_id == ad_id:
-                return award
-        return None
-
 
 @dataclass(frozen=True)
 class Settlement:
@@ -261,10 +246,20 @@ class Settlement:
     total: float
 
 
-def require_same_keys(reference: tuple[str, ...], mapping: Mapping[str, float], what: str) -> None:
-    """Raise KeyMismatchError unless ``mapping`` is keyed exactly by ``reference``."""
-    if mapping.keys() == set(reference):
+def keyed(ids: Sequence[str], mapping: Mapping) -> bool:
+    """Whether ``mapping`` is keyed to the event set ``ids``: its keys are
+    exactly the ids, and no id repeats, so each event counts once."""
+    return len(mapping) == len(ids) and mapping.keys() == set(ids)
+
+
+def require_same_keys(reference: Sequence[str], mapping: Mapping[str, float], what: str) -> None:
+    """Raise KeyMismatchError, prefixed with ``what``, unless ``mapping`` is
+    ``keyed`` to the event set ``reference``; a repeated id is worded first."""
+    if keyed(reference, mapping):
         return
+    repeated = sorted({k for k in reference if reference.count(k) > 1})
+    if repeated:
+        raise KeyMismatchError(f"{what}: event ids repeat in the event set: {repeated}")
     missing = [k for k in reference if k not in mapping]
     extra = [k for k in mapping if k not in reference]
     parts = []
@@ -468,10 +463,6 @@ def offer_from_dict(doc: Mapping, events: tuple[EventSpec, ...] = ()) -> Offer:
         events=events,
         bids=bids,
     )
-
-
-def charges_to_dict(schedule: ChargeSchedule) -> dict:
-    return {eid: float(amount) for eid, amount in schedule.charges.items()}
 
 
 def charges_from_dict(doc: Mapping) -> ChargeSchedule:

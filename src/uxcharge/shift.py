@@ -91,6 +91,7 @@ def shift_proportional(
     construction, and d_i <= b_i for all i exactly when E <= W.
     """
     ids = offer.event_ids
+    require_same_keys(ids, offer.bids, "offer bids")
     chargeable = set(chargeable)
     unknown = chargeable - set(ids)
     if unknown:
@@ -122,6 +123,7 @@ def validate_plan(
     violations, an empty list when the plan passes.
     """
     ids = offer.event_ids
+    require_same_keys(ids, offer.bids, "offer bids")
     require_same_keys(ids, plan.shifted, "shift plan")
     violations: list[str] = []
 

@@ -107,13 +107,13 @@ class OutcomeModel(Enum):
 def expected_payment(
     prices: Mapping[str, float],
     shifted: Mapping[str, float],
-    probs: Mapping[str, float],
+    events: tuple[EventSpec, ...],
 ) -> float:
-    """Winner's expected charge: sum((price + shifted) * probability) in ``probs`` order."""
-    ids = tuple(probs)
+    """Winner's expected charge: sum((price + shifted) * probability) in declared event order."""
+    ids = tuple(ev.event_id for ev in events)
     require_same_keys(ids, prices, "prices")
     require_same_keys(ids, shifted, "shift amounts")
-    return fold_sum((prices[eid] + shifted[eid]) * p for eid, p in probs.items())
+    return fold_sum((prices[ev.event_id] + shifted[ev.event_id]) * ev.probability for ev in events)
 
 
 _FUNNEL_ORDER = (EventKind.VIEW, EventKind.CLICK, EventKind.CONVERSION)
@@ -517,8 +517,8 @@ def build_plan(strategy: str, offer: Offer, charges: ChargeSchedule) -> ShiftPla
         return shift_identity(charges)
     if kind == "single":
         return shift_single_event(charges, offer.events, target)
-    probs = offer.probabilities
-    chargeable = {eid for eid in offer.event_ids if offer.bids[eid] * probs[eid] > 0.0}
+    require_same_keys(offer.event_ids, offer.bids, "offer bids")
+    chargeable = {e.event_id for e in offer.events if offer.bids[e.event_id] * e.probability > 0.0}
     if not chargeable:
         return ShiftPlan(shifted={eid: 0.0 for eid in offer.event_ids}, strategy="proportional")
     return shift_proportional(charges, offer, chargeable)
@@ -684,7 +684,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         record["slot"] = award.slot
         record["price_factor"] = award.price_factor
         record["prices"] = prices
-        record["expected_payment"] = expected_payment(prices, shifted, offer.probabilities)
+        record["expected_payment"] = expected_payment(prices, shifted, offer.events)
         record["enumerated_payment"] = enumerate_expected_payment(
             prices, shifted, offer.events, config.model
         )

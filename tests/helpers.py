@@ -130,8 +130,9 @@ def scalar_prepare(config: ux.ScenarioConfig):
     if issues:
         raise ScenarioError(issues)
     records, included = [], []
+    charges = config.charges.charges
     for offer in config.offers:
-        aligned = ux.ChargeSchedule(config.charges.for_events(offer.events))
+        aligned = ux.ChargeSchedule({e.event_id: charges.get(e.event_id, 0.0) for e in offer.events})
         record = {
             "ad_id": offer.ad_id,
             "price_type": offer.price_type.value,

@@ -22,7 +22,7 @@ from uxcharge.adjust import (
     adjust_general,
     expected_value,
 )
-from uxcharge.auction import rank, run_first_price, run_second_price
+from uxcharge.auction import run_first_price, run_second_price
 from uxcharge.cli import main
 from uxcharge.settle import ClassicRule, settle_classic, settle_general
 from uxcharge.shift import (
@@ -74,6 +74,11 @@ def make_feasible_ad(rng, ad_id: str):
     scale = rng.uniform(0.0, 0.95) * offer_value / raw_total if raw_total > 0 else 0.0
     charges = ux.ChargeSchedule({eid: raw[eid] * scale for eid in raw})
     return offer, charges
+
+
+def award_of(ad_id: str, outcome: ux.AuctionOutcome) -> ux.SlotAward | None:
+    """The slot award ``ad_id`` won in ``outcome``, if any."""
+    return next((award for award in outcome.winners if award.ad_id == ad_id), None)
 
 
 def strategy_plans(offer: ux.Offer, charges: ux.ChargeSchedule):
@@ -177,7 +182,8 @@ def test_criterion_2_charge_shift_invariance():
                 failures.append((instance, "value"))
 
         rankings = {
-            s: [ad for ad, _ in rank(offers)] for s, offers in adjusted_by_strategy.items()
+            s: [ad for ad, _ in run_first_price(offers).ranking]
+            for s, offers in adjusted_by_strategy.items()
         }
         if not (rankings["identity"] == rankings["single"] == rankings["proportional"]):
             failures.append((instance, "ranking"))
@@ -189,7 +195,7 @@ def test_criterion_2_charge_shift_invariance():
                 offer = next(o for o, _ in ads if o.ad_id == award.ad_id)
                 plan = plans_by_strategy[s][award.ad_id]
                 payments.setdefault(award.ad_id, []).append(
-                    expected_payment(dict(award.prices), plan.shifted, offer.probabilities)
+                    expected_payment(dict(award.prices), plan.shifted, offer.events)
                 )
         for ad_id, values in payments.items():
             if len(values) != 3 or not (
@@ -224,8 +230,8 @@ def test_criterion_3_full_click_charge_bound():
             competitor_value,
         )
 
-        second = run_second_price([adjusted, competitor]).award_for("x")
-        first = run_first_price([adjusted, competitor]).award_for("x")
+        second = award_of("x", run_second_price([adjusted, competitor]))
+        first = award_of("x", run_first_price([adjusted, competitor]))
         if second is None or first is None:
             failures.append((instance, "winner"))
             continue
@@ -302,8 +308,7 @@ def test_criterion_5_oracle_agreement_and_monte_carlo():
     oracle_failures = 0
     for case in range(200):
         events, prices, shifted = random_payload(n_extra=case % 6)
-        probs = {e.event_id: e.probability for e in events}
-        closed = expected_payment(prices, shifted, probs)
+        closed = expected_payment(prices, shifted, events)
         for model in OutcomeModel:
             if not close12(enumerate_expected_payment(prices, shifted, events, model), closed):
                 oracle_failures += 1
@@ -311,8 +316,7 @@ def test_criterion_5_oracle_agreement_and_monte_carlo():
     # the 20-event ceiling stays exact
     events, prices, shifted = random_payload(n_extra=17)
     assert len(events) == 20
-    probs = {e.event_id: e.probability for e in events}
-    closed = expected_payment(prices, shifted, probs)
+    closed = expected_payment(prices, shifted, events)
     for model in OutcomeModel:
         if not close12(enumerate_expected_payment(prices, shifted, events, model), closed):
             oracle_failures += 1

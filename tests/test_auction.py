@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import uxcharge as ux
-from uxcharge.auction import SlotModel, rank, run_first_price, run_second_price, value_at_slot
+from uxcharge.auction import SlotModel, run_first_price, run_second_price, value_at_slot
 
 from helpers import close12, two_events
 
@@ -26,22 +26,14 @@ def with_click(ad_id: str, a_click: float, p: float) -> ux.AdjustedOffer:
     return ux.AdjustedOffer(ad_id, events, {"view": 0.0, "click": a_click}, a_click * p)
 
 
-def test_rank_keeps_sorted_order():
-    offers = [view_only("a", 0.5), view_only("b", 0.3), view_only("c", 0.15)]
-    assert rank(offers) == (("a", 0.5), ("b", 0.3), ("c", 0.15))
-
-
-def test_rank_breaks_ties_lexicographically():
-    offers = [view_only("b", 0.4), view_only("a", 0.4)]
-    assert [ad for ad, _ in rank(offers)] == ["a", "b"]
-
-
-def test_rank_sorts_every_permutation():
-    values = [0.5, 0.4, 0.3, 0.2, 0.1]
+@pytest.mark.parametrize("runner", [run_first_price, run_second_price])
+@pytest.mark.parametrize("slots", [None, SlotModel(k=2)])
+def test_ranking_is_best_first_with_ties_in_ad_id_order(runner, slots):
+    values = {"a": 0.4, "b": 0.5, "c": 0.4, "d": 0.15, "e": 0.4}
+    expected = (("b", 0.5), ("a", 0.4), ("c", 0.4), ("e", 0.4), ("d", 0.15))
     for perm in itertools.permutations(values):
-        offers = [view_only(f"ad{i}", v) for i, v in enumerate(perm)]
-        ranked = [v for _, v in rank(offers)]
-        assert ranked == sorted(perm, reverse=True)
+        offers = [view_only(ad, values[ad]) for ad in perm]
+        assert runner(offers, slots).ranking == expected
 
 
 def test_first_price_single_cpm_ad():
@@ -171,6 +163,9 @@ def test_auction_rejects_adjusted_bids_not_keyed_to_the_events(adjusted, wording
         with pytest.raises(ux.KeyMismatchError) as excinfo:
             run([with_click("a", 1.0, 0.1), broken], SlotModel(k=2, ctr={"x": (0.1, 0.05)}))
         assert str(excinfo.value) == message
+    with pytest.raises(ux.KeyMismatchError) as excinfo:
+        value_at_slot(broken, None, 1)
+    assert str(excinfo.value) == message
 
 
 def test_slot_model_validates_shape_and_ranges():
@@ -200,6 +195,11 @@ NAN, INF = float("nan"), float("inf")
         (2, {"x": (0.5, 0.4), "y": (0.3,)}, "ctr row for 'y' has 1 entries, expected 2"),
         (2, {"x": (1, 0)}, None),
         (2, {"x": [0.5, np.float64(0.25)], "y": (0.0, 0.0)}, None),
+        (1, {"x": ("a",)}, "ctr entry for 'x' must be a number, got 'a'"),
+        (1, {"x": (None,)}, "ctr entry for 'x' must be a number, got None"),
+        (2, {"x": (0.5, True)}, "ctr entry for 'x' must be a number, got True"),
+        (1, {"x": 0.5}, "ctr row for 'x' must be an array, got 0.5"),
+        (1, {"x": "a"}, "ctr row for 'x' must be an array, got 'a'"),
     ],
 )
 def test_slot_model_words_the_first_broken_rule_of_library_built_rows(k, ctr, issue):

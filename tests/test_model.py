@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 import uxcharge as ux
-from uxcharge.model import approx_eq, charges_from_dict, charges_to_dict, offer_from_dict, offer_to_dict
+from uxcharge.model import approx_eq, offer_from_dict, offer_to_dict
 
 from helpers import cpc_offer, offers, two_events
 
@@ -100,10 +100,65 @@ def test_offer_round_trips_through_dict(offer):
     assert offer_from_dict(offer_to_dict(offer)) == offer
 
 
-@given(offers())
-def test_charges_round_trip_through_dict(offer):
-    schedule = ux.ChargeSchedule({e.event_id: e.probability for e in offer.events})
-    assert charges_from_dict(charges_to_dict(schedule)) == schedule
+# An offer over (view, click, click): an entry point that let it through would
+# count the click twice, so its expected value would be 0.25 by the probability
+# mapping and 0.4 by the slot value.
+REPEAT = (
+    ux.EventSpec("view", ux.EventKind.VIEW, 1.0),
+    ux.EventSpec("click", ux.EventKind.CLICK, 0.3),
+    ux.EventSpec("click", ux.EventKind.CLICK, 0.3),
+)
+KEYED = {"view": 0.1, "click": 0.5}
+OFFER = ux.Offer("x", ux.PriceType.HYBRID, REPEAT, KEYED)
+CHARGES = ux.ChargeSchedule({"view": 0.01, "click": 0.02})
+PLAN = ux.ShiftPlan({"view": 0.01, "click": 0.02}, "identity")
+ADJUSTED = ux.AdjustedOffer("x", REPEAT, KEYED, 0.25)
+# an offer over (view, click) that bids on the view only
+UNBID = ux.Offer("x", ux.PriceType.HYBRID, two_events(0.3), {"view": 0.1})
+
+
+@pytest.mark.parametrize(
+    "entry, args, what",
+    [
+        pytest.param(entry, args, what, id=entry.__name__)
+        for entry, args, what in [
+            (ux.adjust_general, (OFFER, PLAN), "offer bids"),
+            (ux.is_feasible, (OFFER, CHARGES), "charge schedule"),
+            (ux.total_expected_charge, (CHARGES, REPEAT), "charge schedule"),
+            (ux.shift_single_event, (CHARGES, REPEAT, "click"), "charge schedule"),
+            (ux.shift_proportional, (CHARGES, OFFER, {"click"}), "offer bids"),
+            (ux.build_plan, ("proportional", OFFER, CHARGES), "offer bids"),
+            (ux.validate_plan, (PLAN, CHARGES, OFFER), "offer bids"),
+            (ux.expected_payment, (KEYED, KEYED, REPEAT), "prices"),
+            (ux.enumerate_expected_payment, (KEYED, KEYED, REPEAT), "prices"),
+            (ux.monte_carlo_payment, (KEYED, KEYED, REPEAT), "prices"),
+            (ux.value_at_slot, (ADJUSTED, None, 1), "offer 'x': adjusted bids"),
+            (ux.run_first_price, ([ADJUSTED],), "offer 'x': adjusted bids"),
+            (ux.run_second_price, ([ADJUSTED],), "offer 'x': adjusted bids"),
+        ]
+    ],
+)
+def test_every_entry_point_rejects_a_repeated_event_id(entry, args, what):
+    with pytest.raises(ux.KeyMismatchError) as excinfo:
+        entry(*args)
+    assert str(excinfo.value) == f"{what}: event ids repeat in the event set: ['click']"
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        pytest.param(entry, args, id=entry.__name__)
+        for entry, args in [
+            (ux.shift_proportional, (CHARGES, UNBID, {"click"})),
+            (ux.build_plan, ("proportional", UNBID, CHARGES)),
+            (ux.validate_plan, (ux.shift_identity(CHARGES), CHARGES, UNBID, True)),
+        ]
+    ],
+)
+def test_entry_points_reading_bids_reject_a_missing_bid(entry, args):
+    with pytest.raises(ux.KeyMismatchError) as excinfo:
+        entry(*args)
+    assert str(excinfo.value) == "offer bids not keyed to the event set: missing ['click']"
 
 
 def test_offer_from_dict_defaults_missing_bids_to_zero():
@@ -119,12 +174,6 @@ def test_offer_from_dict_defaults_missing_bids_to_zero():
     offer = offer_from_dict(doc)
     assert offer.bids == {"view": 0.0, "click": 2.0}
     assert ux.validate_offer(offer) == []
-
-
-def test_charge_schedule_aligns_to_event_set():
-    schedule = ux.ChargeSchedule({"view": 0.05, "other": 1.0})
-    aligned = schedule.for_events(two_events(0.1))
-    assert aligned == {"view": 0.05, "click": 0.0}
 
 
 @pytest.mark.parametrize(

@@ -42,24 +42,23 @@ from helpers import (
 exact = lambda x: pytest.approx(x, rel=1e-12, abs=1e-12)
 
 EVENTS = two_events(0.1)
-PROBS = {"view": 1.0, "click": 0.1}
 
 
 def test_expected_payment_examples():
     assert expected_payment(
-        {"view": 0.1, "click": 0.9}, {"view": 0.05, "click": 0.1}, PROBS
+        {"view": 0.1, "click": 0.9}, {"view": 0.05, "click": 0.1}, EVENTS
     ) == exact(0.25)
     assert expected_payment(
-        {"view": 0.0, "click": 0.0}, {"view": 0.0, "click": 0.0}, PROBS
+        {"view": 0.0, "click": 0.0}, {"view": 0.0, "click": 0.0}, EVENTS
     ) == 0.0
     assert expected_payment(
-        {"view": 0.1, "click": 0.0}, {"view": 0.0, "click": 0.5}, PROBS
+        {"view": 0.1, "click": 0.0}, {"view": 0.0, "click": 0.5}, EVENTS
     ) == exact(0.15)
 
 
 def test_expected_payment_rejects_key_mismatch():
     with pytest.raises(ux.KeyMismatchError):
-        expected_payment({"view": 0.1}, {"view": 0.0}, PROBS)
+        expected_payment({"view": 0.1}, {"view": 0.0}, EVENTS)
 
 
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
@@ -115,8 +114,7 @@ def test_funnel_model_rejects_increasing_chain():
 def test_oracle_agrees_with_closed_form_under_both_models(events, data):
     prices = {e.event_id: data.draw(money, label=f"r-{e.event_id}") for e in events}
     shifted = {e.event_id: data.draw(money, label=f"d-{e.event_id}") for e in events}
-    probs = {e.event_id: e.probability for e in events}
-    closed = expected_payment(prices, shifted, probs)
+    closed = expected_payment(prices, shifted, events)
     for model in OutcomeModel:
         assert close12(enumerate_expected_payment(prices, shifted, events, model), closed)
 
@@ -355,7 +353,7 @@ def test_enumeration_memory_is_two_and_a_half_outcome_arrays():
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
 def test_enumeration_at_the_limit_agrees_with_the_closed_form(model):
     events, prices, shifted = mixed_event_set(ENUMERATION_LIMIT)
-    closed = expected_payment(prices, shifted, {e.event_id: e.probability for e in events})
+    closed = expected_payment(prices, shifted, events)
     enumerated = enumerate_expected_payment(prices, shifted, events, model)
     assert abs(enumerated - closed) <= 1e-9 * abs(closed)
 
