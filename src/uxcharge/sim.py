@@ -6,14 +6,13 @@ outcome and must agree to working precision under any supported outcome
 model, since the expectation depends on marginals only. Monte Carlo draws
 from counter-based Philox substreams keyed by (seed, substream), so per-ad
 streams are independent. Enumeration broadcasts one axis per event over all
-2^n outcomes at once. Monte Carlo gives each of up to ``_BLOCK // 4096``
-threads (one for a call of few events or few uniforms) a contiguous range of
-trial rows, drawn in units of ``_BLOCK // threads`` rows, so the units in
-flight hold one ``_BLOCK`` of uniforms; the threads draw at the same time and
-fold one unit at a time. Philox is counter-based, so each thread's generator
-starts at the first row of its range and draws exactly that slice of the
-one-shot (trials, events) stream; a call needs two float64 per trial plus
-one block, not trials x events uniforms.
+2^n outcomes at once. Monte Carlo draws a call's trials in order, in units
+of rows of raw Philox words, and tests each word against an integer
+threshold that gives the same hits as its uniform; a call keeps one float64
+per trial plus one unit and one block, not trials x events uniforms.
+``run_scenario`` runs each winner's three oracles as one task, on up to
+``_WORKERS`` threads; numpy draws and does most array work without the GIL,
+so the winners overlap.
 Both oracles return a non-finite result quietly, in any thread: each sets
 its own numpy error state, which is per thread.
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -70,31 +68,22 @@ from .shift import is_feasible, total_expected_charge  # noqa: F401
 #: 2.5 float64 arrays of 2^n outcomes, so a call at the limit peaks near 20 MiB.
 ENUMERATION_LIMIT = 20
 
-#: Monte Carlo keeps two float64 per trial; at this many, one 20-event funnel
-#: call peaks near 15 MiB (tracemalloc).
+#: Monte Carlo keeps one float64 per trial; at this many, one 20-event funnel
+#: call peaks near 9 MiB (tracemalloc).
 TRIALS_LIMIT = 1_000_000
 
 #: Trials in Monte Carlo's units in flight, together.
 _BLOCK = 8192
 
-#: Threads that fill Monte Carlo trials: the CPUs this process may run on, at
-#: most one per 4,096 rows of a block. Only two threads of 4,096-row units
-#: have been timed (2-vCPU host); smaller units ran slower there, since each
-#: unit's fold is a run of small ufunc calls. CPU quotas are not read: two
-#: threads pinned to one CPU took about as long as one thread.
+#: Threads that run winners' oracles in ``run_scenario``: the CPUs this process
+#: may run on, at most two, the only count timed (2-vCPU host). Each Monte
+#: Carlo call draws in units of ``_BLOCK // _WORKERS`` rows, so the units of
+#: concurrent winners hold one block between them. CPU quotas are not read:
+#: two threads pinned to one CPU took about as long as one thread.
 _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-    _BLOCK // 4096,
+    2,
 )
-
-#: A Monte Carlo call runs on one thread unless a trial draws at least
-#: ``_THREADED_EVENTS`` uniforms and the call at least ``_THREADED_UNIFORMS``.
-#: Timed on two threads against one (2-vCPU host, funnel events): at 3 events
-#: threads lost at every size from 2^15 to 3.2M uniforms, at 6 they were even,
-#: and at 16 they lost at 2^17 uniforms, were even at 2^18 and won from 2^19,
-#: as they did at 8-20 events in most runs.
-_THREADED_EVENTS = 8
-_THREADED_UNIFORMS = 1 << 20
 
 
 class OutcomeModel(Enum):
@@ -215,18 +204,21 @@ def enumerate_expected_payment(
         return float(np.add.accumulate(weighted, out=weighted)[-1])
 
 
-def _substream_rng(seed: int, substream: tuple[int, ...], skip: int = 0) -> np.random.Generator:
-    """The (seed, substream) Philox stream, from its raw word ``skip`` on.
-
-    Philox makes four raw words per counter step, and ``advance`` steps the
-    counter, so ``skip`` must be a multiple of 4.
-    """
-    if skip % 4:
-        raise ValueError(f"skip must be a multiple of 4, got {skip}")
+def _substream_rng(seed: int, substream: tuple[int, ...]) -> np.random.Generator:
+    """The (seed, substream) Philox stream."""
     entropy = [int(seed), *(int(s) for s in substream)]
-    bits = np.random.Philox(np.random.SeedSequence(entropy))
-    bits.advance(skip // 4)
-    return np.random.Generator(bits)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def _threshold(q: float) -> int:
+    """The integer t with ``word >> 11 < t`` exactly when the uniform
+    ``(word >> 11) * 2**-53`` is below ``q``: ``ceil(q * 2**53)``, clamped to
+    [0, 2**53], and 0 (never) for nan."""
+    if not q > 0.0:
+        return 0
+    if q >= 1.0:
+        return 1 << 53
+    return math.ceil(q * 2.0**53)  # scaling by 2**53 is exact
 
 
 def monte_carlo_payment(
@@ -242,13 +234,14 @@ def monte_carlo_payment(
 
     Deterministic for a fixed (seed, substream); the stderr is the sample
     standard deviation over the square root of the trial count (0.0 for a
-    single trial), and non-finite if an amount or a trial's charge is. Each
-    thread fills one contiguous range of trials from its own slice of the
-    stream, on up to ``_WORKERS`` threads when the call draws enough uniforms
-    (see ``_THREADED_EVENTS``); each trial's charge is a fold over the events'
-    hit columns in declared order, and both reductions over all trials are
+    single trial), and non-finite if an amount or a trial's charge is.
+    Trials are drawn in units of ``_BLOCK // _WORKERS`` rows, one row of
+    raw Philox words per trial; event i occurs in a trial when its uniform
+    falls below its (conditional) probability, tested on the words against
+    ``_threshold``. Each trial's charge is a fold over the events' hit
+    columns in declared order, and both reductions over all trials are
     sequential prefix sums, so the bits depend on the samples alone, not on
-    the unit size, the thread count or numpy's or BLAS's summation.
+    the unit size or numpy's or BLAS's summation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -257,65 +250,61 @@ def monte_carlo_payment(
     require_same_keys(ids, shifted, "shift amounts")
 
     chain, conditionals, custom = _funnel_chain(events, model)
-    amounts = [prices[eid] + shifted[eid] for eid in ids]
     n = len(events)
+    amounts = np.array([prices[eid] + shifted[eid] for eid in ids], dtype=float)[:, None]
+    probabilities = [ev.probability for ev in events]  # chain stages take their conditionals
+    for idx, q in zip(chain, conditionals):
+        probabilities[idx] = q
+    thresholds = np.array(list(map(_threshold, probabilities)), dtype=np.uint64)
+    bits = _substream_rng(seed, substream).bit_generator
     totals = np.empty(trials)
-    workers = _WORKERS if n >= _THREADED_EVENTS and trials * n >= _THREADED_UNIFORMS else 1
-    unit = _BLOCK // workers  # rows a thread draws at a time
-    # Thread k fills rows bounds[k]:bounds[k + 1]. Each bound is a multiple of
-    # 4 rows, so the skip to it is whole Philox steps for any event count.
-    bounds = [trials * k // workers // 4 * 4 for k in range(workers)] + [trials]
-    # Threads overlap their draws, which run without the GIL, but fold one
-    # unit at a time: two folds at once trade the GIL on each small ufunc and
-    # run slower than one.
-    fold_lock = threading.Lock()
-
-    def fill(k: int) -> None:
-        """Trial totals of thread ``k``'s rows, drawn ``unit`` rows at a time from one generator."""
-        lo, hi = bounds[k], bounds[k + 1]
-        rng = _substream_rng(seed, substream, skip=lo * n)
-        for start in range(lo, hi, unit):
-            block = totals[start:min(start + unit, hi)]
-            u = rng.random((len(block), n)).T  # one row of uniforms per trial
-            # numpy's error state is per thread; a non-finite total is returned
-            with fold_lock, np.errstate(over="ignore", invalid="ignore"):
-                hits = [None] * n
-                occurred = True
-                for idx, q in zip(chain, conditionals):
-                    occurred = hits[idx] = occurred & (u[idx] < q)
-                for idx in custom:
-                    hits[idx] = u[idx] < events[idx].probability
-                block[:] = 0.0
-                for hit, amount in zip(hits, amounts):
-                    block += hit * amount
-
-    if workers == 1:
-        fill(0)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, range(workers)))  # re-raises a thread's exception here
+    unit = _BLOCK // _WORKERS  # the units of concurrent winners hold one block
+    # numpy's error state is per thread; a non-finite total is returned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, trials, unit):
+            block = totals[start:start + unit]
+            rows = len(block)
+            words = bits.random_raw(rows * n)
+            np.right_shift(words, np.uint64(11), out=words)
+            hits = np.ascontiguousarray((words.reshape(rows, n) < thresholds).T)
+            for before, after in zip(chain, chain[1:]):
+                np.logical_and(hits[after], hits[before], out=hits[after])
+            charges = np.multiply(hits, amounts, out=words.view(float).reshape(n, rows))
+            block[:] = 0.0
+            for i in range(n):
+                block += charges[i]
+            del words, hits, charges  # freed before the next unit is drawn
     if trials == 1:
         return float(totals[0]), 0.0
-    spare = np.empty(trials)
     # An overflow is summed again below; a non-finite total gives a non-finite result.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, squares = _moments(totals, spare)
+        mean, squares = _moments(totals)
         scale = 0
         if math.isinf(squares):
             # Squares are inf, not nan, only if every total is finite but a sum
             # overflowed: redo both in units of 2**scale, which is exact. Scaled
             # totals stay below 2**256, so even a million squares sum in range.
-            scale = math.frexp(float(np.abs(totals, out=spare).max()))[1] - 256
-            mean, squares = _moments(np.ldexp(totals, -scale, out=totals), spare)
+            scale = math.frexp(max(float(totals.max()), -float(totals.min())))[1] - 256
+            mean, squares = _moments(np.ldexp(totals, -scale, out=totals))
     return mean * 2.0**scale, math.sqrt(squares / (trials - 1)) / math.sqrt(trials) * 2.0**scale
 
 
-def _moments(totals: np.ndarray, spare: np.ndarray) -> tuple[float, float]:
-    """Mean and summed squared deviations of ``totals``, as sequential prefix sums in ``spare``."""
-    mean = float(np.add.accumulate(totals, out=spare)[-1]) / len(totals)
-    np.subtract(totals, mean, out=spare)
-    np.multiply(spare, spare, out=spare)
-    return mean, float(np.add.accumulate(spare, out=spare)[-1])
+def _moments(totals: np.ndarray) -> tuple[float, float]:
+    """Mean and summed squared deviations of ``totals``, each a sequential
+    prefix sum taken in one buffer, a ``_BLOCK`` of trials at a time."""
+    spare = np.empty(min(len(totals), _BLOCK))
+
+    def carried_sum(term) -> float:
+        running = None
+        for start in range(0, len(totals), _BLOCK):
+            block = term(totals[start:start + _BLOCK], spare[:len(totals) - start])
+            if running is not None:
+                block[0] += running  # the sum goes on from where the last block stopped
+            running = np.add.accumulate(block, out=block)[-1]
+        return float(running)
+
+    mean = carried_sum(lambda x, out: np.positive(x, out=out)) / len(totals)
+    return mean, carried_sum(lambda x, out: np.square(np.subtract(x, mean, out=out), out=out))
 
 
 # --- scenario runner ---------------------------------------------------------
@@ -669,38 +658,53 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
     Per ad: feasibility verdict, shift plan, adjusted bids, auction result,
     and for winners the expected payment three ways (closed form, exact
-    enumeration, Monte Carlo). Deterministic for fixed config and seed.
+    enumeration, Monte Carlo). Deterministic for fixed config and seed:
+    each winner's three oracles run as one task, on a pool of ``_WORKERS``
+    threads when there are two winners or more, and land in winner order.
     Raises ScenarioError naming each winner whose oracles overflow float range.
     """
     records, included = prepare(config)
     outcome = run_auction(included, config.pricing_rule, config.slots, config.reserve)
 
     index = {offer.ad_id: i for i, offer in enumerate(config.offers)}
+    winners = [(award, index[award.ad_id]) for award in outcome.winners]
+
+    def oracles(winner: tuple) -> tuple[float, float, float, float]:
+        """One winner's closed form, enumeration, and Monte Carlo mean and stderr."""
+        award, row = winner
+        prices, shifted, events = award.prices, records[row]["shift_plan"], config.offers[row].events
+        return (
+            expected_payment(prices, shifted, events),
+            enumerate_expected_payment(prices, shifted, events, config.model),
+            *monte_carlo_payment(
+                prices,
+                shifted,
+                events,
+                config.model,
+                trials=config.trials,
+                seed=config.seed,
+                substream=(row,),
+            ),
+        )
+
+    if _WORKERS == 1 or len(winners) < 2:
+        results = list(map(oracles, winners))
+    else:
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            results = list(pool.map(oracles, winners))  # in winner order; re-raises a task's exception
     issues = []
-    for award in outcome.winners:
-        row = index[award.ad_id]
-        record, offer = records[row], config.offers[row]
-        prices, shifted = award.prices, record["shift_plan"]
+    for (award, row), result in zip(winners, results):
+        record = records[row]
         record["slot"] = award.slot
         record["price_factor"] = award.price_factor
-        record["prices"] = prices
-        record["expected_payment"] = expected_payment(prices, shifted, offer.events)
-        record["enumerated_payment"] = enumerate_expected_payment(
-            prices, shifted, offer.events, config.model
-        )
-        mean, stderr = monte_carlo_payment(
-            prices,
-            shifted,
-            offer.events,
-            config.model,
-            trials=config.trials,
-            seed=config.seed,
-            substream=(row,),
-        )
-        record["mc_mean"] = mean
-        record["mc_stderr"] = stderr
-        oracles = (record["expected_payment"], record["enumerated_payment"], mean, stderr)
-        if not all(map(math.isfinite, oracles)):
+        record["prices"] = award.prices
+        (
+            record["expected_payment"],
+            record["enumerated_payment"],
+            record["mc_mean"],
+            record["mc_stderr"],
+        ) = result
+        if not all(map(math.isfinite, result)):
             issues.append(f"offer '{award.ad_id}': expected payment oracles overflow float range")
     if issues:
         raise ScenarioError(issues)

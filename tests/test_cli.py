@@ -512,7 +512,7 @@ RULE_PROBES = [
     ("slot-value-overflow", SLOT_OVERFLOW, MARKETS, [], "offer 'x'"),
     ("payment-overflow", PAYMENT_OVERFLOW, ("simulate",), ["--pricing", "first"], "offer 'x'"),
     ("payment-overflow-second-price", PAYMENT_OVERFLOW, ("simulate",), [], "offer 'x'"),
-    # 8 events x 200,000 trials is past sim._THREADED_EVENTS and _THREADED_UNIFORMS: Monte Carlo units run on threads
+    # 8 events x 200,000 trials: one winner, so no pool, whose Monte Carlo overflows over many units of rows
     ("payment-overflow-many-trials", PAYMENT_OVERFLOW_8, ("simulate",), ["--pricing", "first", "--trials", "200000"], "offer 'x'"),
     ("trials-beyond-limit", cpc_scenario(), ("simulate",), ["--trials", "1000001"], "trials must be <= 1000000"),
 ]

@@ -4,7 +4,6 @@ import math
 import sys
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -153,82 +152,96 @@ def test_monte_carlo_reductions_are_sequential_sums(model, trials):
         assert stderr == 0.0
 
 
-@pytest.fixture
-def threads(monkeypatch):
-    """Sets the Monte Carlo thread count, with threads used however few the events and uniforms."""
-    monkeypatch.setattr(sim, "_THREADED_EVENTS", 0)
-    monkeypatch.setattr(sim, "_THREADED_UNIFORMS", 0)
-    return lambda workers: monkeypatch.setattr(sim, "_WORKERS", workers)
+def winners_config(n_winners: int, model: OutcomeModel, trials: int) -> ScenarioConfig:
+    """``n_winners`` hybrid offers over one 6-event set, each winning one of
+    ``n_winners`` slots, the last declared first."""
+    events, _, _ = mixed_event_set(6)
+    offers = tuple(
+        ux.Offer(f"a{i}", ux.PriceType.HYBRID, events, {e.event_id: 0.5 + i / 8.0 for e in events})
+        for i in range(n_winners)
+    )
+    return ScenarioConfig(
+        offers=offers,
+        charges=ux.ChargeSchedule({"view": 0.05}),
+        pricing_rule="first",
+        slots=ux.SlotModel(n_winners),
+        model=model,
+        trials=trials,
+        seed=11,
+    )
+
+
+def assert_winners_match_the_folds(report: dict, config: ScenarioConfig) -> None:
+    """Every winner's Monte Carlo bits equal the pure-Python fold of its own substream."""
+    rows = {offer.ad_id: row for row, offer in enumerate(config.offers)}
+    assert [w["ad_id"] for w in report["winners"]] == [o.ad_id for o in reversed(config.offers)]
+    for winner in report["winners"]:
+        row = rows[winner["ad_id"]]
+        record, events = report["ads"][row], config.offers[row].events
+        reference = fold_monte_carlo(
+            record["prices"], record["shift_plan"], events, config.model,
+            config.trials, config.seed, (row,),
+        )
+        assert (record["mc_mean"].hex(), record["mc_stderr"].hex()) == tuple(x.hex() for x in reference)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
-def test_monte_carlo_bits_do_not_depend_on_the_thread_count(model, workers, threads):
-    threads(workers)
-    unit = _BLOCK // workers  # rows a thread draws at a time
+def test_monte_carlo_bits_do_not_depend_on_the_thread_count(model, workers, monkeypatch):
+    # _WORKERS sets both the winner threads and each call's unit of rows.
+    monkeypatch.setattr(sim, "_WORKERS", workers)
+    unit = _BLOCK // workers
     prices = {"view": 0.1, "click": 0.9, "conv": 2.5}
     shifted = {"view": 0.05, "click": 0.1, "conv": 0.0}
     events = (*EVENTS, ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.03))
-    # 4 * workers +- 1 trials give empty and few-row ranges; 10001 puts range edges inside units.
-    for trials in (1, 4 * workers - 1, 4 * workers + 1, unit - 1, unit, unit + 1, _BLOCK + 3, 10001, 20000):
+    for trials in (1, 3, unit - 1, unit, unit + 1, _BLOCK + 3, 10001):
         mean, stderr = monte_carlo_payment(
             prices, shifted, events, model, trials=trials, seed=11, substream=(2,)
         )
         reference = fold_monte_carlo(prices, shifted, events, model, trials, 11, (2,))
         assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference), trials
+    config = winners_config(3, model, 5001)
+    assert_winners_match_the_folds(run_scenario(config), config)
 
 
-def test_more_threads_than_cores_switching_often_fill_every_trial(threads):
-    # Units write disjoint slices of one totals array; a row left unfilled or
-    # filled from the wrong slice of the stream would change the bits.
-    threads(8)
-    prices = {"view": 0.1, "click": 0.9}
-    shifted = {"view": 0.05, "click": 0.1}
+def test_more_threads_than_cores_switching_often_fill_every_trial(monkeypatch):
+    # Winner tasks finish in any order; a result written to another winner's
+    # record, or a trial left unfilled, would change that winner's bits.
+    monkeypatch.setattr(sim, "_WORKERS", 8)
+    config = winners_config(8, OutcomeModel.INDEPENDENT, 3000)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        mean, stderr = monte_carlo_payment(prices, shifted, EVENTS, trials=50_000, seed=8)
+        report = run_scenario(config)
     finally:
         sys.setswitchinterval(interval)
-    reference = fold_monte_carlo(prices, shifted, EVENTS, OutcomeModel.INDEPENDENT, 50_000, 8, ())
-    assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
+    assert_winners_match_the_folds(report, config)
 
 
-def test_threads_start_only_for_a_call_of_many_events_and_uniforms(monkeypatch):
-    monkeypatch.setattr(sim, "_WORKERS", 2)
-    pools = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, workers):
-            pools.append(workers)
-            super().__init__(workers)
-
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", CountingPool)
-    n = sim._THREADED_EVENTS
-    few, enough = funnel_events(n - 1), funnel_events(n)
-    least = sim._THREADED_UNIFORMS // n  # trials
-    for events, trials in ((enough, least - 1), (few, least * n // (n - 1) + 1)):
-        amounts = {e.event_id: 0.5 for e in events}
-        monte_carlo_payment(amounts, amounts, events, trials=trials)
-    assert pools == []
-    amounts = {e.event_id: 0.5 for e in enough}
-    monte_carlo_payment(amounts, amounts, enough, trials=least)
-    assert pools == [2]
-
-
-@pytest.mark.parametrize("steps", [0, 1, 3, 250])
-def test_philox_advance_skips_four_raw_words_per_step(steps):
-    raw = _substream_rng(9, (1,)).bit_generator.random_raw(4 * steps + 40)
-    bits = _substream_rng(9, (1,)).bit_generator
-    bits.advance(steps)
-    assert bits.random_raw(40).tolist() == raw[4 * steps:].tolist()
-    skipped = _substream_rng(9, (1,), skip=4 * steps).bit_generator
-    assert skipped.random_raw(40).tolist() == raw[4 * steps:].tolist()
-
-
-def test_a_skip_off_the_four_word_grid_is_rejected():
-    with pytest.raises(ValueError, match="multiple of 4"):
-        _substream_rng(9, (1,), skip=6)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_overflow_in_two_winners_lists_both_in_winner_order(workers, monkeypatch):
+    monkeypatch.setattr(sim, "_WORKERS", workers)
+    # a and b tie and rank by ad_id; the charge on their view makes each
+    # winner's amount inf. d declares its own view, so it is not charged.
+    events = (ux.EventSpec("view", ux.EventKind.VIEW, 1.0), ux.EventSpec("sure", ux.EventKind.CUSTOM, 1.0))
+    huge = {"view": 1.5e308, "sure": 1.5e308}
+    d = ux.Offer("d", ux.PriceType.CPM, (ux.EventSpec("view2", ux.EventKind.VIEW, 1.0),), {"view2": 0.1})
+    config = ScenarioConfig(
+        offers=(ux.Offer("b", ux.PriceType.HYBRID, events, huge), d, ux.Offer("a", ux.PriceType.HYBRID, events, huge)),
+        charges=ux.ChargeSchedule({"view": 1.5e308}),
+        pricing_rule="first",
+        slots=ux.SlotModel(3),
+        trials=1000,
+    )
+    assert [w.ad_id for w in run_auction(sim.prepare(config)[1], "first", config.slots, 0.0).winners] == [
+        "a", "b", "d"
+    ]
+    with pytest.raises(ScenarioError) as excinfo:
+        run_scenario(config)
+    assert excinfo.value.issues == (
+        "offer 'a': expected payment oracles overflow float range",
+        "offer 'b': expected payment oracles overflow float range",
+    )
 
 
 def test_uniforms_are_the_top_53_bits_of_the_raw_philox_stream():
@@ -236,6 +249,34 @@ def test_uniforms_are_the_top_53_bits_of_the_raw_philox_stream():
     uniforms = _substream_rng(9, (1,)).random(1000)
     raw = _substream_rng(9, (1,)).bit_generator.random_raw(1000)
     assert uniforms.tolist() == ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+
+
+THRESHOLD_PROBABILITIES = [
+    0.0, -0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, 1.5, math.inf, -0.5, math.nan
+]
+
+
+@pytest.mark.parametrize("q", THRESHOLD_PROBABILITIES)
+def test_integer_thresholds_hit_exactly_where_the_uniform_is_below_the_probability(q):
+    t = sim._threshold(q)
+    assert 0 <= t <= 2**53
+    tops = np.array([k for k in (t - 1, t, t + 1) if 0 <= k < 2**53], dtype=np.uint64)
+    words = (tops << np.uint64(11)) | np.uint64(0x7FF)  # the low 11 bits are dropped
+    uniforms = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    with np.errstate(invalid="ignore"):
+        assert ((words >> np.uint64(11)) < np.uint64(t)).tolist() == (uniforms < q).tolist()
+
+
+def test_monte_carlo_takes_any_float_probability_as_the_float_compare_would():
+    events = (
+        EVENTS[0],
+        *(ux.EventSpec(f"c{i}", ux.EventKind.CUSTOM, q) for i, q in enumerate(THRESHOLD_PROBABILITIES)),
+    )
+    amounts = {e.event_id: 1.0 + i for i, e in enumerate(events)}
+    zeros = dict.fromkeys(amounts, 0.0)
+    mean, stderr = monte_carlo_payment(amounts, zeros, events, trials=1000, seed=2)
+    reference = fold_monte_carlo(amounts, zeros, events, OutcomeModel.INDEPENDENT, 1000, 2, ())
+    assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
 
 
 @pytest.mark.parametrize("rows", [(1, 1), (3, 4), (_BLOCK, 5)])
@@ -284,19 +325,53 @@ def monte_carlo_peak_mib(n_events: int, trials: int) -> float:
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_monte_carlo_memory_is_per_trial_plus_one_block(workers, threads):
-    threads(workers)
+def test_monte_carlo_memory_is_per_trial_plus_one_block(workers, monkeypatch):
+    monkeypatch.setattr(sim, "_WORKERS", workers)  # units of _BLOCK // workers rows
     sixteen = monte_carlo_peak_mib(16, 200_000)
     assert sixteen < 5.0
     assert sixteen - monte_carlo_peak_mib(8, 200_000) < 1.0
 
 
+def run_peak_mib(config: ScenarioConfig) -> float:
+    run_scenario(config)  # first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        run_scenario(config)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("workers", [2, 4])
-def test_running_units_hold_one_block_of_uniforms_between_them(workers, threads):
-    threads(1)
-    serial = monte_carlo_peak_mib(16, 200_000)
-    threads(workers)
-    assert monte_carlo_peak_mib(16, 200_000) < serial + 0.1
+def test_running_units_hold_one_block_of_uniforms_between_them(workers, monkeypatch):
+    # Concurrent winners split one block of units, so each thread beyond the
+    # first adds at most one winner's trial totals and enumeration arrays.
+    events = funnel_events(16)
+    trials = 200_000
+    offers = tuple(
+        ux.Offer(f"a{i}", ux.PriceType.HYBRID, events, {e.event_id: 1.0 + i for e in events})
+        for i in range(4)
+    )
+    config = ScenarioConfig(
+        offers=offers,
+        charges=ux.ChargeSchedule({"view": 0.05}),
+        pricing_rule="first",
+        slots=ux.SlotModel(4),
+        model=OutcomeModel.FUNNEL,
+        trials=trials,
+    )
+    amounts = {e.event_id: 0.5 for e in events}
+    tracemalloc.start()
+    try:
+        enumerate_expected_payment(amounts, amounts, events, OutcomeModel.FUNNEL)
+        enumeration = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(sim, "_WORKERS", 1)
+    serial = run_peak_mib(config)
+    monkeypatch.setattr(sim, "_WORKERS", workers)
+    pooled = run_peak_mib(config)
+    assert pooled - serial <= (workers - 1) * (trials * 8 / 2**20 + enumeration)
 
 
 def mixed_event_set(n: int):
@@ -378,8 +453,8 @@ def test_monte_carlo_zero_amounts_give_zero():
         (two_events(0.5), {"view": 1e308, "click": 1e308}),  # a trial's fold overflows
     ],
 )
-def test_oracles_return_a_non_finite_payment_without_a_warning(events, amounts, workers, threads):
-    threads(workers)
+def test_oracles_return_a_non_finite_payment_without_a_warning(events, amounts, workers, monkeypatch):
+    monkeypatch.setattr(sim, "_WORKERS", workers)
     zeros = {eid: 0.0 for eid in amounts}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
