@@ -50,43 +50,59 @@ _PROBABILITY = attrgetter("probability")
 
 @dataclass(frozen=True)
 class SlotModel:
-    """Slot count plus per-ad, per-slot click probabilities.
+    """Slot count plus per-ad, per-slot click probabilities; the one owner of
+    every slot rule, for the CLI and library callers alike.
 
-    ``ctr[ad_id][j]`` is the click probability for that ad when shown in slot
-    j+1. Ads absent from ``ctr`` keep their declared click probability in
-    every slot. Each row is a list or tuple of k int or float entries in
-    [0, 1], nonincreasing: lower slots never click better. Raises
-    ScenarioError on the first rule broken.
+    ``k`` is an int >= 1 (not a bool). ``ctr`` is a mapping, and
+    ``ctr[ad_id][j]`` is the click probability for that ad when shown in
+    slot j+1. Ads absent from ``ctr`` keep their declared click probability
+    in every slot. Each row is a list or tuple of k int or float entries in
+    [0, 1], nonincreasing: lower slots never click better. Each row is kept
+    as a tuple of floats, so rows read from JSON and rows built in Python
+    compare equal. Raises ScenarioError on the first rule broken.
     """
 
     k: int
     ctr: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ScenarioError([f"slot count must be >= 1, got {self.k}"])
-        for ad_id, row in self.ctr.items():
+        k, ctr = self.k, self.ctr
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ScenarioError([f"'k' must be an integer, got {brief(k)}"])
+        if k < 1:
+            raise ScenarioError([f"slot count must be >= 1, got {brief(k)}"])
+        if not isinstance(ctr, Mapping):
+            raise ScenarioError([f"'ctr_matrix' must be an object, got {brief(ctr)}"])
+        rows = {}
+        for ad_id, row in ctr.items():
             if not isinstance(row, (list, tuple)):
                 raise ScenarioError([f"ctr row for '{ad_id}' must be an array, got {brief(row)}"])
-            if len(row) != self.k:
-                raise ScenarioError(
-                    [f"ctr row for '{ad_id}' has {len(row)} entries, expected {self.k}"]
-                )
+            if len(row) != k:
+                raise ScenarioError([f"ctr row for '{ad_id}' has {len(row)} entries, expected {brief(k)}"])
+            # one pass; an entry above the one before it is worded only if
+            # every entry of the row is a number in range
+            before, ordered = 1.0, True
             for p in row:
                 if type(p) is not float and (type(p) is bool or not isinstance(p, (int, float))):
-                    raise ScenarioError(
-                        [f"ctr entry for '{ad_id}' must be a number, got {brief(p)}"]
-                    )
-                if not (0.0 <= p <= 1.0):
-                    raise ScenarioError([f"ctr out of range for '{ad_id}': {p!r}"])
-            for a, b in zip(row, row[1:]):
-                if b > a:
-                    raise ScenarioError(
-                        [f"ctr row for '{ad_id}' must be nonincreasing across slots"]
-                    )
+                    raise ScenarioError([f"ctr entry for '{ad_id}' must be a number, got {brief(p)}"])
+                if not 0.0 <= p <= before:
+                    if not 0.0 <= p <= 1.0:
+                        raise ScenarioError([f"ctr out of range for '{ad_id}': {brief(p)}"])
+                    ordered = False
+                before = p
+            if not ordered:
+                raise ScenarioError([f"ctr row for '{ad_id}' must be nonincreasing across slots"])
+            rows[ad_id] = tuple(map(float, row))
+        object.__setattr__(self, "ctr", rows)
 
     def click_probability(self, ad_id: str, slot: int) -> float | None:
-        """Click probability override for ``ad_id`` in 1-based ``slot``, if any."""
+        """Click probability override for ``ad_id`` in 1-based ``slot``, if any.
+
+        Raises ScenarioError, naming the ad and the slot, unless ``slot`` is
+        an int in 1..k.
+        """
+        if type(slot) is not int or not 1 <= slot <= self.k:
+            raise ScenarioError([f"offer '{ad_id}': slot {brief(slot)} is not in 1..{brief(self.k)}"])
         row = self.ctr.get(ad_id)
         return None if row is None else row[slot - 1]
 
@@ -107,7 +123,9 @@ def reserve_issues(reserve: float) -> list[str]:
 
 def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> float:
     """Expected adjusted value with click probabilities taken from the slot model.
-    Raises KeyMismatchError, naming the ad, for adjusted bids not keyed to their events."""
+    Raises KeyMismatchError, naming the ad, for adjusted bids not keyed to their
+    events, and ScenarioError, from ``SlotModel.click_probability``, for a slot
+    not in 1..k."""
     ids = [e.event_id for e in offer.events]
     require_same_keys(ids, offer.adjusted, f"offer '{offer.ad_id}': adjusted bids")
     override = slots.click_probability(offer.ad_id, slot) if slots else None

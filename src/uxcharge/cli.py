@@ -17,14 +17,15 @@ one header check (a JSON object whose ``format_version`` is the integer 1).
 Every entry, ``excluded`` ones too, is an object with its
 required fields, every number a finite JSON number within float range, every
 ``ad_id`` and event ``id`` a string of Unicode text, every event ``kind`` and
-``price_type`` one of its names, ``slots.k`` an integer,
-and each ``ctr_matrix`` row an array keyed to a declared ad. The slot count
-(``--slots`` too) must be >= 1 and match the ctr rows, the trials at most
-``sim.TRIALS_LIMIT``, the reserve finite and >= 0, and the ads of an
-``adjust`` document distinct and not also ``excluded``, each over an event
-set a scenario would pass (``model.event_set_issues``) with the value its
-bids give. An expected charge, adjusted value, slot value
-or payment that overflows float range is rejected, naming the ad.
+``price_type`` one of its names, and ``slots`` an object. Its ``k`` and
+``ctr_matrix`` go to ``auction.SlotModel`` as read, which owns every slot
+rule (``--slots`` too): an integer k >= 1, and each ctr row an array of k
+nonincreasing numbers in [0, 1]. Each ctr row must be keyed to a declared
+ad, the trials at most ``sim.TRIALS_LIMIT``, the reserve finite and >= 0,
+and the ads of an ``adjust`` document distinct and not also ``excluded``,
+each over an event set a scenario would pass (``model.event_set_issues``)
+with the value its bids give. An expected charge, adjusted value, slot
+value or payment that overflows float range is rejected, naming the ad.
 
 Exit codes: 0 success; 1 any input problem, the command line included, as
 one JSON record on stderr itemizing each issue; 2 I/O failure. Anything else
@@ -42,7 +43,6 @@ import math
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import replace
-from itertools import chain
 from typing import Any, NoReturn
 
 from .adjust import expected_value
@@ -250,27 +250,6 @@ def _plain_offer(entry: Any, shared: tuple[EventSpec, ...]) -> Offer | None:
     return Offer(ad_id, price_type, events, bids)
 
 
-def _ctr_row(row: Any, ad_id: str) -> tuple[float, ...]:
-    if type(row) is not list:
-        raise ValueError(f"ctr row for {ad_id!r} must be an array, got {brief(row)}")
-    return tuple(number(p, "ctr entry for", ad_id) for p in row)
-
-
-def _ctr_rows(raw_ctr: Mapping) -> dict[str, tuple[float, ...]]:
-    """Each ctr row as a tuple of floats; ValueError names the first bad row.
-
-    Arrays of finite floats are checked over all entries at once, with C
-    builtins; only other input goes through ``_ctr_row`` row by row, to
-    word the first problem.
-    """
-    rows = list(raw_ctr.values())
-    if set(map(type, rows)) <= {list}:
-        entries = list(chain.from_iterable(rows))
-        if set(map(type, entries)) <= {float} and all(map(math.isfinite, entries)):
-            return dict(zip(raw_ctr, map(tuple, rows)))
-    return {ad: _ctr_row(row, ad) for ad, row in raw_ctr.items()}
-
-
 def parse_scenario_doc(doc: Any) -> ScenarioConfig:
     """The ScenarioConfig a scenario JSON document describes, with default run flags.
 
@@ -297,16 +276,10 @@ def parse_scenario_doc(doc: Any) -> ScenarioConfig:
     if raw_slots is not None and not isinstance(raw_slots, Mapping):
         issues.append("'slots' must be an object")
     elif raw_slots is not None:
-        raw_ctr, k = raw_slots.get("ctr_matrix", {}), raw_slots.get("k")
-        if not isinstance(raw_ctr, Mapping):
-            issues.append("slots: 'ctr_matrix' must be an object")
-        elif type(k) is not int:
-            issues.append(f"slots: 'k' must be an integer, got {brief(k)}")
-        else:
-            try:
-                slots = SlotModel(k, _ctr_rows(raw_ctr))
-            except ValueError as exc:
-                issues.append(f"slots: {exc}")
+        try:
+            slots = SlotModel(raw_slots.get("k"), raw_slots.get("ctr_matrix", {}))
+        except ValueError as exc:
+            issues.append(f"slots: {exc}")
 
     reserve = 0.0
     try:

@@ -125,9 +125,10 @@ class ScenarioError(ValueError):
     """Invalid input; ``issues`` itemizes every problem found, one string each.
 
     Raised where each rule is checked: the CLI's command-line and document
-    readers, ``sim.prepare``, ``auction.SlotModel``, the auctions (bad
-    reserve, repeated ad_id, non-finite slot value), ``sim.run_auction``
-    (unknown pricing rule) and ``sim.run_scenario``.
+    readers, ``sim.prepare``, ``auction.SlotModel`` (every slot rule: k, the
+    ctr rows, and a slot index outside 1..k), the auctions (bad reserve,
+    repeated ad_id, non-finite slot value), ``sim.run_auction`` (unknown
+    pricing rule) and ``sim.run_scenario``.
     """
 
     def __init__(self, issues: Sequence[str]):

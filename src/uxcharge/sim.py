@@ -99,10 +99,22 @@ def expected_payment(
     events: tuple[EventSpec, ...],
 ) -> float:
     """Winner's expected charge: sum((price + shifted) * probability) in declared event order."""
+    amounts = _amounts(prices, shifted, events)
+    return fold_sum(amount * ev.probability for amount, ev in zip(amounts, events))
+
+
+def _amounts(
+    prices: Mapping[str, float], shifted: Mapping[str, float], events: tuple[EventSpec, ...]
+) -> list[float]:
+    """Each event's charge if it occurs, price + shifted, in declared event order.
+
+    The three oracles' shared preamble. Raises KeyMismatchError unless both
+    mappings are keyed to the events.
+    """
     ids = tuple(ev.event_id for ev in events)
     require_same_keys(ids, prices, "prices")
     require_same_keys(ids, shifted, "shift amounts")
-    return fold_sum((prices[ev.event_id] + shifted[ev.event_id]) * ev.probability for ev in events)
+    return [prices[eid] + shifted[eid] for eid in ids]
 
 
 _FUNNEL_ORDER = (EventKind.VIEW, EventKind.CLICK, EventKind.CONVERSION)
@@ -175,16 +187,13 @@ def enumerate_expected_payment(
     An infinite amount, or a charge beyond float range, gives a non-finite
     result without a warning.
     """
-    ids = tuple(ev.event_id for ev in events)
-    require_same_keys(ids, prices, "prices")
-    require_same_keys(ids, shifted, "shift amounts")
+    amounts = _amounts(prices, shifted, events)
     n = len(events)
     if n > ENUMERATION_LIMIT:
         raise ValueError(
             f"enumeration oracle is limited to {ENUMERATION_LIMIT} events, got {n}"
         )
 
-    amounts = [prices[eid] + shifted[eid] for eid in ids]
     chain, conditionals, custom = _funnel_chain(events, model)
     # Event i is axis n - 1 - i, so outcome k ravels to index k with bit i set
     # when event i occurred.
@@ -245,13 +254,10 @@ def monte_carlo_payment(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    ids = tuple(ev.event_id for ev in events)
-    require_same_keys(ids, prices, "prices")
-    require_same_keys(ids, shifted, "shift amounts")
+    amounts = np.array(_amounts(prices, shifted, events), dtype=float)[:, None]
 
     chain, conditionals, custom = _funnel_chain(events, model)
     n = len(events)
-    amounts = np.array([prices[eid] + shifted[eid] for eid in ids], dtype=float)[:, None]
     probabilities = [ev.probability for ev in events]  # chain stages take their conditionals
     for idx, q in zip(chain, conditionals):
         probabilities[idx] = q

@@ -14,7 +14,6 @@ import uxcharge as ux
 from uxcharge.auction import pricing_rule_issues, reserve_issues
 from uxcharge.cli import _header_issues, parse_scenario_doc
 from uxcharge.model import (
-    brief,
     charges_from_dict,
     event_from_dict,
     number,
@@ -171,7 +170,7 @@ def scalar_prepare(config: ux.ScenarioConfig):
 
 def reference_parse(doc) -> ux.ScenarioConfig:
     """``cli.parse_scenario_doc`` with no inline path: ``offer_from_dict`` for
-    every offer and ``model.number`` for every ctr entry."""
+    every offer; ``k`` and the ctr rows go to ``SlotModel`` as read, as there."""
     issues = _header_issues(doc)
     if issues:
         doc = {}
@@ -185,26 +184,15 @@ def reference_parse(doc) -> ux.ScenarioConfig:
     except ValueError as exc:
         issues.append(f"charges: {exc}")
 
-    def ctr_row(row, ad_id):
-        if type(row) is not list:
-            raise ValueError(f"ctr row for {ad_id!r} must be an array, got {brief(row)}")
-        return tuple(number(p, "ctr entry for", ad_id) for p in row)
-
     slots = None
     raw_slots = doc.get("slots")
     if raw_slots is not None and not isinstance(raw_slots, Mapping):
         issues.append("'slots' must be an object")
     elif raw_slots is not None:
-        raw_ctr, k = raw_slots.get("ctr_matrix", {}), raw_slots.get("k")
-        if not isinstance(raw_ctr, Mapping):
-            issues.append("slots: 'ctr_matrix' must be an object")
-        elif type(k) is not int:
-            issues.append(f"slots: 'k' must be an integer, got {brief(k)}")
-        else:
-            try:
-                slots = ux.SlotModel(k, {ad: ctr_row(row, ad) for ad, row in raw_ctr.items()})
-            except ValueError as exc:
-                issues.append(f"slots: {exc}")
+        try:
+            slots = ux.SlotModel(raw_slots.get("k"), raw_slots.get("ctr_matrix", {}))
+        except ValueError as exc:
+            issues.append(f"slots: {exc}")
 
     reserve = 0.0
     try:

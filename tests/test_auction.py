@@ -200,15 +200,39 @@ NAN, INF = float("nan"), float("inf")
         (2, {"x": (0.5, True)}, "ctr entry for 'x' must be a number, got True"),
         (1, {"x": 0.5}, "ctr row for 'x' must be an array, got 0.5"),
         (1, {"x": "a"}, "ctr row for 'x' must be an array, got 'a'"),
+        (3, {"x": (0.5, 0.6, NAN)}, "ctr out of range for 'x': nan"),
+        (3, {"x": (0.5, 0.6, "a")}, "ctr entry for 'x' must be a number, got 'a'"),
+        (3, {"x": (1, 0.5, 1)}, "ctr row for 'x' must be nonincreasing across slots"),
+        (1, {"x": [1]}, None),
+        (1, {"x": (10**400,)}, "ctr out of range for 'x': 1" + "0" * 36 + "..."),
+        (1, [("x", (0.5,))], "'ctr_matrix' must be an object, got [('x', (0.5,))]"),
+        (True, {}, "'k' must be an integer, got True"),
+        (1.5, {}, "'k' must be an integer, got 1.5"),
+        ("2", {}, "'k' must be an integer, got '2'"),
+        (None, {}, "'k' must be an integer, got None"),
+        (0, {}, "slot count must be >= 1, got 0"),
+        pytest.param(-(10**400), {}, "slot count must be >= 1, got -1" + "0" * 35 + "...", id="huge-negative-k"),
     ],
 )
 def test_slot_model_words_the_first_broken_rule_of_library_built_rows(k, ctr, issue):
     if issue is None:
-        assert SlotModel(k, ctr).ctr == ctr
+        rows = SlotModel(k, ctr).ctr
+        assert rows == {ad: tuple(map(float, row)) for ad, row in ctr.items()}
+        assert all(type(row) is tuple and set(map(type, row)) <= {float} for row in rows.values())
     else:
         with pytest.raises(ux.ScenarioError) as excinfo:
             SlotModel(k, ctr)
         assert excinfo.value.issues == (issue,)
+
+
+@pytest.mark.parametrize("slot", [0, -1, 3, True, 1.0, "1"])
+def test_value_at_slot_rejects_a_slot_outside_one_to_k(slot):
+    offer = with_click("x", 1.0, 0.5)
+    for slots in (SlotModel(2, {"x": (0.5, 0.25)}), SlotModel(2)):
+        with pytest.raises(ux.ScenarioError) as excinfo:
+            value_at_slot(offer, slots, slot)
+        assert excinfo.value.issues == (f"offer 'x': slot {slot!r} is not in 1..2",)
+    assert value_at_slot(offer, SlotModel(2, {"x": (0.5, 0.25)}), 2) == 0.25
 
 
 def test_winner_and_price_invariance_under_charge_shifting():

@@ -412,7 +412,7 @@ SCENARIO_PROBES = [
     ("null-charge", cpc_scenario(charges={"view": None}), "charge on 'view'"),
     ("bool-reserve", cpc_scenario(reserve=False), "'reserve'"),
     ("string-ctr", cpc_scenario(slots={"k": 1, "ctr_matrix": {"x": ["0.1"]}}), "ctr entry for 'x'"),
-    ("nan-ctr", cpc_scenario(slots={"k": 1, "ctr_matrix": {"x": [NAN]}}), "ctr entry for 'x'"),
+    ("nan-ctr", cpc_scenario(slots={"k": 1, "ctr_matrix": {"x": [NAN]}}), "ctr out of range for 'x'"),
     ("null-ad-id", cpc_scenario(offers=[{"ad_id": None, "price_type": "cpc", "bids": {"click": 2.0}}]), "'ad_id'"),
     ("number-event-id", cpc_scenario(events=cpc_scenario()["events"] + [{"id": 5, "kind": "custom", "prob": 0.5}]), "event 'id'"),
     ("version-true", cpc_scenario(format_version=True), "format_version"),

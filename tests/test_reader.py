@@ -17,6 +17,7 @@ import pytest
 import uxcharge as ux
 from helpers import assert_reads_like_reference, reference_validate
 from test_cli import SCENARIO_PROBES
+from uxcharge.cli import parse_scenario_doc
 from uxcharge.sim import validate_scenario
 
 STRATEGIES = ("identity", "proportional", "single:click", "single:ghost", "bogus")
@@ -26,6 +27,23 @@ MODELS = (ux.OutcomeModel.INDEPENDENT, ux.OutcomeModel.FUNNEL)
 @pytest.mark.parametrize("doc", [p[1] for p in SCENARIO_PROBES], ids=[p[0] for p in SCENARIO_PROBES])
 def test_every_scenario_probe_reads_like_the_reference(doc):
     assert_reads_like_reference(json.loads(json.dumps(doc)), STRATEGIES, MODELS)
+
+
+def test_a_read_config_equals_the_library_built_one_over_the_same_rows():
+    rows = {"x": [1, 0.5], "y": [0.25, 0]}
+    doc = {
+        "format_version": 1,
+        "events": [{"id": "view", "kind": "view", "prob": 1.0}, {"id": "click", "kind": "click", "prob": 0.1}],
+        "offers": [
+            {"ad_id": "x", "price_type": "cpc", "bids": {"click": 2.0}},
+            {"ad_id": "y", "price_type": "cpm", "bids": {"view": 0.15}},
+        ],
+        "slots": {"k": 2, "ctr_matrix": rows},
+    }
+    read = parse_scenario_doc(doc)
+    built = ux.ScenarioConfig(offers=read.offers, charges=ux.ChargeSchedule({}), slots=ux.SlotModel(2, rows))
+    assert read == built
+    assert repr(read) == repr(built)
 
 
 def _bulk_document(offers=10_000, k=10):
