@@ -2,9 +2,10 @@
 
 The five scalar functions cover the classic price-type/charge combinations on
 a two-event (view, click) offer. ``adjust_general`` handles arbitrary event
-sets via a shift plan. The scalar forms are independent transcriptions, not
-wrappers over the general method, so agreement between the two is a real
-cross-check exercised by the test suite.
+sets via a shift plan. Its adjusted value, like ``shift``'s expected charge
+and shifted total, is one ``model.expected_sum``. The scalar forms are
+independent transcriptions, not wrappers over the general method, so
+agreement between the two is a real cross-check exercised by the test suite.
 
 Adjusted bids may come out negative; callers decide exclusion (an offer whose
 expected adjusted value is negative should not enter the auction) rather than
@@ -13,9 +14,9 @@ have values silently clamped here.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping, Sequence
 
-from .model import AdjustedOffer, Offer, ShiftPlan, fold_sum, require_same_keys
+from .model import AdjustedOffer, EventSpec, Offer, ShiftPlan, expected_sum, require_same_keys
 
 
 def adjust_cpc_view(b: float, p: float, v: float) -> float:
@@ -43,24 +44,19 @@ def adjust_cpm_both(b: float, p: float, v: float, c: float) -> float:
     return b - v - c * p
 
 
-def expected_value(bids: Mapping[str, float], probs: Mapping[str, float]) -> float:
-    """Sum of bid * probability over events; the offer's value to the auction.
-
-    Both mappings must carry exactly the same keys. Summation runs left to
-    right in the key order of ``probs``, which ``Offer.probabilities`` gives
-    in declared event order, so the result equals the slot-1 value
-    ``auction.value_at_slot`` computes for an ad without a ctr row.
-    """
-    require_same_keys(tuple(probs), bids, "bids")
-    return fold_sum(bids[eid] * p for eid, p in probs.items())
+def expected_value(bids: Mapping[str, float], events: Sequence[EventSpec]) -> float:
+    """Sum of bid * probability over ``events`` in declared order (``model.expected_sum``):
+    the offer's value to the auction, equal to the slot-1 value ``auction.value_at_slot``
+    computes for an ad without a ctr row."""
+    return expected_sum(bids, events, "bids")
 
 
 def adjust_general(offer: Offer, plan: ShiftPlan) -> AdjustedOffer:
     """Enter bid minus shifted charge per event; works for any price type.
 
-    The plan must be keyed to the offer's event set. The returned offer
+    Bids and plan must be keyed to the offer's event set. The returned offer
     satisfies adjusted[i] == bids[i] - shifted[i] exactly and carries the
-    expected value of the adjusted bids under the offer's probabilities.
+    ``expected_value`` of the adjusted bids over the offer's events.
     """
     ids = offer.event_ids
     require_same_keys(ids, offer.bids, "offer bids")
@@ -70,5 +66,5 @@ def adjust_general(offer: Offer, plan: ShiftPlan) -> AdjustedOffer:
         ad_id=offer.ad_id,
         events=offer.events,
         adjusted=adjusted,
-        expected_value=expected_value(adjusted, offer.probabilities),
+        expected_value=expected_value(adjusted, offer.events),
     )

@@ -11,21 +11,21 @@ each record's value against its bids. Reports are canonical JSON
 (keys in construction order, numbers at 17 significant digits), so identical
 inputs and seeds give byte-identical output.
 
-Input is read strictly. A file must be UTF-8 text, nested no deeper than
-the JSON parser's recursion allows. Scenario and ``adjust`` documents pass
-one header check (a JSON object whose ``format_version`` is the integer 1).
-Every entry, ``excluded`` ones too, is an object with its
-required fields, every number a finite JSON number within float range, every
-``ad_id`` and event ``id`` a string of Unicode text, every event ``kind`` and
-``price_type`` one of its names, and ``slots`` an object. Its ``k`` and
-``ctr_matrix`` go to ``auction.SlotModel`` as read, which owns every slot
-rule (``--slots`` too): an integer k >= 1, and each ctr row an array of k
-nonincreasing numbers in [0, 1]. Each ctr row must be keyed to a declared
-ad, the trials at most ``sim.TRIALS_LIMIT``, the reserve finite and >= 0,
-and the ads of an ``adjust`` document distinct and not also ``excluded``,
-each over an event set a scenario would pass (``model.event_set_issues``)
-with the value its bids give. An expected charge, adjusted value, slot
-value or payment that overflows float range is rejected, naming the ad.
+Input is read strictly. A file must be UTF-8 text, nested no deeper than the
+JSON parser's recursion allows, its integers within Python's digit limit.
+Scenario and ``adjust`` documents pass one header check (a JSON object whose
+``format_version`` is the integer 1). Every entry, ``excluded`` ones too, is an
+object with its required fields, every number a finite JSON number within float
+range, every ``ad_id`` and event ``id`` a string of Unicode text, every event
+``kind`` and ``price_type`` one of its names, and ``slots`` an object. Its
+``k`` and ``ctr_matrix`` go to ``auction.SlotModel`` as read, which owns every
+slot rule (``--slots`` too): an integer k >= 1, and each ctr row an array of k
+nonincreasing numbers in [0, 1]. Each ctr row must be keyed to a declared ad,
+the trials at most ``sim.TRIALS_LIMIT``, the reserve finite and >= 0, and the
+ads of an ``adjust`` document distinct and not also ``excluded``, each over an
+event set a scenario would pass (``model.event_set_issues``) with the value its
+bids give. An expected charge, adjusted value, slot value or payment that
+overflows float range is rejected, naming the ad.
 
 Exit codes: 0 success; 1 any input problem, the command line included, as
 one JSON record on stderr itemizing each issue; 2 I/O failure. Anything else
@@ -45,7 +45,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import replace
 from typing import Any, NoReturn
 
-from .adjust import expected_value
 from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel
 from .model import (
     FORMAT_VERSION,
@@ -61,13 +60,13 @@ from .model import (
     charges_from_dict,
     event_from_dict,
     event_set_issues,
+    expected_sum,
     number,
     offer_from_dict,
     offer_to_dict,
     read_each,
     read_events,
     require_fields,
-    require_same_keys,
     text,
 )
 from .sim import (
@@ -293,12 +292,18 @@ def parse_scenario_doc(doc: Any) -> ScenarioConfig:
 
 
 def _load_scenario(path: str) -> Any:
-    """The JSON document at ``path``; non-UTF-8 bytes and too-deep nesting are input problems."""
+    """The JSON document at ``path``; bytes that do not parse, a too-long integer
+    literal among them, are input problems."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
     try:
-        with open(path, "rb") as handle:
-            return json.loads(handle.read().decode("utf-8"))
+        return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ScenarioError([f"input is not UTF-8 text: {exc}"]) from None
+    except json.JSONDecodeError as exc:
+        raise ScenarioError([f"malformed JSON: {exc}"]) from None
+    except ValueError as exc:
+        raise ScenarioError([f"input cannot be parsed: {exc}"]) from None
     except RecursionError:
         raise ScenarioError(["input nests too deeply to parse"]) from None
 
@@ -368,9 +373,8 @@ def _adjusted_offer(record: Mapping) -> AdjustedOffer:
     if not isinstance(raw_bids, Mapping):
         raise ValueError(f"'adjusted_bids' must be an object, got {brief(raw_bids)}")
     adjusted = {k: number(v, "adjusted bid on", k) for k, v in raw_bids.items()}
-    require_same_keys(tuple(e.event_id for e in events), adjusted, "adjusted_bids")
+    value = expected_sum(adjusted, events, "adjusted_bids")
     claimed = number(record["expected_adjusted_value"], "'expected_adjusted_value'")
-    value = expected_value(adjusted, {e.event_id: e.probability for e in events})
     if not math.isfinite(value):  # the bids are finite, so their value overflowed
         ad_id = text(record["ad_id"], "'ad_id'")
         raise ValueError(f"offer '{ad_id}': adjusted value overflows float range")
@@ -545,8 +549,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         return _fail("validation", list(exc.issues), EXIT_VALIDATION)
-    except json.JSONDecodeError as exc:
-        return _fail("validation", [f"malformed JSON: {exc}"], EXIT_VALIDATION)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
     finally:

@@ -30,12 +30,12 @@ VALIDATION_TOL = 1e-9
 FORMAT_VERSION = 1
 
 
-def approx_eq(x: float, y: float, tol: float = VALIDATION_TOL) -> bool:
-    """True when x and y agree to ``tol``, relative above unit magnitude.
+def approx_eq(x: float, y: float) -> bool:
+    """True when x and y agree to ``VALIDATION_TOL``, relative above unit magnitude.
 
     An infinity agrees only with itself: its bound would be infinite too.
     """
-    return x == y or abs(x - y) <= tol * max(1.0, abs(x), abs(y)) < math.inf
+    return x == y or abs(x - y) <= VALIDATION_TOL * max(1.0, abs(x), abs(y)) < math.inf
 
 
 def fold_sum(values: Iterable[float]) -> float:
@@ -176,10 +176,6 @@ class Offer:
     def event_ids(self) -> tuple[str, ...]:
         return tuple(e.event_id for e in self.events)
 
-    @property
-    def probabilities(self) -> dict[str, float]:
-        return {e.event_id: e.probability for e in self.events}
-
 
 @dataclass(frozen=True)
 class ChargeSchedule:
@@ -269,6 +265,14 @@ def require_same_keys(reference: Sequence[str], mapping: Mapping[str, float], wh
     if extra:
         parts.append(f"unknown {sorted(extra)}")
     raise KeyMismatchError(f"{what} not keyed to the event set: {', '.join(parts)}")
+
+
+def expected_sum(amounts: Mapping[str, float], events: Sequence[EventSpec], what: str) -> float:
+    """Sum of amount * probability over ``events``, folded in declared order, with
+    ``amounts`` keyed to the events (``require_same_keys``, prefixed with ``what``):
+    an ad's expected charge, offer value, shifted total or adjusted value."""
+    require_same_keys(list(map(_EVENT_ID, events)), amounts, what)
+    return fold_sum(amounts[e.event_id] * e.probability for e in events)
 
 
 def event_set_issues(events: Sequence[EventSpec]) -> list[str]:

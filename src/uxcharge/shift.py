@@ -30,6 +30,7 @@ from .model import (
     Offer,
     ShiftPlan,
     approx_eq,
+    expected_sum,
     fold_sum,
     require_same_keys,
 )
@@ -37,9 +38,7 @@ from .model import (
 
 def total_expected_charge(charges: ChargeSchedule, events: tuple[EventSpec, ...]) -> float:
     """Expected user-experience charge sum(c_i * p_i), summed in declared event order."""
-    ids = tuple(e.event_id for e in events)
-    require_same_keys(ids, charges.charges, "charge schedule")
-    return fold_sum(charges.charges[e.event_id] * e.probability for e in events)
+    return expected_sum(charges.charges, events, "charge schedule")
 
 
 def is_feasible(offer: Offer, charges: ChargeSchedule) -> bool:
@@ -50,8 +49,7 @@ def is_feasible(offer: Offer, charges: ChargeSchedule) -> bool:
     the auction at all.
     """
     expected_charge = total_expected_charge(charges, offer.events)
-    offer_value = expected_value(offer.bids, offer.probabilities)
-    return expected_charge <= offer_value + VALIDATION_TOL
+    return expected_charge <= expected_value(offer.bids, offer.events) + VALIDATION_TOL
 
 
 def shift_identity(charges: ChargeSchedule) -> ShiftPlan:
@@ -96,8 +94,7 @@ def shift_proportional(
     unknown = chargeable - set(ids)
     if unknown:
         raise KeyMismatchError(f"chargeable events {sorted(unknown)} not in the event set")
-    probs = offer.probabilities
-    weight = fold_sum(offer.bids[eid] * probs[eid] for eid in ids if eid in chargeable)
+    weight = fold_sum(offer.bids[e.event_id] * e.probability for e in offer.events if e.event_id in chargeable)
     if weight <= 0.0:
         raise ValueError("chargeable set carries zero expected bid; cannot spread charges")
     total = total_expected_charge(charges, offer.events)
@@ -124,10 +121,9 @@ def validate_plan(
     """
     ids = offer.event_ids
     require_same_keys(ids, offer.bids, "offer bids")
-    require_same_keys(ids, plan.shifted, "shift plan")
     violations: list[str] = []
 
-    shifted_total = fold_sum(plan.shifted[e.event_id] * e.probability for e in offer.events)
+    shifted_total = expected_sum(plan.shifted, offer.events, "shift plan")
     charge_total = total_expected_charge(charges, offer.events)
     if not approx_eq(shifted_total, charge_total):
         violations.append(

@@ -50,6 +50,12 @@ def two_events(p_click: float) -> tuple[ux.EventSpec, ux.EventSpec]:
     )
 
 
+def sorted_expectation(amounts: Mapping[str, float], events) -> float:
+    """sum(amount * probability) in event-id order with builtin ``sum``: a
+    reference apart from the library's declared-order fold."""
+    return sum(amounts[e.event_id] * e.probability for e in sorted(events, key=lambda e: e.event_id))
+
+
 def cpc_offer(ad_id: str, b: float, p_click: float) -> ux.Offer:
     return ux.Offer(ad_id, ux.PriceType.CPC, two_events(p_click), {"view": 0.0, "click": b})
 
@@ -95,13 +101,12 @@ def offers_with_charges(draw, feasible: bool | None = None) -> tuple[ux.Offer, u
     scale strictly beyond it.
     """
     offer = draw(offers())
-    probs = offer.probabilities
     raw = {e.event_id: draw(money) for e in offer.events}
     if feasible is None:
         return offer, ux.ChargeSchedule(raw)
 
-    offer_value = sum(offer.bids[eid] * probs[eid] for eid in sorted(probs))
-    raw_total = sum(raw[eid] * probs[eid] for eid in sorted(probs))
+    offer_value = sorted_expectation(offer.bids, offer.events)
+    raw_total = sorted_expectation(raw, offer.events)
     if feasible:
         if raw_total <= 0.0:
             return offer, ux.ChargeSchedule({eid: 0.0 for eid in raw})
@@ -236,12 +241,12 @@ def reference_validate(config: ux.ScenarioConfig) -> list[str]:
             issues.append(f"offer '{offer.ad_id}': more than {ENUMERATION_LIMIT} events")
         if not violations:
             if kind == "single":
-                probs = offer.probabilities
-                if target not in probs:
+                target_event = next((e for e in offer.events if e.event_id == target), None)
+                if target_event is None:
                     issues.append(
                         f"offer '{offer.ad_id}': strategy target event '{target}' not declared"
                     )
-                elif probs[target] <= 0.0:
+                elif target_event.probability <= 0.0:
                     issues.append(
                         f"offer '{offer.ad_id}': strategy target event '{target}' has zero probability"
                     )

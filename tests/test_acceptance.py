@@ -39,7 +39,7 @@ from uxcharge.sim import (
     monte_carlo_payment,
 )
 
-from helpers import close12, two_events
+from helpers import close12, sorted_expectation, two_events
 
 GOLDEN_DIR = "tests/golden"
 
@@ -66,11 +66,10 @@ def make_feasible_ad(rng, ad_id: str):
     bids = {e.event_id: rng.uniform(0.0, 1.0) for e in events}
     bids["click"] = rng.uniform(0.1, 1.0)  # keep the offer worth something
     offer = ux.Offer(ad_id, ux.PriceType.HYBRID, events, bids)
-    probs = offer.probabilities
-    offer_value = expected_value(bids, probs)
+    offer_value = expected_value(bids, events)
 
     raw = {e.event_id: rng.uniform(0.0, 1.0) for e in events}
-    raw_total = sum(raw[eid] * probs[eid] for eid in sorted(raw))
+    raw_total = sorted_expectation(raw, events)
     scale = rng.uniform(0.0, 0.95) * offer_value / raw_total if raw_total > 0 else 0.0
     charges = ux.ChargeSchedule({eid: raw[eid] * scale for eid in raw})
     return offer, charges
@@ -83,12 +82,11 @@ def award_of(ad_id: str, outcome: ux.AuctionOutcome) -> ux.SlotAward | None:
 
 def strategy_plans(offer: ux.Offer, charges: ux.ChargeSchedule):
     """The three strategies applied to one ad: identity, single-event, proportional."""
-    probs = offer.probabilities
     target = max(
-        (eid for eid in offer.event_ids if probs[eid] > 0.0),
-        key=lambda eid: offer.bids[eid] * probs[eid],
-    )
-    chargeable = {eid for eid in offer.event_ids if offer.bids[eid] * probs[eid] > 0.0}
+        (e for e in offer.events if e.probability > 0.0),
+        key=lambda e: offer.bids[e.event_id] * e.probability,
+    ).event_id
+    chargeable = {e.event_id for e in offer.events if offer.bids[e.event_id] * e.probability > 0.0}
     plans = {
         "identity": shift_identity(charges),
         "single": shift_single_event(charges, offer.events, target),
@@ -258,11 +256,10 @@ def test_criterion_4_feasibility_theorem():
         bids = {e.event_id: rng.uniform(0.0, 1.0) for e in events}
         bids["click"] = rng.uniform(0.1, 1.0)
         offer = ux.Offer("ad", ux.PriceType.HYBRID, events, bids)
-        probs = offer.probabilities
-        offer_value = expected_value(bids, probs)
+        offer_value = expected_value(bids, events)
 
         raw = {e.event_id: rng.uniform(0.05, 1.0) for e in events}
-        raw_total = sum(raw[eid] * probs[eid] for eid in sorted(raw))
+        raw_total = sorted_expectation(raw, events)
         multiplier = rng.uniform(0.0, 0.98) if instance % 2 == 0 else rng.uniform(1.02, 2.0)
         scale = multiplier * offer_value / raw_total
         charges = ux.ChargeSchedule({eid: raw[eid] * scale for eid in raw})

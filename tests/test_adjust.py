@@ -58,22 +58,27 @@ def test_adjust_cpm_both(b, p, v, c, expected):
     assert adjust_cpm_both(b, p, v, c) == exact(expected)
 
 
+def custom_events(**probability: float) -> tuple[ux.EventSpec, ...]:
+    """Custom events with these ids and probabilities, in argument order."""
+    return tuple(ux.EventSpec(eid, ux.EventKind.CUSTOM, p) for eid, p in probability.items())
+
+
 def test_expected_value_examples():
-    assert expected_value({"a": 0.2, "b": 1.0}, {"a": 1.0, "b": 0.1}) == exact(0.3)
-    assert expected_value({"a": 0.0, "b": 0.0}, {"a": 1.0, "b": 0.1}) == 0.0
-    assert expected_value({"only": 0.7}, {"only": 1.0}) == 0.7
+    assert expected_value({"a": 0.2, "b": 1.0}, custom_events(a=1.0, b=0.1)) == exact(0.3)
+    assert expected_value({"a": 0.0, "b": 0.0}, custom_events(a=1.0, b=0.1)) == 0.0
+    assert expected_value({"only": 0.7}, custom_events(only=1.0)) == 0.7
 
 
 def test_expected_value_sums_left_to_right():
     # 1e16 + 1.0 rounds back to 1e16; a compensated sum (builtin sum() from
     # Python 3.12 on) would keep the 1.0 and return 1.0.
     bids = {"a": 1e16, "b": 1.0, "c": -1e16}
-    assert expected_value(bids, {"a": 1.0, "b": 1.0, "c": 1.0}) == 0.0
+    assert expected_value(bids, custom_events(a=1.0, b=1.0, c=1.0)) == 0.0
 
 
 def test_expected_value_rejects_key_mismatch():
     with pytest.raises(ux.KeyMismatchError):
-        expected_value({"a": 1.0}, {"b": 1.0})
+        expected_value({"a": 1.0}, custom_events(b=1.0))
 
 
 def test_adjust_general_example():
@@ -143,10 +148,9 @@ def test_adjustment_is_linear(offer, data):
 @given(offers(), st.data())
 def test_adjusted_value_drops_by_expected_shift(offer, data):
     shifted = {eid: data.draw(money, label=eid) for eid in offer.event_ids}
-    probs = offer.probabilities
     adjusted = adjust_general(offer, ux.ShiftPlan(shifted, "identity"))
-    drop = expected_value(shifted, probs)
-    assert close12(adjusted.expected_value, expected_value(offer.bids, probs) - drop)
+    drop = expected_value(shifted, offer.events)
+    assert close12(adjusted.expected_value, expected_value(offer.bids, offer.events) - drop)
 
 
 @given(b=money, p=open_unit, v=unit, c=unit)

@@ -252,8 +252,8 @@ def test_winner_and_price_invariance_under_charge_shifting():
         outcome = run_second_price([adjusted, competitor])
         award = outcome.winners[0]
         expected = sum(
-            (award.prices[eid] + plan.shifted[eid]) * p
-            for eid, p in offer.probabilities.items()
+            (award.prices[e.event_id] + plan.shifted[e.event_id]) * e.probability
+            for e in offer.events
         )
         outcomes.append(([ad for ad, _ in outcome.ranking], expected))
 

@@ -840,6 +840,15 @@ def test_input_nested_too_deeply_is_one_diagnostic(command, raw, tmp_path, capsy
     assert detail == "input nests too deeply to parse"
 
 
+@pytest.mark.parametrize("command", ALL)
+def test_integer_past_the_digit_limit_is_one_diagnostic(command, tmp_path, capsys):
+    # json.loads raises a plain ValueError past Python's int digit limit (4,300
+    # digits by default); a build without the limit rejects the value in number()
+    path = tmp_path / "s.json"
+    path.write_text('{"format_version": 1, "reserve": 1' + "0" * 5000 + "}", encoding="utf-8")
+    _one_diagnostic(*run_cli([command, str(path)], capsys))
+
+
 @pytest.mark.parametrize("version", [99, True, 1.0], ids=["99", "true", "1.0"])
 def test_scenario_and_adjust_document_share_one_header_diagnostic(version, tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())

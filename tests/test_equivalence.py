@@ -126,7 +126,7 @@ def auctions(draw):
         adjusted = {e.event_id: draw(signed_amount) for e in events}
         # keys in any order: one not in event order sends the layout's bid lookup down its slow path
         adjusted = {eid: adjusted[eid] for eid in draw(st.permutations(list(adjusted)))}
-        value = ux.expected_value(adjusted, {e.event_id: e.probability for e in events})
+        value = ux.expected_value(adjusted, events)
         offers.append(ux.AdjustedOffer(f"ad{i}", events, adjusted, value))
     slots = None
     if draw(st.booleans()):

@@ -1,10 +1,10 @@
 """Input is rejected one way: a ScenarioError raised where each rule is checked.
 
-``cli.main`` turns exactly ``ScenarioError`` and ``json.JSONDecodeError``
-into exit 1 and ``OSError`` into exit 2; anything else is a bug and keeps its
-traceback. So no handler in the package may be bare or catch ``Exception``,
-``BaseException``, ``KeyError`` or ``TypeError``: each would report a program
-bug as an input problem.
+``cli.main`` turns exactly ``ScenarioError`` into exit 1 (``cli._load_scenario``
+words bytes that do not parse as one) and ``OSError`` into exit 2; anything
+else is a bug and keeps its traceback. So no handler in the package may be
+bare or catch ``Exception``, ``BaseException``, ``KeyError`` or
+``TypeError``: each would report a program bug as an input problem.
 """
 
 import ast
@@ -62,7 +62,7 @@ def test_cli_main_handles_exactly_input_and_io_errors():
     handlers = [
         name for node in ast.walk(main) if isinstance(node, ast.ExceptHandler) for name in caught(tree, node)
     ]
-    assert handlers == ["ScenarioError", "json.JSONDecodeError", "OSError"]
+    assert handlers == ["ScenarioError", "OSError"]
 
 
 def test_the_guard_sees_every_form():

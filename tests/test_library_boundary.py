@@ -3,9 +3,14 @@
 Each case is a valid slot model, adjusted offers and scenario with one
 mutation applied: a bad ``k``, ``ctr`` mapping, ctr row or ctr entry, a slot
 outside 1..k, a repeated event id, or a missing or stray per-event key. The
-case then goes through ``SlotModel``, ``value_at_slot``, ``run_first_price``,
-``run_second_price`` and ``run_scenario``. Only ``ValueError`` subclasses may
-escape, and the call that owns the broken rule must reject it.
+mutated ad first goes through the per-offer chain (``expected_value``,
+``total_expected_charge``, ``is_feasible``, ``build_plan`` under each
+strategy, ``adjust_general``, ``validate_plan``) with a charge schedule keyed
+to its events; the case then goes through ``SlotModel``, ``value_at_slot``,
+``run_first_price``, ``run_second_price`` and ``run_scenario``. Only
+``ValueError`` subclasses may escape, and the call that owns the broken rule
+must reject it: a per-offer call that reads the broken mapping raises
+``KeyMismatchError`` and one that does not read it returns.
 """
 
 import math
@@ -35,8 +40,8 @@ def _events(p_click: float, p_custom: float | None) -> tuple[ux.EventSpec, ...]:
 
 @st.composite
 def cases(draw, mutation):
-    """(k, ctr, slot, offers, adjusted offers, charges, index of the mutated ad)
-    with ``mutation`` applied."""
+    """(k, ctr, slot, offers, adjusted offers, charges, index of the mutated ad,
+    charges keyed to its events) with ``mutation`` applied."""
     k = draw(st.integers(1, 4))
     ads = ADS[: draw(st.integers(1, len(ADS)))]
     events = {ad: _events(draw(unit), draw(st.none() | unit)) for ad in ads}
@@ -49,6 +54,7 @@ def cases(draw, mutation):
     at = draw(st.integers(0, len(ads) - 1))
 
     ad = ads[at]
+    keyed_charges = ux.ChargeSchedule({e.event_id: draw(money) for e in events[ad]})
     if mutation == "k":
         k = draw(st.sampled_from([True, False, float(k), k + 0.5, str(k), None]))
     elif mutation == "ctr":
@@ -75,7 +81,7 @@ def cases(draw, mutation):
         for a in ads
     ]
     charges = ux.ChargeSchedule(draw(st.sampled_from([{}, {"view": 0.01}, {"click": 0.1}])))
-    return k, rows, slot, offers, adjusted, charges, at
+    return k, rows, slot, offers, adjusted, charges, at, keyed_charges
 
 
 def _rejection(call) -> type | None:
@@ -92,7 +98,28 @@ def _rejection(call) -> type | None:
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_malformed_library_input_gives_only_value_errors(mutation, data):
-    k, rows, slot, offers, adjusted, charges, at = data.draw(cases(mutation))
+    k, rows, slot, offers, adjusted, charges, at, keyed_charges = data.draw(cases(mutation))
+
+    offer = offers[at]
+    plan = ux.shift_identity(keyed_charges)
+    # name: (the per-event mapping the call reads, the call). "bids" calls read
+    # the offer's bids over its events, "charges" calls only the charges over
+    # the events (the view target has probability 1), and identity no event set.
+    chain = {
+        "expected_value": ("bids", lambda: ux.expected_value(offer.bids, offer.events)),
+        "total_expected_charge": ("charges", lambda: ux.total_expected_charge(keyed_charges, offer.events)),
+        "is_feasible": ("bids", lambda: ux.is_feasible(offer, keyed_charges)),
+        "build_plan identity": (None, lambda: ux.build_plan("identity", offer, keyed_charges)),
+        "build_plan single:view": ("charges", lambda: ux.build_plan("single:view", offer, keyed_charges)),
+        "build_plan proportional": ("bids", lambda: ux.build_plan("proportional", offer, keyed_charges)),
+        "adjust_general": ("bids", lambda: ux.adjust_general(offer, plan)),
+        "validate_plan": ("bids", lambda: ux.validate_plan(plan, keyed_charges, offer)),
+    }
+    # a repeated event id breaks every mapping keyed to the events; a missing or stray key only the bids
+    broken = {"repeat": {"bids", "charges"}, "missing": {"bids"}, "stray": {"bids"}}.get(mutation, set())
+    assert {name: _rejection(call) for name, (_, call) in chain.items()} == {
+        name: KeyMismatchError if reads in broken else None for name, (reads, _) in chain.items()
+    }
 
     try:
         slots = SlotModel(k, rows)

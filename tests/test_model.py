@@ -122,6 +122,7 @@ UNBID = ux.Offer("x", ux.PriceType.HYBRID, two_events(0.3), {"view": 0.1})
     [
         pytest.param(entry, args, what, id=entry.__name__)
         for entry, args, what in [
+            (ux.expected_value, (KEYED, REPEAT), "bids"),
             (ux.adjust_general, (OFFER, PLAN), "offer bids"),
             (ux.is_feasible, (OFFER, CHARGES), "charge schedule"),
             (ux.total_expected_charge, (CHARGES, REPEAT), "charge schedule"),

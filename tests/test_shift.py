@@ -169,13 +169,12 @@ def test_validate_plan_enforces_bid_cap_when_asked():
 def test_every_strategy_preserves_expected_charge(offer_charges):
     offer, charges = offer_charges
     total = total_expected_charge(charges, offer.events)
-    probs = offer.probabilities
 
     plans = [shift_identity(charges)]
-    positive = [eid for eid in offer.event_ids if probs[eid] > 0.0]
+    positive = [e.event_id for e in offer.events if e.probability > 0.0]
     if positive:
         plans.append(shift_single_event(charges, offer.events, positive[-1]))
-    chargeable = {eid for eid in offer.event_ids if offer.bids[eid] * probs[eid] > 0.0}
+    chargeable = {e.event_id for e in offer.events if offer.bids[e.event_id] * e.probability > 0.0}
     if chargeable:
         plans.append(shift_proportional(charges, offer, chargeable))
 
@@ -186,8 +185,7 @@ def test_every_strategy_preserves_expected_charge(offer_charges):
 @given(offers_with_charges(feasible=True))
 def test_feasible_instances_admit_capped_plans(offer_charges):
     offer, charges = offer_charges
-    probs = offer.probabilities
-    chargeable = {eid for eid in offer.event_ids if offer.bids[eid] * probs[eid] > 0.0}
+    chargeable = {e.event_id for e in offer.events if offer.bids[e.event_id] * e.probability > 0.0}
     assert is_feasible(offer, charges)
     if not chargeable:
         # zero expected value forces zero expected charge; the zero plan works
@@ -202,13 +200,12 @@ def test_feasible_instances_admit_capped_plans(offer_charges):
 def test_infeasible_instances_reject_every_strategy(offer_charges):
     offer, charges = offer_charges
     assert not is_feasible(offer, charges)
-    probs = offer.probabilities
 
     plans = [shift_identity(charges)]
-    positive = [eid for eid in offer.event_ids if probs[eid] > 0.0]
+    positive = [e.event_id for e in offer.events if e.probability > 0.0]
     if positive:
         plans.append(shift_single_event(charges, offer.events, positive[0]))
-    chargeable = {eid for eid in offer.event_ids if offer.bids[eid] * probs[eid] > 0.0}
+    chargeable = {e.event_id for e in offer.events if offer.bids[e.event_id] * e.probability > 0.0}
     if chargeable:
         plans.append(shift_proportional(charges, offer, chargeable))
 
