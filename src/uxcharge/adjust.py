@@ -16,7 +16,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .model import AdjustedOffer, EventSpec, Offer, ShiftPlan, expected_sum, require_same_keys
+from .model import (
+    AdjustedOffer,
+    EventSpec,
+    Offer,
+    ShiftPlan,
+    expected_sum,
+    fold_expected,
+    require_same_keys,
+)
 
 
 def adjust_cpc_view(b: float, p: float, v: float) -> float:
@@ -58,13 +66,14 @@ def adjust_general(offer: Offer, plan: ShiftPlan) -> AdjustedOffer:
     satisfies adjusted[i] == bids[i] - shifted[i] exactly and carries the
     ``expected_value`` of the adjusted bids over the offer's events.
     """
-    ids = offer.event_ids
-    require_same_keys(ids, offer.bids, "offer bids")
-    require_same_keys(ids, plan.shifted, "shift plan")
-    adjusted = {eid: offer.bids[eid] - plan.shifted[eid] for eid in ids}
+    ids, bids, shifted = offer.event_ids, offer.bids, plan.shifted
+    require_same_keys(ids, bids, "offer bids")
+    require_same_keys(ids, shifted, "shift plan")
+    # keyed to the events by construction, since the bids are
+    adjusted = {eid: bids[eid] - shifted[eid] for eid in ids}
     return AdjustedOffer(
         ad_id=offer.ad_id,
         events=offer.events,
         adjusted=adjusted,
-        expected_value=expected_value(adjusted, offer.events),
+        expected_value=fold_expected(adjusted, offer.events),
     )

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import attrgetter, is_, not_
+from itertools import compress, repeat
+from operator import attrgetter, is_, is_not, not_
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,6 +44,7 @@ SECOND_PRICE = "second"
 
 _AD_ID = attrgetter("ad_id")
 _ADJUSTED = attrgetter("adjusted")
+_EVENT_ID = attrgetter("event_id")
 _KIND = attrgetter("kind")
 _PROBABILITY = attrgetter("probability")
 
@@ -126,13 +127,13 @@ def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> f
     Raises KeyMismatchError, naming the ad, for adjusted bids not keyed to their
     events, and ScenarioError, from ``SlotModel.click_probability``, for a slot
     not in 1..k."""
-    ids = [e.event_id for e in offer.events]
-    require_same_keys(ids, offer.adjusted, f"offer '{offer.ad_id}': adjusted bids")
+    events, adjusted = offer.events, offer.adjusted
+    require_same_keys(tuple(map(_EVENT_ID, events)), adjusted, f"offer '{offer.ad_id}': adjusted bids")
     override = slots.click_probability(offer.ad_id, slot) if slots else None
     total = 0.0
-    for ev in offer.events:
+    for ev in events:
         p = override if (override is not None and ev.kind is EventKind.CLICK) else ev.probability
-        total += offer.adjusted[ev.event_id] * p
+        total += adjusted[ev.event_id] * p
     return total
 
 
@@ -156,9 +157,10 @@ def run_second_price(
 
 @np.errstate(over="ignore", invalid="ignore")  # _run rejects non-finite values
 def _slot_values(
-    offers: Sequence[AdjustedOffer], slots: SlotModel | None, columns: Sequence[int]
+    offers: Sequence[AdjustedOffer], ad_ids: list[str], slots: SlotModel | None, columns: Sequence[int]
 ) -> np.ndarray:
-    """``value_at_slot`` of every offer in each 1-based slot of ``columns``: a row per slot.
+    """``value_at_slot`` of every offer, whose ids are ``ad_ids``, in each 1-based
+    slot of ``columns``: a row per slot.
 
     Each value is a left-to-right fold over the offer's events in declared
     order, with every click event's probability replaced by the ad's ctr row
@@ -169,17 +171,16 @@ def _slot_values(
     bids, keyed = event_bids(list(map(_ADJUSTED, offers)), ids, widths)
     for offer in compress(offers, map(not_, keyed)):
         value_at_slot(offer, None, 1)  # raises KeyMismatchError, naming the ad
-    ctr = slots.ctr if slots else {}
-    rows = list(map(ctr.get, map(_AD_ID, offers)))
-    # the kind whose probability an ad's ctr row replaces: none without a row
-    replaced = [None if row is None else EventKind.CLICK for row in rows]
-    clicks = map(is_, map(_KIND, events), chain.from_iterable(map(repeat, replaced, widths)))
+    rows = list(map((slots.ctr if slots else {}).get, ad_ids))
+    has_row = np.fromiter(map(is_not, rows, repeat(None)), dtype=bool, count=len(rows))
+    # each slot's ctr entry of each ad; 0.0, never read, for an ad without a row
+    R = np.array([0.0 if row is None else row[j - 1] for j in columns for row in rows], dtype=float)
+    clicks = np.fromiter(map(is_, map(_KIND, events), repeat(EventKind.CLICK)), dtype=bool, count=len(events))
     B = padded(np.array(bids, dtype=float), widths)
     P = padded(np.fromiter(map(_PROBABILITY, events), dtype=float, count=len(events)), widths)
-    C = padded(np.fromiter(clicks, dtype=bool, count=len(events)), widths)
-    R = np.array([0.0 if row is None else row[j - 1] for j in columns for row in rows], dtype=float)
-    terms = B * np.where(C, R.reshape(len(columns), len(offers), 1), P)  # slot x offer x event
-    return fold_columns(terms)
+    # the probability of each slot, offer and event: the ctr entry where it replaces the declared one
+    Q = np.where(padded(clicks, widths) & has_row[:, None], R.reshape(len(columns), len(rows), 1), P)
+    return fold_columns(np.multiply(B, Q, out=Q))
 
 
 def _run(
@@ -200,7 +201,8 @@ def _run(
 
     # Offers whose expected impact exceeds their value never enter the ranking.
     # Offers stay in ad_id order, so the first of equal values is the tie-break.
-    remaining = sorted((o for o in offers if o.expected_value >= 0.0), key=_AD_ID)
+    remaining = [o for o in offers if o.expected_value >= 0.0]
+    remaining.sort(key=_AD_ID)
     ad_ids = list(map(_AD_ID, remaining))
     repeated = {a for a, b in zip(ad_ids, ad_ids[1:]) if a == b}
     if repeated:
@@ -211,9 +213,10 @@ def _run(
     k = slots.k if slots else 1
     filled = min(k, len(remaining))
     columns = [*range(1, filled + 1)] + ([k] if filled < k else [])
-    values = _slot_values(remaining, slots, columns)
-    broken = [ad_ids[i] for i in np.flatnonzero(~np.isfinite(values).all(axis=0))]
-    if broken:
+    values = _slot_values(remaining, ad_ids, slots, columns)
+    finite = np.isfinite(values)
+    if not finite.all():
+        broken = [ad_ids[i] for i in np.flatnonzero(~finite.all(axis=0))]
         raise ScenarioError([f"offer '{ad_id}': value in a slot is not finite" for ad_id in broken])
 
     winners: list[SlotAward] = []
@@ -232,7 +235,7 @@ def _run(
             theta = 1.0
         else:
             # competitors only; with none left the reserve prices the slot
-            next_value = max(float(live.max()), reserve)
+            next_value = max(float(live[live.argmax()]), reserve)
             theta = next_value / own_value if own_value > 0.0 else 0.0
 
         prices = {e.event_id: theta * winner.adjusted[e.event_id] for e in winner.events}
@@ -248,7 +251,9 @@ def _run(
 
     ranking = [(w.ad_id, w.value) for w in winners]
     # Placed offers sort last; ties stay in ad_id order.
-    left = np.argsort(-values[-1], kind="stable")[: len(remaining) - len(winners)]
-    ranking.extend(zip([ad_ids[i] for i in left.tolist()], values[-1, left].tolist()))
+    last = values[-1]
+    left = np.argsort(-last, kind="stable")[: len(remaining) - len(winners)].tolist()
+    value = last.tolist()
+    ranking.extend([(ad_ids[i], value[i]) for i in left])
 
     return AuctionOutcome(pricing_rule=rule, ranking=tuple(ranking), winners=tuple(winners))

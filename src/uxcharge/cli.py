@@ -340,6 +340,12 @@ def _excluded(records: list[dict]) -> list[dict]:
 
 
 def cmd_adjust(args: argparse.Namespace) -> int:
+    # the scenario is parsed inside, so it is freed before the report is written
+    _emit(dumps_canonical(_adjust_document(args)), args.output)
+    return EXIT_OK
+
+
+def _adjust_document(args: argparse.Namespace) -> dict:
     config = replace(parse_scenario_doc(_load_scenario(args.input)), strategy=args.strategy)
     records, _ = prepare(config)
     adjusted = [
@@ -353,14 +359,12 @@ def cmd_adjust(args: argparse.Namespace) -> int:
         for offer, record in zip(config.offers, records)
         if not record["excluded"]
     ]
-    document = {
+    return {
         "format_version": FORMAT_VERSION,
         "strategy": args.strategy,
         "adjusted": adjusted,
         "excluded": _excluded(records),
     }
-    _emit(dumps_canonical(document), args.output)
-    return EXIT_OK
 
 
 def _adjusted_offer(record: Mapping) -> AdjustedOffer:
@@ -413,6 +417,12 @@ def _read_adjust_document(doc: Mapping, strategy: str) -> tuple[tuple[AdjustedOf
 
 
 def cmd_auction(args: argparse.Namespace) -> int:
+    # the input is read inside, so it is freed before the report is written
+    _emit(dumps_canonical(_auction_document(args)), args.output)
+    return EXIT_OK
+
+
+def _auction_document(args: argparse.Namespace) -> dict:
     doc = _load_scenario(args.input)
     if isinstance(doc, Mapping) and "adjusted" in doc:
         offers, excluded = _read_adjust_document(doc, args.strategy)
@@ -426,7 +436,7 @@ def cmd_auction(args: argparse.Namespace) -> int:
         excluded = _excluded(records)
 
     outcome = run_auction(offers, config.pricing_rule, config.slots, config.reserve)
-    document = {
+    return {
         "format_version": FORMAT_VERSION,
         "pricing_rule": outcome.pricing_rule,
         "ranking": [[ad_id, value] for ad_id, value in outcome.ranking],
@@ -442,8 +452,6 @@ def cmd_auction(args: argparse.Namespace) -> int:
         ],
         "excluded": excluded,
     }
-    _emit(dumps_canonical(document), args.output)
-    return EXIT_OK
 
 
 _CSV_COLUMNS = (
@@ -469,13 +477,15 @@ def _write_csv(report: Mapping, path: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = replace(
-        _market(args, parse_scenario_doc(_load_scenario(args.input))),
-        model=OutcomeModel(args.model),
-        trials=args.trials,
-        seed=args.seed,
+    # the scenario lives only for the run, so it is freed before the report is written
+    report = run_scenario(
+        replace(
+            _market(args, parse_scenario_doc(_load_scenario(args.input))),
+            model=OutcomeModel(args.model),
+            trials=args.trials,
+            seed=args.seed,
+        )
     )
-    report = run_scenario(config)
     _emit(dumps_canonical(report), args.output)
     if args.csv:
         _write_csv(report, args.csv)

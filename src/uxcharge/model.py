@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from operator import attrgetter, methodcaller
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -41,8 +41,9 @@ def approx_eq(x: float, y: float) -> bool:
 def fold_sum(values: Iterable[float]) -> float:
     """Sum floats strictly left to right.
 
-    Every float sum in the pipeline goes through here or ``fold_columns``,
-    over an offer's events in declared order. Builtin ``sum()`` compensates
+    Every float sum in the pipeline is such a fold from 0.0, over an offer's
+    events in declared order: this one, the loop of ``expected_sum`` or
+    ``fold_expected``, or ``fold_columns``. Builtin ``sum()`` compensates
     rounding from Python 3.12 on, and ``np.sum``, ``@`` and ``dot`` reorder
     the additions by numpy version and BLAS/SIMD dispatch; none is used.
     """
@@ -72,7 +73,6 @@ def fold_columns(x: np.ndarray) -> np.ndarray:
 
 _EVENTS = attrgetter("events")
 _EVENT_ID = attrgetter("event_id")
-_VALUES = methodcaller("values")
 
 
 def flat_events(offers: Sequence[Offer | AdjustedOffer]) -> tuple[list[EventSpec], list[str], list[int]]:
@@ -93,7 +93,7 @@ def event_bids(
     """
     if list(map(len, bid_maps)) == widths and list(chain.from_iterable(bid_maps)) == ids:
         # every mapping's keys are its offer's event ids in order, so those are unique
-        return list(chain.from_iterable(map(_VALUES, bid_maps))), [True] * len(bid_maps)
+        return [amount for bid_map in bid_maps for amount in bid_map.values()], [True] * len(bid_maps)
     amounts: list = []
     found: list[bool] = []
     start = 0
@@ -174,7 +174,7 @@ class Offer:
 
     @property
     def event_ids(self) -> tuple[str, ...]:
-        return tuple(e.event_id for e in self.events)
+        return tuple(map(_EVENT_ID, self.events))
 
 
 @dataclass(frozen=True)
@@ -245,8 +245,11 @@ class Settlement:
 
 def keyed(ids: Sequence[str], mapping: Mapping) -> bool:
     """Whether ``mapping`` is keyed to the event set ``ids``: its keys are
-    exactly the ids, and no id repeats, so each event counts once."""
-    return len(mapping) == len(ids) and mapping.keys() == set(ids)
+    exactly the ids, and no id repeats, so each event counts once.
+
+    Keys in the ids' own order pass at once: a mapping's keys never repeat.
+    """
+    return len(mapping) == len(ids) and (tuple(mapping) == tuple(ids) or mapping.keys() == set(ids))
 
 
 def require_same_keys(reference: Sequence[str], mapping: Mapping[str, float], what: str) -> None:
@@ -271,8 +274,26 @@ def expected_sum(amounts: Mapping[str, float], events: Sequence[EventSpec], what
     """Sum of amount * probability over ``events``, folded in declared order, with
     ``amounts`` keyed to the events (``require_same_keys``, prefixed with ``what``):
     an ad's expected charge, offer value, shifted total or adjusted value."""
-    require_same_keys(list(map(_EVENT_ID, events)), amounts, what)
-    return fold_sum(amounts[e.event_id] * e.probability for e in events)
+    total = 0.0
+    if len(amounts) == len(events):
+        # keys in event order are keyed (``keyed``'s first case): check and fold in one pass
+        for (key, amount), event in zip(amounts.items(), events):
+            if key != event.event_id:
+                break
+            total += amount * event.probability
+        else:
+            return total
+    require_same_keys(tuple(map(_EVENT_ID, events)), amounts, what)
+    return fold_expected(amounts, events)
+
+
+def fold_expected(amounts: Mapping[str, float], events: Sequence[EventSpec]) -> float:
+    """``expected_sum`` of ``amounts`` already keyed to ``events``: the products
+    folded left to right from 0.0, the additions ``fold_sum`` makes."""
+    total = 0.0
+    for e in events:
+        total += amounts[e.event_id] * e.probability
+    return total
 
 
 def event_set_issues(events: Sequence[EventSpec]) -> list[str]:

@@ -40,16 +40,14 @@ def settle_general(
     ``realized`` maps event ids to 0/1 indicators; all three collections must
     share the same keys. The total is summed in the key order of ``prices``.
     """
-    ids = tuple(prices)
-    require_same_keys(ids, plan.shifted, "shift plan")
+    ids, shifted = tuple(prices), plan.shifted
+    require_same_keys(ids, shifted, "shift plan")
     require_same_keys(ids, realized, "realized events")
     for eid, flag in realized.items():
         if flag not in (0, 1):
             raise ValueError(f"realized indicator for '{eid}' must be 0 or 1, got {flag!r}")
 
-    line_items = {
-        eid: (prices[eid] + plan.shifted[eid]) * realized[eid] for eid in prices
-    }
+    line_items = {eid: (prices[eid] + shifted[eid]) * realized[eid] for eid in ids}
     return Settlement(
         ad_id=ad_id,
         realized=dict(realized),

@@ -20,6 +20,7 @@ nothing to the identity and a charge on them is uncollectable in expectation.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import attrgetter
 
 from .adjust import expected_value
 from .model import (
@@ -34,6 +35,8 @@ from .model import (
     fold_sum,
     require_same_keys,
 )
+
+_EVENT_ID = attrgetter("event_id")
 
 
 def total_expected_charge(charges: ChargeSchedule, events: tuple[EventSpec, ...]) -> float:
@@ -65,17 +68,18 @@ def shift_single_event(
     d_target = sum(c_i * p_i) / p_target, zero elsewhere. The target must
     have positive probability or the charge can never be collected.
     """
-    ids = tuple(e.event_id for e in events)
-    if target not in ids:
+    for event in events:
+        if event.event_id == target:
+            break
+    else:
         raise KeyMismatchError(f"target event '{target}' not in the event set")
-    p_target = next(e.probability for e in events if e.event_id == target)
-    if p_target <= 0.0:
+    if event.probability <= 0.0:
         raise ValueError(
             f"cannot shift charges onto '{target}': event probability is zero"
         )
     total = total_expected_charge(charges, events)
-    shifted = {eid: 0.0 for eid in ids}
-    shifted[target] = total / p_target
+    shifted = dict.fromkeys(map(_EVENT_ID, events), 0.0)
+    shifted[target] = total / event.probability
     return ShiftPlan(shifted=shifted, strategy=f"single:{target}")
 
 

@@ -48,6 +48,7 @@ from .model import (
     PriceType,
     ScenarioError,
     ShiftPlan,
+    brief,
     event_bids,
     flat_events,
     fold_columns,
@@ -334,8 +335,9 @@ class ScenarioConfig:
 def _parse_strategy(strategy: str) -> tuple[str, str | None]:
     if strategy == "identity" or strategy == "proportional":
         return strategy, None
-    if strategy.startswith("single:") and strategy.split(":", 1)[1]:
-        return "single", strategy.split(":", 1)[1]
+    target = strategy[len("single:"):] if strategy.startswith("single:") else ""
+    if target:
+        return "single", target
     raise ValueError(
         f"unknown strategy {strategy!r}; expected identity, single:<event>, or proportional"
     )
@@ -445,6 +447,11 @@ def _offer_issues(config: ScenarioConfig, clean: list[bool]) -> list[str]:
     return issues
 
 
+def _is_int(value: object) -> bool:
+    """An int and not a bool, as trials and seed must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_scenario(config: ScenarioConfig) -> list[str]:
     """Itemize every configuration problem; an empty list means runnable.
 
@@ -457,12 +464,18 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     issues: list[str] = []
 
     issues.extend(pricing_rule_issues(config.pricing_rule))
-    if config.trials < 1:
+    if not _is_int(config.trials):
+        issues.append(f"trials must be an integer, got {brief(config.trials)}")
+    elif config.trials < 1:
         issues.append(f"trials must be >= 1, got {config.trials}")
     elif config.trials > TRIALS_LIMIT:
         issues.append(f"trials must be <= {TRIALS_LIMIT}, got {config.trials}")
-    if config.seed < 0:
+    if not _is_int(config.seed):
+        issues.append(f"seed must be an integer, got {brief(config.seed)}")
+    elif config.seed < 0:
         issues.append(f"seed must be >= 0, got {config.seed}")
+    if not isinstance(config.model, OutcomeModel):
+        issues.append(f"model must be an OutcomeModel, got {brief(config.model)}")
     issues.extend(reserve_issues(config.reserve))
 
     try:
@@ -512,10 +525,11 @@ def build_plan(strategy: str, offer: Offer, charges: ChargeSchedule) -> ShiftPla
         return shift_identity(charges)
     if kind == "single":
         return shift_single_event(charges, offer.events, target)
-    require_same_keys(offer.event_ids, offer.bids, "offer bids")
-    chargeable = {e.event_id for e in offer.events if offer.bids[e.event_id] * e.probability > 0.0}
+    ids, bids = offer.event_ids, offer.bids
+    require_same_keys(ids, bids, "offer bids")
+    chargeable = {e.event_id for e in offer.events if bids[e.event_id] * e.probability > 0.0}
     if not chargeable:
-        return ShiftPlan(shifted={eid: 0.0 for eid in offer.event_ids}, strategy="proportional")
+        return ShiftPlan(shifted=dict.fromkeys(ids, 0.0), strategy="proportional")
     return shift_proportional(charges, offer, chargeable)
 
 

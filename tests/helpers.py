@@ -14,6 +14,7 @@ import uxcharge as ux
 from uxcharge.auction import pricing_rule_issues, reserve_issues
 from uxcharge.cli import _header_issues, parse_scenario_doc
 from uxcharge.model import (
+    brief,
     charges_from_dict,
     event_from_dict,
     number,
@@ -173,6 +174,24 @@ def scalar_prepare(config: ux.ScenarioConfig):
     return records, included
 
 
+def reference_keyed(ids, mapping) -> bool:
+    """``model.keyed`` without its ordered fast path: the length and set rule alone."""
+    return len(mapping) == len(ids) and mapping.keys() == set(ids)
+
+
+def reference_require_same_keys(reference, mapping, what) -> None:
+    """``model.require_same_keys`` over ``reference_keyed``, its messages spelled out."""
+    if reference_keyed(reference, mapping):
+        return
+    repeated = sorted({k for k in reference if reference.count(k) > 1})
+    if repeated:
+        raise ux.KeyMismatchError(f"{what}: event ids repeat in the event set: {repeated}")
+    missing = sorted(k for k in reference if k not in mapping)
+    extra = sorted(k for k in mapping if k not in reference)
+    parts = ([f"missing {missing}"] if missing else []) + ([f"unknown {extra}"] if extra else [])
+    raise ux.KeyMismatchError(f"{what} not keyed to the event set: {', '.join(parts)}")
+
+
 def reference_parse(doc) -> ux.ScenarioConfig:
     """``cli.parse_scenario_doc`` with no inline path: ``offer_from_dict`` for
     every offer; ``k`` and the ctr rows go to ``SlotModel`` as read, as there."""
@@ -215,12 +234,18 @@ def reference_validate(config: ux.ScenarioConfig) -> list[str]:
     issues: list[str] = []
 
     issues.extend(pricing_rule_issues(config.pricing_rule))
-    if config.trials < 1:
+    if isinstance(config.trials, bool) or not isinstance(config.trials, int):
+        issues.append(f"trials must be an integer, got {brief(config.trials)}")
+    elif config.trials < 1:
         issues.append(f"trials must be >= 1, got {config.trials}")
     elif config.trials > TRIALS_LIMIT:
         issues.append(f"trials must be <= {TRIALS_LIMIT}, got {config.trials}")
-    if config.seed < 0:
+    if isinstance(config.seed, bool) or not isinstance(config.seed, int):
+        issues.append(f"seed must be an integer, got {brief(config.seed)}")
+    elif config.seed < 0:
         issues.append(f"seed must be >= 0, got {config.seed}")
+    if config.model not in tuple(ux.OutcomeModel):
+        issues.append(f"model must be an OutcomeModel, got {brief(config.model)}")
     issues.extend(reserve_issues(config.reserve))
 
     try:

@@ -172,6 +172,14 @@ def test_simulate_stdout_matches_file_output(tmp_path, capsys):
     assert out == out_file.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "1.5"), ("--seed", "true"), ("--trials", "2.5"), ("--model", "chain")])
+def test_simulate_refuses_a_mistyped_run_flag_at_the_command_line(flag, value, tmp_path, capsys):
+    # argparse types the run flags, so validate_scenario's type checks never see the CLI's input
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    detail = _one_diagnostic(*run_cli(["simulate", path, flag, value], capsys))
+    assert detail.startswith(f"argument {flag}: invalid ")
+
+
 def test_simulate_csv_summary(tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
     csv_path = tmp_path / "summary.csv"

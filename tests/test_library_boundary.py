@@ -23,7 +23,7 @@ import uxcharge as ux
 from uxcharge.model import KeyMismatchError, fold_sum
 from uxcharge.auction import SlotModel, run_first_price, run_second_price, value_at_slot
 
-from helpers import money, unit
+from helpers import hexed, money, offers_with_charges, unit
 
 ADS = ("a", "b", "c", "d")
 SLOT_MODEL_RULES = ("k", "ctr", "row", "entry")
@@ -143,3 +143,46 @@ def test_malformed_library_input_gives_only_value_errors(mutation, data):
         "run_second_price": _rejection(lambda: run_second_price(adjusted, slots)),
         "run_scenario": _rejection(lambda: ux.run_scenario(config)),
     } == expected
+
+
+def _shuffled(draw, mapping):
+    """``mapping`` as a dict with its keys in an order drawn at random."""
+    return dict(draw(st.permutations(list(mapping.items()))))
+
+
+def _by_key(mapping):
+    return hexed(dict(sorted(mapping.items())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_per_offer_calls_give_the_same_bits_in_any_key_order(data):
+    """The key check accepts mappings in event order at once and compares sets
+    otherwise; either way every per-offer call reads them the same."""
+    draw = data.draw
+    offer, charges = draw(offers_with_charges())
+    shuffled = ux.Offer(offer.ad_id, offer.price_type, offer.events, _shuffled(draw, offer.bids))
+    shuffled_charges = ux.ChargeSchedule(_shuffled(draw, charges.charges))
+    assert ux.is_feasible(offer, charges) is ux.is_feasible(shuffled, shuffled_charges)
+    k = draw(st.integers(1, 3))
+    slots = SlotModel(k, {offer.ad_id: sorted(draw(st.lists(unit, min_size=k, max_size=k)), reverse=True)})
+    for strategy in ("identity", "single:view", "proportional"):
+        plan = ux.build_plan(strategy, offer, charges)
+        assert _by_key(ux.build_plan(strategy, shuffled, shuffled_charges).shifted) == _by_key(plan.shifted)
+
+        shuffled_plan = ux.ShiftPlan(_shuffled(draw, plan.shifted), plan.strategy)
+        adjusted = ux.adjust_general(offer, plan)
+        again = ux.adjust_general(shuffled, shuffled_plan)
+        assert hexed(again.adjusted) == hexed(adjusted.adjusted)  # built in event order
+        assert hexed(again.expected_value) == hexed(adjusted.expected_value)
+
+        # prices set the order of the line items and of the total's fold
+        realized = {eid: draw(st.sampled_from([0, 1])) for eid in offer.event_ids}
+        settled = ux.settle_general(adjusted.adjusted, plan, realized)
+        resettled = ux.settle_general(adjusted.adjusted, shuffled_plan, _shuffled(draw, realized))
+        assert hexed(resettled.line_items) == hexed(settled.line_items)
+        assert hexed(resettled.total) == hexed(settled.total)
+
+        reordered = ux.AdjustedOffer(offer.ad_id, offer.events, _shuffled(draw, adjusted.adjusted), 0.0)
+        for slot in range(1, k + 1):
+            assert hexed(value_at_slot(reordered, slots, slot)) == hexed(value_at_slot(adjusted, slots, slot))

@@ -4,11 +4,12 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import uxcharge as ux
-from uxcharge.model import approx_eq, offer_from_dict, offer_to_dict
+from uxcharge.model import approx_eq, keyed, offer_from_dict, offer_to_dict, require_same_keys
 
-from helpers import cpc_offer, offers, two_events
+from helpers import cpc_offer, offers, reference_keyed, reference_require_same_keys, two_events
 
 
 def test_canonical_cpc_offer_is_valid():
@@ -194,3 +195,56 @@ def test_offer_from_dict_defaults_missing_bids_to_zero():
 )
 def test_approx_eq_lets_an_infinity_agree_only_with_itself(x, y, expected):
     assert approx_eq(x, y) is expected
+
+
+NAMES = ("view", "click", "conv", "a", "b", "c")
+
+
+@st.composite
+def ids_and_mappings(draw):
+    """An id list or tuple, with or without repeats, and a mapping over those ids
+    in their own order, permuted, or with a key missing, a stray key, or both."""
+    ids = draw(st.lists(st.sampled_from(NAMES), max_size=5))
+    keys = list(dict.fromkeys(ids))
+    if draw(st.booleans()):
+        keys = draw(st.permutations(keys))
+    if keys and draw(st.booleans()):
+        del keys[draw(st.integers(0, len(keys) - 1))]
+    if draw(st.booleans()):
+        keys.insert(draw(st.integers(0, len(keys))), draw(st.sampled_from(("ghost", "x", *NAMES))))
+    mapping = {key: 0.5 for key in keys}
+    return draw(st.sampled_from([list, tuple]))(ids), mapping
+
+
+def _message(check, *args):
+    try:
+        check(*args)
+    except ux.KeyMismatchError as exc:
+        return str(exc)
+    return None
+
+
+@given(ids_and_mappings())
+def test_keyed_and_require_same_keys_agree_with_the_length_and_set_rule(case):
+    ids, mapping = case
+    assert keyed(ids, mapping) is reference_keyed(ids, mapping)
+    assert _message(require_same_keys, ids, mapping, "bids") == _message(
+        reference_require_same_keys, ids, mapping, "bids"
+    )
+
+
+@pytest.mark.parametrize(
+    "ids, mapping, expected",
+    [
+        (("view", "click"), {"view": 0.0, "click": 1.0}, None),
+        (("view", "click"), {"click": 1.0, "view": 0.0}, None),
+        (["view", "click"], {"click": 1.0, "view": 0.0}, None),
+        (("view", "click", "click"), {"view": 0.0, "click": 1.0}, "bids: event ids repeat in the event set: ['click']"),
+        (("view", "click"), {"view": 0.0}, "bids not keyed to the event set: missing ['click']"),
+        (("view",), {"view": 0.0, "z": 1.0, "y": 1.0}, "bids not keyed to the event set: unknown ['y', 'z']"),
+        (("view", "click"), {"view": 0.0, "ghost": 1.0}, "bids not keyed to the event set: missing ['click'], unknown ['ghost']"),
+    ],
+)
+def test_require_same_keys_messages(ids, mapping, expected):
+    assert _message(require_same_keys, ids, mapping, "bids") == expected
+    assert keyed(ids, mapping) is (expected is None)

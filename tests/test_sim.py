@@ -35,6 +35,7 @@ from helpers import (
     fold_enumeration,
     fold_monte_carlo,
     money,
+    reference_validate,
     two_events,
 )
 
@@ -592,6 +593,31 @@ def test_run_scenario_raises_scenario_error_with_issues():
     with pytest.raises(ScenarioError) as excinfo:
         run_scenario(config)
     assert any("trials" in issue for issue in excinfo.value.issues)
+
+
+@pytest.mark.parametrize(
+    "field, value, issue",
+    [
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", 1.9, "seed must be an integer, got 1.9"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", None, "seed must be an integer, got None"),
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("trials", True, "trials must be an integer, got True"),
+        ("trials", "100", "trials must be an integer, got '100'"),
+        ("model", "funnel", "model must be an OutcomeModel, got 'funnel'"),
+        ("model", None, "model must be an OutcomeModel, got None"),
+    ],
+)
+def test_a_mistyped_run_flag_is_one_issue(field, value, issue):
+    # seed 1.5 used to draw seed 1's trials and report "seed": 1.5; trials 2.5
+    # raised a numpy TypeError, and model "funnel" an AttributeError at report time
+    config = scenario_config(**{field: value})
+    assert validate_scenario(config) == [issue]
+    assert reference_validate(config) == [issue]
+    with pytest.raises(ScenarioError) as excinfo:
+        run_scenario(config)
+    assert excinfo.value.issues == (issue,)
 
 
 def test_validate_scenario_checks_single_target_per_ad():
