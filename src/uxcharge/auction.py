@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, is_, is_not, not_
 from typing import Mapping, Sequence
 
@@ -32,10 +32,9 @@ from .model import (
     ScenarioError,
     SlotAward,
     brief,
-    event_bids,
-    flat_events,
-    fold_columns,
-    padded,
+    is_finite,
+    is_number,
+    keyed,
     require_same_keys,
 )
 
@@ -44,6 +43,7 @@ SECOND_PRICE = "second"
 
 _AD_ID = attrgetter("ad_id")
 _ADJUSTED = attrgetter("adjusted")
+_EVENTS = attrgetter("events")
 _EVENT_ID = attrgetter("event_id")
 _KIND = attrgetter("kind")
 _PROBABILITY = attrgetter("probability")
@@ -117,9 +117,9 @@ def pricing_rule_issues(rule: str) -> list[str]:
 
 def reserve_issues(reserve: float) -> list[str]:
     """The reserve rule: a finite expected-value floor >= 0; an empty list when it holds."""
-    if math.isfinite(reserve) and reserve >= 0.0:
+    if is_number(reserve) and is_finite(reserve) and reserve >= 0.0:
         return []
-    return [f"reserve must be a finite number >= 0, got {reserve!r}"]
+    return [f"reserve must be a finite number >= 0, got {brief(reserve)}"]
 
 
 def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> float:
@@ -155,6 +155,53 @@ def run_second_price(
     return _run(offers, slots, reserve, SECOND_PRICE)
 
 
+# The auction's layout is the offers x events matrix: row i holds offer i's
+# entries in declared event order, then zeros up to the widest offer, which
+# leave ``fold_columns`` unchanged.
+
+
+def fold_columns(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of ``x``, each taken left to right like
+    ``model.fold_sum``. ``np.sum`` and ``@`` reorder the additions; this
+    column loop keeps the bits of the per-offer fold."""
+    total = np.zeros(x.shape[:-1])
+    for i in range(x.shape[-1]):
+        total += x[..., i]
+    return total
+
+
+def event_bids(
+    bid_maps: Sequence[Mapping[str, float]], ids: list[str], widths: list[int]
+) -> tuple[list, list[bool]]:
+    """The amounts of each mapping in its offer's event order, in one list
+    like ``ids``, and whether each mapping is ``keyed`` to its offer's event
+    ids. A mapping that is not keyed, a repeated event id included, gives zeros.
+    """
+    if list(map(len, bid_maps)) == widths and list(chain.from_iterable(bid_maps)) == ids:
+        # every mapping's keys are its offer's event ids in order, so those are unique
+        return [amount for bid_map in bid_maps for amount in bid_map.values()], [True] * len(bid_maps)
+    amounts: list = []
+    found: list[bool] = []
+    start = 0
+    for bid_map, width in zip(bid_maps, widths):
+        row = ids[start:start + width]
+        start += width
+        found.append(keyed(row, bid_map))
+        amounts += [bid_map[eid] for eid in row] if found[-1] else [0.0] * width
+    return amounts, found
+
+
+def padded(flat: np.ndarray, widths: list[int]) -> np.ndarray:
+    """The offers x events matrix of a flat column: row i holds offer i's
+    ``widths[i]`` entries, then zeros up to the widest offer."""
+    n, width = len(widths), max(widths, default=0)
+    if len(flat) == n * width:
+        return flat.reshape(n, width)
+    matrix = np.zeros((n, width), dtype=flat.dtype)
+    matrix[np.arange(width) < np.array(widths)[:, None]] = flat
+    return matrix
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _run rejects non-finite values
 def _slot_values(
     offers: Sequence[AdjustedOffer], ad_ids: list[str], slots: SlotModel | None, columns: Sequence[int]
@@ -167,7 +214,9 @@ def _slot_values(
     when it has one, exactly as ``value_at_slot`` sums. Raises
     KeyMismatchError, naming the ad, for adjusted bids not keyed to their events.
     """
-    events, ids, widths = flat_events(offers)
+    per_offer = list(map(_EVENTS, offers))
+    events = list(chain.from_iterable(per_offer))  # offer after offer
+    ids, widths = list(map(_EVENT_ID, events)), list(map(len, per_offer))
     bids, keyed = event_bids(list(map(_ADJUSTED, offers)), ids, widths)
     for offer in compress(offers, map(not_, keyed)):
         value_at_slot(offer, None, 1)  # raises KeyMismatchError, naming the ad
@@ -193,9 +242,11 @@ def _run(
 
     Reproduces the slot-by-slot greedy auction that calls ``value_at_slot``
     per offer and slot, bit for bit on finite values; no offers give no winners.
-    Raises ScenarioError on a bad reserve, each repeated ad_id or non-finite slot value.
+    Raises ScenarioError on a bad reserve, each ad_id that is not a string,
+    each repeated ad_id or non-finite slot value.
     """
     issues = reserve_issues(reserve)
+    issues += [f"ad_id must be a string, got {brief(a)}" for a in map(_AD_ID, offers) if not isinstance(a, str)]
     if issues:
         raise ScenarioError(issues)
 

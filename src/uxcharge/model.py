@@ -17,11 +17,9 @@ import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from numbers import Real
 from operator import attrgetter
 from typing import Any
-
-import numpy as np
 
 # Tolerance for money/probability identities checked during validation.
 VALIDATION_TOL = 1e-9
@@ -38,14 +36,29 @@ def approx_eq(x: float, y: float) -> bool:
     return x == y or abs(x - y) <= VALIDATION_TOL * max(1.0, abs(x), abs(y)) < math.inf
 
 
+def is_number(value: object) -> bool:
+    """A real number and not a bool, as every bid, probability, charge and
+    reserve must be; the readers take JSON's ints and floats (``number``)."""
+    return type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
+
+
+def is_finite(value: Real) -> bool:
+    """Whether a number is finite in float range: an int beyond it is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def fold_sum(values: Iterable[float]) -> float:
     """Sum floats strictly left to right.
 
     Every float sum in the pipeline is such a fold from 0.0, over an offer's
-    events in declared order: this one, the loop of ``expected_sum`` or
-    ``fold_expected``, or ``fold_columns``. Builtin ``sum()`` compensates
-    rounding from Python 3.12 on, and ``np.sum``, ``@`` and ``dot`` reorder
-    the additions by numpy version and BLAS/SIMD dispatch; none is used.
+    events in declared order: this one, the loop of ``expected_sum``,
+    ``fold_expected`` or ``sim.prepare``, or the auction's ``fold_columns``.
+    Builtin ``sum()`` compensates rounding from Python 3.12 on, and
+    ``np.sum``, ``@`` and ``dot`` reorder the additions by numpy version and
+    BLAS/SIMD dispatch; none is used.
     """
     total = 0.0
     for x in values:
@@ -53,67 +66,7 @@ def fold_sum(values: Iterable[float]) -> float:
     return total
 
 
-def fold_columns(x: np.ndarray) -> np.ndarray:
-    """Sums over the last axis of ``x``, each taken left to right like ``fold_sum``.
-
-    For a 2-D array these are the row sums. ``np.sum`` and ``@`` reorder the
-    additions; this column loop keeps the bits of the scalar fold, so array
-    and per-offer paths agree exactly. Zero padding at the end of a row
-    leaves its sum unchanged.
-    """
-    total = np.zeros(x.shape[:-1])
-    for i in range(x.shape[-1]):
-        total += x[..., i]
-    return total
-
-
-# The array passes (validation, adjustment, the auction) share one layout, the
-# offers x events matrix: row i holds offer i's entries in declared event order,
-# then zeros up to the widest offer, which leave ``fold_columns`` unchanged.
-
-_EVENTS = attrgetter("events")
 _EVENT_ID = attrgetter("event_id")
-
-
-def flat_events(offers: Sequence[Offer | AdjustedOffer]) -> tuple[list[EventSpec], list[str], list[int]]:
-    """Every offer's events in one list, offer after offer, their ids, and each offer's count."""
-    per_offer = list(map(_EVENTS, offers))
-    events = list(chain.from_iterable(per_offer))
-    return events, list(map(_EVENT_ID, events)), list(map(len, per_offer))
-
-
-def event_bids(
-    bid_maps: Sequence[Mapping[str, float]], ids: list[str], widths: list[int]
-) -> tuple[list, list[bool]]:
-    """The amounts of each mapping (``Offer.bids``, ``AdjustedOffer.adjusted``)
-    in its offer's event order, in one list like ``ids``, and whether each
-    mapping is ``keyed`` to its offer's event ids.
-
-    A mapping that is not keyed, a repeated event id included, gives zeros.
-    """
-    if list(map(len, bid_maps)) == widths and list(chain.from_iterable(bid_maps)) == ids:
-        # every mapping's keys are its offer's event ids in order, so those are unique
-        return [amount for bid_map in bid_maps for amount in bid_map.values()], [True] * len(bid_maps)
-    amounts: list = []
-    found: list[bool] = []
-    start = 0
-    for bid_map, width in zip(bid_maps, widths):
-        row = ids[start:start + width]
-        start += width
-        found.append(keyed(row, bid_map))
-        amounts += [bid_map[eid] for eid in row] if found[-1] else [0.0] * width
-    return amounts, found
-
-
-def padded(flat: np.ndarray, widths: list[int]) -> np.ndarray:
-    """The offers x events matrix of a flat column: row i holds offer i's
-    ``widths[i]`` entries, then zeros up to the widest offer."""
-    n, width = len(widths), max(widths, default=0)
-    if len(flat) == n * width:
-        return flat.reshape(n, width)
-    matrix = np.zeros((n, width), dtype=flat.dtype)
-    matrix[np.arange(width) < np.array(widths)[:, None]] = flat
-    return matrix
 
 
 class KeyMismatchError(ValueError):
@@ -147,6 +100,10 @@ class PriceType(str, Enum):
     CPM = "cpm"
     CPC = "cpc"
     HYBRID = "hybrid"
+
+
+#: The one event kind a CPM or CPC offer may bid on; a hybrid offer may bid on any.
+PAID_KIND = {PriceType.CPM: EventKind.VIEW, PriceType.CPC: EventKind.CLICK, PriceType.HYBRID: None}
 
 
 @dataclass(frozen=True)
@@ -299,8 +256,9 @@ def fold_expected(amounts: Mapping[str, float], events: Sequence[EventSpec]) -> 
 def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
     """Check an event set's invariants; the list of violations is empty when valid.
 
-    Checks: unique event ids, probabilities in [0, 1], and exactly one view
-    event, with probability 1. Scenario offers and ``adjust`` records share it.
+    Checks: unique event ids, probabilities that are numbers in [0, 1], and
+    exactly one view event, with probability 1. Scenario offers and
+    ``adjust`` records share it.
     """
     violations: list[str] = []
 
@@ -311,7 +269,9 @@ def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
         seen.add(ev.event_id)
 
     for ev in events:
-        if not (0.0 <= ev.probability <= 1.0):
+        if not is_number(ev.probability):
+            violations.append(f"probability of '{ev.event_id}' must be a number, got {brief(ev.probability)}")
+        elif not (0.0 <= ev.probability <= 1.0):
             violations.append(
                 f"probability out of range for '{ev.event_id}': {ev.probability!r}"
             )
@@ -322,7 +282,8 @@ def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
     elif len(views) > 1:
         violations.append("more than one view event")
     else:
-        if not approx_eq(views[0].probability, 1.0):
+        p = views[0].probability  # not a number: worded above
+        if is_number(p) and not (is_finite(p) and approx_eq(p, 1.0)):
             violations.append(
                 f"view event must have probability 1, got {views[0].probability!r}"
             )
@@ -332,9 +293,10 @@ def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
 def validate_offer(offer: Offer) -> list[str]:
     """Check every offer invariant; the list of violations is empty when valid.
 
-    Checks: the event set (``event_set_issues``), a finite bid entry (>= 0)
-    for every event and no stray entries, and price-type discipline (CPM
-    bids only on the view event, CPC only on the click event).
+    Checks: the event set (``event_set_issues``), a finite bid entry (a
+    number >= 0) for every event and no stray entries, and the price type, a
+    ``PriceType``, and its discipline (CPM bids only on the view event, CPC
+    only on the click event).
     """
     violations = event_set_issues(offer.events)
 
@@ -346,21 +308,22 @@ def validate_offer(offer: Offer) -> list[str]:
         if key not in ids:
             violations.append(f"bid keyed to unknown event '{key}'")
     for key, amount in offer.bids.items():
-        if not math.isfinite(amount):
-            violations.append(f"non-finite bid on '{key}': {amount!r}")
+        if not is_number(amount):
+            violations.append(f"bid on '{key}' must be a number, got {brief(amount)}")
+        elif not is_finite(amount):
+            violations.append(f"non-finite bid on '{key}': {brief(amount)}")
         elif amount < 0.0:
             violations.append(f"negative bid on '{key}': {amount!r}")
 
     kind_by_id = {e.event_id: e.kind for e in offer.events}
-    if offer.price_type is PriceType.CPM:
-        allowed = EventKind.VIEW
-    elif offer.price_type is PriceType.CPC:
-        allowed = EventKind.CLICK
+    allowed = None
+    if type(offer.price_type) is PriceType:
+        allowed = PAID_KIND[offer.price_type]
     else:
-        allowed = None
+        violations.append(f"price type must be a PriceType, got {brief(offer.price_type)}")
     if allowed is not None:
         for key, amount in offer.bids.items():
-            if amount > 0.0 and kind_by_id.get(key) is not allowed:
+            if is_number(amount) and amount > 0.0 and kind_by_id.get(key) is not allowed:
                 violations.append(
                     f"{offer.price_type.value} offer bids on non-{allowed.value} event '{key}'"
                 )

@@ -28,9 +28,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import attrgetter, eq, is_
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, pricing_rule_issues, 
 from .auction import run_first_price, run_second_price
 from .model import (
     FORMAT_VERSION,
+    PAID_KIND,
     VALIDATION_TOL,
     AdjustedOffer,
     AuctionOutcome,
@@ -49,19 +49,18 @@ from .model import (
     ScenarioError,
     ShiftPlan,
     brief,
-    event_bids,
-    flat_events,
-    fold_columns,
     fold_sum,
-    padded,
+    is_finite,
+    is_number,
     require_same_keys,
     validate_offer,
 )
 from .shift import shift_identity, shift_proportional, shift_single_event
 
 # The per-offer chain is_feasible -> build_plan -> adjust_general stays
-# importable from here: it is the public per-offer API and the reference that
-# prepare's batch pass reproduces bit for bit.
+# importable from here: it is the public per-offer API, the reference that
+# prepare's per-offer loop reproduces bit for bit, and bench/spans.py wraps
+# these bindings.
 from .adjust import adjust_general  # noqa: F401
 from .shift import is_feasible, total_expected_charge  # noqa: F401
 
@@ -131,9 +130,12 @@ def _funnel_chain(
     order; each stage occurs only if the previous one did, with conditional
     probability chosen to reproduce the declared marginal. Custom events stay
     independent. Raises if marginals cannot be reproduced (increasing along
-    the chain, or positive below a zero stage) or a funnel kind repeats.
+    the chain, or positive below a zero stage) or a funnel kind repeats, and
+    ScenarioError if ``model`` is not an ``OutcomeModel``.
     """
     if model is not OutcomeModel.FUNNEL:
+        if model is not OutcomeModel.INDEPENDENT:
+            raise ScenarioError(run_flag_issues(model, 1, 0))
         return [], [], list(range(len(events)))
     by_kind: dict[EventKind, int] = {}
     for idx, ev in enumerate(events):
@@ -231,6 +233,31 @@ def _threshold(q: float) -> int:
     return math.ceil(q * 2.0**53)  # scaling by 2**53 is exact
 
 
+def _is_int(value: object) -> bool:
+    """An int and not a bool, as trials and seed must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def run_flag_issues(model: OutcomeModel, trials: int, seed: int) -> list[str]:
+    """The run flags' rules, an empty list when they hold: trials an int in
+    1..``TRIALS_LIMIT``, seed an int >= 0 and model an ``OutcomeModel``.
+    ``validate_scenario`` and ``monte_carlo_payment`` share them."""
+    issues = []
+    if not _is_int(trials):
+        issues.append(f"trials must be an integer, got {brief(trials)}")
+    elif trials < 1:
+        issues.append(f"trials must be >= 1, got {trials}")
+    elif trials > TRIALS_LIMIT:
+        issues.append(f"trials must be <= {TRIALS_LIMIT}, got {trials}")
+    if not _is_int(seed):
+        issues.append(f"seed must be an integer, got {brief(seed)}")
+    elif seed < 0:
+        issues.append(f"seed must be >= 0, got {seed}")
+    if not isinstance(model, OutcomeModel):
+        issues.append(f"model must be an OutcomeModel, got {brief(model)}")
+    return issues
+
+
 def monte_carlo_payment(
     prices: Mapping[str, float],
     shifted: Mapping[str, float],
@@ -251,10 +278,12 @@ def monte_carlo_payment(
     ``_threshold``. Each trial's charge is a fold over the events' hit
     columns in declared order, and both reductions over all trials are
     sequential prefix sums, so the bits depend on the samples alone, not on
-    the unit size or numpy's or BLAS's summation.
+    the unit size or numpy's or BLAS's summation. Raises ScenarioError,
+    itemized by ``run_flag_issues``, on a bad model, trial count or seed.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    issues = run_flag_issues(model, trials, seed)
+    if issues:
+        raise ScenarioError(issues)
     amounts = np.array(_amounts(prices, shifted, events), dtype=float)[:, None]
 
     chain, conditionals, custom = _funnel_chain(events, model)
@@ -335,7 +364,7 @@ class ScenarioConfig:
 def _parse_strategy(strategy: str) -> tuple[str, str | None]:
     if strategy == "identity" or strategy == "proportional":
         return strategy, None
-    target = strategy[len("single:"):] if strategy.startswith("single:") else ""
+    target = strategy[len("single:"):] if isinstance(strategy, str) and strategy.startswith("single:") else ""
     if target:
         return "single", target
     raise ValueError(
@@ -364,118 +393,54 @@ def target_issues(strategy: str, events: Sequence[EventSpec]) -> list[str]:
     return [f"strategy target event '{target}' not declared"]
 
 
-_AD_ID = attrgetter("ad_id")
-_BIDS = attrgetter("bids")
-_PRICE_TYPE = attrgetter("price_type")
-_KIND = attrgetter("kind")
-_PROBABILITY = attrgetter("probability")
+_EVENT_ID = attrgetter("event_id")
 
 
-def _floats(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as a float array, each non-float as 0.0, and which were floats."""
-    if set(map(type, values)) <= {float}:
-        return np.array(values, dtype=float), np.ones(len(values), dtype=bool)
-    is_float = [type(v) is float for v in values]
-    array = np.array([v if ok else 0.0 for v, ok in zip(values, is_float)], dtype=float)
-    return array, np.array(is_float, dtype=bool)
+def _clean(offer: Offer) -> bool:
+    """Whether ``validate_offer`` surely passes ``offer``, in one pass over its events.
 
-
-def _is(values: Iterable, member: Enum) -> np.ndarray:
-    """Which of ``values`` are ``member`` itself, as ``validate_offer`` tests it."""
-    return np.fromiter(map(is_, values, repeat(member)), dtype=bool)
-
-
-def _clean_offers(
-    offers: Sequence[Offer], events: list[EventSpec], ids: list[str], widths: list[int]
-) -> list[bool]:
-    """Whether ``validate_offer`` passes each offer, decided over arrays of
-    the offers' flattening (``flat_events``).
-
-    False means only "not shown clean": ``validate_scenario`` then asks
-    ``validate_offer``, the reference, to word each violation. An offer is
-    clean when its event ids are unique and its bids keyed to exactly them
-    (``event_bids``), it has exactly one view event, and every one of its
-    entries passes the predicates over the flat bid, probability and kind
-    columns: float bids and probabilities, finite bids >= 0, probabilities
-    in [0, 1], a view probability within ``approx_eq`` of 1, and a bid
-    above 0 only on the view of a CPM offer or the click of a CPC offer.
+    True when its price type is a ``PriceType``, its bids are keyed to its
+    events in declared order, each bid is a finite float >= 0 and each
+    probability a float in [0, 1], it has one view event, within
+    ``VALIDATION_TOL`` of probability 1, and it bids above 0 only on the view
+    of a CPM offer or the click of a CPC offer. False means only "not shown
+    clean": ``validate_offer``, the reference, then words each violation.
     """
-    bids, keyed = event_bids(list(map(_BIDS, offers)), ids, widths)
-    rows = np.repeat(np.arange(len(offers)), widths)  # the offer of each entry
-    B, bid_is_float = _floats(bids)
-    P, prob_is_float = _floats(list(map(_PROBABILITY, events)))
-    kinds = list(map(_KIND, events))
-    view, click = _is(kinds, EventKind.VIEW), _is(kinds, EventKind.CLICK)
-    price_types = list(map(_PRICE_TYPE, offers))
-    cpm, cpc = _is(price_types, PriceType.CPM)[rows], _is(price_types, PriceType.CPC)[rows]
-    with np.errstate(invalid="ignore"):  # a nan fails every comparison, quietly
-        bad = (
-            ~(bid_is_float & prob_is_float)
-            | ~((B >= 0.0) & (B < math.inf))
-            | ~((P >= 0.0) & (P <= 1.0))
-            | (view & ~(np.abs(P - 1.0) <= VALIDATION_TOL))
-            | (((cpm & ~view) | (cpc & ~click)) & (B > 0.0))
-        )
-    clean = np.array(keyed, dtype=bool) & (np.bincount(rows[view], minlength=len(offers)) == 1)
-    clean[rows[bad]] = False
-    return clean.tolist()
-
-
-def _offer_issues(config: ScenarioConfig, clean: list[bool]) -> list[str]:
-    """Each offer's issues, in offer order: a repeated ad_id, the violations
-    ``validate_offer`` finds in an offer not shown clean, too many events,
-    and for a valid offer the strategy target and the outcome model."""
-    issues: list[str] = []
-    seen_ads: set[str] = set()
-    for offer, shown_clean in zip(config.offers, clean):
-        if offer.ad_id in seen_ads:
-            issues.append(f"duplicate ad_id '{offer.ad_id}'")
-        seen_ads.add(offer.ad_id)
-
-        violations = [] if shown_clean else validate_offer(offer)
-        issues.extend(f"offer '{offer.ad_id}': {v}" for v in violations)
-        if len(offer.events) > ENUMERATION_LIMIT:
-            issues.append(f"offer '{offer.ad_id}': more than {ENUMERATION_LIMIT} events")
-        if not violations:
-            issues.extend(
-                f"offer '{offer.ad_id}': {v}" for v in target_issues(config.strategy, offer.events)
-            )
-            try:
-                _funnel_chain(offer.events, config.model)
-            except ValueError as exc:
-                issues.append(f"offer '{offer.ad_id}': {exc}")
-    return issues
-
-
-def _is_int(value: object) -> bool:
-    """An int and not a bool, as trials and seed must be."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    events, bids = offer.events, offer.bids
+    if type(offer.price_type) is not PriceType or len(bids) != len(events):
+        return False
+    paid, view, views = PAID_KIND[offer.price_type], EventKind.VIEW, 0
+    for (key, bid), event in zip(bids.items(), events):
+        p, kind = event.probability, event.kind
+        if not (
+            key == event.event_id
+            and type(bid) is float
+            and type(p) is float
+            and 0.0 <= bid < math.inf
+            and 0.0 <= p <= 1.0
+        ):
+            return False
+        if kind is view:
+            views += 1
+            if not abs(p - 1.0) <= VALIDATION_TOL:
+                return False
+        if paid is not None and bid > 0.0 and kind is not paid:
+            return False
+    return views == 1
 
 
 def validate_scenario(config: ScenarioConfig) -> list[str]:
     """Itemize every configuration problem; an empty list means runnable.
 
-    Only offers that ``_clean_offers`` cannot show clean go to
-    ``validate_offer``, and the offers are walked one by one only when some
-    offer has something to itemize, or a ``single:<event>`` strategy or the
-    funnel model has a rule for each; the issues and their order are the
-    same either way.
+    One loop checks each offer for a repeated ad_id, the offer rules
+    (``validate_offer`` words the violations of an offer ``_clean`` cannot
+    show clean) and the event limit, then a valid offer for the rules of a
+    ``single:<event>`` strategy and of the funnel model, when chosen.
     """
     issues: list[str] = []
 
     issues.extend(pricing_rule_issues(config.pricing_rule))
-    if not _is_int(config.trials):
-        issues.append(f"trials must be an integer, got {brief(config.trials)}")
-    elif config.trials < 1:
-        issues.append(f"trials must be >= 1, got {config.trials}")
-    elif config.trials > TRIALS_LIMIT:
-        issues.append(f"trials must be <= {TRIALS_LIMIT}, got {config.trials}")
-    if not _is_int(config.seed):
-        issues.append(f"seed must be an integer, got {brief(config.seed)}")
-    elif config.seed < 0:
-        issues.append(f"seed must be >= 0, got {config.seed}")
-    if not isinstance(config.model, OutcomeModel):
-        issues.append(f"model must be an OutcomeModel, got {brief(config.model)}")
+    issues.extend(run_flag_issues(config.model, config.trials, config.seed))
     issues.extend(reserve_issues(config.reserve))
 
     try:
@@ -484,29 +449,48 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         issues.append(str(exc))
         kind = "identity"
 
-    events, ids, widths = flat_events(config.offers)
-    clean = _clean_offers(config.offers, events, ids, widths)
-    ad_ids = list(map(_AD_ID, config.offers))
-    seen_ads = set(ad_ids)
-    if (
-        not all(clean)
-        or len(seen_ads) < len(ad_ids)
-        or max(widths, default=0) > ENUMERATION_LIMIT
-        or kind == "single"
-        or config.model is OutcomeModel.FUNNEL
-    ):
-        issues.extend(_offer_issues(config, clean))
+    funnel = config.model is OutcomeModel.FUNNEL
+    seen_ads: set[str] = set()
+    known_ids: set[str] = set()
+    for offer in config.offers:
+        ad_id, events = offer.ad_id, offer.events
+        if ad_id in seen_ads:
+            issues.append(f"duplicate ad_id '{ad_id}'")
+        seen_ads.add(ad_id)
+        known_ids.update(map(_EVENT_ID, events))
 
-    if config.slots is not None and config.offers:
-        undeclared = [ad for ad in config.slots.ctr if ad not in seen_ads]
+        violations = [] if _clean(offer) else validate_offer(offer)
+        if violations:
+            issues.extend(f"offer '{ad_id}': {v}" for v in violations)
+        if len(events) > ENUMERATION_LIMIT:
+            issues.append(f"offer '{ad_id}': more than {ENUMERATION_LIMIT} events")
+        if violations or not (kind == "single" or funnel):
+            continue
+        issues.extend(f"offer '{ad_id}': {v}" for v in target_issues(config.strategy, events))
+        if funnel:
+            try:
+                _funnel_chain(events, config.model)
+            except ValueError as exc:
+                issues.append(f"offer '{ad_id}': {exc}")
+
+    slots = config.slots
+    if slots is not None and not isinstance(slots, SlotModel):
+        issues.append(f"slots must be a SlotModel or None, got {brief(slots)}")
+    elif slots is not None and config.offers:
+        undeclared = [ad for ad in slots.ctr if ad not in seen_ads]
         issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
 
-    known_ids = set(ids)
-    for eid, amount in config.charges.charges.items():
+    charges = config.charges
+    if not isinstance(charges, ChargeSchedule) or not isinstance(charges.charges, Mapping):
+        issues.append(f"charges must be a ChargeSchedule of a mapping, got {brief(charges)}")
+        return issues
+    for eid, amount in charges.charges.items():
         if config.offers and eid not in known_ids:
             issues.append(f"charge keyed to event '{eid}' declared by no offer")
-        if not math.isfinite(amount):
-            issues.append(f"non-finite charge on '{eid}': {amount!r}")
+        if not is_number(amount):
+            issues.append(f"charge on '{eid}' must be a number, got {brief(amount)}")
+        elif not is_finite(amount):
+            issues.append(f"non-finite charge on '{eid}': {brief(amount)}")
         elif amount < 0.0:
             issues.append(f"negative charge on '{eid}': {amount!r}")
 
@@ -533,59 +517,19 @@ def build_plan(strategy: str, offer: Offer, charges: ChargeSchedule) -> ShiftPla
     return shift_proportional(charges, offer, chargeable)
 
 
-def _batch_adjust(
-    offers: Sequence[Offer], charges: ChargeSchedule, strategy: str
-) -> tuple:
-    """Feasibility, shift plan and adjustment for every offer in one array pass.
-
-    Rows are offers; columns are an offer's events in declared order, zero
-    padded to the widest offer (``model.padded``). Reproduces ``is_feasible`` ->
-    ``build_plan`` -> ``adjust_general`` bit for bit on a valid scenario:
-    every sum is a left-to-right column fold in declared event order.
-    Returns, as lists, the flat event ids and each offer's count
-    (``flat_events``), the expected charges, the feasibility verdicts, the
-    shifted charges and adjusted bids (padded rows) and the expected
-    adjusted values.
-    """
-    kind, target = _parse_strategy(strategy)
-    events, ids, widths = flat_events(offers)
-    bids, _ = event_bids(list(map(_BIDS, offers)), ids, widths)
-    amounts = list(map(charges.charges.get, ids, repeat(0.0)))
-    B, P, C = (
-        padded(np.array(x, dtype=float), widths)
-        for x in (bids, list(map(_PROBABILITY, events)), amounts)
-    )
-    with np.errstate(all="ignore"):  # Python floats overflow silently too
-        BP = B * P
-        expected_charge = fold_columns(C * P)
-        feasible = expected_charge <= fold_columns(BP) + VALIDATION_TOL
-        if kind == "identity":
-            D = C
-        elif kind == "single":
-            # one target event per offer (validate_scenario), so one per row in row order
-            is_target = padded(np.fromiter(map(eq, ids, repeat(target)), dtype=bool), widths)
-            D = np.zeros_like(B)
-            D[is_target] = expected_charge / P[is_target]
-        else:
-            chargeable = BP > 0.0
-            weight = fold_columns(np.where(chargeable, BP, 0.0))
-            share = np.divide(B, weight[:, None], out=np.zeros_like(B), where=chargeable)
-            D = np.where(chargeable, expected_charge[:, None] * share, 0.0)
-        A = B - D
-        adjusted_value = fold_columns(A * P)
-    return (
-        ids,
-        widths,
-        expected_charge.tolist(),
-        feasible.tolist(),
-        D.tolist(),
-        A.tolist(),
-        adjusted_value.tolist(),
-    )
+#: The fields of a record that only a winner fills, in report order.
+_WINNER_FIELDS = dict.fromkeys(
+    ("slot", "price_factor", "prices", "expected_payment", "enumerated_payment", "mc_mean", "mc_stderr")
+)
 
 
 def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer]]:
-    """Validate, then take every ad through feasibility, charge shift and adjustment.
+    """Validate, then take each ad through feasibility, charge shift and adjustment.
+
+    One loop over the offers folds each one's expected charge and value, shift
+    plan, adjusted bids and value in declared event order, bit for bit as
+    ``is_feasible`` -> ``build_plan`` -> ``adjust_general``. A charge the
+    schedule does not list reads as 0.0; every amount goes through ``float``.
 
     Returns one report record per offer, in offer order, with its shift plan
     and the reason for each exclusion; and the adjusted offers that enter the
@@ -595,64 +539,66 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer]]:
     if issues:
         raise ScenarioError(issues)
 
-    flat_ids, widths, charge, feasible, shifted, adjusted, value = _batch_adjust(
-        config.offers, config.charges, config.strategy
-    )
-    # Every offer reports its expected charge, a feasible one its plan, bids and
-    # value. Bids are finite, so a non-finite shifted charge or adjusted bid
-    # makes the adjusted value non-finite too.
-    overflow = [
-        f"offer '{offer.ad_id}': expected charge, shift plan or adjusted value"
-        " overflows float range"
-        for offer, c, ok, v in zip(config.offers, charge, feasible, value)
-        if not math.isfinite(c) or (ok and not math.isfinite(v))
-    ]
-    if overflow:
-        raise ScenarioError(overflow)
+    kind, target = _parse_strategy(config.strategy)
+    charge_on = config.charges.charges.get
     records: list[dict] = []
     included: list[AdjustedOffer] = []
-    start = 0
-    for row, (offer, width) in enumerate(zip(config.offers, widths)):
-        ids = flat_ids[start:start + width]
-        start += width
+    overflow: list[str] = []
+    for offer in config.offers:
+        bids, rows = offer.bids, []
+        charge = value = 0.0
+        for event in offer.events:
+            eid = event.event_id
+            b, p, c = float(bids[eid]), float(event.probability), float(charge_on(eid, 0.0))
+            charge += c * p
+            value += b * p
+            rows.append((eid, b, p, c))
+        ids, B, P, C = zip(*rows)  # a valid offer has a view event
+        feasible = charge <= value + VALIDATION_TOL
         record = {
             "ad_id": offer.ad_id,
             "price_type": offer.price_type.value,
-            "total_expected_charge": charge[row],
-            "feasible": feasible[row],
+            "total_expected_charge": charge,
+            "feasible": feasible,
             "excluded": False,
             "exclusion_reason": None,
             "shift_plan": None,
             "adjusted_bids": None,
             "expected_adjusted_value": None,
-            "slot": None,
-            "price_factor": None,
-            "prices": None,
-            "expected_payment": None,
-            "enumerated_payment": None,
-            "mc_mean": None,
-            "mc_stderr": None,
+            **_WINNER_FIELDS,
         }
         records.append(record)
 
-        if not feasible[row]:
+        if feasible:
+            if kind == "identity":
+                D = C
+            elif kind == "single":
+                # the target has probability above 0 (validate_scenario)
+                D = [charge / p if eid == target else 0.0 for eid, p in zip(ids, P)]
+            else:  # proportional: the events with b * p > 0 fold to the value, as every other b * p is 0
+                D = [charge * (b / value) if b * p > 0.0 else 0.0 for b, p in zip(B, P)]
+            adjusted, adjusted_value = {}, 0.0
+            for eid, b, p, d in zip(ids, B, P, D):
+                adjusted[eid] = a = b - d
+                adjusted_value += a * p
+            record["shift_plan"] = dict(zip(ids, D))
+            record["adjusted_bids"] = adjusted
+            record["expected_adjusted_value"] = adjusted_value
+            if adjusted_value < 0.0:
+                record["excluded"] = True
+                record["exclusion_reason"] = "expected adjusted value is negative"
+            else:
+                included.append(AdjustedOffer(offer.ad_id, offer.events, adjusted, adjusted_value))
+        else:
             record["excluded"] = True
-            record["exclusion_reason"] = (
-                "expected user-experience charge exceeds expected offer value"
-            )
-            continue
+            record["exclusion_reason"] = "expected user-experience charge exceeds expected offer value"
 
-        record["shift_plan"] = dict(zip(ids, shifted[row]))
-        record["adjusted_bids"] = dict(zip(ids, adjusted[row]))
-        record["expected_adjusted_value"] = value[row]
-        if value[row] < 0.0:
-            record["excluded"] = True
-            record["exclusion_reason"] = "expected adjusted value is negative"
-            continue
-        included.append(
-            AdjustedOffer(offer.ad_id, offer.events, record["adjusted_bids"], value[row])
-        )
-
+        # Bids are finite, so a non-finite shifted charge or adjusted bid makes
+        # the adjusted value non-finite too.
+        if not math.isfinite(charge) or (feasible and not math.isfinite(adjusted_value)):
+            overflow.append(f"offer '{offer.ad_id}': expected charge, shift plan or adjusted value overflows float range")
+    if overflow:
+        raise ScenarioError(overflow)
     return records, included
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 from collections.abc import Mapping
+from numbers import Real
 from dataclasses import replace
 
 from hypothesis import strategies as st
@@ -124,9 +125,9 @@ def offers_with_charges(draw, feasible: bool | None = None) -> tuple[ux.Offer, u
 
 # --- reference implementations ----------------------------------------------
 #
-# The per-offer and recursive forms the array paths replaced. They are the
-# oracles for tests/test_equivalence.py: every float the array paths produce
-# must match these bit for bit.
+# The per-offer, slot-by-slot and recursive forms that prepare's loop, the
+# array auction and the flat writer must match bit for bit: the oracles of
+# tests/test_equivalence.py, and the validator's and reader's references.
 
 
 def scalar_prepare(config: ux.ScenarioConfig):
@@ -229,6 +230,14 @@ def reference_parse(doc) -> ux.ScenarioConfig:
     return ux.ScenarioConfig(offers=tuple(offers), charges=charges, slots=slots, reserve=reserve)
 
 
+def in_float_range(amount) -> bool:
+    """Whether a number converts to a finite float."""
+    try:
+        return math.isfinite(float(amount))
+    except OverflowError:
+        return False
+
+
 def reference_validate(config: ux.ScenarioConfig) -> list[str]:
     """``sim.validate_scenario`` with ``validate_offer`` called for every offer."""
     issues: list[str] = []
@@ -275,21 +284,29 @@ def reference_validate(config: ux.ScenarioConfig) -> list[str]:
                     issues.append(
                         f"offer '{offer.ad_id}': strategy target event '{target}' has zero probability"
                     )
-            try:
-                _funnel_chain(offer.events, config.model)
-            except ValueError as exc:
-                issues.append(f"offer '{offer.ad_id}': {exc}")
+            if config.model is ux.OutcomeModel.FUNNEL:
+                try:
+                    _funnel_chain(offer.events, config.model)
+                except ValueError as exc:
+                    issues.append(f"offer '{offer.ad_id}': {exc}")
 
-    if config.slots is not None and config.offers:
+    if config.slots is not None and not isinstance(config.slots, ux.SlotModel):
+        issues.append(f"slots must be a SlotModel or None, got {brief(config.slots)}")
+    elif config.slots is not None and config.offers:
         undeclared = [ad for ad in config.slots.ctr if ad not in seen_ads]
         issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
 
+    if not isinstance(config.charges, ux.ChargeSchedule) or not isinstance(config.charges.charges, Mapping):
+        issues.append(f"charges must be a ChargeSchedule of a mapping, got {brief(config.charges)}")
+        return issues
     known_ids = {eid for offer in config.offers for eid in offer.event_ids}
     for eid, amount in config.charges.charges.items():
         if config.offers and eid not in known_ids:
             issues.append(f"charge keyed to event '{eid}' declared by no offer")
-        if not math.isfinite(amount):
-            issues.append(f"non-finite charge on '{eid}': {amount!r}")
+        if isinstance(amount, bool) or not isinstance(amount, Real):
+            issues.append(f"charge on '{eid}' must be a number, got {brief(amount)}")
+        elif not in_float_range(amount):
+            issues.append(f"non-finite charge on '{eid}': {brief(amount)}")
         elif amount < 0.0:
             issues.append(f"negative charge on '{eid}': {amount!r}")
 

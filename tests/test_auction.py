@@ -115,6 +115,14 @@ def test_bad_reserve_is_rejected_by_the_auction(runner, reserve):
     assert caught.value.issues == (f"reserve must be a finite number >= 0, got {reserve!r}",)
 
 
+@pytest.mark.parametrize("runner", [run_first_price, run_second_price])
+def test_an_ad_id_that_is_not_a_string_is_rejected_by_the_auction(runner):
+    # the auction sorts by ad_id, so mixed types raised a bare TypeError
+    with pytest.raises(ux.ScenarioError) as caught:
+        runner([view_only(1, 0.5), view_only("b", 0.3), view_only(None, 0.1)])
+    assert caught.value.issues == ("ad_id must be a string, got 1", "ad_id must be a string, got None")
+
+
 def test_multislot_gsp_prices_cascade():
     offers = [view_only("a", 0.5), view_only("b", 0.3), view_only("c", 0.2)]
     outcome = run_second_price(offers, slots=SlotModel(k=2))

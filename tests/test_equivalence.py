@@ -1,15 +1,16 @@
-"""The array paths equal the per-offer and recursive references bit for bit.
+"""The pipeline's own paths equal the per-offer and recursive references bit for bit.
 
-``sim.prepare`` is checked against the scalar chain is_feasible ->
-build_plan -> adjust_general, the array position auction against the
-slot-by-slot loop, and ``dumps_canonical`` against the recursive writer; the
-references live in helpers.py. Floats are compared with ``float.hex``, so a
-sign of zero or a last-bit difference fails.
+``sim.prepare``'s per-offer loop is checked against the scalar chain
+is_feasible -> build_plan -> adjust_general, the array position auction
+against the slot-by-slot loop, and ``dumps_canonical`` against the recursive
+writer; the references live in helpers.py. Floats are compared with
+``float.hex``, so a sign of zero or a last-bit difference fails.
 """
 
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,8 @@ STRATEGIES = ["identity", "proportional", "single:view", "single:click"]
 # nonzero terms, since two-term addition commutes exactly.
 amount = st.one_of(st.just(0.0), *[st.floats(min_value=1e-6, max_value=10.0)] * 3)
 chance = st.one_of(st.just(0.0), st.just(1.0), *[st.floats(min_value=1e-6, max_value=1.0)] * 3)
+# -0.0 bids and charges are valid; a -0.0 term must leave every fold as it was
+amount_or_minus_zero = st.one_of(amount, st.just(-0.0))
 
 
 @st.composite
@@ -68,11 +71,10 @@ def scenarios(draw, strategy: str):
             offers.append(ux.Offer(f"ad{i}", twin.price_type, twin.events, dict(twin.bids)))
             continue
         events = draw(shuffled_events(need_click=strategy == "single:click"))
-        bids = {e.event_id: draw(amount) for e in events}
+        bids = {e.event_id: draw(amount_or_minus_zero) for e in events}
         offers.append(ux.Offer(f"ad{i}", ux.PriceType.HYBRID, events, bids))
     declared = sorted({eid for o in offers for eid in o.event_ids})
-    charge = st.one_of(amount, st.just(-0.0))
-    charges = {eid: draw(charge) for eid in declared if draw(st.booleans())}
+    charges = {eid: draw(amount_or_minus_zero) for eid in declared if draw(st.booleans())}
     return sim.ScenarioConfig(
         offers=tuple(draw(st.permutations(offers))),
         charges=ux.ChargeSchedule(charges),
@@ -94,6 +96,36 @@ def test_batch_prepare_equals_the_scalar_chain(strategy, data):
     ref_records, ref_included = scalar_prepare(config)
     assert hexed(records) == hexed(ref_records)
     assert [adjusted_view(o) for o in included] == [adjusted_view(o) for o in ref_included]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_amounts_prepare_like_their_float_twins(strategy, data):
+    """Int bids, charges and probabilities (0 and 1) are taken through
+    ``float``: the records and adjusted offers equal those of the float twin."""
+    config = data.draw(scenarios(strategy))
+    whole = st.integers(0, 4)
+    int_bids = [{k: data.draw(whole) for k in offer.bids} for offer in config.offers]
+    int_charges = {k: data.draw(whole) for k in config.charges.charges}
+
+    def twin(cast):
+        offers = []
+        for i, offer in enumerate(config.offers):
+            events = tuple(
+                ux.EventSpec(e.event_id, e.kind, cast(int(e.probability)) if e.probability in (0.0, 1.0) else e.probability)
+                for e in offer.events
+            )
+            offers.append(ux.Offer(offer.ad_id, offer.price_type, events, {k: cast(v) for k, v in int_bids[i].items()}))
+        charges = ux.ChargeSchedule({k: cast(v) for k, v in int_charges.items()})
+        return replace(config, offers=tuple(offers), charges=charges)
+
+    as_int, as_float = twin(int), twin(float)
+    assert any(type(b) is int for o in as_int.offers for b in o.bids.values())
+    records, included = sim.prepare(as_int)
+    float_records, float_included = sim.prepare(as_float)
+    assert hexed(records) == hexed(float_records)
+    assert [adjusted_view(o) for o in included] == [adjusted_view(o) for o in float_included]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -10,10 +10,12 @@ to its events; the case then goes through ``SlotModel``, ``value_at_slot``,
 ``run_first_price``, ``run_second_price`` and ``run_scenario``. Only
 ``ValueError`` subclasses may escape, and the call that owns the broken rule
 must reject it: a per-offer call that reads the broken mapping raises
-``KeyMismatchError`` and one that does not read it returns.
+``KeyMismatchError`` and one that does not read it returns. A scenario field
+or an offer entry of the wrong type is one itemized issue.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 import uxcharge as ux
 from uxcharge.model import KeyMismatchError, fold_sum
 from uxcharge.auction import SlotModel, run_first_price, run_second_price, value_at_slot
+from uxcharge.sim import validate_scenario
 
-from helpers import hexed, money, offers_with_charges, unit
+from helpers import cpc_offer, hexed, money, offers_with_charges, reference_validate, unit
 
 ADS = ("a", "b", "c", "d")
 SLOT_MODEL_RULES = ("k", "ctr", "row", "entry")
@@ -186,3 +189,67 @@ def test_per_offer_calls_give_the_same_bits_in_any_key_order(data):
         reordered = ux.AdjustedOffer(offer.ad_id, offer.events, _shuffled(draw, adjusted.adjusted), 0.0)
         for slot in range(1, k + 1):
             assert hexed(value_at_slot(reordered, slots, slot)) == hexed(value_at_slot(adjusted, slots, slot))
+
+
+def _mistyped(field, value):
+    """A valid two-ad scenario with one field of the config, of ad "a"'s
+    offer or of its click event replaced by ``value``."""
+    offer = cpc_offer("a", 2.0, 0.1)
+    if field in ("bid", "probability", "view probability"):
+        events, bids = list(offer.events), dict(offer.bids)
+        if field == "bid":
+            bids["click"] = value
+        else:
+            at = 0 if field == "view probability" else 1
+            events[at] = ux.EventSpec(events[at].event_id, events[at].kind, value)
+        offer = ux.Offer("a", offer.price_type, tuple(events), bids)
+    elif field == "price_type":
+        offer = ux.Offer("a", value, offer.events, offer.bids)
+    config = ux.ScenarioConfig((offer, cpc_offer("b", 1.0, 0.1)), ux.ChargeSchedule({"view": 0.01}), trials=50)
+    if field in ("strategy", "reserve", "slots", "charges"):
+        config = replace(config, **{field: value})
+    elif field == "charge":
+        config = replace(config, charges=ux.ChargeSchedule({"view": value}))
+    return config
+
+
+HUGE = 10**400
+MISTYPED = [
+    ("strategy", None, "unknown strategy None; expected identity, single:<event>, or proportional"),
+    ("strategy", 3, "unknown strategy 3; expected identity, single:<event>, or proportional"),
+    ("reserve", "0", "reserve must be a finite number >= 0, got '0'"),
+    ("reserve", True, "reserve must be a finite number >= 0, got True"),
+    ("reserve", HUGE, f"reserve must be a finite number >= 0, got {repr(HUGE)[:37]}..."),
+    ("slots", 3, "slots must be a SlotModel or None, got 3"),
+    ("charges", {"view": 0.1}, "charges must be a ChargeSchedule of a mapping, got {'view': 0.1}"),
+    ("charges", ux.ChargeSchedule(0.1), "charges must be a ChargeSchedule of a mapping, got ChargeSchedule(charges=0.1)"),
+    ("charge", "1", "charge on 'view' must be a number, got '1'"),
+    ("charge", None, "charge on 'view' must be a number, got None"),
+    ("charge", True, "charge on 'view' must be a number, got True"),
+    ("charge", HUGE, f"non-finite charge on 'view': {repr(HUGE)[:37]}..."),
+    ("bid", "1", "offer 'a': bid on 'click' must be a number, got '1'"),
+    ("bid", None, "offer 'a': bid on 'click' must be a number, got None"),
+    ("bid", True, "offer 'a': bid on 'click' must be a number, got True"),
+    ("bid", HUGE, f"offer 'a': non-finite bid on 'click': {repr(HUGE)[:37]}..."),
+    ("probability", "1", "offer 'a': probability of 'click' must be a number, got '1'"),
+    ("probability", None, "offer 'a': probability of 'click' must be a number, got None"),
+    ("probability", False, "offer 'a': probability of 'click' must be a number, got False"),
+    ("view probability", "1", "offer 'a': probability of 'view' must be a number, got '1'"),
+    ("view probability", HUGE, f"offer 'a': view event must have probability 1, got {HUGE!r}"),
+    ("price_type", "cpc", "offer 'a': price type must be a PriceType, got 'cpc'"),
+]
+
+
+@pytest.mark.parametrize("field, value, issue", MISTYPED, ids=[f"{f}-{v!r:.20}" for f, v, _ in MISTYPED])
+def test_a_mistyped_field_is_one_issue(field, value, issue):
+    # each of these used to escape run_scenario as a TypeError, an
+    # AttributeError or an OverflowError, or (a bool bid) to pass as valid
+    config = _mistyped(field, value)
+    expected = [issue]
+    if field == "view probability" and value is HUGE:
+        expected.insert(0, f"offer 'a': probability out of range for 'view': {HUGE!r}")
+    assert validate_scenario(config) == expected
+    assert reference_validate(config) == expected
+    with pytest.raises(ux.ScenarioError) as excinfo:
+        ux.run_scenario(config)
+    assert list(excinfo.value.issues) == expected

@@ -1,8 +1,8 @@
 """The scenario reader and validator against their references.
 
 ``cli.parse_scenario_doc`` reads plain offers inline and ``sim.validate_scenario``
-decides clean offers over arrays; ``helpers.reference_parse`` and
-``helpers.reference_validate`` read and check every offer through
+words only the offers ``sim._clean`` cannot show clean; ``helpers.reference_parse``
+and ``helpers.reference_validate`` read and check every offer through
 ``offer_from_dict`` and ``validate_offer``. Both must give equal configs and
 the same full issue lists, in the same order.
 """
@@ -13,12 +13,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uxcharge as ux
 from helpers import assert_reads_like_reference, reference_validate
 from test_cli import SCENARIO_PROBES
 from uxcharge.cli import parse_scenario_doc
-from uxcharge.sim import validate_scenario
+from uxcharge.model import validate_offer
+from uxcharge.sim import _clean, validate_scenario
 
 STRATEGIES = ("identity", "proportional", "single:click", "single:ghost", "bogus")
 MODELS = (ux.OutcomeModel.INDEPENDENT, ux.OutcomeModel.FUNNEL)
@@ -158,6 +161,12 @@ LIBRARY_OFFERS = {
     "negative-int-bid": _offer("int", bids={"view": -1, "click": 1.0}),
     "numpy-nan-bid": _offer("npnan", bids={"view": np.float64("nan"), "click": 1.0}),
     "int-probability": _offer("intp", events=[ux.EventSpec("view", VIEW, 1.0), ux.EventSpec("click", CLICK, 2)]),
+    "string-bid": _offer("str", bids={"view": 0.5, "click": "1"}),
+    "none-bid": _offer("nonebid", bids={"view": None, "click": 1.0}),
+    "huge-int-bid": _offer("huge", bids={"view": 0.5, "click": 10**400}),
+    "string-probability": _offer("strp", events=[ux.EventSpec("view", VIEW, 1.0), ux.EventSpec("click", CLICK, "1")]),
+    "bool-view-probability": _offer("boolp", events=[ux.EventSpec("view", VIEW, True), ux.EventSpec("click", CLICK, 0.1)]),
+    "string-price-type": ux.Offer("strpt", "cpm", _offer("x").events, {"view": 0.5, "click": 0.0}),
 }
 
 # Together these two chain to the same bid keys as event ids, [view, click, view],
@@ -191,3 +200,58 @@ def test_all_library_built_offers_together_validate_like_the_reference():
             offers = (ux.Offer(first.ad_id, first.price_type, events, {**first.bids, "conv": 4.0}),) + offers[1:]
         config = ux.ScenarioConfig(offers, ux.ChargeSchedule({}), strategy="single:click")
         assert validate_scenario(config) == reference_validate(config)
+
+
+PROBABILITIES = [1.0, 0.5, 0.0, -0.0, 1 - 1e-10, 1 + 1e-10, 0.999, 1, 0, 1.5, float("nan"), np.float64(1.0)]
+BIDS = [0.0, -0.0, 1.0, 2.5, 1, 0, -1.0, float("nan"), float("inf"), True, np.float64(1.0)]
+MUTATIONS = ("permute", "drop", "stray", "bid", "probability", "price_type", "repeat", "view")
+
+
+@st.composite
+def loose_offers(draw):
+    """A valid offer of floats with bids in event order, then none, one or two
+    of: bids permuted, missing or stray; a bid or probability that is an
+    int, bool, numpy float, nan, infinite, negative or out of range; another
+    price type; a repeated event id; a second view event."""
+    kinds = draw(st.lists(st.sampled_from([CLICK, ux.EventKind.CONVERSION, ux.EventKind.CUSTOM]), max_size=3))
+    events = [ux.EventSpec("view", VIEW, draw(st.sampled_from([1.0, 1 - 1e-10])))]
+    events += [ux.EventSpec(f"e{i}", kind, draw(st.sampled_from([0.0, 0.25, 1.0]))) for i, kind in enumerate(kinds)]
+    events = draw(st.permutations(events))
+    price_type = draw(st.sampled_from(list(ux.PriceType)))
+    paid = {ux.PriceType.CPM: VIEW, ux.PriceType.CPC: CLICK}.get(price_type)
+    bids = {e.event_id: draw(st.sampled_from([0.0, 1.5])) if paid in (None, e.kind) else 0.0 for e in events}
+
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+        at = draw(st.integers(0, len(events) - 1))
+        eid = events[at].event_id
+        if mutation == "permute":
+            bids = dict(draw(st.permutations(list(bids.items()))))
+        elif mutation == "drop":
+            bids.pop(eid, None)
+        elif mutation == "stray":
+            bids["ghost"] = draw(st.sampled_from(BIDS))
+        elif mutation == "bid":
+            bids[eid] = draw(st.sampled_from(BIDS))
+        elif mutation == "probability":
+            events[at] = ux.EventSpec(eid, events[at].kind, draw(st.sampled_from(PROBABILITIES)))
+        elif mutation == "price_type":
+            price_type = draw(st.sampled_from(list(ux.PriceType)))
+        elif mutation == "repeat":
+            events.append(events[at])
+        else:
+            events.append(ux.EventSpec("v2", VIEW, 1.0))
+            bids["v2"] = 0.0
+    return ux.Offer("ad", price_type, tuple(events), bids)
+
+
+@settings(max_examples=400, deadline=None)
+@given(offer=loose_offers())
+def test_clean_is_a_valid_offer_of_floats_with_bids_in_event_order(offer):
+    """``_clean`` passes exactly the valid offers whose bids are keyed in
+    declared order and whose amounts are all floats: it never skips an offer
+    ``validate_offer`` would word, and a scenario read from JSON calls
+    ``validate_offer`` for no valid offer."""
+    plain = tuple(offer.bids) == offer.event_ids and all(
+        type(x) is float for x in [*offer.bids.values(), *(e.probability for e in offer.events)]
+    )
+    assert _clean(offer) == (validate_offer(offer) == [] and plain)

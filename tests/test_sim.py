@@ -15,6 +15,8 @@ from uxcharge import sim
 from uxcharge.sim import (
     _BLOCK,
     ENUMERATION_LIMIT,
+    TRIALS_LIMIT,
+    _funnel_chain,
     _substream_rng,
     OutcomeModel,
     ScenarioConfig,
@@ -23,6 +25,7 @@ from uxcharge.sim import (
     expected_payment,
     monte_carlo_payment,
     run_auction,
+    run_flag_issues,
     run_scenario,
     validate_scenario,
 )
@@ -468,6 +471,47 @@ def test_monte_carlo_rejects_nonpositive_trials():
     zeros = {"view": 0.0, "click": 0.0}
     with pytest.raises(ValueError, match="trials must be >= 1"):
         monte_carlo_payment(zeros, zeros, EVENTS, trials=0)
+
+
+@pytest.mark.parametrize(
+    "flags, issue",
+    [
+        ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"trials": "10"}, "trials must be an integer, got '10'"),
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"trials": TRIALS_LIMIT + 1}, f"trials must be <= {TRIALS_LIMIT}, got {TRIALS_LIMIT + 1}"),
+        ({"model": "funnel"}, "model must be an OutcomeModel, got 'funnel'"),
+        ({"model": None}, "model must be an OutcomeModel, got None"),
+    ],
+)
+def test_monte_carlo_obeys_the_scenario_run_flag_rules(flags, issue):
+    # seed 1.9 used to draw seed 1's trials; trials 2.5, True or '10' raised a
+    # numpy TypeError and seed -1 a numpy ValueError; a model string ran the
+    # independent model
+    zeros = {"view": 0.0, "click": 0.0}
+    run = {"model": OutcomeModel.INDEPENDENT, "trials": 10, "seed": 0, **flags}
+    assert run_flag_issues(**run) == [issue]
+    with pytest.raises(ScenarioError) as excinfo:
+        monte_carlo_payment(zeros, zeros, EVENTS, **run)
+    assert excinfo.value.issues == (issue,)
+    assert validate_scenario(scenario_config(**run)) == [issue]
+
+
+@pytest.mark.parametrize("model", ["funnel", "independent", None])
+def test_the_outcome_model_must_be_an_outcome_model(model):
+    zeros = {"view": 0.0, "click": 0.0}
+    issue = (f"model must be an OutcomeModel, got {model!r}",)
+    for call in (
+        lambda: _funnel_chain(EVENTS, model),
+        lambda: enumerate_expected_payment(zeros, zeros, EVENTS, model),
+    ):
+        with pytest.raises(ScenarioError) as excinfo:
+            call()
+        assert excinfo.value.issues == issue
 
 
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])

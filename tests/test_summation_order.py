@@ -1,6 +1,6 @@
 """The package takes every float sum in one order: declared event order, left to right.
 
-Sums go through ``model.fold_sum`` / ``model.fold_columns`` (or
+Sums go through ``model.fold_sum`` / ``auction.fold_columns`` (or
 ``np.add.accumulate(x)[-1]`` for a 1-D total). The reductions rejected here
 pick their own order: builtin ``sum()`` and ``math.fsum`` compensate
 rounding, while ``@``, ``dot``, ``np.sum`` and ``np.prod`` follow numpy's
