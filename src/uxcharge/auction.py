@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import attrgetter, is_, is_not, not_
+from itertools import chain, repeat
+from operator import attrgetter, is_, is_not
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ from .model import (
     brief,
     is_finite,
     is_number,
-    keyed,
     require_same_keys,
 )
 
@@ -57,7 +56,7 @@ class SlotModel:
     ``k`` is an int >= 1 (not a bool). ``ctr`` is a mapping, and
     ``ctr[ad_id][j]`` is the click probability for that ad when shown in
     slot j+1. Ads absent from ``ctr`` keep their declared click probability
-    in every slot. Each row is a list or tuple of k int or float entries in
+    in every slot. Each row is a list or tuple of k numbers (``is_number``) in
     [0, 1], nonincreasing: lower slots never click better. Each row is kept
     as a tuple of floats, so rows read from JSON and rows built in Python
     compare equal. Raises ScenarioError on the first rule broken.
@@ -84,7 +83,7 @@ class SlotModel:
             # every entry of the row is a number in range
             before, ordered = 1.0, True
             for p in row:
-                if type(p) is not float and (type(p) is bool or not isinstance(p, (int, float))):
+                if type(p) is not float and not is_number(p):
                     raise ScenarioError([f"ctr entry for '{ad_id}' must be a number, got {brief(p)}"])
                 if not 0.0 <= p <= before:
                     if not 0.0 <= p <= 1.0:
@@ -170,27 +169,6 @@ def fold_columns(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def event_bids(
-    bid_maps: Sequence[Mapping[str, float]], ids: list[str], widths: list[int]
-) -> tuple[list, list[bool]]:
-    """The amounts of each mapping in its offer's event order, in one list
-    like ``ids``, and whether each mapping is ``keyed`` to its offer's event
-    ids. A mapping that is not keyed, a repeated event id included, gives zeros.
-    """
-    if list(map(len, bid_maps)) == widths and list(chain.from_iterable(bid_maps)) == ids:
-        # every mapping's keys are its offer's event ids in order, so those are unique
-        return [amount for bid_map in bid_maps for amount in bid_map.values()], [True] * len(bid_maps)
-    amounts: list = []
-    found: list[bool] = []
-    start = 0
-    for bid_map, width in zip(bid_maps, widths):
-        row = ids[start:start + width]
-        start += width
-        found.append(keyed(row, bid_map))
-        amounts += [bid_map[eid] for eid in row] if found[-1] else [0.0] * width
-    return amounts, found
-
-
 def padded(flat: np.ndarray, widths: list[int]) -> np.ndarray:
     """The offers x events matrix of a flat column: row i holds offer i's
     ``widths[i]`` entries, then zeros up to the widest offer."""
@@ -217,9 +195,16 @@ def _slot_values(
     per_offer = list(map(_EVENTS, offers))
     events = list(chain.from_iterable(per_offer))  # offer after offer
     ids, widths = list(map(_EVENT_ID, events)), list(map(len, per_offer))
-    bids, keyed = event_bids(list(map(_ADJUSTED, offers)), ids, widths)
-    for offer in compress(offers, map(not_, keyed)):
-        value_at_slot(offer, None, 1)  # raises KeyMismatchError, naming the ad
+    adjusted = list(map(_ADJUSTED, offers))
+    if list(map(len, adjusted)) == widths and list(chain.from_iterable(adjusted)) == ids:
+        # every mapping's keys are its offer's event ids in order
+        bids = [amount for bid_map in adjusted for amount in bid_map.values()]
+    else:
+        for offer in offers:
+            require_same_keys(
+                tuple(map(_EVENT_ID, offer.events)), offer.adjusted, f"offer '{offer.ad_id}': adjusted bids"
+            )
+        bids = [offer.adjusted[e.event_id] for offer in offers for e in offer.events]
     rows = list(map((slots.ctr if slots else {}).get, ad_ids))
     has_row = np.fromiter(map(is_not, rows, repeat(None)), dtype=bool, count=len(rows))
     # each slot's ctr entry of each ad; 0.0, never read, for an ad without a row

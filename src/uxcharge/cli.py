@@ -50,10 +50,6 @@ from .model import (
     FORMAT_VERSION,
     AdjustedOffer,
     ChargeSchedule,
-    EventKind,
-    EventSpec,
-    Offer,
-    PriceType,
     ScenarioError,
     approx_eq,
     brief,
@@ -195,60 +191,6 @@ def _header_issues(doc: Any) -> list[str]:
     return [f"unsupported format_version {brief(version)}; this build reads version {FORMAT_VERSION}"]
 
 
-_KINDS = {kind.value: kind for kind in EventKind}
-_PRICE_TYPES = {price_type.value: price_type for price_type in PriceType}
-
-
-def _plain_offer(entry: Any, shared: tuple[EventSpec, ...]) -> Offer | None:
-    """``offer_from_dict(entry, shared)`` for a plain entry, read inline; else None.
-
-    A plain entry is an object whose ``ad_id`` and event ids are ASCII
-    strings, whose kinds and price type are names, and whose probabilities
-    and bids are finite floats, every bid keyed to one of its events. Any
-    other entry, one with an integer or a missing field included, is left to
-    ``offer_from_dict``, the reference, so every message comes from there.
-    """
-    if type(entry) is not dict:
-        return None
-    ad_id, price_type = entry.get("ad_id"), entry.get("price_type")
-    price_type = _PRICE_TYPES.get(price_type) if type(price_type) is str else None
-    if type(ad_id) is not str or not ad_id.isascii() or price_type is None:
-        return None
-    events = shared
-    if "events" in entry:
-        raw_events = entry["events"]
-        if type(raw_events) is not list:
-            return None
-        specs = []
-        for raw in raw_events:
-            if type(raw) is not dict:
-                return None
-            event_id, kind, prob = raw.get("id"), raw.get("kind"), raw.get("prob")
-            if (
-                type(event_id) is not str
-                or not event_id.isascii()
-                or type(kind) is not str
-                or kind not in _KINDS
-                or type(prob) is not float
-                or prob - prob != 0.0  # nan or an infinity
-            ):
-                return None
-            specs.append(EventSpec(event_id, _KINDS[kind], prob))
-        events = tuple(specs)
-    raw_bids = entry.get("bids", {})
-    if type(raw_bids) is not dict:
-        return None
-    bids = {}
-    for event in events:
-        amount = raw_bids.get(event.event_id, 0.0)
-        if type(amount) is not float or amount - amount != 0.0:
-            return None
-        bids[event.event_id] = amount
-    if not raw_bids.keys() <= bids.keys():  # a stray key, for validate_offer to itemize
-        return None
-    return Offer(ad_id, price_type, events, bids)
-
-
 def parse_scenario_doc(doc: Any) -> ScenarioConfig:
     """The ScenarioConfig a scenario JSON document describes, with default run flags.
 
@@ -260,9 +202,7 @@ def parse_scenario_doc(doc: Any) -> ScenarioConfig:
         doc = {}  # nothing else can be read
 
     shared = tuple(read_each(doc, "events", event_from_dict, issues))
-    offers = read_each(
-        doc, "offers", lambda entry: _plain_offer(entry, shared) or offer_from_dict(entry, shared), issues
-    )
+    offers = read_each(doc, "offers", lambda entry: offer_from_dict(entry, shared), issues)
 
     charges = ChargeSchedule(charges={})
     try:

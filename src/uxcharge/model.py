@@ -5,13 +5,16 @@ so instances are safe to share across threads. Construction is permissive
 (invalid offers can be built, and ``validate_offer`` lists their violations,
 an empty list when valid), while derived objects such as ``AdjustedOffer``
 are produced only by the operations that guarantee their invariants. The
-``*_from_dict`` readers take every JSON number through ``number``, every
-id through ``text`` and every kind and price type through ``member``, and
-raise ValueError only.
+``*_from_dict`` readers are the one scenario reader: every JSON number goes
+through ``number`` and every id through ``text`` (a finite float or an ASCII
+id passes inline), every kind and price type through ``member``, one dict
+lookup. Each helper words every failure of its field, so the readers raise
+ValueError only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -256,9 +259,9 @@ def fold_expected(amounts: Mapping[str, float], events: Sequence[EventSpec]) -> 
 def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
     """Check an event set's invariants; the list of violations is empty when valid.
 
-    Checks: unique event ids, probabilities that are numbers in [0, 1], and
-    exactly one view event, with probability 1. Scenario offers and
-    ``adjust`` records share it.
+    Checks: unique event ids, kinds that are ``EventKind`` members,
+    probabilities that are numbers in [0, 1], and exactly one view event,
+    with probability 1. Scenario offers and ``adjust`` records share it.
     """
     violations: list[str] = []
 
@@ -269,6 +272,8 @@ def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
         seen.add(ev.event_id)
 
     for ev in events:
+        if type(ev.kind) is not EventKind:
+            violations.append(f"kind of '{ev.event_id}' must be an EventKind, got {brief(ev.kind)}")
         if not is_number(ev.probability):
             violations.append(f"probability of '{ev.event_id}' must be a number, got {brief(ev.probability)}")
         elif not (0.0 <= ev.probability <= 1.0):
@@ -293,21 +298,37 @@ def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
 def validate_offer(offer: Offer) -> list[str]:
     """Check every offer invariant; the list of violations is empty when valid.
 
-    Checks: the event set (``event_set_issues``), a finite bid entry (a
-    number >= 0) for every event and no stray entries, and the price type, a
-    ``PriceType``, and its discipline (CPM bids only on the view event, CPC
-    only on the click event).
+    Checks: a str ``ad_id``, events a tuple of ``EventSpec`` and bids a
+    mapping, each check that needs a mistyped one skipped; the event set
+    (``event_set_issues``), a finite bid entry (a number >= 0) for every
+    event and no stray entries, and the price type, a ``PriceType``, and its
+    discipline (CPM bids only on the view event, CPC only on the click event).
     """
-    violations = event_set_issues(offer.events)
+    violations: list[str] = []
+    events, bids = offer.events, offer.bids
+    if not isinstance(offer.ad_id, str):
+        violations.append(f"ad_id must be a string, got {brief(offer.ad_id)}")
+    if not isinstance(events, tuple):
+        violations.append(f"events must be a tuple of EventSpec, got {brief(events)}")
+        events = None
+    elif not all(isinstance(e, EventSpec) for e in events):
+        violations += [f"event must be an EventSpec, got {brief(e)}" for e in events if not isinstance(e, EventSpec)]
+        events = None
+    if not isinstance(bids, Mapping):
+        violations.append(f"bids must be a mapping, got {brief(bids)}")
+        bids = None
 
-    ids = offer.event_ids
-    for eid in ids:
-        if eid not in offer.bids:
-            violations.append(f"missing bid for event '{eid}'")
-    for key in offer.bids:
-        if key not in ids:
-            violations.append(f"bid keyed to unknown event '{key}'")
-    for key, amount in offer.bids.items():
+    if events is not None:
+        violations += event_set_issues(events)
+    if events is not None and bids is not None:
+        ids = tuple(map(_EVENT_ID, events))
+        for eid in ids:
+            if eid not in bids:
+                violations.append(f"missing bid for event '{eid}'")
+        for key in bids:
+            if key not in ids:
+                violations.append(f"bid keyed to unknown event '{key}'")
+    for key, amount in bids.items() if bids is not None else ():
         if not is_number(amount):
             violations.append(f"bid on '{key}' must be a number, got {brief(amount)}")
         elif not is_finite(amount):
@@ -315,14 +336,14 @@ def validate_offer(offer: Offer) -> list[str]:
         elif amount < 0.0:
             violations.append(f"negative bid on '{key}': {amount!r}")
 
-    kind_by_id = {e.event_id: e.kind for e in offer.events}
     allowed = None
     if type(offer.price_type) is PriceType:
         allowed = PAID_KIND[offer.price_type]
     else:
         violations.append(f"price type must be a PriceType, got {brief(offer.price_type)}")
-    if allowed is not None:
-        for key, amount in offer.bids.items():
+    if allowed is not None and events is not None and bids is not None:
+        kind_by_id = {e.event_id: e.kind for e in events}
+        for key, amount in bids.items():
             if is_number(amount) and amount > 0.0 and kind_by_id.get(key) is not allowed:
                 violations.append(
                     f"{offer.price_type.value} offer bids on non-{allowed.value} event '{key}'"
@@ -373,13 +394,21 @@ def text(value: object, what: str) -> str:
     raise ValueError(f"{what} must be a string of Unicode text, got {brief(value)}")
 
 
+@functools.cache
+def _members(kind: type[Enum]) -> dict:
+    """Each member of the enum ``kind`` by its value and by itself; built once per enum."""
+    return {**{m.value: m for m in kind}, **{m: m for m in kind}}
+
+
 def member(value: object, kind: type[Enum], what: str) -> Any:
-    """The member of the enum ``kind`` with this value; else ValueError naming ``what``."""
-    try:
-        return kind(value)
-    except ValueError:
+    """The member of the enum ``kind`` with this value, or ``value`` itself if
+    it is one; else ValueError naming ``what``."""
+    # a JSON scalar or a member hashes without raising; nothing else is a key
+    found = _members(kind).get(value) if isinstance(value, (str, int, float, Enum)) else None
+    if found is None:
         allowed = ", ".join(m.value for m in kind)
-        raise ValueError(f"{what} must be one of {allowed}, got {brief(value)}") from None
+        raise ValueError(f"{what} must be one of {allowed}, got {brief(value)}")
+    return found
 
 
 def event_to_dict(event: EventSpec) -> dict:
@@ -388,7 +417,7 @@ def event_to_dict(event: EventSpec) -> dict:
 
 def require_fields(doc: object, fields: tuple[str, ...]) -> None:
     """ValueError unless ``doc`` is a JSON object holding every one of ``fields``."""
-    if not isinstance(doc, Mapping):
+    if type(doc) is not dict and not isinstance(doc, Mapping):
         raise ValueError(f"must be an object, got {brief(doc)}")
     for field in fields:
         if field not in doc:
@@ -397,9 +426,13 @@ def require_fields(doc: object, fields: tuple[str, ...]) -> None:
 
 def event_from_dict(doc: Mapping) -> EventSpec:
     require_fields(doc, ("id", "kind", "prob"))
-    event_id = text(doc["id"], "event 'id'")
+    event_id, prob = doc["id"], doc["prob"]
+    if type(event_id) is not str or not event_id.isascii():  # text words the rest
+        event_id = text(event_id, "event 'id'")
     kind = member(doc["kind"], EventKind, "'kind'")
-    return EventSpec(event_id, kind, number(doc["prob"], "'prob' of", event_id))
+    if type(prob) is not float or prob - prob != 0.0:  # not a finite float: number's rule
+        prob = number(prob, "'prob' of", event_id)
+    return EventSpec(event_id, kind, prob)
 
 
 def read_each(doc: Mapping, key: str, read: Callable[[Any], Any], issues: list[str]) -> list:
@@ -439,13 +472,23 @@ def offer_from_dict(doc: Mapping, events: tuple[EventSpec, ...] = ()) -> Offer:
     """Parse an offer over its own "events", else ``events``; absent bids default to 0."""
     require_fields(doc, ("ad_id", "price_type"))
     if "events" in doc:
-        events = read_events(doc)
+        entries = doc["events"]
+        if not isinstance(entries, list):
+            read_events(doc)  # raises: 'events' must be an array
+        try:
+            events = tuple(map(event_from_dict, entries))
+        except ValueError:
+            read_events(doc)  # raises, itemizing every bad entry
     raw = doc.get("bids", {})
-    if not isinstance(raw, Mapping):
+    if type(raw) is not dict and not isinstance(raw, Mapping):
         raise ValueError(f"'bids' must be an object, got {brief(raw)}")
-    bids = {e.event_id: number(raw.get(e.event_id, 0.0), "bid on", e.event_id) for e in events}
-    # stray keys stay, for validate_offer to itemize
-    bids.update({k: number(v, "bid on", k) for k, v in raw.items() if k not in bids})
+    bids = {}
+    for event in events:
+        eid = event.event_id
+        amount = raw.get(eid, 0.0)
+        bids[eid] = amount if type(amount) is float and amount - amount == 0.0 else number(amount, "bid on", eid)
+    if not raw.keys() <= bids.keys():  # stray keys stay, for validate_offer to itemize
+        bids.update({k: number(v, "bid on", k) for k, v in raw.items() if k not in bids})
     return Offer(
         ad_id=text(doc["ad_id"], "'ad_id'"),
         price_type=member(doc["price_type"], PriceType, "'price_type'"),

@@ -28,7 +28,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -393,29 +392,37 @@ def target_issues(strategy: str, events: Sequence[EventSpec]) -> list[str]:
     return [f"strategy target event '{target}' not declared"]
 
 
-_EVENT_ID = attrgetter("event_id")
-
-
 def _clean(offer: Offer) -> bool:
     """Whether ``validate_offer`` surely passes ``offer``, in one pass over its events.
 
-    True when its price type is a ``PriceType``, its bids are keyed to its
-    events in declared order, each bid is a finite float >= 0 and each
-    probability a float in [0, 1], it has one view event, within
+    True when its ad_id is a str, its events a tuple of ``EventSpec`` with
+    ``EventKind`` kinds, its bids a dict keyed to its events in declared
+    order, its price type a ``PriceType``, each bid a finite float >= 0 and
+    each probability a float in [0, 1], it has one view event, within
     ``VALIDATION_TOL`` of probability 1, and it bids above 0 only on the view
     of a CPM offer or the click of a CPC offer. False means only "not shown
     clean": ``validate_offer``, the reference, then words each violation.
+    Never raises.
     """
     events, bids = offer.events, offer.bids
-    if type(offer.price_type) is not PriceType or len(bids) != len(events):
+    if not (
+        type(offer.ad_id) is str
+        and type(events) is tuple
+        and type(bids) is dict
+        and type(offer.price_type) is PriceType
+        and len(bids) == len(events)
+    ):
         return False
     paid, view, views = PAID_KIND[offer.price_type], EventKind.VIEW, 0
     for (key, bid), event in zip(bids.items(), events):
+        if type(event) is not EventSpec:
+            return False
         p, kind = event.probability, event.kind
         if not (
             key == event.event_id
             and type(bid) is float
             and type(p) is float
+            and type(kind) is EventKind
             and 0.0 <= bid < math.inf
             and 0.0 <= p <= 1.0
         ):
@@ -449,21 +456,27 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         issues.append(str(exc))
         kind = "identity"
 
+    offers = config.offers
+    if not isinstance(offers, (tuple, list)):
+        issues.append(f"offers must be a tuple or list, got {brief(offers)}")
+        offers = ()
     funnel = config.model is OutcomeModel.FUNNEL
     seen_ads: set[str] = set()
     known_ids: set[str] = set()
-    for offer in config.offers:
+    for offer in offers:
         ad_id, events = offer.ad_id, offer.events
-        if ad_id in seen_ads:
-            issues.append(f"duplicate ad_id '{ad_id}'")
-        seen_ads.add(ad_id)
-        known_ids.update(map(_EVENT_ID, events))
+        if isinstance(ad_id, str):  # else validate_offer words it
+            if ad_id in seen_ads:
+                issues.append(f"duplicate ad_id '{ad_id}'")
+            seen_ads.add(ad_id)
 
         violations = [] if _clean(offer) else validate_offer(offer)
         if violations:
             issues.extend(f"offer '{ad_id}': {v}" for v in violations)
-        if len(events) > ENUMERATION_LIMIT:
-            issues.append(f"offer '{ad_id}': more than {ENUMERATION_LIMIT} events")
+        if isinstance(events, tuple):  # else validate_offer words it
+            known_ids.update(e.event_id for e in events if isinstance(e, EventSpec))
+            if len(events) > ENUMERATION_LIMIT:
+                issues.append(f"offer '{ad_id}': more than {ENUMERATION_LIMIT} events")
         if violations or not (kind == "single" or funnel):
             continue
         issues.extend(f"offer '{ad_id}': {v}" for v in target_issues(config.strategy, events))
@@ -476,7 +489,7 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     slots = config.slots
     if slots is not None and not isinstance(slots, SlotModel):
         issues.append(f"slots must be a SlotModel or None, got {brief(slots)}")
-    elif slots is not None and config.offers:
+    elif slots is not None and offers:
         undeclared = [ad for ad in slots.ctr if ad not in seen_ads]
         issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
 
@@ -485,7 +498,7 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         issues.append(f"charges must be a ChargeSchedule of a mapping, got {brief(charges)}")
         return issues
     for eid, amount in charges.charges.items():
-        if config.offers and eid not in known_ids:
+        if offers and eid not in known_ids:
             issues.append(f"charge keyed to event '{eid}' declared by no offer")
         if not is_number(amount):
             issues.append(f"charge on '{eid}' must be a number, got {brief(amount)}")

@@ -17,10 +17,10 @@ from uxcharge.cli import _header_issues, parse_scenario_doc
 from uxcharge.model import (
     brief,
     charges_from_dict,
-    event_from_dict,
     number,
-    offer_from_dict,
     read_each,
+    require_fields,
+    text,
     validate_offer,
 )
 from uxcharge.sim import (
@@ -193,15 +193,55 @@ def reference_require_same_keys(reference, mapping, what) -> None:
     raise ux.KeyMismatchError(f"{what} not keyed to the event set: {', '.join(parts)}")
 
 
+def reference_member(value, kind, what):
+    """``model.member`` through ``Enum.__call__``."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(m.value for m in kind)
+        raise ValueError(f"{what} must be one of {allowed}, got {brief(value)}") from None
+
+
+def reference_event_from_dict(doc) -> ux.EventSpec:
+    """``model.event_from_dict`` over ``reference_member``."""
+    require_fields(doc, ("id", "kind", "prob"))
+    event_id = text(doc["id"], "event 'id'")
+    kind = reference_member(doc["kind"], ux.EventKind, "'kind'")
+    return ux.EventSpec(event_id, kind, number(doc["prob"], "'prob' of", event_id))
+
+
+def reference_offer_from_dict(doc, events=()) -> ux.Offer:
+    """``model.offer_from_dict`` spelled plainly: each event entry through
+    ``read_each``, each bid through ``number``, and the stray-key pass for
+    every offer."""
+    require_fields(doc, ("ad_id", "price_type"))
+    if "events" in doc:
+        issues = []
+        events = tuple(read_each(doc, "events", reference_event_from_dict, issues))
+        if issues:
+            raise ValueError("; ".join(issues))
+    raw = doc.get("bids", {})
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"'bids' must be an object, got {brief(raw)}")
+    bids = {e.event_id: number(raw.get(e.event_id, 0.0), "bid on", e.event_id) for e in events}
+    bids.update({k: number(v, "bid on", k) for k, v in raw.items() if k not in bids})
+    return ux.Offer(
+        ad_id=text(doc["ad_id"], "'ad_id'"),
+        price_type=reference_member(doc["price_type"], ux.PriceType, "'price_type'"),
+        events=events,
+        bids=bids,
+    )
+
+
 def reference_parse(doc) -> ux.ScenarioConfig:
-    """``cli.parse_scenario_doc`` with no inline path: ``offer_from_dict`` for
-    every offer; ``k`` and the ctr rows go to ``SlotModel`` as read, as there."""
+    """``cli.parse_scenario_doc`` over the reference readers above; ``k`` and
+    the ctr rows go to ``SlotModel`` as read, as there."""
     issues = _header_issues(doc)
     if issues:
         doc = {}
 
-    shared = tuple(read_each(doc, "events", event_from_dict, issues))
-    offers = read_each(doc, "offers", lambda entry: offer_from_dict(entry, shared), issues)
+    shared = tuple(read_each(doc, "events", reference_event_from_dict, issues))
+    offers = read_each(doc, "offers", lambda entry: reference_offer_from_dict(entry, shared), issues)
 
     charges = ux.ChargeSchedule(charges={})
     try:
@@ -263,15 +303,20 @@ def reference_validate(config: ux.ScenarioConfig) -> list[str]:
         issues.append(str(exc))
         kind, target = "identity", None
 
+    offers = config.offers
+    if not isinstance(offers, (tuple, list)):
+        issues.append(f"offers must be a tuple or list, got {brief(offers)}")
+        offers = ()
     seen_ads: set[str] = set()
-    for offer in config.offers:
-        if offer.ad_id in seen_ads:
-            issues.append(f"duplicate ad_id '{offer.ad_id}'")
-        seen_ads.add(offer.ad_id)
+    for offer in offers:
+        if isinstance(offer.ad_id, str):
+            if offer.ad_id in seen_ads:
+                issues.append(f"duplicate ad_id '{offer.ad_id}'")
+            seen_ads.add(offer.ad_id)
 
         violations = validate_offer(offer)
         issues.extend(f"offer '{offer.ad_id}': {v}" for v in violations)
-        if len(offer.events) > ENUMERATION_LIMIT:
+        if isinstance(offer.events, tuple) and len(offer.events) > ENUMERATION_LIMIT:
             issues.append(f"offer '{offer.ad_id}': more than {ENUMERATION_LIMIT} events")
         if not violations:
             if kind == "single":
@@ -292,16 +337,22 @@ def reference_validate(config: ux.ScenarioConfig) -> list[str]:
 
     if config.slots is not None and not isinstance(config.slots, ux.SlotModel):
         issues.append(f"slots must be a SlotModel or None, got {brief(config.slots)}")
-    elif config.slots is not None and config.offers:
+    elif config.slots is not None and offers:
         undeclared = [ad for ad in config.slots.ctr if ad not in seen_ads]
         issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
 
     if not isinstance(config.charges, ux.ChargeSchedule) or not isinstance(config.charges.charges, Mapping):
         issues.append(f"charges must be a ChargeSchedule of a mapping, got {brief(config.charges)}")
         return issues
-    known_ids = {eid for offer in config.offers for eid in offer.event_ids}
+    known_ids = {
+        e.event_id
+        for offer in offers
+        if isinstance(offer.events, tuple)
+        for e in offer.events
+        if isinstance(e, ux.EventSpec)
+    }
     for eid, amount in config.charges.charges.items():
-        if config.offers and eid not in known_ids:
+        if offers and eid not in known_ids:
             issues.append(f"charge keyed to event '{eid}' declared by no offer")
         if isinstance(amount, bool) or not isinstance(amount, Real):
             issues.append(f"charge on '{eid}' must be a number, got {brief(amount)}")

@@ -1,6 +1,8 @@
 """Auction ranking, slot filling, and per-event price decomposition."""
 
 import itertools
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,6 +233,23 @@ def test_slot_model_words_the_first_broken_rule_of_library_built_rows(k, ctr, is
         with pytest.raises(ux.ScenarioError) as excinfo:
             SlotModel(k, ctr)
         assert excinfo.value.issues == (issue,)
+
+
+@pytest.mark.parametrize(
+    "entry", [np.float32(0.5), np.float64(0.5), Fraction(1, 2), 1, 0.5, True, "0.5", None, Decimal("0.5")]
+)
+def test_a_ctr_entry_is_a_number_exactly_when_a_bid_is(entry):
+    """``SlotModel`` and ``validate_offer`` spell "a number" one way: ``is_number``."""
+    offer = ux.Offer("x", ux.PriceType.HYBRID, two_events(0.1), {"view": entry, "click": 0.0})
+    bid_ok = not any("must be a number" in v for v in ux.validate_offer(offer))
+    try:
+        row = SlotModel(1, {"x": (entry,)}).ctr["x"]
+    except ux.ScenarioError as exc:
+        assert exc.issues == (f"ctr entry for 'x' must be a number, got {entry!r}",)
+        assert not bid_ok
+    else:
+        assert row == (float(entry),) and type(row[0]) is float
+        assert bid_ok
 
 
 @pytest.mark.parametrize("slot", [0, -1, 3, True, 1.0, "1"])

@@ -10,8 +10,9 @@ to its events; the case then goes through ``SlotModel``, ``value_at_slot``,
 ``run_first_price``, ``run_second_price`` and ``run_scenario``. Only
 ``ValueError`` subclasses may escape, and the call that owns the broken rule
 must reject it: a per-offer call that reads the broken mapping raises
-``KeyMismatchError`` and one that does not read it returns. A scenario field
-or an offer entry of the wrong type is one itemized issue.
+``KeyMismatchError`` and one that does not read it returns. A scenario field,
+an offer entry, an offer's ad_id, events or bids, or an event kind of the
+wrong type is one itemized issue.
 """
 
 import math
@@ -193,9 +194,13 @@ def test_per_offer_calls_give_the_same_bits_in_any_key_order(data):
 
 def _mistyped(field, value):
     """A valid two-ad scenario with one field of the config, of ad "a"'s
-    offer or of its click event replaced by ``value``."""
+    offer or of its click event, or the click event itself, replaced by ``value``."""
     offer = cpc_offer("a", 2.0, 0.1)
-    if field in ("bid", "probability", "view probability"):
+    if field == "click event":
+        offer = ux.Offer("a", offer.price_type, (offer.events[0], value), offer.bids)
+    elif field in ("ad_id", "events", "bids"):
+        offer = replace(offer, **{field: value})
+    elif field in ("bid", "probability", "view probability"):
         events, bids = list(offer.events), dict(offer.bids)
         if field == "bid":
             bids["click"] = value
@@ -206,7 +211,7 @@ def _mistyped(field, value):
     elif field == "price_type":
         offer = ux.Offer("a", value, offer.events, offer.bids)
     config = ux.ScenarioConfig((offer, cpc_offer("b", 1.0, 0.1)), ux.ChargeSchedule({"view": 0.01}), trials=50)
-    if field in ("strategy", "reserve", "slots", "charges"):
+    if field in ("offers", "strategy", "reserve", "slots", "charges"):
         config = replace(config, **{field: value})
     elif field == "charge":
         config = replace(config, charges=ux.ChargeSchedule({"view": value}))
@@ -237,6 +242,14 @@ MISTYPED = [
     ("view probability", "1", "offer 'a': probability of 'view' must be a number, got '1'"),
     ("view probability", HUGE, f"offer 'a': view event must have probability 1, got {HUGE!r}"),
     ("price_type", "cpc", "offer 'a': price type must be a PriceType, got 'cpc'"),
+    ("ad_id", ["a"], "offer '['a']': ad_id must be a string, got ['a']"),
+    ("ad_id", None, "offer 'None': ad_id must be a string, got None"),
+    ("bids", [0.0, 2.0], "offer 'a': bids must be a mapping, got [0.0, 2.0]"),
+    ("events", None, "offer 'a': events must be a tuple of EventSpec, got None"),
+    ("events", [], "offer 'a': events must be a tuple of EventSpec, got []"),
+    ("click event", ("click", "click", 0.1), "offer 'a': event must be an EventSpec, got ('click', 'click', 0.1)"),
+    ("offers", None, "offers must be a tuple or list, got None"),
+    ("offers", 3, "offers must be a tuple or list, got 3"),
 ]
 
 
@@ -250,6 +263,23 @@ def test_a_mistyped_field_is_one_issue(field, value, issue):
         expected.insert(0, f"offer 'a': probability out of range for 'view': {HUGE!r}")
     assert validate_scenario(config) == expected
     assert reference_validate(config) == expected
+    with pytest.raises(ux.ScenarioError) as excinfo:
+        ux.run_scenario(config)
+    assert list(excinfo.value.issues) == expected
+
+
+@pytest.mark.parametrize("model", list(ux.OutcomeModel))
+def test_an_event_kind_that_is_no_event_kind_is_itemized(model):
+    """A kind given as its string is neither a click to the auction nor one to
+    the funnel chain: it is rejected, whatever the outcome model."""
+    events = (ux.EventSpec("view", ux.EventKind.VIEW, 1.0), ux.EventSpec("click", "click", 0.1))
+    offer = ux.Offer("a", ux.PriceType.HYBRID, events, {"view": 0.0, "click": 2.0})
+    assert ux.validate_offer(offer) == ["kind of 'click' must be an EventKind, got 'click'"]
+    config = ux.ScenarioConfig(
+        (offer, cpc_offer("b", 1.0, 0.1)), ux.ChargeSchedule({}), slots=SlotModel(1, {"a": [0.9]}), model=model
+    )
+    expected = ["offer 'a': kind of 'click' must be an EventKind, got 'click'"]
+    assert validate_scenario(config) == reference_validate(config) == expected
     with pytest.raises(ux.ScenarioError) as excinfo:
         ux.run_scenario(config)
     assert list(excinfo.value.issues) == expected

@@ -1,10 +1,14 @@
 """The scenario reader and validator against their references.
 
-``cli.parse_scenario_doc`` reads plain offers inline and ``sim.validate_scenario``
-words only the offers ``sim._clean`` cannot show clean; ``helpers.reference_parse``
-and ``helpers.reference_validate`` read and check every offer through
-``offer_from_dict`` and ``validate_offer``. Both must give equal configs and
-the same full issue lists, in the same order.
+``cli.parse_scenario_doc`` reads every offer through ``model.offer_from_dict``,
+which maps ``event_from_dict`` over the events, takes finite floats and ASCII
+ids inline and looks for stray bid keys only when there are any;
+``helpers.reference_parse`` reads them through frozen copies of the field-by-field
+readers (``Enum.__call__`` for kinds, ``read_each`` for events, a stray-key pass
+for every offer). ``sim.validate_scenario`` words only the offers ``sim._clean``
+cannot show clean, and ``helpers.reference_validate`` checks every offer with
+``validate_offer``. Each pair must give equal configs and the same full issue
+lists, in the same order.
 """
 
 import copy
@@ -17,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uxcharge as ux
-from helpers import assert_reads_like_reference, reference_validate
+from helpers import assert_reads_like_reference, reference_member, reference_validate
 from test_cli import SCENARIO_PROBES
 from uxcharge.cli import parse_scenario_doc
-from uxcharge.model import validate_offer
+from uxcharge.model import member, validate_offer
 from uxcharge.sim import _clean, validate_scenario
 
 STRATEGIES = ("identity", "proportional", "single:click", "single:ghost", "bogus")
@@ -30,6 +34,34 @@ MODELS = (ux.OutcomeModel.INDEPENDENT, ux.OutcomeModel.FUNNEL)
 @pytest.mark.parametrize("doc", [p[1] for p in SCENARIO_PROBES], ids=[p[0] for p in SCENARIO_PROBES])
 def test_every_scenario_probe_reads_like_the_reference(doc):
     assert_reads_like_reference(json.loads(json.dumps(doc)), STRATEGIES, MODELS)
+
+
+class _Name(str):
+    pass
+
+
+def reading_member(read, value, kind):
+    """The member ``read`` finds, or the message it raises."""
+    try:
+        found = read(value, kind, "'field'")
+    except ValueError as exc:
+        return str(exc)
+    assert type(found) is kind
+    return found
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "view", "cpm", _Name("click"), ux.EventKind.CUSTOM, ux.PriceType.CPC, ux.OutcomeModel.FUNNEL,
+        "View", "", 1, 0.5, None, True, ["view"], {"cpm": 1}, ("view",), (["view"],),
+    ],
+)
+def test_member_reads_like_the_enum_call(value):
+    """One dict lookup gives the member ``Enum.__call__`` gives, a member
+    itself included, and the same message for anything else, unhashable too."""
+    for kind in (ux.EventKind, ux.PriceType):
+        assert reading_member(member, value, kind) == reading_member(reference_member, value, kind)
 
 
 def test_a_read_config_equals_the_library_built_one_over_the_same_rows():
@@ -167,6 +199,14 @@ LIBRARY_OFFERS = {
     "string-probability": _offer("strp", events=[ux.EventSpec("view", VIEW, 1.0), ux.EventSpec("click", CLICK, "1")]),
     "bool-view-probability": _offer("boolp", events=[ux.EventSpec("view", VIEW, True), ux.EventSpec("click", CLICK, 0.1)]),
     "string-price-type": ux.Offer("strpt", "cpm", _offer("x").events, {"view": 0.5, "click": 0.0}),
+    "string-click-kind": _offer("strclick", events=[ux.EventSpec("view", VIEW, 1.0), ux.EventSpec("click", "click", 0.1)]),
+    "list-ad-id": _offer(["listid"]),
+    "list-bids": ux.Offer("listbids", ux.PriceType.HYBRID, _offer("x").events, [0.5, 2.0]),
+    "no-event-tuple": ux.Offer("noevents", ux.PriceType.HYBRID, None, {"view": 0.5}),
+    "event-list": ux.Offer("eventlist", ux.PriceType.HYBRID, list(_offer("x").events), {"view": 0.5, "click": 2.0}),
+    "event-not-an-eventspec": ux.Offer(
+        "plainevent", ux.PriceType.HYBRID, (ux.EventSpec("view", VIEW, 1.0), ("click", CLICK, 0.1)), {"view": 0.5, "click": 2.0}
+    ),
 }
 
 # Together these two chain to the same bid keys as event ids, [view, click, view],
