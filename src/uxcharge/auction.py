@@ -17,7 +17,6 @@ win, and it stands in for the next value when competition runs out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter, is_, is_not

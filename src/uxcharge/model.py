@@ -259,7 +259,7 @@ def fold_expected(amounts: Mapping[str, float], events: Sequence[EventSpec]) -> 
 def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
     """Check an event set's invariants; the list of violations is empty when valid.
 
-    Checks: unique event ids, kinds that are ``EventKind`` members,
+    Checks: unique string event ids, kinds that are ``EventKind`` members,
     probabilities that are numbers in [0, 1], and exactly one view event,
     with probability 1. Scenario offers and ``adjust`` records share it.
     """
@@ -267,9 +267,12 @@ def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
 
     seen: set[str] = set()
     for ev in events:
-        if ev.event_id in seen:
+        if not isinstance(ev.event_id, str):
+            violations.append(f"event id must be a string, got {brief(ev.event_id)}")
+        elif ev.event_id in seen:
             violations.append(f"duplicate event id '{ev.event_id}'")
-        seen.add(ev.event_id)
+        else:
+            seen.add(ev.event_id)
 
     for ev in events:
         if type(ev.kind) is not EventKind:
@@ -298,11 +301,12 @@ def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
 def validate_offer(offer: Offer) -> list[str]:
     """Check every offer invariant; the list of violations is empty when valid.
 
-    Checks: a str ``ad_id``, events a tuple of ``EventSpec`` and bids a
-    mapping, each check that needs a mistyped one skipped; the event set
-    (``event_set_issues``), a finite bid entry (a number >= 0) for every
+    Checks: a str ``ad_id``, events a tuple of ``EventSpec`` with str ids and
+    bids a mapping, each check that needs a mistyped one skipped; the event
+    set (``event_set_issues``), a finite bid entry (a number >= 0) for every
     event and no stray entries, and the price type, a ``PriceType``, and its
     discipline (CPM bids only on the view event, CPC only on the click event).
+    The one validator of an offer: ``sim.validate_scenario`` calls it for each.
     """
     violations: list[str] = []
     events, bids = offer.events, offer.bids
@@ -320,6 +324,8 @@ def validate_offer(offer: Offer) -> list[str]:
 
     if events is not None:
         violations += event_set_issues(events)
+        if not all(isinstance(e.event_id, str) for e in events):
+            events = None  # worded above; the bid key and price type checks need string ids
     if events is not None and bids is not None:
         ids = tuple(map(_EVENT_ID, events))
         for eid in ids:

@@ -31,6 +31,7 @@ from .model import (
     Offer,
     ShiftPlan,
     approx_eq,
+    brief,
     expected_sum,
     fold_sum,
     require_same_keys,
@@ -90,11 +91,15 @@ def shift_proportional(
 
     With E = sum(c_i * p_i) and W = sum of b_j * p_j over the chargeable set,
     each chargeable event gets d_i = E * b_i / W. Then sum(d_i * p_i) == E by
-    construction, and d_i <= b_i for all i exactly when E <= W.
+    construction, and d_i <= b_i for all i exactly when E <= W. ``chargeable``
+    that is a str or not an iterable of str event ids raises ValueError.
     """
     ids = offer.event_ids
     require_same_keys(ids, offer.bids, "offer bids")
-    chargeable = set(chargeable)
+    named = None if isinstance(chargeable, str) or not isinstance(chargeable, Iterable) else tuple(chargeable)
+    if named is None or not all(isinstance(eid, str) for eid in named):
+        raise ValueError(f"chargeable must be an iterable of event ids, got {brief(chargeable)}")
+    chargeable = set(named)
     unknown = chargeable - set(ids)
     if unknown:
         raise KeyMismatchError(f"chargeable events {sorted(unknown)} not in the event set")

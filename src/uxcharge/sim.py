@@ -36,7 +36,6 @@ from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, pricing_rule_issues, 
 from .auction import run_first_price, run_second_price
 from .model import (
     FORMAT_VERSION,
-    PAID_KIND,
     VALIDATION_TOL,
     AdjustedOffer,
     AuctionOutcome,
@@ -44,7 +43,6 @@ from .model import (
     EventKind,
     EventSpec,
     Offer,
-    PriceType,
     ScenarioError,
     ShiftPlan,
     brief,
@@ -392,57 +390,13 @@ def target_issues(strategy: str, events: Sequence[EventSpec]) -> list[str]:
     return [f"strategy target event '{target}' not declared"]
 
 
-def _clean(offer: Offer) -> bool:
-    """Whether ``validate_offer`` surely passes ``offer``, in one pass over its events.
-
-    True when its ad_id is a str, its events a tuple of ``EventSpec`` with
-    ``EventKind`` kinds, its bids a dict keyed to its events in declared
-    order, its price type a ``PriceType``, each bid a finite float >= 0 and
-    each probability a float in [0, 1], it has one view event, within
-    ``VALIDATION_TOL`` of probability 1, and it bids above 0 only on the view
-    of a CPM offer or the click of a CPC offer. False means only "not shown
-    clean": ``validate_offer``, the reference, then words each violation.
-    Never raises.
-    """
-    events, bids = offer.events, offer.bids
-    if not (
-        type(offer.ad_id) is str
-        and type(events) is tuple
-        and type(bids) is dict
-        and type(offer.price_type) is PriceType
-        and len(bids) == len(events)
-    ):
-        return False
-    paid, view, views = PAID_KIND[offer.price_type], EventKind.VIEW, 0
-    for (key, bid), event in zip(bids.items(), events):
-        if type(event) is not EventSpec:
-            return False
-        p, kind = event.probability, event.kind
-        if not (
-            key == event.event_id
-            and type(bid) is float
-            and type(p) is float
-            and type(kind) is EventKind
-            and 0.0 <= bid < math.inf
-            and 0.0 <= p <= 1.0
-        ):
-            return False
-        if kind is view:
-            views += 1
-            if not abs(p - 1.0) <= VALIDATION_TOL:
-                return False
-        if paid is not None and bid > 0.0 and kind is not paid:
-            return False
-    return views == 1
-
-
 def validate_scenario(config: ScenarioConfig) -> list[str]:
     """Itemize every configuration problem; an empty list means runnable.
 
     One loop checks each offer for a repeated ad_id, the offer rules
-    (``validate_offer`` words the violations of an offer ``_clean`` cannot
-    show clean) and the event limit, then a valid offer for the rules of a
-    ``single:<event>`` strategy and of the funnel model, when chosen.
+    (``validate_offer``) and the event limit, then a valid offer for the
+    rules of a ``single:<event>`` strategy and of the funnel model, when
+    chosen.
     """
     issues: list[str] = []
 
@@ -463,18 +417,20 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     funnel = config.model is OutcomeModel.FUNNEL
     seen_ads: set[str] = set()
     known_ids: set[str] = set()
-    for offer in offers:
+    for i, offer in enumerate(offers):
+        if not isinstance(offer, Offer):
+            issues.append(f"offers[{i}] must be an Offer, got {brief(offer)}")
+            continue
         ad_id, events = offer.ad_id, offer.events
         if isinstance(ad_id, str):  # else validate_offer words it
             if ad_id in seen_ads:
                 issues.append(f"duplicate ad_id '{ad_id}'")
             seen_ads.add(ad_id)
 
-        violations = [] if _clean(offer) else validate_offer(offer)
-        if violations:
-            issues.extend(f"offer '{ad_id}': {v}" for v in violations)
+        violations = validate_offer(offer)
+        issues.extend(f"offer '{ad_id}': {v}" for v in violations)
         if isinstance(events, tuple):  # else validate_offer words it
-            known_ids.update(e.event_id for e in events if isinstance(e, EventSpec))
+            known_ids.update(e.event_id for e in events if isinstance(e, EventSpec) and isinstance(e.event_id, str))
             if len(events) > ENUMERATION_LIMIT:
                 issues.append(f"offer '{ad_id}': more than {ENUMERATION_LIMIT} events")
         if violations or not (kind == "single" or funnel):

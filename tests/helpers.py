@@ -308,7 +308,10 @@ def reference_validate(config: ux.ScenarioConfig) -> list[str]:
         issues.append(f"offers must be a tuple or list, got {brief(offers)}")
         offers = ()
     seen_ads: set[str] = set()
-    for offer in offers:
+    for i, offer in enumerate(offers):
+        if not isinstance(offer, ux.Offer):
+            issues.append(f"offers[{i}] must be an Offer, got {brief(offer)}")
+            continue
         if isinstance(offer.ad_id, str):
             if offer.ad_id in seen_ads:
                 issues.append(f"duplicate ad_id '{offer.ad_id}'")
@@ -347,9 +350,9 @@ def reference_validate(config: ux.ScenarioConfig) -> list[str]:
     known_ids = {
         e.event_id
         for offer in offers
-        if isinstance(offer.events, tuple)
+        if isinstance(offer, ux.Offer) and isinstance(offer.events, tuple)
         for e in offer.events
-        if isinstance(e, ux.EventSpec)
+        if isinstance(e, ux.EventSpec) and isinstance(e.event_id, str)
     }
     for eid, amount in config.charges.charges.items():
         if offers and eid not in known_ids:

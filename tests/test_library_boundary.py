@@ -11,8 +11,8 @@ to its events; the case then goes through ``SlotModel``, ``value_at_slot``,
 ``ValueError`` subclasses may escape, and the call that owns the broken rule
 must reject it: a per-offer call that reads the broken mapping raises
 ``KeyMismatchError`` and one that does not read it returns. A scenario field,
-an offer entry, an offer's ad_id, events or bids, or an event kind of the
-wrong type is one itemized issue.
+an offer entry, an offer's ad_id, events or bids, or an event id or kind
+of the wrong type is one itemized issue.
 """
 
 import math
@@ -283,3 +283,43 @@ def test_an_event_kind_that_is_no_event_kind_is_itemized(model):
     with pytest.raises(ux.ScenarioError) as excinfo:
         ux.run_scenario(config)
     assert list(excinfo.value.issues) == expected
+
+
+@pytest.mark.parametrize("model", list(ux.OutcomeModel))
+def test_an_offer_entry_that_is_no_offer_is_one_issue_and_skipped(model):
+    """Each entry of ``offers`` that is not an ``Offer`` is worded by its index
+    and checked no further; the offers around it are validated as usual."""
+    offers = ({"ad_id": "a"}, cpc_offer("b", 1.0, 0.1), None, cpc_offer("b", 2.0, 0.1))
+    config = ux.ScenarioConfig(offers, ux.ChargeSchedule({"view": 0.01}), model=model)
+    expected = [
+        "offers[0] must be an Offer, got {'ad_id': 'a'}",
+        "offers[2] must be an Offer, got None",
+        "duplicate ad_id 'b'",
+    ]
+    assert validate_scenario(config) == reference_validate(config) == expected
+    with pytest.raises(ux.ScenarioError) as excinfo:
+        ux.run_scenario(config)
+    assert list(excinfo.value.issues) == expected
+
+
+@pytest.mark.parametrize(
+    "event_id, bids, issue",
+    [
+        (["c"], {"view": 0.0}, "offer 'a': event id must be a string, got ['c']"),
+        (3, {"view": 0.0, 3: 1.0}, "offer 'a': event id must be a string, got 3"),
+        (None, {"view": 0.0, "click": 1.0}, "offer 'a': event id must be a string, got None"),
+    ],
+)
+@pytest.mark.parametrize("model", list(ux.OutcomeModel))
+def test_an_event_id_that_is_no_string_is_one_issue(event_id, bids, issue, model):
+    """The bid key and price type checks, which need string ids, are skipped;
+    the unhashable list id used to escape as a TypeError, the int id to run."""
+    events = (ux.EventSpec("view", ux.EventKind.VIEW, 1.0), ux.EventSpec(event_id, ux.EventKind.CLICK, 0.1))
+    offer = ux.Offer("a", ux.PriceType.CPC, events, bids)
+    config = ux.ScenarioConfig(
+        (offer, cpc_offer("b", 1.0, 0.1)), ux.ChargeSchedule({"view": 0.01}), strategy="single:click", model=model
+    )
+    assert validate_scenario(config) == reference_validate(config) == [issue]
+    with pytest.raises(ux.ScenarioError) as excinfo:
+        ux.run_scenario(config)
+    assert list(excinfo.value.issues) == [issue]

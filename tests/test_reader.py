@@ -5,10 +5,10 @@ which maps ``event_from_dict`` over the events, takes finite floats and ASCII
 ids inline and looks for stray bid keys only when there are any;
 ``helpers.reference_parse`` reads them through frozen copies of the field-by-field
 readers (``Enum.__call__`` for kinds, ``read_each`` for events, a stray-key pass
-for every offer). ``sim.validate_scenario`` words only the offers ``sim._clean``
-cannot show clean, and ``helpers.reference_validate`` checks every offer with
-``validate_offer``. Each pair must give equal configs and the same full issue
-lists, in the same order.
+for every offer). ``sim.validate_scenario`` and ``helpers.reference_validate``
+both check every offer with ``validate_offer``, the one offer validator, but
+each words the scenario rules around it itself. Each pair must give equal
+configs and the same full issue lists, in the same order.
 """
 
 import copy
@@ -24,8 +24,8 @@ import uxcharge as ux
 from helpers import assert_reads_like_reference, reference_member, reference_validate
 from test_cli import SCENARIO_PROBES
 from uxcharge.cli import parse_scenario_doc
-from uxcharge.model import member, validate_offer
-from uxcharge.sim import _clean, validate_scenario
+from uxcharge.model import member
+from uxcharge.sim import prepare, validate_scenario
 
 STRATEGIES = ("identity", "proportional", "single:click", "single:ghost", "bogus")
 MODELS = (ux.OutcomeModel.INDEPENDENT, ux.OutcomeModel.FUNNEL)
@@ -207,6 +207,8 @@ LIBRARY_OFFERS = {
     "event-not-an-eventspec": ux.Offer(
         "plainevent", ux.PriceType.HYBRID, (ux.EventSpec("view", VIEW, 1.0), ("click", CLICK, 0.1)), {"view": 0.5, "click": 2.0}
     ),
+    "list-event-id": _offer("listeid", "cpc", events=[ux.EventSpec("view", VIEW, 1.0), ux.EventSpec(["c"], CLICK, 0.1)], bids={"view": 0.0, "c": 1.0}),
+    "int-event-id": _offer("inteid", "cpc", events=[ux.EventSpec("v", VIEW, 1.0), ux.EventSpec(3, CLICK, 0.1)], bids={"v": 0.0, 3: 1.0}),
 }
 
 # Together these two chain to the same bid keys as event ids, [view, click, view],
@@ -244,7 +246,7 @@ def test_all_library_built_offers_together_validate_like_the_reference():
 
 PROBABILITIES = [1.0, 0.5, 0.0, -0.0, 1 - 1e-10, 1 + 1e-10, 0.999, 1, 0, 1.5, float("nan"), np.float64(1.0)]
 BIDS = [0.0, -0.0, 1.0, 2.5, 1, 0, -1.0, float("nan"), float("inf"), True, np.float64(1.0)]
-MUTATIONS = ("permute", "drop", "stray", "bid", "probability", "price_type", "repeat", "view")
+MUTATIONS = ("permute", "drop", "stray", "bid", "probability", "price_type", "repeat", "view", "id")
 
 
 @st.composite
@@ -252,17 +254,19 @@ def loose_offers(draw):
     """A valid offer of floats with bids in event order, then none, one or two
     of: bids permuted, missing or stray; a bid or probability that is an
     int, bool, numpy float, nan, infinite, negative or out of range; another
-    price type; a repeated event id; a second view event."""
+    price type; a repeated event id; a second view event; an event whose id
+    is an int or a list, with no bid."""
     kinds = draw(st.lists(st.sampled_from([CLICK, ux.EventKind.CONVERSION, ux.EventKind.CUSTOM]), max_size=3))
     events = [ux.EventSpec("view", VIEW, draw(st.sampled_from([1.0, 1 - 1e-10])))]
     events += [ux.EventSpec(f"e{i}", kind, draw(st.sampled_from([0.0, 0.25, 1.0]))) for i, kind in enumerate(kinds)]
     events = draw(st.permutations(events))
+    declared = len(events)
     price_type = draw(st.sampled_from(list(ux.PriceType)))
     paid = {ux.PriceType.CPM: VIEW, ux.PriceType.CPC: CLICK}.get(price_type)
     bids = {e.event_id: draw(st.sampled_from([0.0, 1.5])) if paid in (None, e.kind) else 0.0 for e in events}
 
     for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
-        at = draw(st.integers(0, len(events) - 1))
+        at = draw(st.integers(0, declared - 1))
         eid = events[at].event_id
         if mutation == "permute":
             bids = dict(draw(st.permutations(list(bids.items()))))
@@ -278,20 +282,28 @@ def loose_offers(draw):
             price_type = draw(st.sampled_from(list(ux.PriceType)))
         elif mutation == "repeat":
             events.append(events[at])
-        else:
+        elif mutation == "view":
             events.append(ux.EventSpec("v2", VIEW, 1.0))
             bids["v2"] = 0.0
+        else:
+            events.append(ux.EventSpec(draw(st.sampled_from([3, ["e0"]])), CLICK, 0.5))
     return ux.Offer("ad", price_type, tuple(events), bids)
 
 
 @settings(max_examples=400, deadline=None)
 @given(offer=loose_offers())
-def test_clean_is_a_valid_offer_of_floats_with_bids_in_event_order(offer):
-    """``_clean`` passes exactly the valid offers whose bids are keyed in
-    declared order and whose amounts are all floats: it never skips an offer
-    ``validate_offer`` would word, and a scenario read from JSON calls
-    ``validate_offer`` for no valid offer."""
-    plain = tuple(offer.bids) == offer.event_ids and all(
-        type(x) is float for x in [*offer.bids.values(), *(e.probability for e in offer.events)]
-    )
-    assert _clean(offer) == (validate_offer(offer) == [] and plain)
+def test_one_loose_offer_validates_like_the_reference_and_prepares_only_when_valid(offer):
+    """Under every strategy and outcome model, ``validate_scenario`` words a
+    one-offer scenario as the reference does, and ``prepare`` raises
+    ScenarioError exactly when that list is not empty, and nothing else."""
+    for strategy in STRATEGIES:
+        for model in MODELS:
+            config = ux.ScenarioConfig((offer,), ux.ChargeSchedule({"view": 0.01}), strategy=strategy, model=model)
+            issues = validate_scenario(config)
+            assert issues == reference_validate(config)
+            try:
+                prepare(config)
+            except ux.ScenarioError as exc:
+                assert list(exc.issues) == issues != []
+            else:
+                assert issues == []

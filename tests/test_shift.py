@@ -123,6 +123,20 @@ def test_shift_proportional_rejects_zero_weight():
         shift_proportional(ux.ChargeSchedule({"view": 0.1, "click": 0.0}), offer, {"click"})
 
 
+@pytest.mark.parametrize(
+    "chargeable, shown",
+    [("click", "'click'"), ("cv", "'cv'"), (None, "None"), (3, "3"), ([["click"]], "[['click']]"), ([3], "[3]")],
+)
+def test_shift_proportional_rejects_a_chargeable_that_is_no_iterable_of_ids(chargeable, shown):
+    # a str used to be read as its characters, None to escape as a TypeError
+    offer = ux.Offer("x", ux.PriceType.HYBRID, two_events(0.5), {"view": 0.5, "click": 1.0})
+    charges = ux.ChargeSchedule({"view": 0.1, "click": 0.0})
+    with pytest.raises(ValueError) as excinfo:
+        shift_proportional(charges, offer, chargeable)
+    assert str(excinfo.value) == f"chargeable must be an iterable of event ids, got {shown}"
+    assert shift_proportional(charges, offer, iter(["click", "view"])) == shift_proportional(charges, offer, ("view", "click"))
+
+
 def test_validate_plan_accepts_constructed_plans():
     offer = cpc_offer("x", 2.0, 0.1)
     charges = ux.ChargeSchedule({"view": 0.05, "click": 0.0})
