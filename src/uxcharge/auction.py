@@ -13,16 +13,17 @@ adjusted bids by a factor theta:
 
 The reserve is a finite expected-value floor >= 0: offers below it cannot
 win, and it stands in for the next value when competition runs out.
+
+Values are plain left folds, one slot's at a time, so memory grows with the
+offers and their events, never with the slot count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import attrgetter, is_, is_not
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .model import (
     AdjustedOffer,
@@ -40,11 +41,8 @@ FIRST_PRICE = "first"
 SECOND_PRICE = "second"
 
 _AD_ID = attrgetter("ad_id")
-_ADJUSTED = attrgetter("adjusted")
-_EVENTS = attrgetter("events")
 _EVENT_ID = attrgetter("event_id")
-_KIND = attrgetter("kind")
-_PROBABILITY = attrgetter("probability")
+_VALUE = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -153,81 +151,15 @@ def run_second_price(
     return _run(offers, slots, reserve, SECOND_PRICE)
 
 
-# The auction's layout is the offers x events matrix: row i holds offer i's
-# entries in declared event order, then zeros up to the widest offer, which
-# leave ``fold_columns`` unchanged.
-
-
-def fold_columns(x: np.ndarray) -> np.ndarray:
-    """Sums over the last axis of ``x``, each taken left to right like
-    ``model.fold_sum``. ``np.sum`` and ``@`` reorder the additions; this
-    column loop keeps the bits of the per-offer fold."""
-    total = np.zeros(x.shape[:-1])
-    for i in range(x.shape[-1]):
-        total += x[..., i]
-    return total
-
-
-def padded(flat: np.ndarray, widths: list[int]) -> np.ndarray:
-    """The offers x events matrix of a flat column: row i holds offer i's
-    ``widths[i]`` entries, then zeros up to the widest offer."""
-    n, width = len(widths), max(widths, default=0)
-    if len(flat) == n * width:
-        return flat.reshape(n, width)
-    matrix = np.zeros((n, width), dtype=flat.dtype)
-    matrix[np.arange(width) < np.array(widths)[:, None]] = flat
-    return matrix
-
-
-@np.errstate(over="ignore", invalid="ignore")  # _run rejects non-finite values
-def _slot_values(
-    offers: Sequence[AdjustedOffer], ad_ids: list[str], slots: SlotModel | None, columns: Sequence[int]
-) -> np.ndarray:
-    """``value_at_slot`` of every offer, whose ids are ``ad_ids``, in each 1-based
-    slot of ``columns``: a row per slot.
-
-    Each value is a left-to-right fold over the offer's events in declared
-    order, with every click event's probability replaced by the ad's ctr row
-    when it has one, exactly as ``value_at_slot`` sums. Raises
-    KeyMismatchError, naming the ad, for adjusted bids not keyed to their events.
-    """
-    per_offer = list(map(_EVENTS, offers))
-    events = list(chain.from_iterable(per_offer))  # offer after offer
-    ids, widths = list(map(_EVENT_ID, events)), list(map(len, per_offer))
-    adjusted = list(map(_ADJUSTED, offers))
-    if list(map(len, adjusted)) == widths and list(chain.from_iterable(adjusted)) == ids:
-        # every mapping's keys are its offer's event ids in order
-        bids = [amount for bid_map in adjusted for amount in bid_map.values()]
-    else:
-        for offer in offers:
-            require_same_keys(
-                tuple(map(_EVENT_ID, offer.events)), offer.adjusted, f"offer '{offer.ad_id}': adjusted bids"
-            )
-        bids = [offer.adjusted[e.event_id] for offer in offers for e in offer.events]
-    rows = list(map((slots.ctr if slots else {}).get, ad_ids))
-    has_row = np.fromiter(map(is_not, rows, repeat(None)), dtype=bool, count=len(rows))
-    # each slot's ctr entry of each ad; 0.0, never read, for an ad without a row
-    R = np.array([0.0 if row is None else row[j - 1] for j in columns for row in rows], dtype=float)
-    clicks = np.fromiter(map(is_, map(_KIND, events), repeat(EventKind.CLICK)), dtype=bool, count=len(events))
-    B = padded(np.array(bids, dtype=float), widths)
-    P = padded(np.fromiter(map(_PROBABILITY, events), dtype=float, count=len(events)), widths)
-    # the probability of each slot, offer and event: the ctr entry where it replaces the declared one
-    Q = np.where(padded(clicks, widths) & has_row[:, None], R.reshape(len(columns), len(rows), 1), P)
-    return fold_columns(np.multiply(B, Q, out=Q))
-
-
-def _run(
-    offers: Sequence[AdjustedOffer],
-    slots: SlotModel | None,
-    reserve: float,
-    rule: str,
-) -> AuctionOutcome:
-    """Both pricing rules over one slots x offers value matrix.
+def _run(offers: Sequence[AdjustedOffer], slots: SlotModel | None, reserve: float, rule: str) -> AuctionOutcome:
+    """Both pricing rules in one greedy loop over the slots.
 
     Reproduces the slot-by-slot greedy auction that calls ``value_at_slot``
     per offer and slot, bit for bit on finite values; no offers give no winners.
     Raises ScenarioError on a bad reserve, each ad_id that is not a string,
-    each repeated ad_id or non-finite slot value.
+    each repeated ad_id, each adjusted bid that is not a number, and each ad
+    whose value is not finite at the first slot where any value is not;
+    KeyMismatchError, naming the ad, for adjusted bids not keyed to their events.
     """
     issues = reserve_issues(reserve)
     issues += [f"ad_id must be a string, got {brief(a)}" for a in map(_AD_ID, offers) if not isinstance(a, str)]
@@ -242,53 +174,74 @@ def _run(
     repeated = {a for a, b in zip(ad_ids, ad_ids[1:]) if a == b}
     if repeated:
         raise ScenarioError([f"duplicate ad_id '{ad_id}'" for ad_id in sorted(repeated)])
-    if not remaining:
-        return AuctionOutcome(pricing_rule=rule, ranking=(), winners=())
-    # Each offer fills at most one slot, and the leftover ranking reads slot k.
-    k = slots.k if slots else 1
-    filled = min(k, len(remaining))
-    columns = [*range(1, filled + 1)] + ([k] if filled < k else [])
-    values = _slot_values(remaining, ad_ids, slots, columns)
-    finite = np.isfinite(values)
-    if not finite.all():
-        broken = [ad_ids[i] for i in np.flatnonzero(~finite.all(axis=0))]
-        raise ScenarioError([f"offer '{ad_id}': value in a slot is not finite" for ad_id in broken])
+    k, rows = (slots.k, slots.ctr) if slots else (1, {})
+
+    # An ad's fold up to its first click event is its head, the same in every
+    # slot. An ad with a ctr row keeps the row and the rest of its events as
+    # (bid, probability) terms, None where the row replaces the probability.
+    heads, tails = [], []
+    for offer in remaining:
+        events, adjusted = offer.events, offer.adjusted
+        require_same_keys(tuple(map(_EVENT_ID, events)), adjusted, f"offer '{offer.ad_id}': adjusted bids")
+        row = rows.get(offer.ad_id)
+        head, terms = 0.0, None
+        for e in events:
+            bid = adjusted[e.event_id]
+            if type(bid) is not float:
+                if not is_number(bid):
+                    issues.append(f"offer '{offer.ad_id}': adjusted bid on '{e.event_id}' must be a number, got {brief(bid)}")
+                    continue
+                bid = float(bid) if is_finite(bid) else math.inf  # an int beyond float range
+            if terms is not None:
+                terms.append((bid, None if e.kind is EventKind.CLICK else e.probability))
+            elif row is not None and e.kind is EventKind.CLICK:
+                terms = [(bid, None)]
+            else:
+                head += bid * e.probability
+        heads.append(head)
+        tails.append(None if terms is None else (row, terms))
+    if issues:
+        raise ScenarioError(issues)
+
+    def column(slot: int) -> list[float]:
+        """Each unplaced ad's value in ``slot``, in ad_id order: its head, then
+        its terms folded left to right, the additions ``value_at_slot`` makes."""
+        values = []
+        for value, tail in zip(heads, tails):
+            if tail is not None:
+                row, terms = tail
+                click = row[slot - 1]
+                for bid, p in terms:
+                    value += bid * (click if p is None else p)
+            values.append(value)
+        if not all(map(math.isfinite, values)):
+            broken = [a for a, value in zip(ad_ids, values) if not math.isfinite(value)]
+            raise ScenarioError([f"offer '{ad_id}': value in a slot is not finite" for ad_id in broken])
+        return values
 
     winners: list[SlotAward] = []
-    for slot in range(1, filled + 1):
-        # Placed offers read -inf; every slot value is finite, so argmax
-        # finds the best offer still unplaced, the first one among ties.
-        live = values[slot - 1]
-        row = int(live.argmax())
-        own_value = float(live[row])
+    slot = 0
+    # Each offer fills at most one slot, and is valued in each slot until then.
+    for slot in range(1, min(k, len(remaining)) + 1):
+        live = column(slot)
+        own_value = max(live)  # the first of the best in ad_id order
         if own_value < reserve:
             break
-        winner = remaining[row]
-        values[:, row] = -np.inf
+        best = live.index(own_value)
+        winner = remaining.pop(best)
+        del ad_ids[best], heads[best], tails[best], live[best]
 
         if rule == FIRST_PRICE:
             theta = 1.0
         else:
             # competitors only; with none left the reserve prices the slot
-            next_value = max(float(live[live.argmax()]), reserve)
+            next_value = max(max(live, default=reserve), reserve)
             theta = next_value / own_value if own_value > 0.0 else 0.0
-
         prices = {e.event_id: theta * winner.adjusted[e.event_id] for e in winner.events}
-        winners.append(
-            SlotAward(
-                ad_id=winner.ad_id,
-                slot=slot,
-                prices=prices,
-                value=own_value,
-                price_factor=theta,
-            )
-        )
+        winners.append(SlotAward(winner.ad_id, slot, prices, own_value, theta))
 
     ranking = [(w.ad_id, w.value) for w in winners]
-    # Placed offers sort last; ties stay in ad_id order.
-    last = values[-1]
-    left = np.argsort(-last, kind="stable")[: len(remaining) - len(winners)].tolist()
-    value = last.tolist()
-    ranking.extend([(ad_ids[i], value[i]) for i in left])
-
+    # The unplaced offers by their value in slot k, which the loop holds if it
+    # reached slot k; the sort is stable, so ties stay in ad_id order.
+    ranking += sorted(zip(ad_ids, live if slot == k else column(k)), key=_VALUE, reverse=True)
     return AuctionOutcome(pricing_rule=rule, ranking=tuple(ranking), winners=tuple(winners))

@@ -58,7 +58,8 @@ def fold_sum(values: Iterable[float]) -> float:
 
     Every float sum in the pipeline is such a fold from 0.0, over an offer's
     events in declared order: this one, the loop of ``expected_sum``,
-    ``fold_expected`` or ``sim.prepare``, or the auction's ``fold_columns``.
+    ``fold_expected``, ``sim.prepare`` or ``auction.value_at_slot``, or the
+    auction's head-then-terms fold of each ad's value in a slot.
     Builtin ``sum()`` compensates rounding from Python 3.12 on, and
     ``np.sum``, ``@`` and ``dot`` reorder the additions by numpy version and
     BLAS/SIMD dispatch; none is used.

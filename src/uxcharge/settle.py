@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Mapping
 
-from .model import Settlement, ShiftPlan, fold_sum, require_same_keys
+from .model import Settlement, ShiftPlan, brief, fold_sum, is_number, require_same_keys
 
 
 class ClassicRule(Enum):
@@ -70,7 +70,10 @@ def settle_classic(
     CPC rules, per view for the CPM rules. Per-click rules charge
     only when clicked; per-view rules charge at win time regardless of the
     click (the click cost enters as the deterministic expectation c * p).
+    A ``p`` that is given must be a number in [0, 1], or else ValueError.
     """
+    if p is not None and not (is_number(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"{rule.value} settlement: click probability must be a number in [0, 1], got {brief(p)}")
     if rule in _PER_CLICK_RULES:
         if p is None or p <= 0.0:
             raise ValueError(f"{rule.value} settlement undefined without positive click probability")

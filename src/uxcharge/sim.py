@@ -106,11 +106,21 @@ def _amounts(
     """Each event's charge if it occurs, price + shifted, in declared event order.
 
     The three oracles' shared preamble. Raises KeyMismatchError unless both
-    mappings are keyed to the events.
+    mappings are keyed to the events, and ScenarioError naming each event
+    whose price or shift amount is not a number (``is_number``); an infinite
+    amount gives the oracles a non-finite result.
     """
     ids = tuple(ev.event_id for ev in events)
     require_same_keys(ids, prices, "prices")
     require_same_keys(ids, shifted, "shift amounts")
+    issues = [
+        f"{what} for '{eid}' must be a number, got {brief(amounts[eid])}"
+        for eid in ids
+        for what, amounts in (("price", prices), ("shift amount", shifted))
+        if not is_number(amounts[eid])
+    ]
+    if issues:
+        raise ScenarioError(issues)
     return [prices[eid] + shifted[eid] for eid in ids]
 
 

@@ -493,6 +493,12 @@ def loop_auction(offers, slots, reserve: float, rule: str) -> ux.AuctionOutcome:
     return ux.AuctionOutcome(rule, tuple(ranking), tuple(winners))
 
 
+def outcome_view(outcome: ux.AuctionOutcome):
+    """An auction outcome with its floats in ``hexed`` form, to compare bit for bit."""
+    winners = [(w.ad_id, w.slot, hexed(w.prices), hexed(w.value), hexed(w.price_factor)) for w in outcome.winners]
+    return outcome.pricing_rule, hexed(outcome.ranking), winners
+
+
 def recursive_dumps(doc) -> str:
     """The canonical writer as one recursive call per value."""
     def format_float(x):

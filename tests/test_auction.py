@@ -1,6 +1,8 @@
 """Auction ranking, slot filling, and per-event price decomposition."""
 
 import itertools
+import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import uxcharge as ux
 from uxcharge.auction import SlotModel, run_first_price, run_second_price, value_at_slot
 
-from helpers import close12, two_events
+from helpers import close12, loop_auction, outcome_view, two_events
 
 exact = lambda x: pytest.approx(x, rel=1e-12, abs=1e-12)
 
@@ -317,3 +319,95 @@ def test_first_price_equals_adjusted_bid(values):
     outcome = run_first_price(offers)
     for award in outcome.winners:
         assert award.prices["view"] == offers_by_id(offers, award.ad_id).adjusted["view"]
+
+
+THREE = (*two_events(0.5), ux.EventSpec("sure", ux.EventKind.CUSTOM, 1.0))
+
+
+def overflows_in_slot_2(ad_id: str, view: float) -> ux.AdjustedOffer:
+    """Worth ``view`` - 1.7e308 + 1e308 in slot 1, at its ctr entry 1.0, and
+    1e308 + 1e308, beyond float range, in slot 2, at its entry 0.0."""
+    return ux.AdjustedOffer(ad_id, THREE, {"view": view, "click": -1.7e308, "sure": 1e308}, 0.0)
+
+
+@pytest.mark.parametrize("runner", [run_first_price, run_second_price])
+def test_an_ad_is_valued_only_in_the_slots_it_competes_for(runner):
+    slots = SlotModel(2, {"x": (1.0, 0.0), "y": (1.0, 0.0)})
+    # x wins slot 1 and is never valued in slot 2, where it would overflow
+    outcome = runner([overflows_in_slot_2("x", 1.7e308), view_only("z", 0.5)], slots)
+    assert [(w.ad_id, w.slot) for w in outcome.winners] == [("x", 1), ("z", 2)]
+    assert outcome.ranking == (("x", 1e308), ("z", 0.5))
+    # x and y lose slot 1 to z and compete for slot 2: both are named, in ad_id order
+    offers = [overflows_in_slot_2("y", 1e308), view_only("z", 1.5e308), overflows_in_slot_2("x", 1e308)]
+    with pytest.raises(ux.ScenarioError) as excinfo:
+        runner(offers, slots)
+    assert excinfo.value.issues == ("offer 'x': value in a slot is not finite", "offer 'y': value in a slot is not finite")
+    # with one slot, the leftover ranking values x at slot k = 1 only
+    outcome = runner(offers, SlotModel(1, {"x": (1.0,), "y": (1.0,)}))
+    assert outcome.ranking == (("z", 1.5e308), ("x", 1e308 - 1.7e308 + 1e308), ("y", 1e308 - 1.7e308 + 1e308))
+
+
+@pytest.mark.parametrize("runner", [run_first_price, run_second_price])
+def test_the_leftover_ranking_raises_for_a_value_not_finite_in_slot_k(runner):
+    # the reserve stops the auction at slot 1; x is then valued in slot k = 2 for the ranking
+    slots = SlotModel(2, {"x": (1.0, 0.0)})
+    with pytest.raises(ux.ScenarioError) as excinfo:
+        runner([overflows_in_slot_2("x", 1e308), view_only("z", 0.5)], slots, 1e308)
+    assert excinfo.value.issues == ("offer 'x': value in a slot is not finite",)
+
+
+@pytest.mark.parametrize("runner", [run_first_price, run_second_price])
+def test_an_adjusted_bid_that_is_not_a_number_is_one_issue_each(runner):
+    bad = {"view": None, "click": [1.0]}
+    offers = [
+        ux.AdjustedOffer("y", two_events(0.5), {"view": "0.5", "click": 1.0}, 1.0),
+        ux.AdjustedOffer("x", two_events(0.5), bad, 1.0),
+        ux.AdjustedOffer("w", two_events(0.5), {"view": 0.5, "click": True}, 1.0),
+        with_click("v", 1.0, 0.5),
+    ]
+    with pytest.raises(ux.ScenarioError) as excinfo:
+        runner(offers, SlotModel(2, {"x": (0.5, 0.25)}))
+    assert excinfo.value.issues == (
+        "offer 'w': adjusted bid on 'click' must be a number, got True",
+        "offer 'x': adjusted bid on 'view' must be a number, got None",
+        "offer 'x': adjusted bid on 'click' must be a number, got [1.0]",
+        "offer 'y': adjusted bid on 'view' must be a number, got '0.5'",
+    )
+
+
+@pytest.mark.parametrize("slots", [None, SlotModel(2, {"x": (0.5, 0.25)})])
+def test_numpy_and_integer_bids_give_float_values_with_the_same_bits(slots):
+    plain = [with_click("x", 3.0, 0.5), view_only("y", 0.5), view_only("z", 10**400)]
+    odd = [
+        ux.AdjustedOffer("x", two_events(0.5), {"view": np.float64(0.0), "click": 3}, 1.5),
+        ux.AdjustedOffer("y", VIEW, {"view": np.float64(0.5)}, 0.5),
+    ]
+    for runner in (run_first_price, run_second_price):
+        expected = runner(plain[:2], slots)
+        outcome = runner(odd, slots)
+        assert outcome.ranking == expected.ranking
+        assert all(type(value) is float for _, value in outcome.ranking)
+        assert [type(w.value) for w in outcome.winners] == [float] * len(outcome.winners)
+        # an int bid beyond float range gives a value that is not finite, not an OverflowError
+        with pytest.raises(ux.ScenarioError) as excinfo:
+            runner(plain, slots)
+        assert excinfo.value.issues == ("offer 'z': value in a slot is not finite",)
+
+
+def test_auction_memory_follows_the_offers_not_the_slots():
+    # 1,000 rowless ads at k = 1,000: a slots x offers x events value array peaked at 30.7 MiB
+    rng = random.Random(11)
+    offers = [
+        ux.AdjustedOffer(f"ad{i:04d}", two_events(0.1), {"view": rng.random(), "click": rng.random()}, 1.0)
+        for i in range(1000)
+    ]
+    slots = SlotModel(1000)
+    tracemalloc.start()
+    try:
+        outcome = run_second_price(offers, slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len(outcome.winners) == 1000
+    assert outcome_view(outcome) == outcome_view(loop_auction(offers, slots, 0.0, "second"))

@@ -1,10 +1,14 @@
 """Settlement rules: the general charge and its five classic specializations."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import uxcharge as ux
+from uxcharge.model import brief
 from uxcharge.settle import ClassicRule, settle_classic, settle_general
 
 from helpers import close12, money, open_unit, two_events, unit
@@ -156,3 +160,22 @@ def test_second_price_full_click_charge_bounded_by_bid():
 
     first = ux.run_first_price([adjusted]).winners[0]
     assert first.prices["click"] + shift.shifted["click"] == exact(b)
+
+
+@pytest.mark.parametrize("rule", list(ClassicRule))
+@pytest.mark.parametrize("p", [math.nan, -0.1, 1.5, math.inf, "0.1", True, [0.1], 10**400])
+def test_classic_rules_reject_a_click_probability_outside_zero_to_one(rule, p):
+    with pytest.raises(ValueError) as excinfo:
+        settle_classic(rule, r=1.0, v=0.05, c=0.5, p=p, clicked=True)
+    assert str(excinfo.value) == f"{rule.value} settlement: click probability must be a number in [0, 1], got {brief(p)}"
+
+
+@pytest.mark.parametrize("rule", list(ClassicRule))
+def test_classic_rules_take_a_click_probability_of_zero_to_one(rule):
+    for p in (0.5, 1, 1.0, Fraction(1, 2)):
+        assert math.isfinite(settle_classic(rule, r=1.0, v=0.05, c=0.5, p=p, clicked=True))
+    if rule in (ClassicRule.CPC_VIEW, ClassicRule.CPC_BOTH):  # per-click rules keep their p > 0 rule
+        with pytest.raises(ValueError, match="positive click probability"):
+            settle_classic(rule, r=1.0, v=0.05, c=0.5, p=0, clicked=True)
+    else:
+        assert settle_classic(rule, r=1.0, v=0.05, c=0.5, p=0.0) == settle_classic(rule, r=1.0, v=0.05, c=0.0, p=1.0)

@@ -467,6 +467,29 @@ def test_oracles_return_a_non_finite_payment_without_a_warning(events, amounts, 
     assert not any(map(math.isfinite, (enumerated, mean, stderr)))
 
 
+@pytest.mark.parametrize(
+    "prices, shifted, issues",
+    [
+        ({"view": "0.1", "click": 0.0}, {"view": 0.0, "click": 0.0}, ["price for 'view' must be a number, got '0.1'"]),
+        (
+            {"view": 0.1, "click": None},
+            {"view": True, "click": [0.5]},
+            [
+                "shift amount for 'view' must be a number, got True",
+                "price for 'click' must be a number, got None",
+                "shift amount for 'click' must be a number, got [0.5]",
+            ],
+        ),
+    ],
+)
+def test_the_oracles_word_an_amount_that_is_not_a_number(prices, shifted, issues):
+    # a string price raised "can only concatenate str (not "float") to str"
+    for oracle in (expected_payment, enumerate_expected_payment, monte_carlo_payment):
+        with pytest.raises(ScenarioError) as excinfo:
+            oracle(prices, shifted, EVENTS)
+        assert list(excinfo.value.issues) == issues
+
+
 def test_monte_carlo_rejects_nonpositive_trials():
     zeros = {"view": 0.0, "click": 0.0}
     with pytest.raises(ValueError, match="trials must be >= 1"):

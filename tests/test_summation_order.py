@@ -1,11 +1,13 @@
 """The package takes every float sum in one order: declared event order, left to right.
 
-Sums go through ``model.fold_sum`` / ``auction.fold_columns`` (or
-``np.add.accumulate(x)[-1]`` for a 1-D total). The reductions rejected here
-pick their own order: builtin ``sum()`` and ``math.fsum`` compensate
-rounding, while ``@``, ``dot``, ``np.sum`` and ``np.prod`` follow numpy's
-pairwise summation or the BLAS kernel chosen at run time, so their bits can
-change with the numpy version or the machine.
+Sums are plain ``+=`` folds, as ``model.fold_sum`` takes them (or
+``np.add.accumulate(x)[-1]`` for a 1-D total in the oracles). The reductions
+rejected here pick their own order: builtin ``sum()`` and ``math.fsum``
+compensate rounding, while ``@``, ``dot``, ``np.sum`` and ``np.prod`` follow
+numpy's pairwise summation or the BLAS kernel chosen at run time, so their
+bits can change with the numpy version or the machine. Only ``sim.py``, home
+of the payment oracles, imports numpy, so no other stage can come to depend
+on its version.
 """
 
 import ast
@@ -57,3 +59,32 @@ def test_the_guard_sees_every_form():
     assert [what for _, what in reorderings(ast.parse(source))] == [
         "@", "@", "sum()", "fsum()", "sum()", "sum()", "dot()", "dot()", "prod()"
     ]
+
+
+NUMPY_MODULES = {"sim.py"}
+
+
+def numpy_imports(tree: ast.AST) -> list[int]:
+    """The line of each ``import numpy...`` and ``from numpy... import``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_oracles_import_numpy(path):
+    imports = numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert bool(imports) == (path.name in NUMPY_MODULES), imports
+
+
+def test_the_numpy_guard_sees_every_form():
+    source = "import numpy as np\nimport os, numpy.random\nfrom numpy import ndarray\nfrom numpy.random import Philox\nimport numpyish\nfrom . import numpy\n"
+    assert numpy_imports(ast.parse(source)) == [1, 2, 3, 4]
