@@ -118,18 +118,35 @@ def reserve_issues(reserve: float) -> list[str]:
     return [f"reserve must be a finite number >= 0, got {brief(reserve)}"]
 
 
+def _read_bid(offer: AdjustedOffer, event_id: str, bid: object, issues: list[str]) -> float | None:
+    """An adjusted bid that is not a float, as a float if it is a number (``is_number``;
+    an int beyond float range as an infinity), else None with its issue put in ``issues``."""
+    if not is_number(bid):
+        issues.append(f"offer '{offer.ad_id}': adjusted bid on '{event_id}' must be a number, got {brief(bid)}")
+        return None
+    try:
+        return float(bid)
+    except OverflowError:
+        return math.inf if bid > 0 else -math.inf
+
+
 def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> float:
-    """Expected adjusted value with click probabilities taken from the slot model.
-    Raises KeyMismatchError, naming the ad, for adjusted bids not keyed to their
-    events, and ScenarioError, from ``SlotModel.click_probability``, for a slot
-    not in 1..k."""
+    """Expected adjusted value, a float, with click probabilities taken from the slot
+    model. Each adjusted bid is read as the auction reads it: a number as a float (an
+    int beyond float range as an infinity), anything else a ScenarioError issue. Raises
+    KeyMismatchError, naming the ad, for adjusted bids not keyed to their events, and
+    ScenarioError, from ``SlotModel.click_probability``, for a slot not in 1..k."""
     events, adjusted = offer.events, offer.adjusted
     require_same_keys(tuple(map(_EVENT_ID, events)), adjusted, f"offer '{offer.ad_id}': adjusted bids")
     override = slots.click_probability(offer.ad_id, slot) if slots else None
+    issues: list[str] = []
     total = 0.0
     for ev in events:
-        p = override if (override is not None and ev.kind is EventKind.CLICK) else ev.probability
-        total += adjusted[ev.event_id] * p
+        bid = adjusted[ev.event_id]
+        if type(bid) is float or (bid := _read_bid(offer, ev.event_id, bid, issues)) is not None:
+            total += bid * (override if (override is not None and ev.kind is EventKind.CLICK) else ev.probability)
+    if issues:
+        raise ScenarioError(issues)
     return total
 
 
@@ -187,11 +204,8 @@ def _run(offers: Sequence[AdjustedOffer], slots: SlotModel | None, reserve: floa
         head, terms = 0.0, None
         for e in events:
             bid = adjusted[e.event_id]
-            if type(bid) is not float:
-                if not is_number(bid):
-                    issues.append(f"offer '{offer.ad_id}': adjusted bid on '{e.event_id}' must be a number, got {brief(bid)}")
-                    continue
-                bid = float(bid) if is_finite(bid) else math.inf  # an int beyond float range
+            if type(bid) is not float and (bid := _read_bid(offer, e.event_id, bid, issues)) is None:
+                continue
             if terms is not None:
                 terms.append((bid, None if e.kind is EventKind.CLICK else e.probability))
             elif row is not None and e.kind is EventKind.CLICK:
@@ -237,7 +251,7 @@ def _run(offers: Sequence[AdjustedOffer], slots: SlotModel | None, reserve: floa
             # competitors only; with none left the reserve prices the slot
             next_value = max(max(live, default=reserve), reserve)
             theta = next_value / own_value if own_value > 0.0 else 0.0
-        prices = {e.event_id: theta * winner.adjusted[e.event_id] for e in winner.events}
+        prices = {e.event_id: theta * float(winner.adjusted[e.event_id]) for e in winner.events}
         winners.append(SlotAward(winner.ad_id, slot, prices, own_value, theta))
 
     ranking = [(w.ad_id, w.value) for w in winners]

@@ -262,52 +262,43 @@ def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
 
     Checks: unique string event ids, kinds that are ``EventKind`` members,
     probabilities that are numbers in [0, 1], and exactly one view event,
-    with probability 1. Scenario offers and ``adjust`` records share it.
+    with probability 1. One loop words the id problems, then each event's kind
+    and probability, then the view rule. Scenario offers and ``adjust`` records share it.
     """
-    violations: list[str] = []
-
-    seen: set[str] = set()
+    id_issues, issues, views, seen = [], [], [], set()  # views: the view events' probabilities
     for ev in events:
-        if not isinstance(ev.event_id, str):
-            violations.append(f"event id must be a string, got {brief(ev.event_id)}")
-        elif ev.event_id in seen:
-            violations.append(f"duplicate event id '{ev.event_id}'")
+        eid, kind, p = ev.event_id, ev.kind, ev.probability
+        if not isinstance(eid, str):
+            id_issues.append(f"event id must be a string, got {brief(eid)}")
+        elif eid in seen:
+            id_issues.append(f"duplicate event id '{eid}'")
         else:
-            seen.add(ev.event_id)
+            seen.add(eid)
+        if kind is EventKind.VIEW:
+            views.append(p)
+        elif type(kind) is not EventKind:
+            issues.append(f"kind of '{eid}' must be an EventKind, got {brief(kind)}")
+        if not is_number(p):
+            issues.append(f"probability of '{eid}' must be a number, got {brief(p)}")
+        elif not (0.0 <= p <= 1.0):
+            issues.append(f"probability out of range for '{eid}': {p!r}")
 
-    for ev in events:
-        if type(ev.kind) is not EventKind:
-            violations.append(f"kind of '{ev.event_id}' must be an EventKind, got {brief(ev.kind)}")
-        if not is_number(ev.probability):
-            violations.append(f"probability of '{ev.event_id}' must be a number, got {brief(ev.probability)}")
-        elif not (0.0 <= ev.probability <= 1.0):
-            violations.append(
-                f"probability out of range for '{ev.event_id}': {ev.probability!r}"
-            )
-
-    views = [e for e in events if e.kind is EventKind.VIEW]
-    if not views:
-        violations.append("missing view event")
-    elif len(views) > 1:
-        violations.append("more than one view event")
-    else:
-        p = views[0].probability  # not a number: worded above
-        if is_number(p) and not (is_finite(p) and approx_eq(p, 1.0)):
-            violations.append(
-                f"view event must have probability 1, got {views[0].probability!r}"
-            )
-    return violations
+    if len(views) != 1:
+        issues.append("more than one view event" if views else "missing view event")
+    elif is_number(p := views[0]) and not (is_finite(p) and approx_eq(p, 1.0)):  # not a number: worded above
+        issues.append(f"view event must have probability 1, got {p!r}")
+    return id_issues + issues
 
 
 def validate_offer(offer: Offer) -> list[str]:
     """Check every offer invariant; the list of violations is empty when valid.
 
     Checks: a str ``ad_id``, events a tuple of ``EventSpec`` with str ids and
-    bids a mapping, each check that needs a mistyped one skipped; the event
-    set (``event_set_issues``), a finite bid entry (a number >= 0) for every
-    event and no stray entries, and the price type, a ``PriceType``, and its
-    discipline (CPM bids only on the view event, CPC only on the click event).
-    The one validator of an offer: ``sim.validate_scenario`` calls it for each.
+    bids a mapping, each check that needs a mistyped one skipped; the event set
+    (``event_set_issues``); a bid for every event; then, in one loop over the
+    bids, no stray entries, each a finite number >= 0, and the price type, a
+    ``PriceType``, and its discipline (CPM bids only on the view event, CPC only
+    on the click event). The one validator: ``sim.validate_scenario`` calls it for each.
     """
     violations: list[str] = []
     events, bids = offer.events, offer.bids
@@ -316,47 +307,41 @@ def validate_offer(offer: Offer) -> list[str]:
     if not isinstance(events, tuple):
         violations.append(f"events must be a tuple of EventSpec, got {brief(events)}")
         events = None
-    elif not all(isinstance(e, EventSpec) for e in events):
-        violations += [f"event must be an EventSpec, got {brief(e)}" for e in events if not isinstance(e, EventSpec)]
+    elif bad := [e for e in events if not isinstance(e, EventSpec)]:
+        violations += [f"event must be an EventSpec, got {brief(e)}" for e in bad]
         events = None
     if not isinstance(bids, Mapping):
         violations.append(f"bids must be a mapping, got {brief(bids)}")
         bids = None
 
-    if events is not None:
-        violations += event_set_issues(events)
+    if events is not None and (issues := event_set_issues(events)):
+        violations += issues  # a non-string id is one of them
         if not all(isinstance(e.event_id, str) for e in events):
-            events = None  # worded above; the bid key and price type checks need string ids
-    if events is not None and bids is not None:
-        ids = tuple(map(_EVENT_ID, events))
-        for eid in ids:
-            if eid not in bids:
-                violations.append(f"missing bid for event '{eid}'")
-        for key in bids:
-            if key not in ids:
-                violations.append(f"bid keyed to unknown event '{key}'")
+            events = None  # the bid key and price type checks need string ids
+    kind_of = {} if events is not None and bids is not None else None  # by id; a repeated id keeps its last
+    for e in events if kind_of is not None else ():
+        kind_of[e.event_id] = e.kind
+        if e.event_id not in bids:
+            violations.append(f"missing bid for event '{e.event_id}'")
+
+    typed = type(offer.price_type) is PriceType
+    allowed = PAID_KIND[offer.price_type] if typed and kind_of is not None else None
+    unknown, amounts, unpaid = [], [], []
     for key, amount in bids.items() if bids is not None else ():
+        if kind_of is not None and key not in kind_of:
+            unknown.append(f"bid keyed to unknown event '{key}'")
         if not is_number(amount):
-            violations.append(f"bid on '{key}' must be a number, got {brief(amount)}")
-        elif not is_finite(amount):
-            violations.append(f"non-finite bid on '{key}': {brief(amount)}")
+            amounts.append(f"bid on '{key}' must be a number, got {brief(amount)}")
+            continue
+        if not is_finite(amount):
+            amounts.append(f"non-finite bid on '{key}': {brief(amount)}")
         elif amount < 0.0:
-            violations.append(f"negative bid on '{key}': {amount!r}")
+            amounts.append(f"negative bid on '{key}': {amount!r}")
+        if allowed is not None and amount > 0.0 and kind_of.get(key) is not allowed:
+            unpaid.append(f"{offer.price_type.value} offer bids on non-{allowed.value} event '{key}'")
 
-    allowed = None
-    if type(offer.price_type) is PriceType:
-        allowed = PAID_KIND[offer.price_type]
-    else:
-        violations.append(f"price type must be a PriceType, got {brief(offer.price_type)}")
-    if allowed is not None and events is not None and bids is not None:
-        kind_by_id = {e.event_id: e.kind for e in events}
-        for key, amount in bids.items():
-            if is_number(amount) and amount > 0.0 and kind_by_id.get(key) is not allowed:
-                violations.append(
-                    f"{offer.price_type.value} offer bids on non-{allowed.value} event '{key}'"
-                )
-
-    return violations
+    mistyped = [] if typed else [f"price type must be a PriceType, got {brief(offer.price_type)}"]
+    return violations + unknown + amounts + mistyped + unpaid
 
 
 # --- serialization -----------------------------------------------------------

@@ -15,13 +15,14 @@ import uxcharge as ux
 from uxcharge.auction import pricing_rule_issues, reserve_issues
 from uxcharge.cli import _header_issues, parse_scenario_doc
 from uxcharge.model import (
+    approx_eq,
     brief,
     charges_from_dict,
+    is_number,
     number,
     read_each,
     require_fields,
     text,
-    validate_offer,
 )
 from uxcharge.sim import (
     ENUMERATION_LIMIT,
@@ -278,8 +279,93 @@ def in_float_range(amount) -> bool:
         return False
 
 
+def reference_event_set_issues(events) -> list[str]:
+    """``model.event_set_issues`` as a pass per rule: the ids, then the kinds
+    and probabilities, then a list of the view events."""
+    violations: list[str] = []
+
+    seen: set[str] = set()
+    for ev in events:
+        if not isinstance(ev.event_id, str):
+            violations.append(f"event id must be a string, got {brief(ev.event_id)}")
+        elif ev.event_id in seen:
+            violations.append(f"duplicate event id '{ev.event_id}'")
+        else:
+            seen.add(ev.event_id)
+
+    for ev in events:
+        if type(ev.kind) is not ux.EventKind:
+            violations.append(f"kind of '{ev.event_id}' must be an EventKind, got {brief(ev.kind)}")
+        if not is_number(ev.probability):
+            violations.append(f"probability of '{ev.event_id}' must be a number, got {brief(ev.probability)}")
+        elif not (0.0 <= ev.probability <= 1.0):
+            violations.append(f"probability out of range for '{ev.event_id}': {ev.probability!r}")
+
+    views = [e for e in events if e.kind is ux.EventKind.VIEW]
+    if not views:
+        violations.append("missing view event")
+    elif len(views) > 1:
+        violations.append("more than one view event")
+    else:
+        p = views[0].probability  # not a number: worded above
+        if is_number(p) and not (in_float_range(p) and approx_eq(p, 1.0)):
+            violations.append(f"view event must have probability 1, got {views[0].probability!r}")
+    return violations
+
+
+def reference_validate_offer(offer: ux.Offer) -> list[str]:
+    """``model.validate_offer`` as a pass per rule: the events' types, the
+    event set, the ids' types, the bid keys each way, the amounts, and the
+    CPM/CPC rule over a kind-by-id map."""
+    violations: list[str] = []
+    events, bids = offer.events, offer.bids
+    if not isinstance(offer.ad_id, str):
+        violations.append(f"ad_id must be a string, got {brief(offer.ad_id)}")
+    if not isinstance(events, tuple):
+        violations.append(f"events must be a tuple of EventSpec, got {brief(events)}")
+        events = None
+    elif not all(isinstance(e, ux.EventSpec) for e in events):
+        violations += [f"event must be an EventSpec, got {brief(e)}" for e in events if not isinstance(e, ux.EventSpec)]
+        events = None
+    if not isinstance(bids, Mapping):
+        violations.append(f"bids must be a mapping, got {brief(bids)}")
+        bids = None
+
+    if events is not None:
+        violations += reference_event_set_issues(events)
+        if not all(isinstance(e.event_id, str) for e in events):
+            events = None  # worded above; the bid key and price type checks need string ids
+    if events is not None and bids is not None:
+        ids = tuple(e.event_id for e in events)
+        for eid in ids:
+            if eid not in bids:
+                violations.append(f"missing bid for event '{eid}'")
+        for key in bids:
+            if key not in ids:
+                violations.append(f"bid keyed to unknown event '{key}'")
+    for key, amount in bids.items() if bids is not None else ():
+        if not is_number(amount):
+            violations.append(f"bid on '{key}' must be a number, got {brief(amount)}")
+        elif not in_float_range(amount):
+            violations.append(f"non-finite bid on '{key}': {brief(amount)}")
+        elif amount < 0.0:
+            violations.append(f"negative bid on '{key}': {amount!r}")
+
+    allowed = None
+    if type(offer.price_type) is ux.PriceType:
+        allowed = {ux.PriceType.CPM: ux.EventKind.VIEW, ux.PriceType.CPC: ux.EventKind.CLICK}.get(offer.price_type)
+    else:
+        violations.append(f"price type must be a PriceType, got {brief(offer.price_type)}")
+    if allowed is not None and events is not None and bids is not None:
+        kind_by_id = {e.event_id: e.kind for e in events}
+        for key, amount in bids.items():
+            if is_number(amount) and amount > 0.0 and kind_by_id.get(key) is not allowed:
+                violations.append(f"{offer.price_type.value} offer bids on non-{allowed.value} event '{key}'")
+    return violations
+
+
 def reference_validate(config: ux.ScenarioConfig) -> list[str]:
-    """``sim.validate_scenario`` with ``validate_offer`` called for every offer."""
+    """``sim.validate_scenario`` with ``reference_validate_offer`` called for every offer."""
     issues: list[str] = []
 
     issues.extend(pricing_rule_issues(config.pricing_rule))
@@ -317,7 +403,7 @@ def reference_validate(config: ux.ScenarioConfig) -> list[str]:
                 issues.append(f"duplicate ad_id '{offer.ad_id}'")
             seen_ads.add(offer.ad_id)
 
-        violations = validate_offer(offer)
+        violations = reference_validate_offer(offer)
         issues.extend(f"offer '{offer.ad_id}': {v}" for v in violations)
         if isinstance(offer.events, tuple) and len(offer.events) > ENUMERATION_LIMIT:
             issues.append(f"offer '{offer.ad_id}': more than {ENUMERATION_LIMIT} events")

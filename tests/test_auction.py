@@ -1,6 +1,7 @@
 """Auction ranking, slot filling, and per-event price decomposition."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from decimal import Decimal
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import uxcharge as ux
 from uxcharge.auction import SlotModel, run_first_price, run_second_price, value_at_slot
 
-from helpers import close12, loop_auction, outcome_view, two_events
+from helpers import close12, hexed, loop_auction, outcome_view, two_events
 
 exact = lambda x: pytest.approx(x, rel=1e-12, abs=1e-12)
 
@@ -373,6 +374,48 @@ def test_an_adjusted_bid_that_is_not_a_number_is_one_issue_each(runner):
         "offer 'x': adjusted bid on 'click' must be a number, got [1.0]",
         "offer 'y': adjusted bid on 'view' must be a number, got '0.5'",
     )
+
+
+@pytest.mark.parametrize(
+    "bid, read",
+    [
+        (True, None),
+        ("0.5", None),
+        (None, None),
+        (Decimal("0.5"), None),
+        (3, 3.0),
+        (Fraction(1, 2), 0.5),
+        (np.float64(0.5), 0.5),
+        (np.float64(NAN), NAN),
+        (10**400, INF),
+        (-(10**400), -INF),
+    ],
+    ids=["bool", "string", "none", "decimal", "int", "fraction", "numpy", "numpy-nan", "huge-int", "huge-negative-int"],
+)
+@pytest.mark.parametrize("slots", [None, SlotModel(1, {"x": (0.25,)})])
+def test_value_at_slot_reads_each_adjusted_bid_as_the_auction_does(bid, read, slots):
+    """A bid that is not a number is the same one issue from both; any other bid
+    reads as ``read``, so the value is that of the float bid, and the value and
+    the winner's prices are floats."""
+    offer = ux.AdjustedOffer("x", two_events(0.5), {"view": 0.5, "click": bid}, 1.0)
+    if read is None:
+        issue = (f"offer 'x': adjusted bid on 'click' must be a number, got {bid!r}",)
+        for call in (lambda: value_at_slot(offer, slots, 1), lambda: run_second_price([offer], slots)):
+            with pytest.raises(ux.ScenarioError) as excinfo:
+                call()
+            assert excinfo.value.issues == issue
+        return
+    value = value_at_slot(offer, slots, 1)
+    assert type(value) is float
+    assert hexed(value) == hexed(value_at_slot(ux.AdjustedOffer("x", offer.events, {"view": 0.5, "click": read}, 1.0), slots, 1))
+    if math.isfinite(value):
+        outcome = run_second_price([offer], slots)
+        assert outcome.ranking == (("x", value),)
+        assert [type(price) for price in outcome.winners[0].prices.values()] == [float, float]
+    else:
+        with pytest.raises(ux.ScenarioError) as excinfo:
+            run_second_price([offer], slots)
+        assert excinfo.value.issues == ("offer 'x': value in a slot is not finite",)
 
 
 @pytest.mark.parametrize("slots", [None, SlotModel(2, {"x": (0.5, 0.25)})])

@@ -5,10 +5,12 @@ which maps ``event_from_dict`` over the events, takes finite floats and ASCII
 ids inline and looks for stray bid keys only when there are any;
 ``helpers.reference_parse`` reads them through frozen copies of the field-by-field
 readers (``Enum.__call__`` for kinds, ``read_each`` for events, a stray-key pass
-for every offer). ``sim.validate_scenario`` and ``helpers.reference_validate``
-both check every offer with ``validate_offer``, the one offer validator, but
-each words the scenario rules around it itself. Each pair must give equal
-configs and the same full issue lists, in the same order.
+for every offer). ``sim.validate_scenario`` checks every offer with
+``validate_offer``, the one offer validator, which walks an offer's bids once;
+``helpers.reference_validate`` checks them with ``reference_validate_offer``, a
+frozen copy that makes a pass per rule, and each words the scenario rules
+around it itself. Each pair must give equal configs and the same full issue
+lists, in the same order.
 """
 
 import copy
@@ -17,14 +19,20 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uxcharge as ux
-from helpers import assert_reads_like_reference, reference_member, reference_validate
+from helpers import (
+    assert_reads_like_reference,
+    reference_event_set_issues,
+    reference_member,
+    reference_validate,
+    reference_validate_offer,
+)
 from test_cli import SCENARIO_PROBES
 from uxcharge.cli import parse_scenario_doc
-from uxcharge.model import member
+from uxcharge.model import event_set_issues, member, validate_offer
 from uxcharge.sim import prepare, validate_scenario
 
 STRATEGIES = ("identity", "proportional", "single:click", "single:ghost", "bogus")
@@ -246,7 +254,10 @@ def test_all_library_built_offers_together_validate_like_the_reference():
 
 PROBABILITIES = [1.0, 0.5, 0.0, -0.0, 1 - 1e-10, 1 + 1e-10, 0.999, 1, 0, 1.5, float("nan"), np.float64(1.0)]
 BIDS = [0.0, -0.0, 1.0, 2.5, 1, 0, -1.0, float("nan"), float("inf"), True, np.float64(1.0)]
-MUTATIONS = ("permute", "drop", "stray", "bid", "probability", "price_type", "repeat", "view", "id")
+MUTATIONS = (
+    "permute", "drop", "stray", "bid", "probability", "price_type", "repeat", "view", "id",
+    "string_kind", "string_price_type", "entry", "event_list", "bid_list", "list_ad_id", "repeat_unbid",
+)
 
 
 @st.composite
@@ -255,7 +266,10 @@ def loose_offers(draw):
     of: bids permuted, missing or stray; a bid or probability that is an
     int, bool, numpy float, nan, infinite, negative or out of range; another
     price type; a repeated event id; a second view event; an event whose id
-    is an int or a list, with no bid."""
+    is an int or a list, with no bid; a kind or price type given as its
+    string; an event entry that is not an ``EventSpec``; events or bids
+    given as a list; a list ad_id; a repeated event id with no bid."""
+    ad_id, as_list = "ad", set()
     kinds = draw(st.lists(st.sampled_from([CLICK, ux.EventKind.CONVERSION, ux.EventKind.CUSTOM]), max_size=3))
     events = [ux.EventSpec("view", VIEW, draw(st.sampled_from([1.0, 1 - 1e-10])))]
     events += [ux.EventSpec(f"e{i}", kind, draw(st.sampled_from([0.0, 0.25, 1.0]))) for i, kind in enumerate(kinds)]
@@ -285,9 +299,39 @@ def loose_offers(draw):
         elif mutation == "view":
             events.append(ux.EventSpec("v2", VIEW, 1.0))
             bids["v2"] = 0.0
-        else:
+        elif mutation == "id":
             events.append(ux.EventSpec(draw(st.sampled_from([3, ["e0"]])), CLICK, 0.5))
-    return ux.Offer("ad", price_type, tuple(events), bids)
+        elif mutation == "string_kind":
+            events[at] = ux.EventSpec(eid, draw(st.sampled_from([k.value for k in ux.EventKind])), events[at].probability)
+        elif mutation == "string_price_type":
+            price_type = draw(st.sampled_from([p.value for p in ux.PriceType]))
+        elif mutation == "entry":
+            events.append((f"e{at}", CLICK, 0.5))
+        elif mutation == "list_ad_id":
+            ad_id = [ad_id]
+        elif mutation == "repeat_unbid":
+            events.append(events[at])
+            bids.pop(eid, None)
+        else:  # "event_list" or "bid_list", applied once the events and bids are final
+            as_list.add(mutation)
+    events = list(events) if "event_list" in as_list else tuple(events)
+    return ux.Offer(ad_id, price_type, events, list(bids.values()) if "bid_list" in as_list else bids)
+
+
+_VIEW_CLICK = (ux.EventSpec("view", VIEW, 1.0), ux.EventSpec("click", CLICK, 0.5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(offer=loose_offers())
+@example(offer=ux.Offer("ad", "cpm", _VIEW_CLICK, {"view": -1.0, "ghost": 2.0, "click": True}))
+@example(offer=ux.Offer("ad", ux.PriceType.CPM, _VIEW_CLICK, {"click": 1.0, "view": float("inf"), "ghost": 2.0}))
+@example(offer=ux.Offer("ad", ux.PriceType.CPC, (*_VIEW_CLICK, _VIEW_CLICK[1], _VIEW_CLICK[1]), {"view": 0.0}))
+def test_one_loose_offer_checks_like_the_frozen_per_offer_references(offer):
+    """``validate_offer`` and, over a sequence of ``EventSpec``, ``event_set_issues``
+    give the lists of their frozen pass-per-rule copies, in the same order."""
+    assert validate_offer(offer) == reference_validate_offer(offer)
+    if isinstance(offer.events, (tuple, list)) and all(isinstance(e, ux.EventSpec) for e in offer.events):
+        assert event_set_issues(offer.events) == reference_event_set_issues(offer.events)
 
 
 @settings(max_examples=400, deadline=None)
