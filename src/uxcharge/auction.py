@@ -132,8 +132,9 @@ def _read_bid(offer: AdjustedOffer, event_id: str, bid: object, issues: list[str
 
 def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> float:
     """Expected adjusted value, a float, with click probabilities taken from the slot
-    model. Each adjusted bid is read as the auction reads it: a number as a float (an
-    int beyond float range as an infinity), anything else a ScenarioError issue. Raises
+    model and every other probability read through ``float``. Each adjusted bid is read
+    as the auction reads it: a number as a float (an int beyond float range as an
+    infinity), anything else a ScenarioError issue. Raises
     KeyMismatchError, naming the ad, for adjusted bids not keyed to their events, and
     ScenarioError, from ``SlotModel.click_probability``, for a slot not in 1..k."""
     events, adjusted = offer.events, offer.adjusted
@@ -144,7 +145,7 @@ def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> f
     for ev in events:
         bid = adjusted[ev.event_id]
         if type(bid) is float or (bid := _read_bid(offer, ev.event_id, bid, issues)) is not None:
-            total += bid * (override if (override is not None and ev.kind is EventKind.CLICK) else ev.probability)
+            total += bid * (override if (override is not None and ev.kind is EventKind.CLICK) else float(ev.probability))
     if issues:
         raise ScenarioError(issues)
     return total
@@ -172,7 +173,8 @@ def _run(offers: Sequence[AdjustedOffer], slots: SlotModel | None, reserve: floa
     """Both pricing rules in one greedy loop over the slots.
 
     Reproduces the slot-by-slot greedy auction that calls ``value_at_slot``
-    per offer and slot, bit for bit on finite values; no offers give no winners.
+    per offer and slot, bit for bit on finite values, reading each bid and
+    probability once per ad; no offers give no winners.
     Raises ScenarioError on a bad reserve, each ad_id that is not a string,
     each repeated ad_id, each adjusted bid that is not a number, and each ad
     whose value is not finite at the first slot where any value is not;
@@ -203,15 +205,15 @@ def _run(offers: Sequence[AdjustedOffer], slots: SlotModel | None, reserve: floa
         row = rows.get(offer.ad_id)
         head, terms = 0.0, None
         for e in events:
-            bid = adjusted[e.event_id]
+            bid, p = adjusted[e.event_id], float(e.probability)
             if type(bid) is not float and (bid := _read_bid(offer, e.event_id, bid, issues)) is None:
                 continue
             if terms is not None:
-                terms.append((bid, None if e.kind is EventKind.CLICK else e.probability))
+                terms.append((bid, None if e.kind is EventKind.CLICK else p))
             elif row is not None and e.kind is EventKind.CLICK:
                 terms = [(bid, None)]
             else:
-                head += bid * e.probability
+                head += bid * p
         heads.append(head)
         tails.append(None if terms is None else (row, terms))
     if issues:

@@ -6,8 +6,10 @@ A scenario is one JSON document (README, "Scenario files"): ``format_version``
 it into one ``sim.ScenarioConfig``, which flags only override, and runs one
 pipeline, ``sim.prepare`` (validate, then per ad feasibility, charge shift,
 adjustment), so all three reject the same scenarios and exclude the same ads
-for the same two reasons. ``auction`` also reads ``adjust`` output, checking
-each record's value against its bids. Reports are canonical JSON
+for the same two reasons. Each subcommand names the function that builds its
+document, and ``main`` writes that document, then ``simulate``'s CSV.
+``auction`` also reads ``adjust`` output, checking each record's value
+against its bids. Reports are canonical JSON
 (keys in construction order, numbers at 17 significant digits), so identical
 inputs and seeds give byte-identical output.
 
@@ -24,8 +26,8 @@ nonincreasing numbers in [0, 1]. Each ctr row must be keyed to a declared ad,
 the trials at most ``sim.TRIALS_LIMIT``, the reserve finite and >= 0, and the
 ads of an ``adjust`` document distinct and not also ``excluded``, each over an
 event set a scenario would pass (``model.event_set_issues``) with the value its
-bids give. An expected charge, adjusted value, slot value or payment that
-overflows float range is rejected, naming the ad.
+bids give, which is not negative. An expected charge, adjusted value, slot
+value or payment that overflows float range is rejected, naming the ad.
 
 Exit codes: 0 success; 1 any input problem, the command line included, as
 one JSON record on stderr itemizing each issue; 2 I/O failure. Anything else
@@ -45,7 +47,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import replace
 from typing import Any, NoReturn
 
-from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel
+from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, run_first_price, run_second_price
 from .model import (
     FORMAT_VERSION,
     AdjustedOffer,
@@ -69,7 +71,6 @@ from .sim import (
     OutcomeModel,
     ScenarioConfig,
     prepare,
-    run_auction,
     run_scenario,
     target_issues,
     validate_scenario,
@@ -279,12 +280,6 @@ def _excluded(records: list[dict]) -> list[dict]:
     ]
 
 
-def cmd_adjust(args: argparse.Namespace) -> int:
-    # the scenario is parsed inside, so it is freed before the report is written
-    _emit(dumps_canonical(_adjust_document(args)), args.output)
-    return EXIT_OK
-
-
 def _adjust_document(args: argparse.Namespace) -> dict:
     config = replace(parse_scenario_doc(_load_scenario(args.input)), strategy=args.strategy)
     records, _ = prepare(config)
@@ -324,7 +319,10 @@ def _adjusted_offer(record: Mapping) -> AdjustedOffer:
         raise ValueError(f"offer '{ad_id}': adjusted value overflows float range")
     if not approx_eq(claimed, value):
         raise ValueError(f"'expected_adjusted_value' {claimed!r} differs from its bids' value {value!r}")
-    return AdjustedOffer(text(record["ad_id"], "'ad_id'"), events, adjusted, value)
+    ad_id = text(record["ad_id"], "'ad_id'")
+    if value < 0.0:  # adjust lists such an ad under 'excluded'
+        raise ValueError(f"offer '{ad_id}': expected adjusted value {value!r} is negative")
+    return AdjustedOffer(ad_id, events, adjusted, value)
 
 
 def _excluded_entry(entry: Any) -> dict:
@@ -356,12 +354,6 @@ def _read_adjust_document(doc: Mapping, strategy: str) -> tuple[tuple[AdjustedOf
     return tuple(offers), excluded
 
 
-def cmd_auction(args: argparse.Namespace) -> int:
-    # the input is read inside, so it is freed before the report is written
-    _emit(dumps_canonical(_auction_document(args)), args.output)
-    return EXIT_OK
-
-
 def _auction_document(args: argparse.Namespace) -> dict:
     doc = _load_scenario(args.input)
     if isinstance(doc, Mapping) and "adjusted" in doc:
@@ -375,7 +367,9 @@ def _auction_document(args: argparse.Namespace) -> dict:
         records, offers = prepare(config)
         excluded = _excluded(records)
 
-    outcome = run_auction(offers, config.pricing_rule, config.slots, config.reserve)
+    # validate_scenario has checked the pricing rule on both paths
+    run = run_first_price if config.pricing_rule == FIRST_PRICE else run_second_price
+    outcome = run(offers, config.slots, config.reserve)
     return {
         "format_version": FORMAT_VERSION,
         "pricing_rule": outcome.pricing_rule,
@@ -416,20 +410,9 @@ def _write_csv(report: Mapping, path: str) -> None:
             )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    # the scenario lives only for the run, so it is freed before the report is written
-    report = run_scenario(
-        replace(
-            _market(args, parse_scenario_doc(_load_scenario(args.input))),
-            model=OutcomeModel(args.model),
-            trials=args.trials,
-            seed=args.seed,
-        )
-    )
-    _emit(dumps_canonical(report), args.output)
-    if args.csv:
-        _write_csv(report, args.csv)
-    return EXIT_OK
+def _simulate_document(args: argparse.Namespace) -> dict:
+    config = _market(args, parse_scenario_doc(_load_scenario(args.input)))
+    return run_scenario(replace(config, model=OutcomeModel(args.model), trials=args.trials, seed=args.seed))
 
 
 # --- entry point -------------------------------------------------------------
@@ -469,12 +452,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_adjust = sub.add_parser(
         "adjust", parents=[common], help="compute shift plans and adjusted bids"
     )
-    p_adjust.set_defaults(func=cmd_adjust)
+    p_adjust.set_defaults(build=_adjust_document)
 
     p_auction = sub.add_parser(
         "auction", parents=[common, market], help="rank adjusted offers and price the slots"
     )
-    p_auction.set_defaults(func=cmd_auction)
+    p_auction.set_defaults(build=_auction_document)
 
     p_sim = sub.add_parser(
         "simulate", parents=[common, market], help="run the full pipeline with oracles and Monte Carlo"
@@ -483,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0, help="root seed for the trial substreams")
     p_sim.add_argument("--model", choices=("independent", "funnel"), default="independent")
     p_sim.add_argument("--csv", default=None, help="also write a per-ad CSV summary here")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(build=_simulate_document)
 
     return parser
 
@@ -496,7 +479,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # the input is read inside, so it is freed before the report is written
+        report = args.build(args)
+        _emit(dumps_canonical(report), args.output)
+        if getattr(args, "csv", None):
+            _write_csv(report, args.csv)
+        return EXIT_OK
     except ScenarioError as exc:
         return _fail("validation", list(exc.issues), EXIT_VALIDATION)
     except OSError as exc:

@@ -84,8 +84,8 @@ class ScenarioError(ValueError):
     Raised where each rule is checked: the CLI's command-line and document
     readers, ``sim.prepare``, ``auction.SlotModel`` (every slot rule: k, the
     ctr rows, and a slot index outside 1..k), the auctions (bad reserve,
-    repeated ad_id, non-finite slot value), ``sim.run_auction`` (unknown
-    pricing rule) and ``sim.run_scenario``.
+    repeated ad_id, non-finite slot value), ``require_amounts`` (the oracles
+    and ``settle.settle_general``) and ``sim.run_scenario``.
     """
 
     def __init__(self, issues: Sequence[str]):
@@ -229,6 +229,19 @@ def require_same_keys(reference: Sequence[str], mapping: Mapping[str, float], wh
     if extra:
         parts.append(f"unknown {sorted(extra)}")
     raise KeyMismatchError(f"{what} not keyed to the event set: {', '.join(parts)}")
+
+
+def require_amounts(ids: Sequence[str], prices: Mapping, shifted: Mapping) -> None:
+    """Raise ScenarioError naming each event, in the order of ``ids``, whose price
+    or shift amount is not a number (``is_number``); the oracles and settlement share it."""
+    issues = [
+        f"{what} for '{eid}' must be a number, got {brief(amounts[eid])}"
+        for eid in ids
+        for what, amounts in (("price", prices), ("shift amount", shifted))
+        if not is_number(amounts[eid])
+    ]
+    if issues:
+        raise ScenarioError(issues)
 
 
 def expected_sum(amounts: Mapping[str, float], events: Sequence[EventSpec], what: str) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Mapping
 
-from .model import Settlement, ShiftPlan, brief, fold_sum, is_number, require_same_keys
+from .model import Settlement, ShiftPlan, brief, fold_sum, is_number, require_amounts, require_same_keys
 
 
 class ClassicRule(Enum):
@@ -38,11 +38,14 @@ def settle_general(
     """Itemize the winner's charge: (price + shifted charge) per realized event.
 
     ``realized`` maps event ids to 0/1 indicators; all three collections must
-    share the same keys. The total is summed in the key order of ``prices``.
+    share the same keys, and a price or shift amount that is not a number is
+    a ScenarioError issue (``require_amounts``). The total is summed in the
+    key order of ``prices``.
     """
     ids, shifted = tuple(prices), plan.shifted
     require_same_keys(ids, shifted, "shift plan")
     require_same_keys(ids, realized, "realized events")
+    require_amounts(ids, prices, shifted)
     for eid, flag in realized.items():
         if flag not in (0, 1):
             raise ValueError(f"realized indicator for '{eid}' must be 0 or 1, got {flag!r}")

@@ -10,9 +10,9 @@ streams are independent. Enumeration broadcasts one axis per event over all
 of rows of raw Philox words, and tests each word against an integer
 threshold that gives the same hits as its uniform; a call keeps one float64
 per trial plus one unit and one block, not trials x events uniforms.
-``run_scenario`` runs each winner's three oracles as one task, on up to
-``_WORKERS`` threads; numpy draws and does most array work without the GIL,
-so the winners overlap.
+``run_scenario`` calls the auction of its pricing rule, then runs each
+winner's three oracles as one task on a pool of ``_WORKERS`` threads; numpy
+draws and does most array work without the GIL, so the winners overlap.
 Both oracles return a non-finite result quietly, in any thread: each sets
 its own numpy error state, which is per thread.
 
@@ -38,7 +38,6 @@ from .model import (
     FORMAT_VERSION,
     VALIDATION_TOL,
     AdjustedOffer,
-    AuctionOutcome,
     ChargeSchedule,
     EventKind,
     EventSpec,
@@ -49,6 +48,7 @@ from .model import (
     fold_sum,
     is_finite,
     is_number,
+    require_amounts,
     require_same_keys,
     validate_offer,
 )
@@ -95,9 +95,10 @@ def expected_payment(
     shifted: Mapping[str, float],
     events: tuple[EventSpec, ...],
 ) -> float:
-    """Winner's expected charge: sum((price + shifted) * probability) in declared event order."""
+    """Winner's expected charge: sum((price + shifted) * probability) in declared event order,
+    each probability read through ``float``."""
     amounts = _amounts(prices, shifted, events)
-    return fold_sum(amount * ev.probability for amount, ev in zip(amounts, events))
+    return fold_sum(amount * float(ev.probability) for amount, ev in zip(amounts, events))
 
 
 def _amounts(
@@ -106,21 +107,14 @@ def _amounts(
     """Each event's charge if it occurs, price + shifted, in declared event order.
 
     The three oracles' shared preamble. Raises KeyMismatchError unless both
-    mappings are keyed to the events, and ScenarioError naming each event
-    whose price or shift amount is not a number (``is_number``); an infinite
-    amount gives the oracles a non-finite result.
+    mappings are keyed to the events, and ScenarioError (``require_amounts``)
+    for each amount that is not a number; an infinite amount gives the oracles
+    a non-finite result.
     """
     ids = tuple(ev.event_id for ev in events)
     require_same_keys(ids, prices, "prices")
     require_same_keys(ids, shifted, "shift amounts")
-    issues = [
-        f"{what} for '{eid}' must be a number, got {brief(amounts[eid])}"
-        for eid in ids
-        for what, amounts in (("price", prices), ("shift amount", shifted))
-        if not is_number(amounts[eid])
-    ]
-    if issues:
-        raise ScenarioError(issues)
+    require_amounts(ids, prices, shifted)
     return [prices[eid] + shifted[eid] for eid in ids]
 
 
@@ -581,23 +575,6 @@ def prepare(config: ScenarioConfig) -> tuple[list[dict], list[AdjustedOffer]]:
     return records, included
 
 
-def run_auction(
-    offers: Sequence[AdjustedOffer],
-    pricing_rule: str,
-    slots: SlotModel | None,
-    reserve: float,
-) -> AuctionOutcome:
-    """Run the position auction under ``pricing_rule``; the auction checks the reserve.
-
-    Raises ScenarioError on an unknown pricing rule.
-    """
-    issues = pricing_rule_issues(pricing_rule)
-    if issues:
-        raise ScenarioError(issues)
-    runner = run_first_price if pricing_rule == FIRST_PRICE else run_second_price
-    return runner(offers, slots, reserve)
-
-
 def run_scenario(config: ScenarioConfig) -> dict:
     """Run the whole pipeline and return a JSON-ready report.
 
@@ -605,11 +582,12 @@ def run_scenario(config: ScenarioConfig) -> dict:
     and for winners the expected payment three ways (closed form, exact
     enumeration, Monte Carlo). Deterministic for fixed config and seed:
     each winner's three oracles run as one task, on a pool of ``_WORKERS``
-    threads when there are two winners or more, and land in winner order.
+    threads, and land in winner order. ``prepare`` checks the pricing rule.
     Raises ScenarioError naming each winner whose oracles overflow float range.
     """
     records, included = prepare(config)
-    outcome = run_auction(included, config.pricing_rule, config.slots, config.reserve)
+    run = run_first_price if config.pricing_rule == FIRST_PRICE else run_second_price
+    outcome = run(included, config.slots, config.reserve)
 
     index = {offer.ad_id: i for i, offer in enumerate(config.offers)}
     winners = [(award, index[award.ad_id]) for award in outcome.winners]
@@ -632,11 +610,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
             ),
         )
 
-    if _WORKERS == 1 or len(winners) < 2:
-        results = list(map(oracles, winners))
-    else:
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            results = list(pool.map(oracles, winners))  # in winner order; re-raises a task's exception
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        results = list(pool.map(oracles, winners))  # in winner order; re-raises a task's exception
     issues = []
     for (award, row), result in zip(winners, results):
         record = records[row]

@@ -425,12 +425,24 @@ def test_numpy_and_integer_bids_give_float_values_with_the_same_bits(slots):
         ux.AdjustedOffer("x", two_events(0.5), {"view": np.float64(0.0), "click": 3}, 1.5),
         ux.AdjustedOffer("y", VIEW, {"view": np.float64(0.5)}, 0.5),
     ]
+    # numpy probabilities: the value used to be a numpy.float64 with the float run's bits
+    numpy_p = [
+        ux.AdjustedOffer(
+            o.ad_id, tuple(ux.EventSpec(e.event_id, e.kind, np.float64(e.probability)) for e in o.events),
+            o.adjusted, o.expected_value,
+        )
+        for o in plain[:2]
+    ]
+    for o, numpy_o in zip(plain, numpy_p):
+        value = value_at_slot(numpy_o, slots, 1)
+        assert type(value) is float and hexed(value) == hexed(value_at_slot(o, slots, 1))
     for runner in (run_first_price, run_second_price):
         expected = runner(plain[:2], slots)
-        outcome = runner(odd, slots)
-        assert outcome.ranking == expected.ranking
-        assert all(type(value) is float for _, value in outcome.ranking)
-        assert [type(w.value) for w in outcome.winners] == [float] * len(outcome.winners)
+        for outcome in (runner(odd, slots), runner(numpy_p, slots)):
+            assert [(a, hexed(v)) for a, v in outcome.ranking] == [(a, hexed(v)) for a, v in expected.ranking]
+            assert all(type(value) is float for _, value in outcome.ranking)
+            assert [type(w.value) for w in outcome.winners] == [float] * len(outcome.winners)
+            assert all(type(price) is float for w in outcome.winners for price in w.prices.values())
         # an int bid beyond float range gives a value that is not finite, not an OverflowError
         with pytest.raises(ux.ScenarioError) as excinfo:
             runner(plain, slots)

@@ -198,6 +198,17 @@ def test_simulate_csv_summary(tmp_path, capsys):
     assert lines[2].split(",")[3] == ""  # losers carry no expected payment
 
 
+def test_simulate_writes_the_report_before_the_csv(tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    absent = tmp_path / "absent"
+    report, csv_path = tmp_path / "report.json", tmp_path / "summary.csv"
+    for output, summary in ((absent / "report.json", csv_path), (report, absent / "summary.csv")):
+        code, _, err = run_cli(["simulate", path, "--trials", "100", "-o", str(output), "--csv", str(summary)], capsys)
+        assert (code, json.loads(err)["error"]) == (2, "io")
+    assert not csv_path.exists()  # a failed -o write stops before the CSV
+    assert json.loads(report.read_text(encoding="utf-8"))["format_version"] == 1
+
+
 def test_simulate_rejects_zero_trials(tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
     code, _, err = run_cli(["simulate", path, "--trials", "0"], capsys)
@@ -520,7 +531,7 @@ RULE_PROBES = [
     ("slot-value-overflow", SLOT_OVERFLOW, MARKETS, [], "offer 'x'"),
     ("payment-overflow", PAYMENT_OVERFLOW, ("simulate",), ["--pricing", "first"], "offer 'x'"),
     ("payment-overflow-second-price", PAYMENT_OVERFLOW, ("simulate",), [], "offer 'x'"),
-    # 8 events x 200,000 trials: one winner, so no pool, whose Monte Carlo overflows over many units of rows
+    # 8 events x 200,000 trials: one winner, whose Monte Carlo overflows over many units of rows
     ("payment-overflow-many-trials", PAYMENT_OVERFLOW_8, ("simulate",), ["--pricing", "first", "--trials", "200000"], "offer 'x'"),
     ("trials-beyond-limit", cpc_scenario(), ("simulate",), ["--trials", "1000001"], "trials must be <= 1000000"),
 ]
@@ -681,6 +692,13 @@ def _negative_value(doc):
     doc["adjusted"][1]["expected_adjusted_value"] = -5.0
 
 
+def _negative_record(doc):
+    # adjust lists such an ad under 'excluded'; auction used to drop the record
+    # from both 'ranking' and 'excluded' and exit 0
+    record = doc["adjusted"][1]
+    record["adjusted_bids"], record["expected_adjusted_value"] = {"view": -0.5, "click": 0.0}, -0.5
+
+
 def _inflated_value(doc):
     doc["adjusted"][1]["expected_adjusted_value"] = 1000.0
 
@@ -723,6 +741,7 @@ def _slot_overflow(doc):
         (_missing_view, "adjusted[0]: missing view event"),
         (_slot_overflow, "offer 'x'"),
         (_negative_value, "adjusted[1]: 'expected_adjusted_value' -5.0 differs from its bids' value 0.09"),
+        (_negative_record, "adjusted[1]: offer 'y': expected adjusted value -0.5 is negative"),
         (_inflated_value, "adjusted[1]: 'expected_adjusted_value' 1000.0 differs from its bids' value 0.09"),
         (_adjusted_and_excluded, "ad 'y' is listed under both 'adjusted' and 'excluded'"),
         (_excluded_nan, "excluded[0]: missing field 'ad_id', 'reason'"),
@@ -754,6 +773,7 @@ def _slot_overflow(doc):
         "missing-view-event",
         "slot-value-overflow",
         "negative-expected-value",
+        "negative-record",
         "inflated-expected-value",
         "adjusted-and-excluded",
         "excluded-entry-nan",

@@ -1,5 +1,6 @@
 """Expectation oracles, Monte Carlo behavior, and the scenario runner."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -24,7 +25,6 @@ from uxcharge.sim import (
     enumerate_expected_payment,
     expected_payment,
     monte_carlo_payment,
-    run_auction,
     run_flag_issues,
     run_scenario,
     validate_scenario,
@@ -37,6 +37,7 @@ from helpers import (
     event_sets,
     fold_enumeration,
     fold_monte_carlo,
+    hexed,
     money,
     reference_validate,
     two_events,
@@ -237,7 +238,7 @@ def test_an_overflow_in_two_winners_lists_both_in_winner_order(workers, monkeypa
         slots=ux.SlotModel(3),
         trials=1000,
     )
-    assert [w.ad_id for w in run_auction(sim.prepare(config)[1], "first", config.slots, 0.0).winners] == [
+    assert [w.ad_id for w in ux.run_first_price(sim.prepare(config)[1], config.slots).winners] == [
         "a", "b", "d"
     ]
     with pytest.raises(ScenarioError) as excinfo:
@@ -483,8 +484,12 @@ def test_oracles_return_a_non_finite_payment_without_a_warning(events, amounts, 
     ],
 )
 def test_the_oracles_word_an_amount_that_is_not_a_number(prices, shifted, issues):
-    # a string price raised "can only concatenate str (not "float") to str"
-    for oracle in (expected_payment, enumerate_expected_payment, monte_carlo_payment):
+    # a string price raised "can only concatenate str (not "float") to str";
+    # settle_general raised a bare TypeError
+    def settle(prices, shifted, events):
+        return ux.settle_general(prices, ux.ShiftPlan(shifted, "identity"), dict.fromkeys(prices, 1))
+
+    for oracle in (expected_payment, enumerate_expected_payment, monte_carlo_payment, settle):
         with pytest.raises(ScenarioError) as excinfo:
             oracle(prices, shifted, EVENTS)
         assert list(excinfo.value.issues) == issues
@@ -576,6 +581,33 @@ def test_run_scenario_worked_example():
     assert loser["slot"] is None and loser["expected_payment"] is None
 
 
+def floats_of(doc):
+    """Every float-like leaf of a report (bools and ints are not)."""
+    if isinstance(doc, dict):
+        return [x for value in doc.values() for x in floats_of(value)]
+    if isinstance(doc, (list, tuple)):
+        return [x for value in doc for x in floats_of(value)]
+    return [doc] if isinstance(doc, float) else []
+
+
+@pytest.mark.parametrize("pricing_rule", ["first", "second"])
+def test_numpy_probabilities_give_a_report_of_plain_floats_with_the_same_bits(pricing_rule):
+    # expected_payment and the ranking values used to be numpy.float64
+    conv = ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.03)
+    hybrid = ux.Offer("z", ux.PriceType.HYBRID, (*two_events(0.2), conv), {"view": 0.05, "click": 0.4, "conv": 2.0})
+    offers = (cpc_offer("x", 2.0, 0.1), cpm_offer("y", 0.15, 0.1), hybrid)
+    numpy_offers = tuple(
+        ux.Offer(o.ad_id, o.price_type, tuple(ux.EventSpec(e.event_id, e.kind, np.float64(e.probability)) for e in o.events), o.bids)
+        for o in offers
+    )
+    config = scenario_config(offers=offers, strategy="proportional", pricing_rule=pricing_rule, slots=ux.SlotModel(2), trials=500)
+    expected = run_scenario(config)
+    report = run_scenario(dataclasses.replace(config, offers=numpy_offers))
+    assert [type(x) for x in floats_of(report)] == [float] * len(floats_of(report))
+    assert len(report["winners"]) == 2
+    assert hexed(report) == hexed(expected)
+
+
 def test_run_scenario_reports_infeasible_ads_as_excluded():
     # charge 0.18 fits within x's expected value (0.2) but not y's (0.15)
     config = scenario_config(charges=ux.ChargeSchedule({"view": 0.18}))
@@ -647,12 +679,11 @@ def test_prepare_rejects_a_ctr_row_for_an_undeclared_ad():
     assert excinfo.value.issues == ("slots: ctr row keyed to ad 'ghost' declared by no offer",)
 
 
-def test_run_auction_rejects_an_unknown_pricing_rule():
-    offer = ux.AdjustedOffer("x", EVENTS, {"view": 0.0, "click": 1.0}, 0.1)
+def test_run_scenario_rejects_an_unknown_pricing_rule():
     with pytest.raises(ScenarioError) as excinfo:
-        run_auction([offer], "third", None, 0.0)
+        run_scenario(scenario_config(pricing_rule="third"))
     assert excinfo.value.issues == ("unknown pricing rule 'third'",)
-    assert excinfo.value.issues[0] in validate_scenario(scenario_config(pricing_rule="third"))
+    assert list(excinfo.value.issues) == validate_scenario(scenario_config(pricing_rule="third"))
 
 
 def test_run_scenario_raises_scenario_error_with_issues():
