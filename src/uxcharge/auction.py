@@ -118,34 +118,49 @@ def reserve_issues(reserve: float) -> list[str]:
     return [f"reserve must be a finite number >= 0, got {brief(reserve)}"]
 
 
-def _read_bid(offer: AdjustedOffer, event_id: str, bid: object, issues: list[str]) -> float | None:
-    """An adjusted bid that is not a float, as a float if it is a number (``is_number``;
-    an int beyond float range as an infinity), else None with its issue put in ``issues``."""
-    if not is_number(bid):
-        issues.append(f"offer '{offer.ad_id}': adjusted bid on '{event_id}' must be a number, got {brief(bid)}")
+def slot_model_issues(slots: SlotModel | None) -> list[str]:
+    """Slots are a SlotModel or None; an empty list when they are."""
+    if slots is None or isinstance(slots, SlotModel):
+        return []
+    return [f"slots must be a SlotModel or None, got {brief(slots)}"]
+
+
+def _read(offer: AdjustedOffer, what: str, event_id: str, value: object, issues: list[str]) -> float | None:
+    """An adjusted bid or a probability that is not a float, as a float if it is a number
+    (``is_number``; an int beyond float range as an infinity), else None with its issue,
+    worded by ``what`` and the event id, put in ``issues``."""
+    if not is_number(value):
+        issues.append(f"offer '{offer.ad_id}': {what} '{event_id}' must be a number, got {brief(value)}")
         return None
     try:
-        return float(bid)
+        return float(value)
     except OverflowError:
-        return math.inf if bid > 0 else -math.inf
+        return math.inf if value > 0 else -math.inf
 
 
 def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> float:
     """Expected adjusted value, a float, with click probabilities taken from the slot
-    model and every other probability read through ``float``. Each adjusted bid is read
-    as the auction reads it: a number as a float (an int beyond float range as an
-    infinity), anything else a ScenarioError issue. Raises
-    KeyMismatchError, naming the ad, for adjusted bids not keyed to their events, and
-    ScenarioError, from ``SlotModel.click_probability``, for a slot not in 1..k."""
+    model. Each adjusted bid and probability is read as the auction reads it: a number
+    as a float (an int beyond float range as an infinity), anything else a ScenarioError
+    issue, one per event. Raises ScenarioError for an ``offer`` that is not an
+    ``AdjustedOffer`` and ``slots`` that are not a SlotModel or None; KeyMismatchError,
+    naming the ad, for adjusted bids not keyed to their events; and ScenarioError, from
+    ``SlotModel.click_probability``, for a slot not in 1..k."""
+    issues = [] if isinstance(offer, AdjustedOffer) else [f"offer must be an AdjustedOffer, got {brief(offer)}"]
+    issues += slot_model_issues(slots)
+    if issues:
+        raise ScenarioError(issues)
     events, adjusted = offer.events, offer.adjusted
     require_same_keys(tuple(map(_EVENT_ID, events)), adjusted, f"offer '{offer.ad_id}': adjusted bids")
     override = slots.click_probability(offer.ad_id, slot) if slots else None
-    issues: list[str] = []
     total = 0.0
     for ev in events:
-        bid = adjusted[ev.event_id]
-        if type(bid) is float or (bid := _read_bid(offer, ev.event_id, bid, issues)) is not None:
-            total += bid * (override if (override is not None and ev.kind is EventKind.CLICK) else float(ev.probability))
+        bid, p = adjusted[ev.event_id], ev.probability
+        if type(bid) is not float and (bid := _read(offer, "adjusted bid on", ev.event_id, bid, issues)) is None:
+            continue  # one issue per event
+        if type(p) is not float and (p := _read(offer, "probability of", ev.event_id, p, issues)) is None:
+            continue
+        total += bid * (override if (override is not None and ev.kind is EventKind.CLICK) else p)
     if issues:
         raise ScenarioError(issues)
     return total
@@ -175,15 +190,25 @@ def _run(offers: Sequence[AdjustedOffer], slots: SlotModel | None, reserve: floa
     Reproduces the slot-by-slot greedy auction that calls ``value_at_slot``
     per offer and slot, bit for bit on finite values, reading each bid and
     probability once per ad; no offers give no winners.
-    Raises ScenarioError on a bad reserve, each ad_id that is not a string,
-    each repeated ad_id, each adjusted bid that is not a number, and each ad
+    Raises ScenarioError on a bad reserve, slots that are not a SlotModel or
+    None, offers that are not a tuple or list, each entry that is not an
+    ``AdjustedOffer``, each ad_id that is not a string, each repeated ad_id,
+    each event whose adjusted bid or probability is not a number, and each ad
     whose value is not finite at the first slot where any value is not;
     KeyMismatchError, naming the ad, for adjusted bids not keyed to their events.
     """
-    issues = reserve_issues(reserve)
-    issues += [f"ad_id must be a string, got {brief(a)}" for a in map(_AD_ID, offers) if not isinstance(a, str)]
+    issues = reserve_issues(reserve) + slot_model_issues(slots)
+    if not isinstance(offers, (tuple, list)):  # the loop below would use up a generator
+        issues.append(f"offers must be a tuple or list, got {brief(offers)}")
+        offers = ()
+    for i, offer in enumerate(offers):
+        if not isinstance(offer, AdjustedOffer):
+            issues.append(f"offers[{i}] must be an AdjustedOffer, got {brief(offer)}")
+        elif not isinstance(offer.ad_id, str):
+            issues.append(f"ad_id must be a string, got {brief(offer.ad_id)}")
     if issues:
         raise ScenarioError(issues)
+    reserve = float(reserve)  # a numpy reserve would price every winner in numpy floats
 
     # Offers whose expected impact exceeds their value never enter the ranking.
     # Offers stay in ad_id order, so the first of equal values is the tie-break.
@@ -205,8 +230,10 @@ def _run(offers: Sequence[AdjustedOffer], slots: SlotModel | None, reserve: floa
         row = rows.get(offer.ad_id)
         head, terms = 0.0, None
         for e in events:
-            bid, p = adjusted[e.event_id], float(e.probability)
-            if type(bid) is not float and (bid := _read_bid(offer, e.event_id, bid, issues)) is None:
+            bid, p = adjusted[e.event_id], e.probability
+            if type(bid) is not float and (bid := _read(offer, "adjusted bid on", e.event_id, bid, issues)) is None:
+                continue  # one issue per event
+            if type(p) is not float and (p := _read(offer, "probability of", e.event_id, p, issues)) is None:
                 continue
             if terms is not None:
                 terms.append((bid, None if e.kind is EventKind.CLICK else p))

@@ -84,9 +84,14 @@ EXIT_IO = 2
 # --- canonical JSON ----------------------------------------------------------
 
 
-def dumps_canonical(doc: Any) -> str:
+def dumps_canonical(doc: dict | list) -> str:
     """Serialize a report deterministically: 17-significant-digit numbers,
-    keys in construction order, two-space indent, trailing newline."""
+    keys in construction order, two-space indent, trailing newline.
+
+    ``doc`` is a dict or a list, built of dicts with str keys, lists, str,
+    float, int, bool and None. Any other type is a bug: TypeError names it.
+    A float that is not finite raises ValueError.
+    """
     out = io.StringIO()
     _write_canonical(doc, out, 0, {})
     out.write("\n")
@@ -96,29 +101,18 @@ def dumps_canonical(doc: Any) -> str:
 _encode = json.encoder.encode_basestring_ascii
 
 
-def _write_canonical(doc: Any, out: io.StringIO, depth: int, keys: dict[str, str]) -> None:
-    """Write ``doc`` at nesting ``depth``, one loop per container.
+def _write_canonical(doc: dict | list, out: io.StringIO, depth: int, keys: dict[str, str]) -> None:
+    """Write the dict or list ``doc`` at nesting ``depth``, one loop per container.
 
-    Scalars of the exact builtin types are formatted inline in their
-    container's loop; anything else (``numpy.float64``, other mappings and
-    sequences, unsupported types) comes back here and is dispatched in the
-    order None, bool, int, float, str, mapping, list/tuple. ``keys``
-    memoizes the encoded form of string keys across the whole document.
+    Scalars are formatted inline in their container's loop, by exact type;
+    a dict or list value recurses, and anything else raises TypeError, as
+    does a key that is not exactly a str. ``keys`` memoizes the encoded
+    form of the keys across the whole document.
     """
     kind = type(doc)
-    if kind is dict:
-        is_mapping = True
-    elif kind is list or kind is tuple:
-        is_mapping = False
-    elif doc is None or isinstance(doc, (bool, int, float, str)):
-        out.write(_scalar_text(doc))
-        return
-    elif isinstance(doc, Mapping):
-        is_mapping = True
-    elif isinstance(doc, (list, tuple)):
-        is_mapping = False
-    else:
+    if kind is not dict and kind is not list:
         raise TypeError(f"cannot serialize {kind.__name__} canonically")
+    is_mapping = kind is dict
 
     write = out.write
     if not doc:
@@ -134,12 +128,11 @@ def _write_canonical(doc: Any, out: io.StringIO, depth: int, keys: dict[str, str
         write(inner)
         if is_mapping:
             key, value = entry
-            if type(key) is str:
-                encoded = keys.get(key)
-                if encoded is None:
-                    encoded = keys[key] = _encode(key) + ": "
-            else:
-                encoded = _encode(str(key)) + ": "
+            if type(key) is not str:
+                raise TypeError(f"cannot serialize {type(key).__name__} key canonically")
+            encoded = keys.get(key)
+            if encoded is None:
+                encoded = keys[key] = _encode(key) + ": "
             write(encoded)
         else:
             value = entry
@@ -164,19 +157,11 @@ def _write_canonical(doc: Any, out: io.StringIO, depth: int, keys: dict[str, str
     write("\n" + pad + ("}" if is_mapping else "]"))
 
 
-def _scalar_text(doc: Any) -> str:
-    """JSON text of None, a bool, an int, a float or a str, subclasses included."""
-    if doc is None:
-        return "null"
-    if isinstance(doc, bool):
-        return "true" if doc else "false"
-    if isinstance(doc, int):
-        return str(doc)
-    if not isinstance(doc, float):
-        return _encode(doc)
-    if not math.isfinite(doc):
-        raise ValueError(f"cannot serialize non-finite number {doc!r}")
-    return "0" if doc == 0.0 else "%.17g" % doc  # "0" for -0.0 too
+def _float_text(value: float) -> str:
+    """A float as ``_write_canonical`` writes it: "0" for -0.0 too, else 17 significant digits."""
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite number {value!r}")
+    return "0" if value == 0.0 else "%.17g" % value
 
 
 # --- scenario file parsing ---------------------------------------------------
@@ -405,7 +390,7 @@ def _write_csv(report: Mapping, path: str) -> None:
         for record in report["ads"]:
             values = [record[column] for column in _CSV_COLUMNS]
             writer.writerow(
-                "" if v is None else _scalar_text(v) if isinstance(v, float) else str(v)
+                "" if v is None else _float_text(v) if isinstance(v, float) else str(v)
                 for v in values
             )
 

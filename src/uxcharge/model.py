@@ -83,9 +83,11 @@ class ScenarioError(ValueError):
 
     Raised where each rule is checked: the CLI's command-line and document
     readers, ``sim.prepare``, ``auction.SlotModel`` (every slot rule: k, the
-    ctr rows, and a slot index outside 1..k), the auctions (bad reserve,
-    repeated ad_id, non-finite slot value), ``require_amounts`` (the oracles
-    and ``settle.settle_general``) and ``sim.run_scenario``.
+    ctr rows, and a slot index outside 1..k), the auctions (mistyped
+    arguments, bad reserve, repeated ad_id, a bid or probability that is not
+    a number, non-finite slot value), ``require_amounts`` (the oracles and
+    ``settle.settle_general``), the oracles' probability check and
+    ``sim.run_scenario``.
     """
 
     def __init__(self, issues: Sequence[str]):

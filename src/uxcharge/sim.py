@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, pricing_rule_issues, reserve_issues
+from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, pricing_rule_issues, reserve_issues, slot_model_issues
 from .auction import run_first_price, run_second_price
 from .model import (
     FORMAT_VERSION,
@@ -108,13 +108,21 @@ def _amounts(
 
     The three oracles' shared preamble. Raises KeyMismatchError unless both
     mappings are keyed to the events, and ScenarioError (``require_amounts``)
-    for each amount that is not a number; an infinite amount gives the oracles
-    a non-finite result.
+    for each amount that is not a number, then for each event whose
+    probability is not one; an infinite amount gives the oracles a non-finite
+    result.
     """
     ids = tuple(ev.event_id for ev in events)
     require_same_keys(ids, prices, "prices")
     require_same_keys(ids, shifted, "shift amounts")
     require_amounts(ids, prices, shifted)
+    issues = [
+        f"probability of '{ev.event_id}' must be a number, got {brief(ev.probability)}"
+        for ev in events
+        if type(ev.probability) is not float and not is_number(ev.probability)
+    ]
+    if issues:
+        raise ScenarioError(issues)
     return [prices[eid] + shifted[eid] for eid in ids]
 
 
@@ -447,9 +455,8 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
                 issues.append(f"offer '{ad_id}': {exc}")
 
     slots = config.slots
-    if slots is not None and not isinstance(slots, SlotModel):
-        issues.append(f"slots must be a SlotModel or None, got {brief(slots)}")
-    elif slots is not None and offers:
+    issues.extend(slot_model_issues(slots))
+    if isinstance(slots, SlotModel) and offers:
         undeclared = [ad for ad in slots.ctr if ad not in seen_ads]
         issues.extend(f"slots: ctr row keyed to ad {ad!r} declared by no offer" for ad in undeclared)
 
@@ -636,7 +643,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         "model": config.model.value,
         "trials": config.trials,
         "seed": config.seed,
-        "reserve": config.reserve,
+        "reserve": float(config.reserve),  # the reserve the auction ran with
         "slots": None
         if config.slots is None
         else {

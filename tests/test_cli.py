@@ -1,6 +1,7 @@
 """CLI behavior: documents, determinism, diagnostics, and exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_reads_like_reference
+from uxcharge import cli
 from uxcharge.cli import main
 from uxcharge.sim import OutcomeModel
 
@@ -196,6 +198,41 @@ def test_simulate_csv_summary(tmp_path, capsys):
     assert lines[1].startswith("x,")
     assert lines[2].startswith("y,")
     assert lines[2].split(",")[3] == ""  # losers carry no expected payment
+
+
+def test_the_csv_writes_each_float_as_the_report_does(tmp_path, capsys, monkeypatch):
+    """Each float cell is the report writer's text for the same record field."""
+    documents = []
+    write = cli.dumps_canonical
+    monkeypatch.setattr(cli, "dumps_canonical", lambda doc: documents.append(doc) or write(doc))
+    scenario = str(Path(__file__).resolve().parent / "golden" / "hybrid_three_event.json")
+    csv_path = tmp_path / "summary.csv"
+    code, _, _ = run_cli(
+        ["simulate", scenario, "--strategy", "proportional", "--trials", "2000", "--seed", "11", "--csv", str(csv_path)],
+        capsys,
+    )
+    assert code == 0
+    with open(csv_path, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    records = documents[0]["ads"]
+    assert len(rows) == len(records)
+    cells = [(cell, record[column]) for row, record in zip(rows, records) for column, cell in zip(header, row)]
+    floats = [(cell, v) for cell, v in cells if type(v) is float]
+    assert floats and all(cell == write([v]).split("\n")[1].strip() for cell, v in floats)
+    assert len(floats) >= 2 * len(records)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1.0, 0.1, -2.5, 1 / 3, 1e300, 5e-324, math.nan, math.inf])
+def test_the_csv_float_text_is_the_report_writers(x):
+    """The zeros and the non-finite values, which no golden CSV cell holds, too."""
+    try:
+        expected = cli.dumps_canonical([x]).split("\n")[1].strip()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            cli._float_text(x)
+        assert str(info.value) == str(exc)
+        return
+    assert cli._float_text(x) == expected
 
 
 def test_simulate_writes_the_report_before_the_csv(tmp_path, capsys):

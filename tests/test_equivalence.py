@@ -10,6 +10,7 @@ writer; the references live in helpers.py. Floats are compared with
 import json
 import math
 import tracemalloc
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -250,25 +251,15 @@ def test_adjust_document_missing_an_adjusted_bid_exits_1(tmp_path, capsys):
 # --- canonical writer --------------------------------------------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-leaves = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    finite,
-    st.just(-0.0),
-    finite.map(np.float64),
-    st.text(),
-)
-keys = st.one_of(st.text(), st.integers(), finite, st.booleans(), st.none())
-documents = st.recursive(
-    leaves,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(keys, inner, max_size=4),
-    ),
-    max_leaves=30,
-)
+leaves = st.one_of(st.none(), st.booleans(), st.integers(), finite, st.just(-0.0), st.text())
+
+
+def containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
+
+
+# a dict or a list of what the pipeline's documents hold
+documents = containers(st.recursive(leaves, containers, max_leaves=30))
 
 
 @settings(max_examples=500, deadline=None)
@@ -283,28 +274,44 @@ def _error(write, doc):
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        math.nan,
-        math.inf,
-        -math.inf,
-        np.float64("nan"),
-        np.float64("-inf"),
-        {1, 2},
-        b"bytes",
-        object(),
-        np.int64(3),
-        np.array([1.0]),
-    ],
-    ids=["nan", "inf", "-inf", "np-nan", "np-inf", "set", "bytes", "object", "np-int64", "np-array"],
-)
-@pytest.mark.parametrize("wrap", ["bare", "in_list", "in_dict", "nested"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("wrap", ["in_list", "in_dict", "nested"])
 def test_flat_writer_raises_what_the_recursive_writer_raises(bad, wrap):
     doc = {
-        "bare": bad,
         "in_list": [1.0, bad],
         "in_dict": {"a": "x", "b": bad},
-        "nested": {"a": [{"b": (0.5, bad)}]},
+        "nested": {"a": [{"b": [0.5, bad]}]},
     }[wrap]
     assert _error(dumps_canonical, doc) == _error(recursive_dumps, doc)
+
+
+NO_REPORT_HOLDS = {  # id: (value, the type name its TypeError gives)
+    "np-float64": (np.float64(0.5), "float64"),
+    "np-nan": (np.float64("nan"), "float64"),
+    "np-int64": (np.int64(3), "int64"),
+    "tuple": ((0.5, 1.0), "tuple"),
+    "set": ({1, 2}, "set"),
+    "bytes": (b"bytes", "bytes"),
+    "object": (object(), "object"),
+    "np-array": (np.array([1.0]), "ndarray"),
+    "mapping-proxy": (types.MappingProxyType({"a": 0.5}), "mappingproxy"),
+    "int-key": ({1: 0.5}, "int"),
+}
+
+
+@pytest.mark.parametrize("bad, name", NO_REPORT_HOLDS.values(), ids=NO_REPORT_HOLDS.keys())
+@pytest.mark.parametrize("wrap", ["bare", "in_list", "in_dict"])
+def test_a_type_no_report_holds_is_a_type_error_naming_it(bad, name, wrap):
+    """Reports hold dicts with str keys, lists, str, float, int, bool and None;
+    anything else reaching the writer is a bug, not a value to coerce."""
+    doc = {"bare": bad, "in_list": [1.0, bad], "in_dict": {"a": "x", "b": bad}}[wrap]
+    with pytest.raises(TypeError) as info:
+        dumps_canonical(doc)
+    assert f" {name} " in str(info.value)
+
+
+@pytest.mark.parametrize("doc", [0.5, "text", None, True, 3])
+def test_a_document_that_is_no_dict_or_list_is_a_type_error_naming_it(doc):
+    with pytest.raises(TypeError) as info:
+        dumps_canonical(doc)
+    assert f" {type(doc).__name__} " in str(info.value)

@@ -12,7 +12,10 @@ to its events; the case then goes through ``SlotModel``, ``value_at_slot``,
 must reject it: a per-offer call that reads the broken mapping raises
 ``KeyMismatchError`` and one that does not read it returns. A scenario field,
 an offer entry, an offer's ad_id, events or bids, or an event id or kind
-of the wrong type is one itemized issue.
+of the wrong type is one itemized issue. So is, at the auctions and the
+oracles, each event whose probability is not a number, and, at the auctions,
+offers that are not a tuple or list, an entry that is not an ``AdjustedOffer``
+and slots that are not a ``SlotModel``.
 """
 
 import math
@@ -323,3 +326,97 @@ def test_an_event_id_that_is_no_string_is_one_issue(event_id, bids, issue, model
     with pytest.raises(ux.ScenarioError) as excinfo:
         ux.run_scenario(config)
     assert list(excinfo.value.issues) == [issue]
+
+
+ADJUSTED = ux.AdjustedOffer("a", _events(0.5, None), {"view": 0.5, "click": 1.0}, 1.0)
+OTHER = ux.AdjustedOffer("b", _events(0.5, None), {"view": 0.5, "click": 1.0}, 1.0)
+
+
+def _issues(call) -> tuple[str, ...]:
+    with pytest.raises(ux.ScenarioError) as excinfo:
+        call()
+    return excinfo.value.issues
+
+
+def _with_probability(event_id, p) -> tuple[ux.EventSpec, ...]:
+    return tuple(ux.EventSpec(e.event_id, e.kind, p if e.event_id == event_id else e.probability) for e in _events(0.5, None))
+
+
+NOT_NUMBERS = ["1", None, True, [0.5]]
+
+
+@pytest.mark.parametrize("p", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("event_id", ["view", "click"])
+@pytest.mark.parametrize("slots", [None, SlotModel(1, {"a": (0.25,)})], ids=["declared", "ctr-row"])
+def test_a_probability_that_is_no_number_is_one_issue_at_the_auction(p, event_id, slots):
+    """The string "1" and True used to rank and price at 1.0, the others to
+    escape as a TypeError; a ctr row that replaces the click's probability
+    does not make it readable."""
+    bad = ux.AdjustedOffer("a", _with_probability(event_id, p), ADJUSTED.adjusted, 1.0)
+    issue = (f"offer 'a': probability of '{event_id}' must be a number, got {p!r}",)
+    assert _issues(lambda: value_at_slot(bad, slots, 1)) == issue
+    assert _issues(lambda: run_first_price([OTHER, bad], slots)) == issue
+    assert _issues(lambda: run_second_price([bad, OTHER], slots)) == issue
+
+
+def test_each_event_read_by_the_auction_is_at_most_one_issue():
+    events = (ux.EventSpec("view", ux.EventKind.VIEW, "1"), ux.EventSpec("click", ux.EventKind.CLICK, None))
+    bad = ux.AdjustedOffer("a", events, {"view": 0.5, "click": "2"}, 1.0)
+    issues = (
+        "offer 'a': probability of 'view' must be a number, got '1'",
+        "offer 'a': adjusted bid on 'click' must be a number, got '2'",
+    )
+    assert _issues(lambda: value_at_slot(bad, None, 1)) == issues
+    assert _issues(lambda: run_second_price([bad], SlotModel(2))) == issues
+
+
+@pytest.mark.parametrize("p", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("event_id", ["view", "click"])
+@pytest.mark.parametrize("oracle", [ux.expected_payment, ux.enumerate_expected_payment, ux.monte_carlo_payment])
+def test_a_probability_that_is_no_number_is_one_issue_at_the_oracles(p, event_id, oracle):
+    """The closed form used to price "1" and True at 1.0, enumeration and Monte
+    Carlo to raise a bare TypeError."""
+    amounts = {"view": 0.1, "click": 0.5}
+    issue = (f"probability of '{event_id}' must be a number, got {p!r}",)
+    assert _issues(lambda: oracle(amounts, amounts, _with_probability(event_id, p))) == issue
+
+
+@pytest.mark.parametrize("runner", [run_first_price, run_second_price])
+@pytest.mark.parametrize(
+    "offers, slots, reserve, issues",
+    [
+        ([ADJUSTED, 5], None, 0.0, ["offers[1] must be an AdjustedOffer, got 5"]),
+        ([ADJUSTED], {"k": 1}, 0.0, ["slots must be a SlotModel or None, got {'k': 1}"]),
+        (
+            [None, ADJUSTED, "b"],
+            3,
+            -1.0,
+            [
+                "reserve must be a finite number >= 0, got -1.0",
+                "slots must be a SlotModel or None, got 3",
+                "offers[0] must be an AdjustedOffer, got None",
+                "offers[2] must be an AdjustedOffer, got 'b'",
+            ],
+        ),
+        ((o for o in [ADJUSTED]), None, 0.0, ["offers must be a tuple or list, got <generator object"]),
+        ({"a": ADJUSTED}, None, 0.0, ["offers must be a tuple or list, got {'a': AdjustedOffer("]),
+    ],
+    ids=["entry", "slots", "all", "generator", "dict"],
+)
+def test_mistyped_auction_arguments_are_itemized(runner, offers, slots, reserve, issues):
+    # each used to escape as an AttributeError, or (a generator) to give no winners
+    found = _issues(lambda: runner(offers, slots, reserve))
+    assert len(found) == len(issues) and all(f.startswith(i) for f, i in zip(found, issues))
+
+
+@pytest.mark.parametrize(
+    "offer, slots, issues",
+    [
+        (5, None, ["offer must be an AdjustedOffer, got 5"]),
+        (ADJUSTED, {"k": 1}, ["slots must be a SlotModel or None, got {'k': 1}"]),
+        (("a",), 2, ["offer must be an AdjustedOffer, got ('a',)", "slots must be a SlotModel or None, got 2"]),
+    ],
+    ids=["offer", "slots", "both"],
+)
+def test_mistyped_value_at_slot_arguments_are_itemized(offer, slots, issues):
+    assert _issues(lambda: value_at_slot(offer, slots, 1)) == tuple(issues)

@@ -1,4 +1,4 @@
-"""Mechanism properties of the whole pipeline on seeded markets without ctr rows.
+"""Mechanism properties of the whole pipeline on seeded markets.
 
 Each market has two to five ads over their own view, click and, for some, a
 conversion event, with user-experience charges on the view and the click.
@@ -12,7 +12,11 @@ every shift strategy. The properties:
 * at k = 1..3, under both pricing rules, each winner's expected payment is
   at most its offer value;
 * each winner's expected payment less ``price_factor`` times its expected
-  adjusted value is its expected charge.
+  adjusted value is its expected charge;
+* with every ad's ctr row equal to its declared click probability in each of
+  k = 1..3 slots, so a slot values an ad as no row would, the ranking and the
+  winners are the same under every strategy, and the ranking values and the
+  winners' expected payments agree to 1e-9.
 
 Truthfulness is not asserted for k >= 2: the greedy slot-by-slot rule prices
 like the generalized second-price auction, where deviations can pay.
@@ -114,3 +118,33 @@ def test_each_winner_pays_at_most_its_value_and_its_charge_on_top_of_the_scaled_
                     assert approx_eq(paid - scaled, record["total_expected_charge"]), record
                     checked += 1
     assert checked > 2000
+
+
+def click_probability(offer: ux.Offer) -> float:
+    return next(e.probability for e in offer.events if e.kind is ux.EventKind.CLICK)
+
+
+@pytest.mark.parametrize("rule", ["first", "second"])
+def test_strategies_agree_when_each_ctr_row_is_the_declared_click_probability(rule):
+    rng = random.Random(f"invariance {rule}")
+    checked = 0
+    for _ in range(150):
+        offers, charges = random_market(rng)
+        # a tie, or an adjusted value at 0, may round either way under each strategy
+        values = sorted([0.0, *(value(o) - expected_charge(o, charges) for o in offers)])
+        if any(approx_eq(a, b) for a, b in zip(values, values[1:])):
+            continue
+        for k in (1, 2, 3):
+            slots = ux.SlotModel(k, {o.ad_id: (click_probability(o),) * k for o in offers})
+            reports = [run_scenario(ScenarioConfig(offers, charges, rule, s, slots, trials=1)) for s in STRATEGIES]
+            base = reports[0]
+            for report in reports[1:]:
+                assert [a for a, _ in report["ranking"]] == [a for a, _ in base["ranking"]]
+                assert report["winners"] == base["winners"]
+                for (_, v), (_, w) in zip(report["ranking"], base["ranking"]):
+                    assert approx_eq(v, w), (offers, charges, k)
+                for record, expected in zip(report["ads"], base["ads"]):
+                    if record["slot"] is not None:
+                        assert approx_eq(record["expected_payment"], expected["expected_payment"]), (offers, charges, k)
+            checked += 1
+    assert checked > 300

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import uxcharge as ux
 from uxcharge import sim
+from uxcharge.cli import dumps_canonical
 from uxcharge.sim import (
     _BLOCK,
     ENUMERATION_LIMIT,
@@ -606,6 +607,19 @@ def test_numpy_probabilities_give_a_report_of_plain_floats_with_the_same_bits(pr
     assert [type(x) for x in floats_of(report)] == [float] * len(floats_of(report))
     assert len(report["winners"]) == 2
     assert hexed(report) == hexed(expected)
+
+
+@pytest.mark.parametrize("pricing_rule", ["first", "second"])
+def test_a_numpy_reserve_gives_a_report_of_plain_floats_with_the_same_bits(pricing_rule):
+    # the reserve, and under second pricing the slot-2 winner's price_factor,
+    # prices and expected_payment, used to be numpy.float64
+    config = scenario_config(slots=ux.SlotModel(2), reserve=0.01, pricing_rule=pricing_rule, trials=500)
+    expected = run_scenario(config)
+    report = run_scenario(dataclasses.replace(config, reserve=np.float64(0.01)))
+    assert [type(x) for x in floats_of(report)] == [float] * len(floats_of(report))
+    assert len(report["winners"]) == 2
+    assert hexed(report) == hexed(expected)
+    assert dumps_canonical(report) == dumps_canonical(expected)
 
 
 def test_run_scenario_reports_infeasible_ads_as_excluded():
