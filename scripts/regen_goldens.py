@@ -2,8 +2,8 @@
 """Regenerate the frozen goldens under tests/golden/.
 
 It writes the simulate reports (``<name>.report.json``) and the adjust and
-auction documents (``<name>.adjust.json``, ``<name>.auction.json`` and the
-auction run on an adjust file).
+auction documents (``<name>.adjust.json`` and ``<name>.auction.json``) of each
+scenario ``<name>.json``.
 
 Only run this after an intentional, documented output change; the golden
 tests exist to catch accidental drift. The runs come from GOLDEN_RUNS in

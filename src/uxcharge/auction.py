@@ -104,6 +104,10 @@ class SlotModel:
         return None if row is None else row[slot - 1]
 
 
+# The market without a slot model: one slot, every ad at its declared click probability.
+_ONE_SLOT = SlotModel(1)
+
+
 def pricing_rule_issues(rule: str) -> list[str]:
     """The pricing rule is first or second; an empty list when it is."""
     if rule in (FIRST_PRICE, SECOND_PRICE):
@@ -145,14 +149,14 @@ def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> f
     issue, one per event. Raises ScenarioError for an ``offer`` that is not an
     ``AdjustedOffer`` and ``slots`` that are not a SlotModel or None; KeyMismatchError,
     naming the ad, for adjusted bids not keyed to their events; and ScenarioError, from
-    ``SlotModel.click_probability``, for a slot not in 1..k."""
+    ``SlotModel.click_probability``, for a slot not in 1..k, with k 1 when ``slots`` is None."""
     issues = [] if isinstance(offer, AdjustedOffer) else [f"offer must be an AdjustedOffer, got {brief(offer)}"]
     issues += slot_model_issues(slots)
     if issues:
         raise ScenarioError(issues)
     events, adjusted = offer.events, offer.adjusted
     require_same_keys(tuple(map(_EVENT_ID, events)), adjusted, f"offer '{offer.ad_id}': adjusted bids")
-    override = slots.click_probability(offer.ad_id, slot) if slots else None
+    override = (slots or _ONE_SLOT).click_probability(offer.ad_id, slot)
     total = 0.0
     for ev in events:
         bid, p = adjusted[ev.event_id], ev.probability
@@ -218,7 +222,8 @@ def _run(offers: Sequence[AdjustedOffer], slots: SlotModel | None, reserve: floa
     repeated = {a for a, b in zip(ad_ids, ad_ids[1:]) if a == b}
     if repeated:
         raise ScenarioError([f"duplicate ad_id '{ad_id}'" for ad_id in sorted(repeated)])
-    k, rows = (slots.k, slots.ctr) if slots else (1, {})
+    slots = slots or _ONE_SLOT
+    k, rows = slots.k, slots.ctr
 
     # An ad's fold up to its first click event is its head, the same in every
     # slot. An ad with a ctr row keeps the row and the rest of its events as

@@ -8,26 +8,22 @@ pipeline, ``sim.prepare`` (validate, then per ad feasibility, charge shift,
 adjustment), so all three reject the same scenarios and exclude the same ads
 for the same two reasons. Each subcommand names the function that builds its
 document, and ``main`` writes that document, then ``simulate``'s CSV.
-``auction`` also reads ``adjust`` output, checking each record's value
-against its bids. Reports are canonical JSON
-(keys in construction order, numbers at 17 significant digits), so identical
-inputs and seeds give byte-identical output.
+Reports are canonical JSON (keys in construction order, numbers at 17
+significant digits), so identical inputs and seeds give byte-identical output.
 
 Input is read strictly. A file must be UTF-8 text, nested no deeper than the
 JSON parser's recursion allows, its integers within Python's digit limit.
-Scenario and ``adjust`` documents pass one header check (a JSON object whose
-``format_version`` is the integer 1). Every entry, ``excluded`` ones too, is an
-object with its required fields, every number a finite JSON number within float
-range, every ``ad_id`` and event ``id`` a string of Unicode text, every event
-``kind`` and ``price_type`` one of its names, and ``slots`` an object. Its
-``k`` and ``ctr_matrix`` go to ``auction.SlotModel`` as read, which owns every
-slot rule (``--slots`` too): an integer k >= 1, and each ctr row an array of k
-nonincreasing numbers in [0, 1]. Each ctr row must be keyed to a declared ad,
-the trials at most ``sim.TRIALS_LIMIT``, the reserve finite and >= 0, and the
-ads of an ``adjust`` document distinct and not also ``excluded``, each over an
-event set a scenario would pass (``model.event_set_issues``) with the value its
-bids give, which is not negative. An expected charge, adjusted value, slot
-value or payment that overflows float range is rejected, naming the ad.
+A scenario is a JSON object whose ``format_version`` is the integer 1, with no
+top-level key but the six above, so an ``adjust`` document is not read as one.
+Every entry is an object with its required fields, every number a finite JSON
+number within float range, every ``ad_id`` and event ``id`` a string of
+Unicode text, every event ``kind`` and ``price_type`` one of its names, and
+``slots`` an object. Its ``k`` and ``ctr_matrix`` go to ``auction.SlotModel``
+as read, which owns every slot rule (``--slots`` too): an integer k >= 1, and
+each ctr row an array of k nonincreasing numbers in [0, 1]. Each ctr row must
+be keyed to a declared ad, the trials at most ``sim.TRIALS_LIMIT``, and the
+reserve finite and >= 0. An expected charge, adjusted value, slot value or
+payment that overflows float range is rejected, naming the ad.
 
 Exit codes: 0 success; 1 any input problem, the command line included, as
 one JSON record on stderr itemizing each issue; 2 I/O failure. Anything else
@@ -50,31 +46,17 @@ from typing import Any, NoReturn
 from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, run_first_price, run_second_price
 from .model import (
     FORMAT_VERSION,
-    AdjustedOffer,
     ChargeSchedule,
     ScenarioError,
-    approx_eq,
     brief,
     charges_from_dict,
     event_from_dict,
-    event_set_issues,
-    expected_sum,
     number,
     offer_from_dict,
     offer_to_dict,
     read_each,
-    read_events,
-    require_fields,
-    text,
 )
-from .sim import (
-    OutcomeModel,
-    ScenarioConfig,
-    prepare,
-    run_scenario,
-    target_issues,
-    validate_scenario,
-)
+from .sim import OutcomeModel, ScenarioConfig, prepare, run_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -167,25 +149,23 @@ def _float_text(value: float) -> str:
 # --- scenario file parsing ---------------------------------------------------
 
 
-def _header_issues(doc: Any) -> list[str]:
-    """The header check of scenario and ``adjust`` documents alike."""
-    if not isinstance(doc, Mapping):
-        return ["document must be a JSON object"]
-    version = doc.get("format_version")
-    if type(version) is int and version == FORMAT_VERSION:
-        return []
-    return [f"unsupported format_version {brief(version)}; this build reads version {FORMAT_VERSION}"]
+_SCENARIO_FIELDS = frozenset(("format_version", "events", "offers", "charges", "slots", "reserve"))
 
 
 def parse_scenario_doc(doc: Any) -> ScenarioConfig:
     """The ScenarioConfig a scenario JSON document describes, with default run flags.
 
-    Raises ScenarioError with itemized issues on any structural problem;
+    Raises ScenarioError with itemized issues on any structural problem, a
+    top-level key the format does not define among them;
     ``sim.validate_scenario`` checks the rules across fields.
     """
-    issues = _header_issues(doc)
-    if issues:
-        doc = {}  # nothing else can be read
+    if not isinstance(doc, Mapping):
+        raise ScenarioError(["document must be a JSON object"])
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        # nothing else can be read
+        raise ScenarioError([f"unsupported format_version {brief(version)}; this build reads version {FORMAT_VERSION}"])
+    issues = [f"unknown field {brief(key)}" for key in doc if key not in _SCENARIO_FIELDS]
 
     shared = tuple(read_each(doc, "events", event_from_dict, issues))
     offers = read_each(doc, "offers", lambda entry: offer_from_dict(entry, shared), issues)
@@ -287,72 +267,10 @@ def _adjust_document(args: argparse.Namespace) -> dict:
     }
 
 
-def _adjusted_offer(record: Mapping) -> AdjustedOffer:
-    require_fields(record, ("ad_id", "events", "adjusted_bids", "expected_adjusted_value"))
-    events = read_events(record)
-    violations = event_set_issues(events)
-    if violations:
-        raise ValueError("; ".join(violations))
-    raw_bids = record["adjusted_bids"]
-    if not isinstance(raw_bids, Mapping):
-        raise ValueError(f"'adjusted_bids' must be an object, got {brief(raw_bids)}")
-    adjusted = {k: number(v, "adjusted bid on", k) for k, v in raw_bids.items()}
-    value = expected_sum(adjusted, events, "adjusted_bids")
-    claimed = number(record["expected_adjusted_value"], "'expected_adjusted_value'")
-    if not math.isfinite(value):  # the bids are finite, so their value overflowed
-        ad_id = text(record["ad_id"], "'ad_id'")
-        raise ValueError(f"offer '{ad_id}': adjusted value overflows float range")
-    if not approx_eq(claimed, value):
-        raise ValueError(f"'expected_adjusted_value' {claimed!r} differs from its bids' value {value!r}")
-    ad_id = text(record["ad_id"], "'ad_id'")
-    if value < 0.0:  # adjust lists such an ad under 'excluded'
-        raise ValueError(f"offer '{ad_id}': expected adjusted value {value!r} is negative")
-    return AdjustedOffer(ad_id, events, adjusted, value)
-
-
-def _excluded_entry(entry: Any) -> dict:
-    """One ``excluded`` entry as ``_excluded`` writes it."""
-    require_fields(entry, ("ad_id", "reason"))
-    return {"ad_id": text(entry["ad_id"], "'ad_id'"), "reason": text(entry["reason"], "'reason'")}
-
-
-def _read_adjust_document(doc: Mapping, strategy: str) -> tuple[tuple[AdjustedOffer, ...], list[dict]]:
-    """The adjusted offers and the ``excluded`` array of an ``adjust`` document.
-
-    Raises ScenarioError itemizing the header's, each record's and
-    ``excluded``'s problems, and each ad that a ``single:<event>``
-    ``strategy`` does not fit, worded as for a scenario's offers.
-    """
-    issues = _header_issues(doc)
-    if issues:
-        doc = {}  # nothing else can be read
-    offers = read_each(doc, "adjusted", _adjusted_offer, issues)
-    issues.extend(
-        f"offer '{offer.ad_id}': {v}" for offer in offers for v in target_issues(strategy, offer.events)
-    )
-    excluded = read_each(doc, "excluded", _excluded_entry, issues)
-    listed = {offer.ad_id for offer in offers}
-    both = [entry["ad_id"] for entry in excluded if entry["ad_id"] in listed]
-    issues.extend(f"ad {ad!r} is listed under both 'adjusted' and 'excluded'" for ad in both)
-    if issues:
-        raise ScenarioError(issues)
-    return tuple(offers), excluded
-
-
 def _auction_document(args: argparse.Namespace) -> dict:
-    doc = _load_scenario(args.input)
-    if isinstance(doc, Mapping) and "adjusted" in doc:
-        offers, excluded = _read_adjust_document(doc, args.strategy)
-        config = _market(args, ScenarioConfig(offers=(), charges=ChargeSchedule({})))
-        issues = validate_scenario(config)
-        if issues:
-            raise ScenarioError(issues)
-    else:
-        config = _market(args, parse_scenario_doc(doc))
-        records, offers = prepare(config)
-        excluded = _excluded(records)
-
-    # validate_scenario has checked the pricing rule on both paths
+    config = _market(args, parse_scenario_doc(_load_scenario(args.input)))
+    records, offers = prepare(config)
+    # prepare has checked the pricing rule
     run = run_first_price if config.pricing_rule == FIRST_PRICE else run_second_price
     outcome = run(offers, config.slots, config.reserve)
     return {
@@ -369,7 +287,7 @@ def _auction_document(args: argparse.Namespace) -> dict:
             }
             for w in outcome.winners
         ],
-        "excluded": excluded,
+        "excluded": _excluded(records),
     }
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import uxcharge as ux
 from uxcharge.auction import pricing_rule_issues, reserve_issues
-from uxcharge.cli import _header_issues, parse_scenario_doc
+from uxcharge.cli import parse_scenario_doc
 from uxcharge.model import (
     approx_eq,
     brief,
@@ -236,10 +236,16 @@ def reference_offer_from_dict(doc, events=()) -> ux.Offer:
 
 def reference_parse(doc) -> ux.ScenarioConfig:
     """``cli.parse_scenario_doc`` over the reference readers above; ``k`` and
-    the ctr rows go to ``SlotModel`` as read, as there."""
-    issues = _header_issues(doc)
-    if issues:
-        doc = {}
+    the ctr rows go to ``SlotModel`` as read, as there. A document that is not
+    an object or not version 1 is one issue; else each top-level key outside
+    the six a scenario defines is one issue, in document order."""
+    if not isinstance(doc, Mapping):
+        raise ScenarioError(["document must be a JSON object"])
+    version = doc.get("format_version")
+    if type(version) is not int or version != 1:
+        raise ScenarioError([f"unsupported format_version {brief(version)}; this build reads version 1"])
+    known = ("format_version", "events", "offers", "charges", "slots", "reserve")
+    issues = [f"unknown field {brief(key)}" for key in doc if key not in known]
 
     shared = tuple(read_each(doc, "events", reference_event_from_dict, issues))
     offers = read_each(doc, "offers", lambda entry: reference_offer_from_dict(entry, shared), issues)

@@ -159,7 +159,7 @@ def test_value_at_slot_overrides_click_probability_only():
     slots = SlotModel(k=2, ctr={"x": (0.2, 0.05)})
     assert value_at_slot(x, slots, 1) == exact(0.4)
     assert value_at_slot(x, slots, 2) == exact(0.1)
-    assert value_at_slot(x, None, 2) == exact(0.4)
+    assert value_at_slot(x, None, 1) == exact(0.4)  # no model: one slot, the declared probability
 
 
 @pytest.mark.parametrize(

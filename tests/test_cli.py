@@ -125,28 +125,15 @@ def test_auction_underfilled_slots(tmp_path, capsys):
     assert [w["slot"] for w in parsed["winners"]] == [1]
 
 
-def test_auction_accepts_adjust_output(tmp_path, capsys):
-    scenario = write_scenario(tmp_path / "s.json", cpc_scenario())
-    adjusted_path = tmp_path / "adjusted.json"
-    code = main(["adjust", scenario, "--strategy", "single:click", "-o", str(adjusted_path)])
-    assert code == 0
-    capsys.readouterr()
-    code, out, _ = run_cli(["auction", str(adjusted_path), "--pricing", "second"], capsys)
-    assert code == 0
-    parsed = json.loads(out)
-    assert parsed["winners"][0]["ad_id"] == "x"
-    assert parsed["winners"][0]["prices"]["click"] == exact(1.0)
-
-
-def test_auction_on_reordered_adjusted_bids_writes_the_same_bytes(tmp_path, capsys):
-    golden = Path(__file__).resolve().parent / "golden" / "hybrid_three_event.adjust.json"
+def test_auction_on_reordered_bids_writes_the_same_bytes(tmp_path, capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "hybrid_three_event.json"
     doc = json.loads(golden.read_text(encoding="utf-8"))
-    for record in doc["adjusted"]:
-        record["adjusted_bids"] = dict(reversed(record["adjusted_bids"].items()))
+    for offer in doc["offers"]:
+        offer["bids"] = dict(reversed(offer["bids"].items()))
     reordered = write_scenario(tmp_path / "reordered.json", doc)
     outputs = []
     for path in (str(golden), reordered):
-        code, out, _ = run_cli(["auction", path, "--slots", "2"], capsys)
+        code, out, _ = run_cli(["auction", path, "--strategy", "proportional", "--slots", "2"], capsys)
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
@@ -343,27 +330,16 @@ def test_per_offer_event_override(tmp_path, capsys):
     assert record["expected_adjusted_value"] == exact(2.0 * 0.5 - 0.05)
 
 
-def _reserve_argv(path, tmp_path):
-    """Arguments for each subcommand path that takes a reserve."""
-    adjusted = tmp_path / "adjusted.json"
-    assert main(["adjust", path, "--strategy", "single:click", "-o", str(adjusted)]) == 0
-    empty = write_scenario(tmp_path / "empty.json", {"format_version": 1, "adjusted": []})
-    return {
-        "simulate": ["simulate", path, "--trials", "100"],
-        "auction-scenario": ["auction", path],
-        "auction-adjust-file": ["auction", str(adjusted)],
-        "auction-empty-adjust-file": ["auction", empty],
-    }
+def _reserve_argv(path):
+    """Arguments for each subcommand that takes a reserve."""
+    return {"simulate": ["simulate", path, "--trials", "100"], "auction": ["auction", path]}
 
 
 @pytest.mark.parametrize("reserve", ["-1", "nan", "inf"])
-@pytest.mark.parametrize(
-    "command", ["simulate", "auction-scenario", "auction-adjust-file", "auction-empty-adjust-file"]
-)
+@pytest.mark.parametrize("command", ["simulate", "auction"])
 def test_bad_reserve_is_one_validation_diagnostic(command, reserve, tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
-    argv = _reserve_argv(path, tmp_path)[command]
-    capsys.readouterr()
+    argv = _reserve_argv(path)[command]
     code, out, err = run_cli([*argv, "--reserve", reserve], capsys)
     assert code == 1
     assert out == ""
@@ -384,17 +360,12 @@ def test_bad_reserve_in_the_scenario_is_one_validation_diagnostic(command, tmp_p
 
 @pytest.mark.parametrize(
     "command, flags",
-    [
-        ("simulate", ["--trials", "0"]),
-        ("auction-scenario", ["--strategy", "bogus"]),
-        ("auction-adjust-file", ["--strategy", "bogus"]),
-    ],
-    ids=["simulate", "auction", "auction-adjust-file"],
+    [("simulate", ["--trials", "0"]), ("auction", ["--strategy", "bogus"])],
+    ids=["simulate", "auction"],
 )
 def test_bad_reserve_is_itemized_with_other_scenario_issues(command, flags, tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
-    argv = [*_reserve_argv(path, tmp_path)[command], *flags]
-    capsys.readouterr()
+    argv = [*_reserve_argv(path)[command], *flags]
     _one_diagnostic(*run_cli(argv, capsys))  # the other issue alone
     code, out, err = run_cli([*argv, "--reserve", "-1"], capsys)
     assert code == 1
@@ -486,6 +457,7 @@ SCENARIO_PROBES = [
     ("lone-surrogate-ad-id", cpc_scenario(offers=[{"ad_id": "\ud800", "price_type": "cpm", "bids": {"view": 1.0}}]), "offers[0]: 'ad_id'"),
     ("long-kind", cpc_scenario(events=[{"id": "view", "kind": "x" * 300, "prob": 1.0}]), "events[0]: 'kind' must be one of view, click"),
     ("object-price-type", cpc_scenario(offers=[{"ad_id": "x", "price_type": {"cpc": 1}, "bids": {}}]), "offers[0]: 'price_type' must be one of cpm, cpc, hybrid"),
+    ("stray-top-level-key", cpc_scenario(reserv=0.1), "unknown field 'reserv'"),
 ]
 
 # Finite documents whose numbers overflow float range inside the pipeline.
@@ -612,248 +584,14 @@ def test_missing_input_argument_is_one_diagnostic(command, capsys):
     assert "input" in detail
 
 
-@pytest.mark.parametrize("slots", ["0", "-3", "abc"])
-def test_bad_slots_on_adjust_document_is_one_diagnostic(slots, tmp_path, capsys):
+def test_single_strategy_target_is_checked_on_a_scenario(tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
-    adjusted = tmp_path / "adjusted.json"
-    assert main(["adjust", path, "-o", str(adjusted)]) == 0
-    capsys.readouterr()
-    detail = _one_diagnostic(*run_cli(["auction", str(adjusted), "--slots", slots], capsys))
-    assert "slot" in detail
-
-
-def _break_prob(doc):
-    doc["adjusted"][0]["events"][1]["prob"] = NAN
-
-
-def _break_bid(doc):
-    doc["adjusted"][0]["adjusted_bids"]["click"] = INF
-
-
-def _break_value(doc):
-    doc["adjusted"][0]["expected_adjusted_value"] = NAN
-
-
-def _break_adjusted(doc):
-    doc["adjusted"] = 5
-
-
-def _break_excluded(doc):
-    doc["excluded"] = [1]
-
-
-def _huge_prob(doc):
-    doc["adjusted"][0]["events"][1]["prob"] = HUGE
-
-
-def _huge_bid(doc):
-    doc["adjusted"][0]["adjusted_bids"]["click"] = HUGE
-
-
-def _huge_value(doc):
-    doc["adjusted"][0]["expected_adjusted_value"] = HUGE
-
-
-def _bool_bid(doc):
-    doc["adjusted"][0]["adjusted_bids"]["click"] = True
-
-
-def _string_value(doc):
-    doc["adjusted"][0]["expected_adjusted_value"] = "0.1"
-
-
-def _string_prob(doc):
-    doc["adjusted"][0]["events"][1]["prob"] = "0.1"
-
-
-def _null_ad_id(doc):
-    doc["adjusted"][0]["ad_id"] = None
-
-
-def _version_true(doc):
-    doc["format_version"] = True
-
-
-def _version_float(doc):
-    doc["format_version"] = 1.0
-
-
-def _repeat_ad(doc):
-    doc["adjusted"].append(dict(doc["adjusted"][0]))
-
-
-def _record_number(doc):
-    doc["adjusted"][0] = 5
-
-
-def _missing_bids(doc):
-    del doc["adjusted"][0]["adjusted_bids"]
-
-
-def _events_number(doc):
-    doc["adjusted"][0]["events"] = 5
-
-
-def _missing_prob(doc):
-    del doc["adjusted"][0]["events"][1]["prob"]
-
-
-def _excluded_nan(doc):
-    doc["excluded"] = [{"r": NAN}]
-
-
-def _excluded_nan_reason(doc):
-    doc["excluded"] = [{"ad_id": "y", "reason": NAN}]
-
-
-def _impossible_prob(doc):
-    doc["adjusted"][0]["events"][1]["prob"] = 7.5
-
-
-def _negative_prob(doc):
-    doc["adjusted"][0]["events"][1]["prob"] = -3.0
-
-
-def _repeat_event(doc):
-    events = doc["adjusted"][0]["events"]
-    events.append({**events[0], "prob": -3.0})
-
-
-def _missing_view(doc):
-    record = doc["adjusted"][0]
-    del record["events"][0]
-    del record["adjusted_bids"]["view"]
-
-
-def _negative_value(doc):
-    doc["adjusted"][1]["expected_adjusted_value"] = -5.0
-
-
-def _negative_record(doc):
-    # adjust lists such an ad under 'excluded'; auction used to drop the record
-    # from both 'ranking' and 'excluded' and exit 0
-    record = doc["adjusted"][1]
-    record["adjusted_bids"], record["expected_adjusted_value"] = {"view": -0.5, "click": 0.0}, -0.5
-
-
-def _inflated_value(doc):
-    doc["adjusted"][1]["expected_adjusted_value"] = 1000.0
-
-
-def _adjusted_and_excluded(doc):
-    doc["excluded"] = [{"ad_id": "y", "reason": "expected adjusted value is negative"}]
-
-
-def _slot_overflow(doc):
-    record = doc["adjusted"][0]
-    record["events"] = [VIEW, SURE]
-    record["adjusted_bids"] = {"view": 1e308, "sure": 1e308}
-
-
-@pytest.mark.parametrize(
-    "breaks, word",
-    [
-        (_break_prob, "prob"),
-        (_break_bid, "adjusted bid"),
-        (_break_value, "expected_adjusted_value"),
-        (_break_adjusted, "adjusted"),
-        (_break_excluded, "excluded"),
-        (_huge_prob, "adjusted[0]"),
-        (_huge_bid, "adjusted[0]"),
-        (_huge_value, "adjusted[0]"),
-        (_bool_bid, "adjusted bid on 'click'"),
-        (_string_value, "'expected_adjusted_value'"),
-        (_string_prob, "'prob' of 'click'"),
-        (_null_ad_id, "'ad_id'"),
-        (_version_true, "format_version"),
-        (_version_float, "format_version"),
-        (_repeat_ad, "duplicate ad_id 'x'"),
-        (_record_number, "adjusted[0]: must be an object, got 5"),
-        (_missing_bids, "adjusted[0]: missing field 'adjusted_bids'"),
-        (_events_number, "adjusted[0]: 'events' must be an array"),
-        (_missing_prob, "adjusted[0]: events[1]: missing field 'prob'"),
-        (_impossible_prob, "adjusted[0]: probability out of range for 'click': 7.5"),
-        (_negative_prob, "adjusted[0]: probability out of range for 'click': -3.0"),
-        (_repeat_event, "adjusted[0]: duplicate event id 'view'"),
-        (_missing_view, "adjusted[0]: missing view event"),
-        (_slot_overflow, "offer 'x'"),
-        (_negative_value, "adjusted[1]: 'expected_adjusted_value' -5.0 differs from its bids' value 0.09"),
-        (_negative_record, "adjusted[1]: offer 'y': expected adjusted value -0.5 is negative"),
-        (_inflated_value, "adjusted[1]: 'expected_adjusted_value' 1000.0 differs from its bids' value 0.09"),
-        (_adjusted_and_excluded, "ad 'y' is listed under both 'adjusted' and 'excluded'"),
-        (_excluded_nan, "excluded[0]: missing field 'ad_id', 'reason'"),
-        (_excluded_nan_reason, "excluded[0]: 'reason'"),
-    ],
-    ids=[
-        "nan-prob",
-        "inf-adjusted-bid",
-        "nan-expected-value",
-        "adjusted-number",
-        "excluded-numbers",
-        "huge-int-prob",
-        "huge-int-adjusted-bid",
-        "huge-int-expected-value",
-        "bool-adjusted-bid",
-        "string-expected-value",
-        "string-prob",
-        "null-ad-id",
-        "version-true",
-        "version-float",
-        "repeated-ad-id",
-        "record-number",
-        "missing-adjusted-bids",
-        "events-number",
-        "event-missing-prob",
-        "impossible-prob",
-        "negative-prob",
-        "repeated-event-id",
-        "missing-view-event",
-        "slot-value-overflow",
-        "negative-expected-value",
-        "negative-record",
-        "inflated-expected-value",
-        "adjusted-and-excluded",
-        "excluded-entry-nan",
-        "excluded-reason-nan",
-    ],
-)
-def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, word, tmp_path, capsys):
-    path = write_scenario(tmp_path / "s.json", cpc_scenario())
-    adjusted = tmp_path / "adjusted.json"
-    assert main(["adjust", path, "--strategy", "single:click", "-o", str(adjusted)]) == 0
-    doc = json.loads(adjusted.read_text(encoding="utf-8"))
-    breaks(doc)
-    adjusted.write_text(json.dumps(doc), encoding="utf-8")
-    capsys.readouterr()
-    detail = _one_diagnostic(*run_cli(["auction", str(adjusted)], capsys))
-    assert word in detail
-    assert len(detail) < 120
-
-
-def test_adjust_record_whose_bids_value_overflows_names_the_ad(tmp_path, capsys):
-    path = write_scenario(tmp_path / "s.json", cpc_scenario())
-    adjusted = tmp_path / "adjusted.json"
-    assert main(["adjust", path, "-o", str(adjusted)]) == 0
-    doc = json.loads(adjusted.read_text(encoding="utf-8"))
-    _slot_overflow(doc)  # finite bids of 1e308 on two sure events: their value is inf
-    adjusted.write_text(json.dumps(doc), encoding="utf-8")
-    capsys.readouterr()
-    detail = _one_diagnostic(*run_cli(["auction", str(adjusted)], capsys))
-    assert detail == "adjusted[0]: offer 'x': adjusted value overflows float range"
-
-
-def test_single_strategy_target_is_checked_on_a_scenario_and_on_its_adjust_document(tmp_path, capsys):
-    path = write_scenario(tmp_path / "s.json", cpc_scenario())
-    adjusted = tmp_path / "adjusted.json"
-    assert main(["adjust", path, "-o", str(adjusted)]) == 0
-    capsys.readouterr()
     expected = [f"offer '{ad}': strategy target event 'ghost' not declared" for ad in "xy"]
-    for source in (path, str(adjusted)):
-        code, out, err = run_cli(["auction", source, "--strategy", "single:ghost"], capsys)
-        assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "validation", "detail": expected}
-        code, _, err = run_cli(["auction", source, "--strategy", "single:click"], capsys)
-        assert (code, err) == (0, "")
+    code, out, err = run_cli(["auction", path, "--strategy", "single:ghost"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "validation", "detail": expected}
+    code, _, err = run_cli(["auction", path, "--strategy", "single:click"], capsys)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
@@ -928,6 +666,19 @@ def test_scenario_and_adjust_document_share_one_header_diagnostic(version, tmp_p
     via_auction = _one_diagnostic(*run_cli(["auction", str(adjusted)], capsys))
     assert via_simulate == via_auction
     assert f"unsupported format_version {version!r}" in via_simulate
+
+
+@pytest.mark.parametrize("command", ALL)
+@pytest.mark.parametrize("name", ["cpc_view_charge", "cpm_both_charges", "hybrid_three_event"])
+def test_adjust_document_is_no_scenario_to_any_subcommand(command, name, capsys):
+    # its records carry no ctr matrix, reserve or charges, so it would price another market
+    path = Path(__file__).resolve().parent / "golden" / f"{name}.adjust.json"
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "validation",
+        "detail": ["unknown field 'strategy'", "unknown field 'adjusted'", "unknown field 'excluded'"],
+    }
 
 
 # --- fuzzing: any JSON document or bytes give a report or one diagnostic ------
@@ -1032,6 +783,7 @@ def _fuzz_example(name):
 @_fuzz_example("ctr-undeclared-ad")
 @_fuzz_example("value-overflow")
 @_fuzz_example("charge-overflow")
+@_fuzz_example("stray-top-level-key")
 @example(TINY_CLICK, None, "single:click")
 @example(SLOT_OVERFLOW, None, "identity")
 @example(PAYMENT_OVERFLOW, None, "identity")
@@ -1064,6 +816,7 @@ def test_any_json_document_gives_a_document_or_one_diagnostic(tmp_path_factory, 
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([argv[0], str(path), "--strategy", strategy, *argv[1:]])
         if code == 0:
+            assert isinstance(doc, dict) and "adjusted" not in doc  # an adjust document is no scenario
             assert err.getvalue() == ""
             json.loads(out.getvalue())
         else:

@@ -15,19 +15,12 @@ from uxcharge.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# The scenario whose adjust golden is read back as auction input.
-ADJUST_FILE_SCENARIO = "hybrid_three_event"
-
-
 def _strategy(flags: list[str]) -> list[str]:
     return ["--strategy", flags[flags.index("--strategy") + 1]]
 
 
 def cli_golden_runs() -> list[tuple[str, list[str]]]:
-    """(golden file name, CLI arguments) for each adjust/auction golden.
-
-    Every adjust golden comes before the auction run that reads it.
-    """
+    """(golden file name, CLI arguments) for each adjust/auction golden."""
     runs = []
     for name, flags in GOLDEN_RUNS:
         scenario = str(GOLDEN / f"{name}.json")
@@ -38,13 +31,6 @@ def cli_golden_runs() -> list[tuple[str, list[str]]]:
                 ["auction", scenario, *_strategy(flags), "--pricing", "second"],
             )
         )
-    adjusted = str(GOLDEN / f"{ADJUST_FILE_SCENARIO}.adjust.json")
-    runs.append(
-        (
-            f"{ADJUST_FILE_SCENARIO}.adjust.auction.json",
-            ["auction", adjusted, "--pricing", "second", "--slots", "2"],
-        )
-    )
     return runs
 
 

@@ -218,36 +218,6 @@ def test_slot_count_far_beyond_the_offers_costs_no_memory(tmp_path, capsys):
     ]
 
 
-def test_adjust_document_missing_an_adjusted_bid_exits_1(tmp_path, capsys):
-    scenario = tmp_path / "s.json"
-    scenario.write_text(
-        json.dumps(
-            {
-                "format_version": 1,
-                "events": [
-                    {"id": "view", "kind": "view", "prob": 1.0},
-                    {"id": "click", "kind": "click", "prob": 0.1},
-                ],
-                "offers": [{"ad_id": "x", "price_type": "cpc", "bids": {"click": 2.0}}],
-                "charges": {"view": 0.05},
-            }
-        ),
-        encoding="utf-8",
-    )
-    adjusted = tmp_path / "adjusted.json"
-    assert main(["adjust", str(scenario), "-o", str(adjusted)]) == 0
-    doc = json.loads(adjusted.read_text(encoding="utf-8"))
-    del doc["adjusted"][0]["adjusted_bids"]["click"]
-    adjusted.write_text(json.dumps(doc), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["auction", str(adjusted)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert "adjusted_bids" in json.loads(lines[0])["detail"][0]
-
-
 # --- canonical writer --------------------------------------------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

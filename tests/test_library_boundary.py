@@ -420,3 +420,13 @@ def test_mistyped_auction_arguments_are_itemized(runner, offers, slots, reserve,
 )
 def test_mistyped_value_at_slot_arguments_are_itemized(offer, slots, issues):
     assert _issues(lambda: value_at_slot(offer, slots, 1)) == tuple(issues)
+
+
+@pytest.mark.parametrize("slot", [7, 0, -1, "x", 1.0, True], ids=repr)
+@pytest.mark.parametrize("slots", [None, SlotModel(1)], ids=["no-model", "one-slot-model"])
+def test_a_slot_outside_one_slot_is_one_issue_with_or_without_a_slot_model(slot, slots):
+    """Without a slot model there is one slot; slots 7, 0 and 'x' used to value
+    the ad as in slot 1."""
+    issue = (f"offer 'a': slot {slot!r} is not in 1..1",)
+    assert _issues(lambda: value_at_slot(ADJUSTED, slots, slot)) == issue
+    assert value_at_slot(ADJUSTED, slots, 1) == 0.5 + 1.0 * 0.5

@@ -44,6 +44,19 @@ def test_every_scenario_probe_reads_like_the_reference(doc):
     assert_reads_like_reference(json.loads(json.dumps(doc)), STRATEGIES, MODELS)
 
 
+def test_each_unknown_top_level_key_is_one_issue_in_document_order():
+    doc = {"adjusted": [], "format_version": 1, "events": 5, "reserv": 0.1, "x" * 60: None}
+    with pytest.raises(ux.ScenarioError) as excinfo:
+        parse_scenario_doc(doc)
+    assert excinfo.value.issues == (
+        "unknown field 'adjusted'",
+        "unknown field 'reserv'",
+        f"unknown field '{'x' * 36}...",  # cut as ``brief`` cuts a rejected value
+        "'events' must be an array",
+    )
+    assert_reads_like_reference(doc, STRATEGIES, MODELS)
+
+
 class _Name(str):
     pass
 
