@@ -584,6 +584,240 @@ def test_missing_input_argument_is_one_diagnostic(command, capsys):
     assert "input" in detail
 
 
+# The top-level keys of an adjust document that a scenario does not define.
+ADJUST_KEYS = ["unknown field 'strategy'", "unknown field 'adjusted'", "unknown field 'excluded'"]
+
+
+def _adjust_issues(code, out, err):
+    """The issues of the one diagnostic line a subcommand gives for an adjust document."""
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "validation"
+    return record["detail"]
+
+
+@pytest.mark.parametrize("slots", ["0", "-3", "abc"])
+def test_bad_slots_on_adjust_document_is_one_diagnostic(slots, tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    adjusted = tmp_path / "adjusted.json"
+    assert main(["adjust", path, "-o", str(adjusted)]) == 0
+    capsys.readouterr()
+    issues = _adjust_issues(*run_cli(["auction", str(adjusted), "--slots", slots], capsys))
+    assert issues == ([f"argument --slots: invalid int value: {slots!r}"] if slots == "abc" else ADJUST_KEYS)
+
+
+def _break_prob(doc):
+    doc["adjusted"][0]["events"][1]["prob"] = NAN
+
+
+def _break_bid(doc):
+    doc["adjusted"][0]["adjusted_bids"]["click"] = INF
+
+
+def _break_value(doc):
+    doc["adjusted"][0]["expected_adjusted_value"] = NAN
+
+
+def _break_adjusted(doc):
+    doc["adjusted"] = 5
+
+
+def _break_excluded(doc):
+    doc["excluded"] = [1]
+
+
+def _huge_prob(doc):
+    doc["adjusted"][0]["events"][1]["prob"] = HUGE
+
+
+def _huge_bid(doc):
+    doc["adjusted"][0]["adjusted_bids"]["click"] = HUGE
+
+
+def _huge_value(doc):
+    doc["adjusted"][0]["expected_adjusted_value"] = HUGE
+
+
+def _bool_bid(doc):
+    doc["adjusted"][0]["adjusted_bids"]["click"] = True
+
+
+def _string_value(doc):
+    doc["adjusted"][0]["expected_adjusted_value"] = "0.1"
+
+
+def _string_prob(doc):
+    doc["adjusted"][0]["events"][1]["prob"] = "0.1"
+
+
+def _null_ad_id(doc):
+    doc["adjusted"][0]["ad_id"] = None
+
+
+def _version_true(doc):
+    doc["format_version"] = True
+
+
+def _version_float(doc):
+    doc["format_version"] = 1.0
+
+
+def _repeat_ad(doc):
+    doc["adjusted"].append(dict(doc["adjusted"][0]))
+
+
+def _record_number(doc):
+    doc["adjusted"][0] = 5
+
+
+def _missing_bids(doc):
+    del doc["adjusted"][0]["adjusted_bids"]
+
+
+def _events_number(doc):
+    doc["adjusted"][0]["events"] = 5
+
+
+def _missing_prob(doc):
+    del doc["adjusted"][0]["events"][1]["prob"]
+
+
+def _excluded_nan(doc):
+    doc["excluded"] = [{"r": NAN}]
+
+
+def _excluded_nan_reason(doc):
+    doc["excluded"] = [{"ad_id": "y", "reason": NAN}]
+
+
+def _impossible_prob(doc):
+    doc["adjusted"][0]["events"][1]["prob"] = 7.5
+
+
+def _negative_prob(doc):
+    doc["adjusted"][0]["events"][1]["prob"] = -3.0
+
+
+def _repeat_event(doc):
+    events = doc["adjusted"][0]["events"]
+    events.append({**events[0], "prob": -3.0})
+
+
+def _missing_view(doc):
+    record = doc["adjusted"][0]
+    del record["events"][0]
+    del record["adjusted_bids"]["view"]
+
+
+def _negative_value(doc):
+    doc["adjusted"][1]["expected_adjusted_value"] = -5.0
+
+
+def _negative_record(doc):
+    # adjust lists such an ad under 'excluded'; auction used to drop the record
+    # from both 'ranking' and 'excluded' and exit 0
+    record = doc["adjusted"][1]
+    record["adjusted_bids"], record["expected_adjusted_value"] = {"view": -0.5, "click": 0.0}, -0.5
+
+
+def _inflated_value(doc):
+    doc["adjusted"][1]["expected_adjusted_value"] = 1000.0
+
+
+def _adjusted_and_excluded(doc):
+    doc["excluded"] = [{"ad_id": "y", "reason": "expected adjusted value is negative"}]
+
+
+def _slot_overflow(doc):
+    record = doc["adjusted"][0]
+    record["events"] = [VIEW, SURE]
+    record["adjusted_bids"] = {"view": 1e308, "sure": 1e308}
+
+
+@pytest.mark.parametrize(
+    "breaks, issues",
+    [
+        (_break_prob, ADJUST_KEYS),
+        (_break_bid, ADJUST_KEYS),
+        (_break_value, ADJUST_KEYS),
+        (_break_adjusted, ADJUST_KEYS),
+        (_break_excluded, ADJUST_KEYS),
+        (_huge_prob, ADJUST_KEYS),
+        (_huge_bid, ADJUST_KEYS),
+        (_huge_value, ADJUST_KEYS),
+        (_bool_bid, ADJUST_KEYS),
+        (_string_value, ADJUST_KEYS),
+        (_string_prob, ADJUST_KEYS),
+        (_null_ad_id, ADJUST_KEYS),
+        (_version_true, ["unsupported format_version True; this build reads version 1"]),
+        (_version_float, ["unsupported format_version 1.0; this build reads version 1"]),
+        (_repeat_ad, ADJUST_KEYS),
+        (_record_number, ADJUST_KEYS),
+        (_missing_bids, ADJUST_KEYS),
+        (_events_number, ADJUST_KEYS),
+        (_missing_prob, ADJUST_KEYS),
+        (_impossible_prob, ADJUST_KEYS),
+        (_negative_prob, ADJUST_KEYS),
+        (_repeat_event, ADJUST_KEYS),
+        (_missing_view, ADJUST_KEYS),
+        (_slot_overflow, ADJUST_KEYS),
+        (_negative_value, ADJUST_KEYS),
+        (_negative_record, ADJUST_KEYS),
+        (_inflated_value, ADJUST_KEYS),
+        (_adjusted_and_excluded, ADJUST_KEYS),
+        (_excluded_nan, ADJUST_KEYS),
+        (_excluded_nan_reason, ADJUST_KEYS),
+    ],
+    ids=[
+        "nan-prob",
+        "inf-adjusted-bid",
+        "nan-expected-value",
+        "adjusted-number",
+        "excluded-numbers",
+        "huge-int-prob",
+        "huge-int-adjusted-bid",
+        "huge-int-expected-value",
+        "bool-adjusted-bid",
+        "string-expected-value",
+        "string-prob",
+        "null-ad-id",
+        "version-true",
+        "version-float",
+        "repeated-ad-id",
+        "record-number",
+        "missing-adjusted-bids",
+        "events-number",
+        "event-missing-prob",
+        "impossible-prob",
+        "negative-prob",
+        "repeated-event-id",
+        "missing-view-event",
+        "slot-value-overflow",
+        "negative-expected-value",
+        "negative-record",
+        "inflated-expected-value",
+        "adjusted-and-excluded",
+        "excluded-entry-nan",
+        "excluded-reason-nan",
+    ],
+)
+def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, issues, tmp_path, capsys):
+    # auction reads scenarios only: however its records are broken, an adjust
+    # document is refused by its header or its top-level keys, in one line
+    path = write_scenario(tmp_path / "s.json", cpc_scenario())
+    adjusted = tmp_path / "adjusted.json"
+    assert main(["adjust", path, "--strategy", "single:click", "-o", str(adjusted)]) == 0
+    doc = json.loads(adjusted.read_text(encoding="utf-8"))
+    breaks(doc)
+    adjusted.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert _adjust_issues(*run_cli(["auction", str(adjusted)], capsys)) == issues
+
+
+
+
 def test_single_strategy_target_is_checked_on_a_scenario(tmp_path, capsys):
     path = write_scenario(tmp_path / "s.json", cpc_scenario())
     expected = [f"offer '{ad}': strategy target event 'ghost' not declared" for ad in "xy"]
@@ -673,12 +907,7 @@ def test_scenario_and_adjust_document_share_one_header_diagnostic(version, tmp_p
 def test_adjust_document_is_no_scenario_to_any_subcommand(command, name, capsys):
     # its records carry no ctr matrix, reserve or charges, so it would price another market
     path = Path(__file__).resolve().parent / "golden" / f"{name}.adjust.json"
-    code, out, err = run_cli([command, str(path)], capsys)
-    assert (code, out) == (1, "")
-    assert json.loads(err) == {
-        "error": "validation",
-        "detail": ["unknown field 'strategy'", "unknown field 'adjusted'", "unknown field 'excluded'"],
-    }
+    assert _adjust_issues(*run_cli([command, str(path)], capsys)) == ADJUST_KEYS
 
 
 # --- fuzzing: any JSON document or bytes give a report or one diagnostic ------
