@@ -45,7 +45,7 @@ _EVENT_ID = attrgetter("event_id")
 _VALUE = itemgetter(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotModel:
     """Slot count plus per-ad, per-slot click probabilities; the one owner of
     every slot rule, for the CLI and library callers alike.
@@ -155,11 +155,14 @@ def value_at_slot(offer: AdjustedOffer, slots: SlotModel | None, slot: int) -> f
     if issues:
         raise ScenarioError(issues)
     events, adjusted = offer.events, offer.adjusted
-    require_same_keys(tuple(map(_EVENT_ID, events)), adjusted, f"offer '{offer.ad_id}': adjusted bids")
+    ids = tuple(map(_EVENT_ID, events))
+    if tuple(adjusted) != ids:  # bids keyed out of event order are re-keyed once
+        require_same_keys(ids, adjusted, f"offer '{offer.ad_id}': adjusted bids")
+        adjusted = {eid: adjusted[eid] for eid in ids}
     override = (slots or _ONE_SLOT).click_probability(offer.ad_id, slot)
     total = 0.0
-    for ev in events:
-        bid, p = adjusted[ev.event_id], ev.probability
+    for ev, bid in zip(events, adjusted.values()):
+        p = ev.probability
         if type(bid) is not float and (bid := _read(offer, "adjusted bid on", ev.event_id, bid, issues)) is None:
             continue  # one issue per event
         if type(p) is not float and (p := _read(offer, "probability of", ev.event_id, p, issues)) is None:
@@ -231,11 +234,14 @@ def _run(offers: Sequence[AdjustedOffer], slots: SlotModel | None, reserve: floa
     heads, tails = [], []
     for offer in remaining:
         events, adjusted = offer.events, offer.adjusted
-        require_same_keys(tuple(map(_EVENT_ID, events)), adjusted, f"offer '{offer.ad_id}': adjusted bids")
+        ids = tuple(map(_EVENT_ID, events))
+        if tuple(adjusted) != ids:  # as in value_at_slot
+            require_same_keys(ids, adjusted, f"offer '{offer.ad_id}': adjusted bids")
+            adjusted = {eid: adjusted[eid] for eid in ids}
         row = rows.get(offer.ad_id)
         head, terms = 0.0, None
-        for e in events:
-            bid, p = adjusted[e.event_id], e.probability
+        for e, bid in zip(events, adjusted.values()):
+            p = e.probability
             if type(bid) is not float and (bid := _read(offer, "adjusted bid on", e.event_id, bid, issues)) is None:
                 continue  # one issue per event
             if type(p) is not float and (p := _read(offer, "probability of", e.event_id, p, issues)) is None:

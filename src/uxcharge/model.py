@@ -1,15 +1,15 @@
 """Domain model: events, offers, charges, shift plans, and settlements.
 
-All value objects are frozen dataclasses; nothing mutates after construction,
-so instances are safe to share across threads. Construction is permissive
-(invalid offers can be built, and ``validate_offer`` lists their violations,
-an empty list when valid), while derived objects such as ``AdjustedOffer``
-are produced only by the operations that guarantee their invariants. The
-``*_from_dict`` readers are the one scenario reader: every JSON number goes
-through ``number`` and every id through ``text`` (a finite float or an ASCII
-id passes inline), every kind and price type through ``member``, one dict
-lookup. Each helper words every failure of its field, so the readers raise
-ValueError only.
+All value objects are frozen, slotted dataclasses with no ``__dict__``;
+nothing mutates after construction, so instances are safe to share across
+threads. Construction is permissive (invalid offers can be built, and
+``validate_offer`` lists their violations, an empty list when valid), while
+derived objects such as ``AdjustedOffer`` are produced only by the operations
+that guarantee their invariants. The ``*_from_dict`` readers are the one
+scenario reader: every JSON number goes through ``number`` and every id
+through ``text`` (a finite float or an ASCII id passes inline), every kind and
+price type through ``member``, one dict lookup. Each helper words every
+failure of its field, so the readers raise ValueError only.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class PriceType(str, Enum):
 PAID_KIND = {PriceType.CPM: EventKind.VIEW, PriceType.CPC: EventKind.CLICK, PriceType.HYBRID: None}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventSpec:
     """One observable event (view, click, conversion, custom) and its probability."""
 
@@ -121,7 +121,7 @@ class EventSpec:
     probability: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Offer:
     """An advertiser's per-event bids over an event set.
 
@@ -140,14 +140,14 @@ class Offer:
         return tuple(map(_EVENT_ID, self.events))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChargeSchedule:
     """Per-event user-experience charges, keyed by event id. All charges >= 0."""
 
     charges: Mapping[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShiftPlan:
     """Redistributed per-event charges with the same expected total as the source.
 
@@ -158,7 +158,7 @@ class ShiftPlan:
     strategy: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdjustedOffer:
     """Per-event bids after subtracting shifted charges; what enters the auction.
 
@@ -172,7 +172,7 @@ class AdjustedOffer:
     expected_value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotAward:
     """One winner: the slot it won, its per-event prices, and pricing detail.
 
@@ -187,7 +187,7 @@ class SlotAward:
     price_factor: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuctionOutcome:
     """Ranking and slot awards produced by one auction run."""
 
@@ -196,7 +196,7 @@ class AuctionOutcome:
     winners: tuple[SlotAward, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Settlement:
     """Itemized realized charge: line_items[i] = (price_i + shifted_i) * realized_i."""
 

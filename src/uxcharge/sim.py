@@ -14,7 +14,9 @@ per trial plus one unit and one block, not trials x events uniforms.
 winner's three oracles as one task on a pool of ``_WORKERS`` threads; numpy
 draws and does most array work without the GIL, so the winners overlap.
 Both oracles return a non-finite result quietly, in any thread: each sets
-its own numpy error state, which is per thread.
+its own numpy error state, which is per thread. Only the oracles, and
+``run_scenario`` before its pool starts, import numpy, so importing the package
+or running an auction does not. ``ScenarioConfig`` is frozen and slotted.
 
 Every sum runs strictly left to right, over an offer's events in declared
 order and over outcomes or trials in order; never ``@``, ``np.sum`` or
@@ -29,8 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, pricing_rule_issues, reserve_issues, slot_model_issues
 from .auction import run_first_price, run_second_price
@@ -199,6 +199,7 @@ def enumerate_expected_payment(
     An infinite amount, or a charge beyond float range, gives a non-finite
     result without a warning.
     """
+    import numpy as np
     amounts = _amounts(prices, shifted, events)
     n = len(events)
     if n > ENUMERATION_LIMIT:
@@ -225,8 +226,9 @@ def enumerate_expected_payment(
         return float(np.add.accumulate(weighted, out=weighted)[-1])
 
 
-def _substream_rng(seed: int, substream: tuple[int, ...]) -> np.random.Generator:
-    """The (seed, substream) Philox stream."""
+def _substream_rng(seed: int, substream: tuple[int, ...]):
+    """The (seed, substream) Philox stream, a ``numpy.random.Generator``."""
+    import numpy as np
     entropy = [int(seed), *(int(s) for s in substream)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
@@ -290,6 +292,7 @@ def monte_carlo_payment(
     the unit size or numpy's or BLAS's summation. Raises ScenarioError,
     itemized by ``run_flag_issues``, on a bad model, trial count or seed.
     """
+    import numpy as np
     issues = run_flag_issues(model, trials, seed)
     if issues:
         raise ScenarioError(issues)
@@ -334,9 +337,10 @@ def monte_carlo_payment(
     return mean * 2.0**scale, math.sqrt(squares / (trials - 1)) / math.sqrt(trials) * 2.0**scale
 
 
-def _moments(totals: np.ndarray) -> tuple[float, float]:
-    """Mean and summed squared deviations of ``totals``, each a sequential
-    prefix sum taken in one buffer, a ``_BLOCK`` of trials at a time."""
+def _moments(totals) -> tuple[float, float]:
+    """Mean and summed squared deviations of the float64 array ``totals``, each a
+    sequential prefix sum taken in one buffer, a ``_BLOCK`` of trials at a time."""
+    import numpy as np
     spare = np.empty(min(len(totals), _BLOCK))
 
     def carried_sum(term) -> float:
@@ -355,7 +359,7 @@ def _moments(totals: np.ndarray) -> tuple[float, float]:
 # --- scenario runner ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     """Everything one end-to-end run needs; immutable and reusable."""
 
@@ -593,6 +597,10 @@ def run_scenario(config: ScenarioConfig) -> dict:
     Raises ScenarioError naming each winner whose oracles overflow float range.
     """
     records, included = prepare(config)
+    # numpy is first imported here, not by an oracle in a pool thread: each
+    # pool thread allocates from its own malloc arena, and an import there
+    # raised the bulk-simulate benchmark's peak RSS by 1-2 MB.
+    import numpy  # noqa: F401
     run = run_first_price if config.pricing_rule == FIRST_PRICE else run_second_price
     outcome = run(included, config.slots, config.reserve)
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -314,6 +315,51 @@ def test_main_leaves_the_root_logger_as_found(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+NO_NUMPY_SCRIPT = """
+import sys
+import uxcharge as ux, uxcharge.cli
+from uxcharge import cli, sim
+
+scenario, flags, report = sys.argv[1], sys.argv[2:-1], sys.argv[-1]
+events = (ux.EventSpec("view", ux.EventKind.VIEW, 1.0), ux.EventSpec("click", ux.EventKind.CLICK, 0.1))
+charges = ux.ChargeSchedule({"view": 0.05, "click": 0.0})
+offers = [
+    ux.Offer("x", ux.PriceType.CPC, events, {"view": 0.0, "click": 2.0}),
+    ux.Offer("y", ux.PriceType.CPM, events, {"view": 0.15, "click": 0.0}),
+]
+plans = {o.ad_id: ux.build_plan("single:click", o, charges) for o in offers if ux.is_feasible(o, charges)}
+adjusted = [ux.adjust_general(o, plans[o.ad_id]) for o in offers if o.ad_id in plans]
+award = ux.run_second_price(adjusted, ux.SlotModel(1, {"x": (0.2,)})).winners[0]
+ux.settle_general(award.prices, plans[award.ad_id], {"view": 1, "click": 1}, award.ad_id)
+strategy = flags[:2]
+assert cli.main(["adjust", scenario, *strategy]) == 0
+assert cli.main(["auction", scenario, *strategy, "--pricing", "second"]) == 0
+assert "numpy" not in sys.modules, "the auction path loaded numpy"
+
+sim._WORKERS = 2  # the winners' oracles on a two-thread pool, whatever the CPU count
+assert cli.main(["simulate", scenario, *flags, "-o", report]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_the_auction_path_never_loads_numpy(tmp_path):
+    # A fresh interpreter: pytest and the other tests have numpy loaded already.
+    from test_acceptance import GOLDEN_RUNS
+
+    golden = Path(__file__).resolve().parent / "golden"
+    scenario, report = golden / "hybrid_three_event.json", tmp_path / "report.json"
+    flags = dict(GOLDEN_RUNS)["hybrid_three_event"]
+    assert flags[0] == "--strategy"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(scenario), *flags, str(report)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert report.read_bytes() == (golden / "hybrid_three_event.report.json").read_bytes()
 
 
 def test_per_offer_event_override(tmp_path, capsys):

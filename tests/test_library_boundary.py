@@ -18,7 +18,10 @@ offers that are not a tuple or list, an entry that is not an ``AdjustedOffer``
 and slots that are not a ``SlotModel``.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -430,3 +433,50 @@ def test_a_slot_outside_one_slot_is_one_issue_with_or_without_a_slot_model(slot,
     issue = (f"offer 'a': slot {slot!r} is not in 1..1",)
     assert _issues(lambda: value_at_slot(ADJUSTED, slots, slot)) == issue
     assert value_at_slot(ADJUSTED, slots, 1) == 0.5 + 1.0 * 0.5
+
+
+_EVENTS = _events(0.5, None)
+_PLAN = ux.ShiftPlan({"view": 0.05, "click": 0.0}, "identity")
+_AWARD = ux.SlotAward("a", 1, {"view": 0.5, "click": 1.0}, 1.0, 1.0)
+_SLOTS = SlotModel(2, {"a": [0.5, 0.25]})
+#: One instance of each value class the package exports.
+VALUES = {
+    ux.EventSpec: _EVENTS[1],
+    ux.Offer: ux.Offer("a", ux.PriceType.HYBRID, _EVENTS, {"view": 0.5, "click": 1.0}),
+    ux.ChargeSchedule: ux.ChargeSchedule({"view": 0.05}),
+    ux.ShiftPlan: _PLAN,
+    ux.AdjustedOffer: ADJUSTED,
+    ux.SlotAward: _AWARD,
+    ux.AuctionOutcome: ux.AuctionOutcome("second", (("a", 1.0), ("b", 0.5)), (_AWARD,)),
+    ux.Settlement: ux.settle_general(_AWARD.prices, _PLAN, {"view": 1, "click": 0}, "a"),
+    SlotModel: _SLOTS,
+    ux.ScenarioConfig: ux.ScenarioConfig((), ux.ChargeSchedule({}), slots=_SLOTS, model=ux.OutcomeModel.FUNNEL),
+}
+
+
+def test_every_exported_dataclass_has_an_example():
+    exported = {getattr(ux, name) for name in ux.__all__}
+    assert {c for c in exported if isinstance(c, type) and dataclasses.is_dataclass(c)} == set(VALUES)
+
+
+@pytest.mark.parametrize("value", VALUES.values(), ids=lambda v: type(v).__name__)
+def test_a_value_is_slotted_frozen_and_copies_to_an_equal_value(value):
+    assert not hasattr(value, "__dict__")
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(value, field)
+    # A name that is no field has no slot. CPython 3.10-3.13 word it as a
+    # TypeError: a slotted class's frozen __setattr__ checks the class that
+    # dataclass replaced.
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        value.stray = None
+    assert not hasattr(value, "stray")
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_replace_checks_a_slot_model_row_again():
+    with pytest.raises(ux.ScenarioError, match="ctr out of range for 'a'"):
+        replace(_SLOTS, ctr={"a": (0.5, 1.5)})

@@ -7,7 +7,7 @@ compensate rounding, while ``@``, ``dot``, ``np.sum`` and ``np.prod`` follow
 numpy's pairwise summation or the BLAS kernel chosen at run time, so their
 bits can change with the numpy version or the machine. Only ``sim.py``, home
 of the payment oracles, imports numpy, so no other stage can come to depend
-on its version.
+on its version, and it imports numpy only inside the functions that use it.
 """
 
 import ast
@@ -83,6 +83,36 @@ def numpy_imports(tree: ast.AST) -> list[int]:
 def test_only_the_oracles_import_numpy(path):
     imports = numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert bool(imports) == (path.name in NUMPY_MODULES), imports
+
+
+def numpy_importers(tree: ast.AST) -> list[str]:
+    """The name of the innermost function around each numpy import, "<module>" for one outside any function."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and numpy_imports(node):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_numpy_is_imported_only_where_the_oracles_run():
+    # So importing the package, and running the adjust and auction paths, loads
+    # no numpy; run_scenario imports it before its pool of oracle threads starts.
+    importers = numpy_importers(ast.parse((SOURCE / "sim.py").read_text(encoding="utf-8")))
+    assert sorted(importers) == [
+        "_moments", "_substream_rng", "enumerate_expected_payment", "monte_carlo_payment", "run_scenario"
+    ]
+
+
+def test_the_numpy_importer_guard_sees_every_scope():
+    source = "import numpy\ndef f():\n    import numpy as np\n    def g():\n        from numpy import ndarray\nclass C:\n    import numpy\n"
+    assert numpy_importers(ast.parse(source)) == ["<module>", "f", "g", "<module>"]
 
 
 def test_the_numpy_guard_sees_every_form():
