@@ -86,8 +86,8 @@ class ScenarioError(ValueError):
     ctr rows, and a slot index outside 1..k), the auctions (mistyped
     arguments, bad reserve, repeated ad_id, a bid or probability that is not
     a number, non-finite slot value), ``require_amounts`` (the oracles and
-    ``settle.settle_general``), the oracles' probability check and
-    ``sim.run_scenario``.
+    ``settle.settle_general``), the settlements' mistyped arguments, the
+    oracles' probability check and ``sim.run_scenario``.
     """
 
     def __init__(self, issues: Sequence[str]):
@@ -233,14 +233,27 @@ def require_same_keys(reference: Sequence[str], mapping: Mapping[str, float], wh
     raise KeyMismatchError(f"{what} not keyed to the event set: {', '.join(parts)}")
 
 
+def is_amount(value: object) -> bool:
+    """Whether a price, shift amount or settlement input sums as a float: a
+    number (``is_number``) that is a float or within float range."""
+    return type(value) is float or (is_number(value) and (isinstance(value, float) or is_finite(value)))
+
+
+def amount_issue(what: str, amount: object) -> str:
+    """The issue of an ``amount`` that is not ``is_amount``, named by ``what``."""
+    if is_number(amount):
+        return f"{what} is beyond float range: {brief(amount)}"
+    return f"{what} must be a number, got {brief(amount)}"
+
+
 def require_amounts(ids: Sequence[str], prices: Mapping, shifted: Mapping) -> None:
     """Raise ScenarioError naming each event, in the order of ``ids``, whose price
-    or shift amount is not a number (``is_number``); the oracles and settlement share it."""
+    or shift amount is not ``is_amount``; the oracles and settlement share it."""
     issues = [
-        f"{what} for '{eid}' must be a number, got {brief(amounts[eid])}"
+        amount_issue(f"{what} for '{eid}'", amounts[eid])
         for eid in ids
         for what, amounts in (("price", prices), ("shift amount", shifted))
-        if not is_number(amounts[eid])
+        if not is_amount(amounts[eid])
     ]
     if issues:
         raise ScenarioError(issues)
@@ -272,48 +285,17 @@ def fold_expected(amounts: Mapping[str, float], events: Sequence[EventSpec]) -> 
     return total
 
 
-def event_set_issues(events: Sequence[EventSpec]) -> list[str]:
-    """Check an event set's invariants; the list of violations is empty when valid.
-
-    Checks: unique string event ids, kinds that are ``EventKind`` members,
-    probabilities that are numbers in [0, 1], and exactly one view event,
-    with probability 1. One loop words the id problems, then each event's kind
-    and probability, then the view rule. Scenario offers and ``adjust`` records share it.
-    """
-    id_issues, issues, views, seen = [], [], [], set()  # views: the view events' probabilities
-    for ev in events:
-        eid, kind, p = ev.event_id, ev.kind, ev.probability
-        if not isinstance(eid, str):
-            id_issues.append(f"event id must be a string, got {brief(eid)}")
-        elif eid in seen:
-            id_issues.append(f"duplicate event id '{eid}'")
-        else:
-            seen.add(eid)
-        if kind is EventKind.VIEW:
-            views.append(p)
-        elif type(kind) is not EventKind:
-            issues.append(f"kind of '{eid}' must be an EventKind, got {brief(kind)}")
-        if not is_number(p):
-            issues.append(f"probability of '{eid}' must be a number, got {brief(p)}")
-        elif not (0.0 <= p <= 1.0):
-            issues.append(f"probability out of range for '{eid}': {p!r}")
-
-    if len(views) != 1:
-        issues.append("more than one view event" if views else "missing view event")
-    elif is_number(p := views[0]) and not (is_finite(p) and approx_eq(p, 1.0)):  # not a number: worded above
-        issues.append(f"view event must have probability 1, got {p!r}")
-    return id_issues + issues
-
-
 def validate_offer(offer: Offer) -> list[str]:
     """Check every offer invariant; the list of violations is empty when valid.
 
     Checks: a str ``ad_id``, events a tuple of ``EventSpec`` with str ids and
-    bids a mapping, each check that needs a mistyped one skipped; the event set
-    (``event_set_issues``); a bid for every event; then, in one loop over the
-    bids, no stray entries, each a finite number >= 0, and the price type, a
-    ``PriceType``, and its discipline (CPM bids only on the view event, CPC only
-    on the click event). The one validator: ``sim.validate_scenario`` calls it for each.
+    bids a mapping, each check that needs a mistyped one skipped; in one loop
+    over the events, unique ids, ``EventKind`` kinds, probabilities in [0, 1]
+    and a bid for each, then one view event, with probability 1; then, in one
+    loop over the bids, no stray entries, each a finite number >= 0, and the
+    price type, a ``PriceType``, and its discipline (CPM bids only on the view
+    event, CPC only on the click event). The one validator:
+    ``sim.validate_scenario`` calls it for each.
     """
     violations: list[str] = []
     events, bids = offer.events, offer.bids
@@ -329,15 +311,39 @@ def validate_offer(offer: Offer) -> list[str]:
         violations.append(f"bids must be a mapping, got {brief(bids)}")
         bids = None
 
-    if events is not None and (issues := event_set_issues(events)):
-        violations += issues  # a non-string id is one of them
-        if not all(isinstance(e.event_id, str) for e in events):
-            events = None  # the bid key and price type checks need string ids
-    kind_of = {} if events is not None and bids is not None else None  # by id; a repeated id keeps its last
-    for e in events if kind_of is not None else ():
-        kind_of[e.event_id] = e.kind
-        if e.event_id not in bids:
-            violations.append(f"missing bid for event '{e.event_id}'")
+    # kind_of: each id's kind, a repeated id keeping its last, and so the ids seen;
+    # views: the view events' probabilities
+    kind_of, id_issues, issues, missing, views = {}, [], [], [], []
+    string_ids = True
+    for ev in events if events is not None else ():
+        eid, kind, p = ev.event_id, ev.kind, ev.probability
+        if not isinstance(eid, str):
+            id_issues.append(f"event id must be a string, got {brief(eid)}")
+            string_ids = False
+        else:
+            if eid in kind_of:
+                id_issues.append(f"duplicate event id '{eid}'")
+            kind_of[eid] = kind
+            if bids is not None and eid not in bids:
+                missing.append(f"missing bid for event '{eid}'")
+        if kind is EventKind.VIEW:
+            views.append(p)
+        elif type(kind) is not EventKind:
+            issues.append(f"kind of '{eid}' must be an EventKind, got {brief(kind)}")
+        if not is_number(p):
+            issues.append(f"probability of '{eid}' must be a number, got {brief(p)}")
+        elif not (0.0 <= p <= 1.0):
+            issues.append(f"probability out of range for '{eid}': {p!r}")
+    if events is not None:
+        if len(views) != 1:
+            issues.append("more than one view event" if views else "missing view event")
+        elif is_number(p := views[0]) and not (is_finite(p) and approx_eq(p, 1.0)):  # not a number: worded above
+            issues.append(f"view event must have probability 1, got {p!r}")
+        violations += id_issues + issues
+    if events is None or bids is None or not string_ids:
+        kind_of = None  # the bid key and price type checks need the events, the bids and string ids
+    else:
+        violations += missing
 
     typed = type(offer.price_type) is PriceType
     allowed = PAID_KIND[offer.price_type] if typed and kind_of is not None else None

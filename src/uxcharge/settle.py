@@ -8,10 +8,21 @@ from the general path so agreement between them is a meaningful check.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
-from typing import Mapping
 
-from .model import Settlement, ShiftPlan, brief, fold_sum, is_number, require_amounts, require_same_keys
+from .model import (
+    ScenarioError,
+    Settlement,
+    ShiftPlan,
+    amount_issue,
+    brief,
+    fold_sum,
+    is_amount,
+    is_number,
+    require_amounts,
+    require_same_keys,
+)
 
 
 class ClassicRule(Enum):
@@ -38,10 +49,18 @@ def settle_general(
     """Itemize the winner's charge: (price + shifted charge) per realized event.
 
     ``realized`` maps event ids to 0/1 indicators; all three collections must
-    share the same keys, and a price or shift amount that is not a number is
-    a ScenarioError issue (``require_amounts``). The total is summed in the
-    key order of ``prices``.
+    share the same keys. Prices or realized events that are not a mapping, a
+    plan that is not a ``ShiftPlan`` of a mapping, and a price or shift amount
+    that is not ``is_amount`` (``require_amounts``) are each a ScenarioError issue.
+    The total is summed in the key order of ``prices``.
     """
+    issues = [] if isinstance(prices, Mapping) else [f"prices must be a mapping, got {brief(prices)}"]
+    if not isinstance(plan, ShiftPlan) or not isinstance(plan.shifted, Mapping):
+        issues.append(f"plan must be a ShiftPlan of a mapping, got {brief(plan)}")
+    if not isinstance(realized, Mapping):
+        issues.append(f"realized events must be a mapping, got {brief(realized)}")
+    if issues:
+        raise ScenarioError(issues)
     ids, shifted = tuple(prices), plan.shifted
     require_same_keys(ids, shifted, "shift plan")
     require_same_keys(ids, realized, "realized events")
@@ -73,8 +92,14 @@ def settle_classic(
     CPC rules, per view for the CPM rules. Per-click rules charge
     only when clicked; per-view rules charge at win time regardless of the
     click (the click cost enters as the deterministic expectation c * p).
-    A ``p`` that is given must be a number in [0, 1], or else ValueError.
+    A ``rule`` that is not a ``ClassicRule`` and an ``r``, ``v`` or ``c``
+    that is not ``is_amount`` are each a ScenarioError issue; a ``p`` that is
+    given must be a number in [0, 1], or else ValueError.
     """
+    issues = [] if isinstance(rule, ClassicRule) else [f"rule must be a ClassicRule, got {brief(rule)}"]
+    issues += [amount_issue(name, x) for name, x in (("r", r), ("v", v), ("c", c)) if not is_amount(x)]
+    if issues:
+        raise ScenarioError(issues)
     if p is not None and not (is_number(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"{rule.value} settlement: click probability must be a number in [0, 1], got {brief(p)}")
     if rule in _PER_CLICK_RULES:

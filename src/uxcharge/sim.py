@@ -30,7 +30,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .auction import FIRST_PRICE, SECOND_PRICE, SlotModel, pricing_rule_issues, reserve_issues, slot_model_issues
 from .auction import run_first_price, run_second_price
@@ -108,9 +108,9 @@ def _amounts(
 
     The three oracles' shared preamble. Raises KeyMismatchError unless both
     mappings are keyed to the events, and ScenarioError (``require_amounts``)
-    for each amount that is not a number, then for each event whose
-    probability is not one; an infinite amount gives the oracles a non-finite
-    result.
+    for each amount that is not a number or is an int beyond float range,
+    then for each event whose probability is not one; an infinite amount
+    gives the oracles a non-finite result.
     """
     ids = tuple(ev.event_id for ev in events)
     require_same_keys(ids, prices, "prices")
@@ -385,27 +385,6 @@ def _parse_strategy(strategy: str) -> tuple[str, str | None]:
     )
 
 
-def target_issues(strategy: str, events: Sequence[EventSpec]) -> list[str]:
-    """The rule of a ``single:<event>`` strategy for one ad's events, which
-    have unique ids: its target is one of them, with probability above zero.
-
-    Empty for any other strategy; ``validate_scenario`` words an unknown one.
-    Scenario offers and the records of an ``adjust`` document share it.
-    """
-    try:
-        kind, target = _parse_strategy(strategy)
-    except ValueError:
-        return []
-    if kind != "single":
-        return []
-    for event in events:
-        if event.event_id == target:
-            if event.probability <= 0.0:
-                return [f"strategy target event '{target}' has zero probability"]
-            return []
-    return [f"strategy target event '{target}' not declared"]
-
-
 def validate_scenario(config: ScenarioConfig) -> list[str]:
     """Itemize every configuration problem; an empty list means runnable.
 
@@ -421,7 +400,7 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     issues.extend(reserve_issues(config.reserve))
 
     try:
-        kind, _ = _parse_strategy(config.strategy)
+        kind, target = _parse_strategy(config.strategy)
     except ValueError as exc:
         issues.append(str(exc))
         kind = "identity"
@@ -449,9 +428,14 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
             known_ids.update(e.event_id for e in events if isinstance(e, EventSpec) and isinstance(e.event_id, str))
             if len(events) > ENUMERATION_LIMIT:
                 issues.append(f"offer '{ad_id}': more than {ENUMERATION_LIMIT} events")
-        if violations or not (kind == "single" or funnel):
+        if violations:
             continue
-        issues.extend(f"offer '{ad_id}': {v}" for v in target_issues(config.strategy, events))
+        if kind == "single":  # a valid offer's event ids are unique
+            p = next((e.probability for e in events if e.event_id == target), None)
+            if p is None:
+                issues.append(f"offer '{ad_id}': strategy target event '{target}' not declared")
+            elif p <= 0.0:
+                issues.append(f"offer '{ad_id}': strategy target event '{target}' has zero probability")
         if funnel:
             try:
                 _funnel_chain(events, config.model)

@@ -862,15 +862,41 @@ def test_malformed_or_non_finite_adjust_document_is_one_diagnostic(breaks, issue
     assert _adjust_issues(*run_cli(["auction", str(adjusted)], capsys)) == issues
 
 
+_CLICK_AT_ZERO_OR_UNDECLARED = [
+    {
+        "ad_id": "x",
+        "price_type": "cpc",
+        "events": [{"id": "view", "kind": "view", "prob": 1.0}, {"id": "click", "kind": "click", "prob": 0.0}],
+        "bids": {"click": 2.0},
+    },
+    {"ad_id": "y", "price_type": "cpm", "events": [{"id": "view", "kind": "view", "prob": 1.0}], "bids": {"view": 0.15}},
+]
 
 
-def test_single_strategy_target_is_checked_on_a_scenario(tmp_path, capsys):
-    path = write_scenario(tmp_path / "s.json", cpc_scenario())
-    expected = [f"offer '{ad}': strategy target event 'ghost' not declared" for ad in "xy"]
-    code, out, err = run_cli(["auction", path, "--strategy", "single:ghost"], capsys)
+@pytest.mark.parametrize(
+    ("offers", "strategy", "expected", "clean"),
+    [
+        (None, "single:ghost", [f"offer '{ad}': strategy target event 'ghost' not declared" for ad in "xy"], "single:click"),
+        (
+            _CLICK_AT_ZERO_OR_UNDECLARED,
+            "single:click",
+            [
+                "offer 'x': strategy target event 'click' has zero probability",
+                "offer 'y': strategy target event 'click' not declared",
+            ],
+            "single:view",
+        ),
+    ],
+    ids=["undeclared", "zero-probability-then-undeclared"],
+)
+def test_single_strategy_target_is_checked_on_a_scenario(offers, strategy, expected, clean, tmp_path, capsys):
+    # each offer's target problem is worded, in offer order; a target every offer carries runs
+    doc = cpc_scenario(**({} if offers is None else {"offers": offers}))
+    path = write_scenario(tmp_path / "s.json", doc)
+    code, out, err = run_cli(["auction", path, "--strategy", strategy], capsys)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "validation", "detail": expected}
-    code, _, err = run_cli(["auction", path, "--strategy", "single:click"], capsys)
+    code, _, err = run_cli(["auction", path, "--strategy", clean], capsys)
     assert (code, err) == (0, "")
 
 

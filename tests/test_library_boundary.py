@@ -15,7 +15,11 @@ an offer entry, an offer's ad_id, events or bids, or an event id or kind
 of the wrong type is one itemized issue. So is, at the auctions and the
 oracles, each event whose probability is not a number, and, at the auctions,
 offers that are not a tuple or list, an entry that is not an ``AdjustedOffer``
-and slots that are not a ``SlotModel``.
+and slots that are not a ``SlotModel``. ``settle_general`` and
+``settle_classic``, given junk for any argument (no mapping, a mapping keyed
+otherwise, a plan that is no ``ShiftPlan``, a rule that is no ``ClassicRule``,
+an amount that is no number or an int beyond float range), also let only
+``ValueError`` subclasses escape, and word each mistyped argument as one issue.
 """
 
 import copy
@@ -480,3 +484,68 @@ def test_a_value_is_slotted_frozen_and_copies_to_an_equal_value(value):
 def test_replace_checks_a_slot_model_row_again():
     with pytest.raises(ux.ScenarioError, match="ctr out of range for 'a'"):
         replace(_SLOTS, ctr={"a": (0.5, 1.5)})
+
+
+_PRICES = {"view": 0.5, "click": 1.0}
+_REALIZED = {"view": 1, "click": 0}
+_HUGE = f"{'1' + '0' * 36}..."  # ``brief`` of 10**400
+
+
+@pytest.mark.parametrize(
+    "call, issues",
+    [
+        (lambda: ux.settle_general(_PRICES, _PLAN, ["view", "click"]), ["realized events must be a mapping, got ['view', 'click']"]),
+        (lambda: ux.settle_general(_PRICES, {"view": 0.05}, _REALIZED), ["plan must be a ShiftPlan of a mapping, got {'view': 0.05}"]),
+        (lambda: ux.settle_general(None, _PLAN, _REALIZED), ["prices must be a mapping, got None"]),
+        (
+            lambda: ux.settle_general((), ux.ShiftPlan(None, "identity"), "view"),
+            [
+                "prices must be a mapping, got ()",
+                "plan must be a ShiftPlan of a mapping, got ShiftPlan(shifted=None, strategy='ide...",
+                "realized events must be a mapping, got 'view'",
+            ],
+        ),
+        (
+            lambda: ux.settle_general({"view": 10**400}, ux.ShiftPlan({"view": 0.0}, "identity"), {"view": 1}),
+            [f"price for 'view' is beyond float range: {_HUGE}"],
+        ),
+        (lambda: ux.settle_classic("cpm_view", 1.0), ["rule must be a ClassicRule, got 'cpm_view'"]),
+        (lambda: ux.settle_classic(ux.ClassicRule.CPM_VIEW, "1", v="0.1"), ["r must be a number, got '1'", "v must be a number, got '0.1'"]),
+        (
+            lambda: ux.settle_classic(None, 10**400, c=None, p=2.0),
+            ["rule must be a ClassicRule, got None", f"r is beyond float range: {_HUGE}", "c must be a number, got None"],
+        ),
+    ],
+    ids=["realized-list", "plan-dict", "prices-none", "all", "huge-price", "rule-string", "r-v-strings", "rule-r-c"],
+)
+def test_mistyped_settlement_arguments_are_itemized(call, issues):
+    # each escaped as an AttributeError or a TypeError, a huge int as an OverflowError;
+    # a string rule given a p was settled as cpm_both
+    assert _issues(call) == tuple(issues)
+
+
+_AMOUNTS = st.sampled_from([0.5, 2, -1.0, math.inf, math.nan, 10**400, -(10**400), "0.5", None, True, [0.5]])
+_NOT_MAPPINGS = st.sampled_from([None, "view", 3, ["view", "click"], ("view", "click")])
+
+
+def _per_event(values):
+    """Mappings keyed to (view, click), keyed otherwise, or no mapping at all."""
+    keys = st.sampled_from(["view", "click", "ghost"])
+    return st.fixed_dictionaries({"view": values, "click": values}) | st.dictionaries(keys, values) | _NOT_MAPPINGS
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prices=_per_event(_AMOUNTS),
+    plan=st.builds(ux.ShiftPlan, _per_event(_AMOUNTS), st.just("identity")) | _per_event(_AMOUNTS),
+    realized=_per_event(st.sampled_from([0, 1, True, 2, 0.5, None, "1"])),
+    rule=st.sampled_from([*ux.ClassicRule, "cpm_view", None]),
+    r=_AMOUNTS,
+    v=_AMOUNTS,
+    c=_AMOUNTS,
+    p=st.none() | unit | _AMOUNTS,
+    clicked=st.booleans(),
+)
+def test_settlement_lets_only_value_errors_escape(prices, plan, realized, rule, r, v, c, p, clicked):
+    _rejection(lambda: ux.settle_general(prices, plan, realized))
+    _rejection(lambda: ux.settle_classic(rule, r, v, c, p, clicked))

@@ -6,10 +6,10 @@ ids inline and looks for stray bid keys only when there are any;
 ``helpers.reference_parse`` reads them through frozen copies of the field-by-field
 readers (``Enum.__call__`` for kinds, ``read_each`` for events, a stray-key pass
 for every offer). ``sim.validate_scenario`` checks every offer with
-``validate_offer``, the one offer validator, which walks an offer's bids once;
-``helpers.reference_validate`` checks them with ``reference_validate_offer``, a
-frozen copy that makes a pass per rule, and each words the scenario rules
-around it itself. Each pair must give equal configs and the same full issue
+``validate_offer``, the one offer validator, which walks an offer's events
+once and its bids once; ``helpers.reference_validate`` checks them with
+``reference_validate_offer``, a frozen copy that makes a pass per rule, and
+each words the scenario rules around it itself. Each pair must give equal configs and the same full issue
 lists, in the same order.
 """
 
@@ -25,14 +25,13 @@ from hypothesis import strategies as st
 import uxcharge as ux
 from helpers import (
     assert_reads_like_reference,
-    reference_event_set_issues,
     reference_member,
     reference_validate,
     reference_validate_offer,
 )
 from test_cli import SCENARIO_PROBES
 from uxcharge.cli import parse_scenario_doc
-from uxcharge.model import event_set_issues, member, validate_offer
+from uxcharge.model import member, validate_offer
 from uxcharge.sim import prepare, validate_scenario
 
 STRATEGIES = ("identity", "proportional", "single:click", "single:ghost", "bogus")
@@ -339,12 +338,15 @@ _VIEW_CLICK = (ux.EventSpec("view", VIEW, 1.0), ux.EventSpec("click", CLICK, 0.5
 @example(offer=ux.Offer("ad", "cpm", _VIEW_CLICK, {"view": -1.0, "ghost": 2.0, "click": True}))
 @example(offer=ux.Offer("ad", ux.PriceType.CPM, _VIEW_CLICK, {"click": 1.0, "view": float("inf"), "ghost": 2.0}))
 @example(offer=ux.Offer("ad", ux.PriceType.CPC, (*_VIEW_CLICK, _VIEW_CLICK[1], _VIEW_CLICK[1]), {"view": 0.0}))
+# a duplicate id worded before a later non-string one, which drops the missing bid on 'click'
+@example(offer=ux.Offer("ad", ux.PriceType.CPC, (*_VIEW_CLICK, _VIEW_CLICK[1], ux.EventSpec(["e0"], CLICK, 0.5)), {"view": 1.0}))
+@example(offer=ux.Offer("ad", ux.PriceType.CPC, (), {"click": 1.0, "view": -1.0}))  # no events, bids kept
+# a repeated id with no bid, worded once per occurrence
+@example(offer=ux.Offer("ad", ux.PriceType.HYBRID, (*_VIEW_CLICK, ux.EventSpec("click", ux.EventKind.CONVERSION, 0.2)), {"view": 1.0}))
 def test_one_loose_offer_checks_like_the_frozen_per_offer_references(offer):
-    """``validate_offer`` and, over a sequence of ``EventSpec``, ``event_set_issues``
-    give the lists of their frozen pass-per-rule copies, in the same order."""
+    """``validate_offer``, which walks the events once and the bids once, gives
+    the list of its frozen pass-per-rule copy, in the same order."""
     assert validate_offer(offer) == reference_validate_offer(offer)
-    if isinstance(offer.events, (tuple, list)) and all(isinstance(e, ux.EventSpec) for e in offer.events):
-        assert event_set_issues(offer.events) == reference_event_set_issues(offer.events)
 
 
 @settings(max_examples=400, deadline=None)

@@ -482,11 +482,19 @@ def test_oracles_return_a_non_finite_payment_without_a_warning(events, amounts, 
                 "shift amount for 'click' must be a number, got [0.5]",
             ],
         ),
+        (
+            {"view": 10**400, "click": 0.0},
+            {"view": 0.0, "click": -(10**400)},
+            [
+                f"price for 'view' is beyond float range: {'1' + '0' * 36}...",
+                f"shift amount for 'click' is beyond float range: {'-1' + '0' * 35}...",
+            ],
+        ),
     ],
 )
 def test_the_oracles_word_an_amount_that_is_not_a_number(prices, shifted, issues):
     # a string price raised "can only concatenate str (not "float") to str";
-    # settle_general raised a bare TypeError
+    # settle_general raised a bare TypeError, and an int beyond float range an OverflowError
     def settle(prices, shifted, events):
         return ux.settle_general(prices, ux.ShiftPlan(shifted, "identity"), dict.fromkeys(prices, 1))
 
