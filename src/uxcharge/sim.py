@@ -8,15 +8,18 @@ from counter-based Philox substreams keyed by (seed, substream), so per-ad
 streams are independent. Enumeration broadcasts one axis per event over all
 2^n outcomes at once. Monte Carlo draws a call's trials in order, in units
 of rows of raw Philox words, and tests each word against an integer
-threshold that gives the same hits as its uniform; a call keeps one float64
-per trial plus one unit and one block, not trials x events uniforms.
-``run_scenario`` calls the auction of its pricing rule, then runs each
-winner's three oracles as one task on a pool of ``_WORKERS`` threads; numpy
-draws and does most array work without the GIL, so the winners overlap.
-Both oracles return a non-finite result quietly, in any thread: each sets
-its own numpy error state, which is per thread. Only the oracles, and
-``run_scenario`` before its pool starts, import numpy, so importing the package
-or running an auction does not. ``ScenarioConfig`` is frozen and slotted.
+threshold that gives the same hits as its uniform, then packs each trial's
+hits into an index and looks its charge up in a table of every hit mask's
+charge; a call keeps one float64 per trial plus one unit and one block plus
+a 2^n charge table, not trials x events uniforms. ``run_scenario`` calls the
+auction of its pricing rule, then runs each winner's three oracles as one
+task, on ``_WORKERS - 1`` pool threads and the calling thread; numpy draws
+and does most array work without the GIL, so the winners overlap. Both
+oracles return a non-finite result quietly, in any thread: each sets its own
+numpy error state, which is per thread. Only the oracles, and
+``run_scenario`` before its pool starts, import numpy, and only
+``run_scenario`` imports the pool, so importing the package or running an
+auction loads neither. ``ScenarioConfig`` is frozen and slotted.
 
 Every sum runs strictly left to right, over an offer's events in declared
 order and over outcomes or trials in order; never ``@``, ``np.sum`` or
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -65,18 +67,22 @@ from .shift import is_feasible, total_expected_charge  # noqa: F401
 #: 2.5 float64 arrays of 2^n outcomes, so a call at the limit peaks near 20 MiB.
 ENUMERATION_LIMIT = 20
 
-#: Monte Carlo keeps one float64 per trial; at this many, one 20-event funnel
-#: call peaks near 9 MiB (tracemalloc).
+#: Monte Carlo keeps one float64 per trial and a 2^n charge table; at this many,
+#: one 20-event funnel call peaks near 17.8 MiB (tracemalloc).
 TRIALS_LIMIT = 1_000_000
 
 #: Trials in Monte Carlo's units in flight, together.
 _BLOCK = 8192
 
-#: Threads that run winners' oracles in ``run_scenario``: the CPUs this process
-#: may run on, at most two, the only count timed (2-vCPU host). Each Monte
-#: Carlo call draws in units of ``_BLOCK // _WORKERS`` rows, so the units of
-#: concurrent winners hold one block between them. CPU quotas are not read:
-#: two threads pinned to one CPU took about as long as one thread.
+#: Multiplied into eight little-endian bool bytes, moves byte j's bit to bit 56 + j.
+_GATHER = 0x0102040810204080
+
+#: Threads that run winners' oracles in ``run_scenario``, the caller's among
+#: them: the CPUs this process may run on, at most two, the only count timed
+#: (2-vCPU host). Each Monte Carlo call draws in units of at most
+#: ``_BLOCK // _WORKERS`` rows, so the units of concurrent winners hold one
+#: block between them. CPU quotas are not read: two threads pinned to one CPU
+#: took about as long as one thread.
 _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
     2,
@@ -283,45 +289,86 @@ def monte_carlo_payment(
     Deterministic for a fixed (seed, substream); the stderr is the sample
     standard deviation over the square root of the trial count (0.0 for a
     single trial), and non-finite if an amount or a trial's charge is.
-    Trials are drawn in units of ``_BLOCK // _WORKERS`` rows, one row of
-    raw Philox words per trial; event i occurs in a trial when its uniform
-    falls below its (conditional) probability, tested on the words against
-    ``_threshold``. Each trial's charge is a fold over the events' hit
-    columns in declared order, and both reductions over all trials are
+    Trials are drawn in units of ``_BLOCK // _WORKERS`` rows, at most 2^16
+    words, one row of raw Philox words per trial; event i occurs in a trial
+    when its uniform falls below its (conditional) probability, tested on the
+    words against ``_threshold``. A trial's charge is the entry of its hit
+    mask in a table that holds, for every mask, the fold over the amounts of
+    the events that occur, in declared order; under the funnel model a chain
+    stage occurs only if the stage before it did. Both reductions over all trials are
     sequential prefix sums, so the bits depend on the samples alone, not on
     the unit size or numpy's or BLAS's summation. Raises ScenarioError,
-    itemized by ``run_flag_issues``, on a bad model, trial count or seed.
+    itemized by ``run_flag_issues``, on a bad model, trial count or seed,
+    and ValueError on more than ``ENUMERATION_LIMIT`` events; no events
+    give (0.0, 0.0).
     """
     import numpy as np
     issues = run_flag_issues(model, trials, seed)
     if issues:
         raise ScenarioError(issues)
-    amounts = np.array(_amounts(prices, shifted, events), dtype=float)[:, None]
+    amounts = np.array(_amounts(prices, shifted, events), dtype=float)
+    n = len(events)
+    if n > ENUMERATION_LIMIT:
+        raise ValueError(f"Monte Carlo oracle is limited to {ENUMERATION_LIMIT} events, got {n}")
+    if n == 0:
+        return 0.0, 0.0
 
     chain, conditionals, custom = _funnel_chain(events, model)
-    n = len(events)
     probabilities = [ev.probability for ev in events]  # chain stages take their conditionals
     for idx, q in zip(chain, conditionals):
         probabilities[idx] = q
-    thresholds = np.array(list(map(_threshold, probabilities)), dtype=np.uint64)
+    thresholds = list(map(_threshold, probabilities))
+    # (word >> 11) < t is word <= (t << 11) - 1 for t >= 1. An event with t = 0
+    # never occurs: its limit 0 passes a zero word, and the table ignores its bit.
+    limits = np.array([max((t << 11) - 1, 0) for t in thresholds], dtype=np.uint64)
     bits = _substream_rng(seed, substream).bit_generator
     totals = np.empty(trials)
-    unit = _BLOCK // _WORKERS  # the units of concurrent winners hold one block
+    # the units of concurrent winners hold one block, and a unit at most 2**16 words
+    unit = min(_BLOCK // _WORKERS, (1 << 16) // n)
+    groups = -(-n // 8)
+    hits = np.zeros((unit, 8 * groups), dtype=bool)  # columns past n stay False
+    packed = np.empty((unit, groups), dtype=np.uint64)
+    index = np.empty(unit, dtype=np.uint64)
     # numpy's error state is per thread; a non-finite total is returned
     with np.errstate(over="ignore", invalid="ignore"):
+        # charge[m] is the fold 0.0 + h_0 * a_0 + ... + h_{n-1} * a_{n-1} in
+        # declared order, h_i being bit i of m (0 for an event that never
+        # occurs). Doubling the table over event i adds h_i * a_i to the new
+        # upper half and 0.0 * a_i to the lower: the fold's own IEEE steps, so
+        # 0 * inf is nan and a -0.0 term adds as it would there.
+        charge = np.zeros(1 << n)
+        for i, (a, t) in enumerate(zip(amounts, thresholds)):
+            low = charge[:1 << i]
+            np.add(low, (1.0 if t else 0.0) * a, out=charge[1 << i:2 << i])
+            low += 0.0 * a
+        # A chain stage occurs only if the stage before it did, so where its bit
+        # is set and the earlier stage's is not, it takes the entry without its
+        # bit. Later links go first and copy entries that are already final.
+        grid = charge.reshape((2,) * n)  # axis n - 1 - i is event i
+        for before, after in reversed(list(zip(chain, chain[1:]))):
+            target = [slice(None)] * n
+            target[n - 1 - before], target[n - 1 - after] = 0, 1
+            source = target.copy()
+            source[n - 1 - after] = 0
+            grid[tuple(target)] = grid[tuple(source)]
         for start in range(0, trials, unit):
             block = totals[start:start + unit]
             rows = len(block)
             words = bits.random_raw(rows * n)
-            np.right_shift(words, np.uint64(11), out=words)
-            hits = np.ascontiguousarray((words.reshape(rows, n) < thresholds).T)
-            for before, after in zip(chain, chain[1:]):
-                np.logical_and(hits[after], hits[before], out=hits[after])
-            charges = np.multiply(hits, amounts, out=words.view(float).reshape(n, rows))
-            block[:] = 0.0
-            for i in range(n):
-                block += charges[i]
-            del words, hits, charges  # freed before the next unit is drawn
+            hit = hits[:rows]
+            np.less_equal(words.reshape(rows, n), limits, out=hit[:, :n])
+            del words  # freed before the next unit is drawn
+            # A row's hits as little-endian words of eight bool bytes: byte j of
+            # word k is event 8k + j's hit, which the gather multiply and the
+            # shift move to bit j, and the word's left shift to bit 8k + j.
+            word = packed[:rows]
+            np.multiply(hit.view("<u8"), np.uint64(_GATHER), out=word)
+            np.right_shift(word, np.uint64(56), out=word)
+            mask = word[:, 0]
+            for k in range(1, groups):
+                np.left_shift(word[:, k], np.uint64(8 * k), out=word[:, k])
+                mask = np.bitwise_or(mask, word[:, k], out=index[:rows])
+            np.take(charge, mask.view(np.intp), out=block)
     if trials == 1:
         return float(totals[0]), 0.0
     # An overflow is summed again below; a non-finite total gives a non-finite result.
@@ -576,8 +623,10 @@ def run_scenario(config: ScenarioConfig) -> dict:
     Per ad: feasibility verdict, shift plan, adjusted bids, auction result,
     and for winners the expected payment three ways (closed form, exact
     enumeration, Monte Carlo). Deterministic for fixed config and seed:
-    each winner's three oracles run as one task, on a pool of ``_WORKERS``
-    threads, and land in winner order. ``prepare`` checks the pricing rule.
+    each winner's three oracles run as one task, on ``_WORKERS - 1`` pool
+    threads and the caller (the caller alone when ``_WORKERS`` is 1), and
+    land in winner order; the first error in winner order is raised.
+    ``prepare`` checks the pricing rule.
     Raises ScenarioError naming each winner whose oracles overflow float range.
     """
     records, included = prepare(config)
@@ -609,8 +658,24 @@ def run_scenario(config: ScenarioConfig) -> dict:
             ),
         )
 
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        results = list(pool.map(oracles, winners))  # in winner order; re-raises a task's exception
+    if _WORKERS == 1:
+        results = [oracles(winner) for winner in winners]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(_WORKERS - 1) as pool:
+            futures = [pool.submit(oracles, winner) for winner in winners]
+            # The pool takes winners from the front and the caller from the back,
+            # each one that the pool has not started; so futures[:ahead] are the
+            # pool's. Collecting those in order, even while the caller's own
+            # error is raised, re-raises the first error in winner order.
+            ahead, tail = len(winners), []
+            try:
+                while ahead and futures[ahead - 1].cancel():
+                    ahead -= 1
+                    tail.append(oracles(winners[ahead]))
+            finally:
+                results = [future.result() for future in futures[:ahead]]
+        results.extend(reversed(tail))
     issues = []
     for (award, row), result in zip(winners, results):
         record = records[row]

@@ -3,7 +3,9 @@
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -39,6 +41,7 @@ from helpers import (
     fold_enumeration,
     fold_monte_carlo,
     hexed,
+    left_to_right_moments,
     money,
     reference_validate,
     two_events,
@@ -80,13 +83,15 @@ def test_enumeration_single_certain_event():
     assert value == exact(0.5)
 
 
-def test_enumeration_rejects_oversized_event_sets():
+@pytest.mark.parametrize("oracle", [enumerate_expected_payment, monte_carlo_payment])
+def test_oracles_reject_oversized_event_sets(oracle):
+    # Monte Carlo's charge table, like enumeration, has 2^n entries.
     events = tuple(
         ux.EventSpec(f"e{i}", ux.EventKind.CUSTOM, 0.5) for i in range(21)
     )
     zeros = {e.event_id: 0.0 for e in events}
     with pytest.raises(ValueError, match="limited to 20"):
-        enumerate_expected_payment(zeros, zeros, events)
+        oracle(zeros, zeros, events)
 
 
 def test_funnel_model_reproduces_marginals():
@@ -224,6 +229,64 @@ def test_more_threads_than_cores_switching_often_fill_every_trial(monkeypatch):
     assert_winners_match_the_folds(report, config)
 
 
+def oracle_threads(monkeypatch, hold_pool: bool) -> list:
+    """Patch the Monte Carlo binding ``run_scenario`` calls to record each call's
+    thread; with ``hold_pool``, a pool thread waits until the caller has run one."""
+    threads, caller_ran = [], threading.Event()
+    original = sim.monte_carlo_payment
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.current_thread())
+        if threading.current_thread() is threading.main_thread():
+            caller_ran.set()
+        elif hold_pool:
+            assert caller_ran.wait(30.0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "monte_carlo_payment", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_caller_runs_a_share_of_the_winners(workers, monkeypatch):
+    monkeypatch.setattr(sim, "_WORKERS", workers)
+    threads = oracle_threads(monkeypatch, hold_pool=True)
+    config = winners_config(4, OutcomeModel.FUNNEL, 2000)
+    assert_winners_match_the_folds(run_scenario(config), config)
+    assert len(threads) == 4
+    assert threading.main_thread() in threads
+    assert 2 <= len(set(threads)) <= workers
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(sim, "_WORKERS", 1)
+    threads = oracle_threads(monkeypatch, hold_pool=False)
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+    config = winners_config(3, OutcomeModel.INDEPENDENT, 2000)
+    assert_winners_match_the_folds(run_scenario(config), config)
+    assert threads == [threading.main_thread()] * 3
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("failing", [(0, 1, 2, 3), (2, 3), (3,), (0,)])
+def test_an_oracle_error_is_raised_for_the_first_failing_winner(failing, workers, monkeypatch):
+    # Winners run on the pool and on the caller in any order; the error raised
+    # is the first failing winner's, as in a sequential run.
+    monkeypatch.setattr(sim, "_WORKERS", workers)
+    config = winners_config(4, OutcomeModel.INDEPENDENT, 500)
+    original = sim.monte_carlo_payment
+    place = {row: len(config.offers) - 1 - row for row in range(len(config.offers))}  # the last declared wins first
+
+    def failing_call(*args, substream, **kwargs):
+        if place[substream[0]] in failing:
+            raise ValueError(f"winner {place[substream[0]]}")
+        return original(*args, substream=substream, **kwargs)
+
+    monkeypatch.setattr(sim, "monte_carlo_payment", failing_call)
+    with pytest.raises(ValueError, match=f"^winner {min(failing)}$"):
+        run_scenario(config)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_overflow_in_two_winners_lists_both_in_winner_order(workers, monkeypatch):
     monkeypatch.setattr(sim, "_WORKERS", workers)
@@ -283,6 +346,34 @@ def test_monte_carlo_takes_any_float_probability_as_the_float_compare_would():
     mean, stderr = monte_carlo_payment(amounts, zeros, events, trials=1000, seed=2)
     reference = fold_monte_carlo(amounts, zeros, events, OutcomeModel.INDEPENDENT, 1000, 2, ())
     assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
+
+
+@pytest.mark.parametrize("word", [0, 2**64 - 1])
+@pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
+def test_monte_carlo_hits_on_the_extreme_words_as_the_uniform_compare_would(model, word, monkeypatch):
+    # A zero word is the uniform 0.0, which falls below every positive
+    # probability and no other; the largest is 1 - 2**-53, below 1.0 and up only.
+    # Click and conversion stages of probability 0 follow a certain view.
+    class Words:
+        def random_raw(self, size):
+            return np.full(size, word, dtype=np.uint64)
+
+    monkeypatch.setattr(sim, "_substream_rng", lambda seed, substream: types.SimpleNamespace(bit_generator=Words()))
+    events = (
+        ux.EventSpec("view", ux.EventKind.VIEW, 1.0),
+        ux.EventSpec("click", ux.EventKind.CLICK, 0.0),
+        ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.0),
+        *(ux.EventSpec(f"c{i}", ux.EventKind.CUSTOM, q) for i, q in enumerate(THRESHOLD_PROBABILITIES)),
+    )
+    amounts = {e.event_id: 2.0**i for i, e in enumerate(events)}
+    zeros = dict.fromkeys(amounts, 0.0)
+    uniform = (word >> 11) * 2.0**-53
+    total = 0.0
+    for e in events:
+        total += (uniform < e.probability) * amounts[e.event_id]
+    for trials in (1, 20000):
+        mean, stderr = monte_carlo_payment(amounts, zeros, events, model, trials=trials, seed=1)
+        assert (mean, stderr) == left_to_right_moments([total] * trials)
 
 
 @pytest.mark.parametrize("rows", [(1, 1), (3, 4), (_BLOCK, 5)])
@@ -384,7 +475,7 @@ def mixed_event_set(n: int):
     """``n`` events in a declared order unlike the funnel's, with amounts of mixed magnitude.
 
     Funnel events keep nonincreasing probabilities, so the set is valid
-    under both outcome models.
+    under both outcome models. Fewer than three events are the first funnel stages.
     """
     funnel = [
         ux.EventSpec("view", ux.EventKind.VIEW, 1.0),
@@ -395,14 +486,18 @@ def mixed_event_set(n: int):
         ux.EventSpec(f"c{i}", ux.EventKind.CUSTOM, 0.05 + 0.9 * ((i * 0.618) % 1.0))
         for i in range(n - len(funnel))
     ]
-    events = (*custom[:1], funnel[1], *custom[1:3], funnel[0], *custom[3:], funnel[2])
+    if n < len(funnel):
+        events = tuple(funnel[:n])
+    else:
+        events = (*custom[:1], funnel[1], *custom[1:3], funnel[0], *custom[3:], funnel[2])
     prices = {e.event_id: 10.0 ** (i % 9 - 4) * (1.0 + i / 7.0) for i, e in enumerate(events)}
     shifted = {e.event_id: 10.0 ** -(i % 4) / 3.0 for i, e in enumerate(events)}
     return events, prices, shifted
 
 
-# 13 and 14 events sit either side of 2^13 outcomes, a former block edge.
-@pytest.mark.parametrize("n", [3, 4, 8, 13, 14, 16])
+# 13 and 14 events sit either side of 2^13 outcomes, a former block edge; 1, 9
+# and 17 events take Monte Carlo's hits in one, two and three words of eight.
+@pytest.mark.parametrize("n", [1, 3, 4, 8, 9, 13, 14, 16, 17, ENUMERATION_LIMIT])
 @pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
 def test_oracles_equal_pure_python_folds_in_declared_order(model, n):
     events, prices, shifted = mixed_event_set(n)
@@ -413,6 +508,48 @@ def test_oracles_equal_pure_python_folds_in_declared_order(model, n):
             prices, shifted, events, model, trials=trials, seed=5, substream=(n,)
         )
         reference = fold_monte_carlo(prices, shifted, events, model, trials, 5, (n,))
+        assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
+
+
+SPECIAL_AMOUNTS = [
+    [math.inf, -0.0, -2.5, 0.75],
+    [-math.inf, 1.0, -0.0, -0.0],
+    [0.5, math.nan, -1.0, 3.0],
+    [-0.0, -0.0, -0.0, -0.0],
+    [-1e-300, -7.25, -0.5, -1e30],
+    [math.inf, -math.inf, 0.0, 1.0],
+]
+
+
+@pytest.mark.parametrize("values", SPECIAL_AMOUNTS, ids=str)
+@pytest.mark.parametrize("model", [OutcomeModel.INDEPENDENT, OutcomeModel.FUNNEL])
+def test_monte_carlo_equals_the_fold_on_infinite_nan_negative_and_signed_zero_amounts(model, values):
+    # The charge table must go through the fold's IEEE steps: 0 * inf is nan,
+    # and a -0.0 term leaves 0.0 + -0.0 = 0.0.
+    events, _, _ = mixed_event_set(9)
+    prices = {e.event_id: values[i % len(values)] for i, e in enumerate(events)}
+    shifted = {e.event_id: -0.0 for e in events}
+    for trials in (1, 3000):
+        mean, stderr = monte_carlo_payment(prices, shifted, events, model, trials=trials, seed=8, substream=(1,))
+        reference = fold_monte_carlo(prices, shifted, events, model, trials, 8, (1,))
+        assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)  # nan.hex() is 'nan'
+
+
+def test_funnel_stages_after_a_missed_stage_are_not_charged():
+    # An uncertain view: in many trials the view misses while the words of the
+    # click and the conversion fall below their conditionals.
+    events = (
+        ux.EventSpec("c0", ux.EventKind.CUSTOM, 0.5),
+        ux.EventSpec("conv", ux.EventKind.CONVERSION, 0.3),
+        ux.EventSpec("view", ux.EventKind.VIEW, 0.6),
+        ux.EventSpec("click", ux.EventKind.CLICK, 0.45),
+        ux.EventSpec("c1", ux.EventKind.CUSTOM, 0.2),
+    )
+    prices = {e.event_id: 1.0 + 2.0**-i for i, e in enumerate(events)}
+    shifted = dict.fromkeys(prices, 0.25)
+    for trials in (1, 5000):
+        mean, stderr = monte_carlo_payment(prices, shifted, events, OutcomeModel.FUNNEL, trials=trials, seed=4)
+        reference = fold_monte_carlo(prices, shifted, events, OutcomeModel.FUNNEL, trials, 4, ())
         assert (mean.hex(), stderr.hex()) == tuple(x.hex() for x in reference)
 
 
@@ -439,8 +576,10 @@ def test_enumeration_at_the_limit_agrees_with_the_closed_form(model):
     assert abs(enumerated - closed) <= 1e-9 * abs(closed)
 
 
-def test_enumeration_of_no_events_is_zero():
+def test_oracles_of_no_events_are_zero():
     assert enumerate_expected_payment({}, {}, ()) == 0.0
+    for trials in (1, 3000):
+        assert monte_carlo_payment({}, {}, (), trials=trials) == (0.0, 0.0)
 
 
 def test_monte_carlo_zero_amounts_give_zero():
