@@ -8,10 +8,10 @@ constructions are provided:
 * identity      - d = c, the straightforward method.
 * single-event  - the whole expected charge lands on one event (how a
                   per-view charge becomes a per-click surcharge v/p).
-* proportional  - the expected charge is spread over a chargeable set in
-                  proportion to bids, so the per-event cap d_i <= b_i holds
-                  exactly when the total expected charge fits within the
-                  offer's expected value.
+* proportional  - the expected charge is spread over the events with
+                  b * p > 0 in proportion to bids, so the per-event cap
+                  d_i <= b_i holds exactly when the total expected charge
+                  fits within the offer's expected value.
 
 Events with zero probability never receive shifted charge: they contribute
 nothing to the identity and a charge on them is uncollectable in expectation.
@@ -19,7 +19,6 @@ nothing to the identity and a charge on them is uncollectable in expectation.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from operator import attrgetter
 
 from .adjust import expected_value
@@ -31,7 +30,6 @@ from .model import (
     Offer,
     ShiftPlan,
     approx_eq,
-    brief,
     expected_sum,
     fold_sum,
     require_same_keys,
@@ -84,34 +82,25 @@ def shift_single_event(
     return ShiftPlan(shifted=shifted, strategy=f"single:{target}")
 
 
-def shift_proportional(
-    charges: ChargeSchedule, offer: Offer, chargeable: Iterable[str]
-) -> ShiftPlan:
-    """Spread the expected charge over ``chargeable`` events, weighted by bids.
+def shift_proportional(charges: ChargeSchedule, offer: Offer) -> ShiftPlan:
+    """Spread the expected charge over the events with b * p > 0, weighted by bids.
 
-    With E = sum(c_i * p_i) and W = sum of b_j * p_j over the chargeable set,
-    each chargeable event gets d_i = E * b_i / W. Then sum(d_i * p_i) == E by
-    construction, and d_i <= b_i for all i exactly when E <= W. ``chargeable``
-    that is a str or not an iterable of str event ids raises ValueError.
+    With E = sum(c_i * p_i) and W = sum of b_j * p_j over those events, in
+    declared order, each of them gets d_i = E * b_i / W and every other event
+    0. Then sum(d_i * p_i) == E by construction, and d_i <= b_i for all i
+    exactly when E <= W. With no such event the zero plan stands when E is
+    zero to ``VALIDATION_TOL``; any other E raises ValueError, as no plan
+    keeps it.
     """
-    ids = offer.event_ids
-    require_same_keys(ids, offer.bids, "offer bids")
-    named = None if isinstance(chargeable, str) or not isinstance(chargeable, Iterable) else tuple(chargeable)
-    if named is None or not all(isinstance(eid, str) for eid in named):
-        raise ValueError(f"chargeable must be an iterable of event ids, got {brief(chargeable)}")
-    chargeable = set(named)
-    unknown = chargeable - set(ids)
-    if unknown:
-        raise KeyMismatchError(f"chargeable events {sorted(unknown)} not in the event set")
-    weight = fold_sum(offer.bids[e.event_id] * e.probability for e in offer.events if e.event_id in chargeable)
-    if weight <= 0.0:
-        raise ValueError("chargeable set carries zero expected bid; cannot spread charges")
+    ids, bids = offer.event_ids, offer.bids
+    require_same_keys(ids, bids, "offer bids")
+    weights = {e.event_id: bids[e.event_id] * e.probability for e in offer.events}
+    weight = fold_sum(w for w in weights.values() if w > 0.0)  # positive unless no w is
     total = total_expected_charge(charges, offer.events)
+    if weight == 0.0 and not approx_eq(total, 0.0):
+        raise ValueError(f"no event carries a positive expected bid to take expected charge {total!r}")
     # weight fraction first: keeps d_i finite even for extreme bid scales
-    shifted = {
-        eid: (total * (offer.bids[eid] / weight)) if eid in chargeable else 0.0
-        for eid in ids
-    }
+    shifted = {eid: total * (bids[eid] / weight) if w > 0.0 else 0.0 for eid, w in weights.items()}
     return ShiftPlan(shifted=shifted, strategy="proportional")
 
 

@@ -235,8 +235,7 @@ def enumerate_expected_payment(
 def _substream_rng(seed: int, substream: tuple[int, ...]):
     """The (seed, substream) Philox stream, a ``numpy.random.Generator``."""
     import numpy as np
-    entropy = [int(seed), *(int(s) for s in substream)]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *substream])))
 
 
 def _threshold(q: float) -> int:
@@ -251,7 +250,7 @@ def _threshold(q: float) -> int:
 
 
 def _is_int(value: object) -> bool:
-    """An int and not a bool, as trials and seed must be."""
+    """An int and not a bool, as trials, seed and substream entries must be."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -299,11 +298,13 @@ def monte_carlo_payment(
     sequential prefix sums, so the bits depend on the samples alone, not on
     the unit size or numpy's or BLAS's summation. Raises ScenarioError,
     itemized by ``run_flag_issues``, on a bad model, trial count or seed,
-    and ValueError on more than ``ENUMERATION_LIMIT`` events; no events
-    give (0.0, 0.0).
+    or on a substream that is not a tuple of ints >= 0, and ValueError on
+    more than ``ENUMERATION_LIMIT`` events; no events give (0.0, 0.0).
     """
     import numpy as np
     issues = run_flag_issues(model, trials, seed)
+    if not (isinstance(substream, tuple) and all(_is_int(s) and s >= 0 for s in substream)):
+        issues.append(f"substream must be a tuple of integers >= 0, got {brief(substream)}")
     if issues:
         raise ScenarioError(issues)
     amounts = np.array(_amounts(prices, shifted, events), dtype=float)
@@ -513,23 +514,13 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
 
 
 def build_plan(strategy: str, offer: Offer, charges: ChargeSchedule) -> ShiftPlan:
-    """Construct the shift plan a strategy label names, for one ad.
-
-    The proportional strategy spreads charges over the ad's bid-carrying
-    events; for a feasible ad with no such events the expected charge is
-    necessarily zero, so the zero plan stands in.
-    """
+    """Construct the shift plan a strategy label names, for one ad."""
     kind, target = _parse_strategy(strategy)
     if kind == "identity":
         return shift_identity(charges)
     if kind == "single":
         return shift_single_event(charges, offer.events, target)
-    ids, bids = offer.event_ids, offer.bids
-    require_same_keys(ids, bids, "offer bids")
-    chargeable = {e.event_id for e in offer.events if bids[e.event_id] * e.probability > 0.0}
-    if not chargeable:
-        return ShiftPlan(shifted=dict.fromkeys(ids, 0.0), strategy="proportional")
-    return shift_proportional(charges, offer, chargeable)
+    return shift_proportional(charges, offer)
 
 
 #: The fields of a record that only a winner fills, in report order.

@@ -86,18 +86,11 @@ def strategy_plans(offer: ux.Offer, charges: ux.ChargeSchedule):
         (e for e in offer.events if e.probability > 0.0),
         key=lambda e: offer.bids[e.event_id] * e.probability,
     ).event_id
-    chargeable = {e.event_id for e in offer.events if offer.bids[e.event_id] * e.probability > 0.0}
-    plans = {
+    return {
         "identity": shift_identity(charges),
         "single": shift_single_event(charges, offer.events, target),
+        "proportional": shift_proportional(charges, offer),
     }
-    if chargeable:
-        plans["proportional"] = shift_proportional(charges, offer, chargeable)
-    else:
-        plans["proportional"] = ux.ShiftPlan(
-            {eid: 0.0 for eid in offer.event_ids}, "proportional"
-        )
-    return plans
 
 
 def test_criterion_1_specialization_suite():

@@ -276,7 +276,7 @@ def test_winner_and_price_invariance_under_charge_shifting():
     for plan in (
         ux.shift_identity(charges),
         ux.shift_single_event(charges, offer.events, "click"),
-        ux.shift_proportional(charges, offer, {"view", "click"}),
+        ux.shift_proportional(charges, offer),
     ):
         adjusted = ux.adjust_general(offer, plan)
         outcome = run_second_price([adjusted, competitor])

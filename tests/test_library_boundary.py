@@ -10,9 +10,11 @@ to its events; the case then goes through ``SlotModel``, ``value_at_slot``,
 ``run_first_price``, ``run_second_price`` and ``run_scenario``. Only
 ``ValueError`` subclasses may escape, and the call that owns the broken rule
 must reject it: a per-offer call that reads the broken mapping raises
-``KeyMismatchError`` and one that does not read it returns. A scenario field,
-an offer entry, an offer's ad_id, events or bids, or an event id or kind
-of the wrong type is one itemized issue. So is, at the auctions and the
+``KeyMismatchError`` and one that does not read it returns, except that
+proportional ``build_plan`` refuses an infeasible offer with no event of
+b * p > 0 with a ValueError. A scenario field, an offer entry, an offer's
+ad_id, events or bids, or an event id or kind of the wrong type is one
+itemized issue. So is, at the auctions and the
 oracles, each event whose probability is not a number, and, at the auctions,
 offers that are not a tuple or list, an entry that is not an ``AdjustedOffer``
 and slots that are not a ``SlotModel``. ``settle_general`` and
@@ -131,9 +133,11 @@ def test_malformed_library_input_gives_only_value_errors(mutation, data):
     }
     # a repeated event id breaks every mapping keyed to the events; a missing or stray key only the bids
     broken = {"repeat": {"bids", "charges"}, "missing": {"bids"}, "stray": {"bids"}}.get(mutation, set())
-    assert {name: _rejection(call) for name, (_, call) in chain.items()} == {
-        name: KeyMismatchError if reads in broken else None for name, (reads, _) in chain.items()
-    }
+    expected = {name: KeyMismatchError if reads in broken else None for name, (reads, _) in chain.items()}
+    if "bids" not in broken and not ux.is_feasible(offer, keyed_charges):
+        if ux.expected_value(offer.bids, offer.events) == 0.0:  # no event has b * p > 0 to take the charge
+            expected["build_plan proportional"] = ValueError
+    assert {name: _rejection(call) for name, (_, call) in chain.items()} == expected
 
     try:
         slots = SlotModel(k, rows)
@@ -181,7 +185,14 @@ def test_per_offer_calls_give_the_same_bits_in_any_key_order(data):
     k = draw(st.integers(1, 3))
     slots = SlotModel(k, {offer.ad_id: sorted(draw(st.lists(unit, min_size=k, max_size=k)), reverse=True)})
     for strategy in ("identity", "single:view", "proportional"):
-        plan = ux.build_plan(strategy, offer, charges)
+        try:
+            plan = ux.build_plan(strategy, offer, charges)
+        except ValueError as exc:  # no event has b * p > 0 to take the charge
+            assert strategy == "proportional" and not ux.is_feasible(offer, charges)
+            with pytest.raises(ValueError) as again:
+                ux.build_plan(strategy, shuffled, shuffled_charges)
+            assert str(again.value) == str(exc)
+            continue
         assert _by_key(ux.build_plan(strategy, shuffled, shuffled_charges).shifted) == _by_key(plan.shifted)
 
         shuffled_plan = ux.ShiftPlan(_shuffled(draw, plan.shifted), plan.strategy)

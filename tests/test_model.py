@@ -128,7 +128,7 @@ UNBID = ux.Offer("x", ux.PriceType.HYBRID, two_events(0.3), {"view": 0.1})
             (ux.is_feasible, (OFFER, CHARGES), "charge schedule"),
             (ux.total_expected_charge, (CHARGES, REPEAT), "charge schedule"),
             (ux.shift_single_event, (CHARGES, REPEAT, "click"), "charge schedule"),
-            (ux.shift_proportional, (CHARGES, OFFER, {"click"}), "offer bids"),
+            (ux.shift_proportional, (CHARGES, OFFER), "offer bids"),
             (ux.build_plan, ("proportional", OFFER, CHARGES), "offer bids"),
             (ux.validate_plan, (PLAN, CHARGES, OFFER), "offer bids"),
             (ux.expected_payment, (KEYED, KEYED, REPEAT), "prices"),
@@ -151,7 +151,7 @@ def test_every_entry_point_rejects_a_repeated_event_id(entry, args, what):
     [
         pytest.param(entry, args, id=entry.__name__)
         for entry, args in [
-            (ux.shift_proportional, (CHARGES, UNBID, {"click"})),
+            (ux.shift_proportional, (CHARGES, UNBID)),
             (ux.build_plan, ("proportional", UNBID, CHARGES)),
             (ux.validate_plan, (ux.shift_identity(CHARGES), CHARGES, UNBID, True)),
         ]

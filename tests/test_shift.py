@@ -91,16 +91,14 @@ def test_shift_single_event_rejects_unknown_target():
 def test_shift_proportional_single_chargeable_matches_single_event():
     offer = cpc_offer("x", 2.0, 0.1)
     charges = ux.ChargeSchedule({"view": 0.05, "click": 0.0})
-    plan = shift_proportional(charges, offer, {"click"})
+    plan = shift_proportional(charges, offer)
     assert plan.shifted["click"] == exact(0.5)
     assert plan.shifted["view"] == 0.0
 
 
 def test_shift_proportional_zero_charges_give_zero_plan():
     offer = cpc_offer("x", 2.0, 0.1)
-    plan = shift_proportional(
-        ux.ChargeSchedule({"view": 0.0, "click": 0.0}), offer, {"click"}
-    )
+    plan = shift_proportional(ux.ChargeSchedule({"view": 0.0, "click": 0.0}), offer)
     assert plan.shifted == {"view": 0.0, "click": 0.0}
 
 
@@ -112,29 +110,23 @@ def test_shift_proportional_equal_weights_share_equally():
     # equal expected bid per event: 0.2 * 1.0 == 0.4 * 0.5
     offer = ux.Offer("x", ux.PriceType.HYBRID, events, {"view": 0.2, "click": 0.4})
     charges = ux.ChargeSchedule({"view": 0.1, "click": 0.1})
-    plan = shift_proportional(charges, offer, {"view", "click"})
+    plan = shift_proportional(charges, offer)
     assert close12(plan.shifted["view"] * 1.0, plan.shifted["click"] * 0.5)
     assert close12(expected_shift(plan, events), total_expected_charge(charges, events))
 
 
-def test_shift_proportional_rejects_zero_weight():
+def test_shift_proportional_without_a_bid_event_keeps_only_a_zero_charge():
+    # no event has b * p > 0: only the zero plan, and only for a zero charge
     offer = ux.Offer("x", ux.PriceType.HYBRID, two_events(0.1), {"view": 0.0, "click": 0.0})
-    with pytest.raises(ValueError, match="zero expected bid"):
-        shift_proportional(ux.ChargeSchedule({"view": 0.1, "click": 0.0}), offer, {"click"})
-
-
-@pytest.mark.parametrize(
-    "chargeable, shown",
-    [("click", "'click'"), ("cv", "'cv'"), (None, "None"), (3, "3"), ([["click"]], "[['click']]"), ([3], "[3]")],
-)
-def test_shift_proportional_rejects_a_chargeable_that_is_no_iterable_of_ids(chargeable, shown):
-    # a str used to be read as its characters, None to escape as a TypeError
-    offer = ux.Offer("x", ux.PriceType.HYBRID, two_events(0.5), {"view": 0.5, "click": 1.0})
+    zero = ux.ChargeSchedule({"view": 0.0, "click": 0.0})
+    assert shift_proportional(zero, offer).shifted == {"view": 0.0, "click": 0.0}
+    assert ux.build_plan("proportional", offer, zero) == shift_proportional(zero, offer)
     charges = ux.ChargeSchedule({"view": 0.1, "click": 0.0})
-    with pytest.raises(ValueError) as excinfo:
-        shift_proportional(charges, offer, chargeable)
-    assert str(excinfo.value) == f"chargeable must be an iterable of event ids, got {shown}"
-    assert shift_proportional(charges, offer, iter(["click", "view"])) == shift_proportional(charges, offer, ("view", "click"))
+    message = "no event carries a positive expected bid to take expected charge 0.1"
+    for call in (lambda: shift_proportional(charges, offer), lambda: ux.build_plan("proportional", offer, charges)):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 def test_validate_plan_accepts_constructed_plans():
@@ -188,9 +180,10 @@ def test_every_strategy_preserves_expected_charge(offer_charges):
     positive = [e.event_id for e in offer.events if e.probability > 0.0]
     if positive:
         plans.append(shift_single_event(charges, offer.events, positive[-1]))
-    chargeable = {e.event_id for e in offer.events if offer.bids[e.event_id] * e.probability > 0.0}
-    if chargeable:
-        plans.append(shift_proportional(charges, offer, chargeable))
+    try:
+        plans.append(shift_proportional(charges, offer))
+    except ValueError:
+        assert not is_feasible(offer, charges)
 
     for plan in plans:
         assert close12(expected_shift(plan, offer.events), total)
@@ -199,14 +192,8 @@ def test_every_strategy_preserves_expected_charge(offer_charges):
 @given(offers_with_charges(feasible=True))
 def test_feasible_instances_admit_capped_plans(offer_charges):
     offer, charges = offer_charges
-    chargeable = {e.event_id for e in offer.events if offer.bids[e.event_id] * e.probability > 0.0}
     assert is_feasible(offer, charges)
-    if not chargeable:
-        # zero expected value forces zero expected charge; the zero plan works
-        zero = ux.ShiftPlan({eid: 0.0 for eid in offer.event_ids}, "proportional")
-        assert validate_plan(zero, charges, offer, nonnegative_bids=True) == []
-        return
-    plan = shift_proportional(charges, offer, chargeable)
+    plan = shift_proportional(charges, offer)
     assert validate_plan(plan, charges, offer, nonnegative_bids=True) == []
 
 
@@ -219,9 +206,18 @@ def test_infeasible_instances_reject_every_strategy(offer_charges):
     positive = [e.event_id for e in offer.events if e.probability > 0.0]
     if positive:
         plans.append(shift_single_event(charges, offer.events, positive[0]))
-    chargeable = {e.event_id for e in offer.events if offer.bids[e.event_id] * e.probability > 0.0}
-    if chargeable:
-        plans.append(shift_proportional(charges, offer, chargeable))
+    plans.append(shift_proportional(charges, offer))  # the offer value is positive
 
     for plan in plans:
         assert validate_plan(plan, charges, offer, nonnegative_bids=True) != []
+
+
+@given(offers_with_charges())
+def test_shift_proportional_keeps_the_identity_or_refuses_an_infeasible_offer(offer_charges):
+    offer, charges = offer_charges
+    try:
+        plan = shift_proportional(charges, offer)
+    except ValueError:
+        assert not is_feasible(offer, charges)
+    else:
+        assert validate_plan(plan, charges, offer) == []

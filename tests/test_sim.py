@@ -677,6 +677,15 @@ def test_monte_carlo_obeys_the_scenario_run_flag_rules(flags, issue):
     assert validate_scenario(scenario_config(**run)) == [issue]
 
 
+@pytest.mark.parametrize("substream", [(0.9,), (False,), ("0",), (None,), 5, (-1,)])
+def test_monte_carlo_refuses_a_substream_that_is_no_tuple_of_ints_at_least_zero(substream):
+    # 0.9, False and '0' used to draw substream 0's trials; None and 5 raised a TypeError
+    args = ({"view": 0.1, "click": 0.9}, {"view": 0.05, "click": 0.1}, EVENTS)
+    with pytest.raises(ScenarioError) as excinfo:
+        monte_carlo_payment(*args, trials=1000, seed=1, substream=substream)
+    assert excinfo.value.issues == (f"substream must be a tuple of integers >= 0, got {substream!r}",)
+
+
 @pytest.mark.parametrize("model", ["funnel", "independent", None])
 def test_the_outcome_model_must_be_an_outcome_model(model):
     zeros = {"view": 0.0, "click": 0.0}
